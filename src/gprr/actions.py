@@ -11,7 +11,8 @@ provably idle for the whole gap, so a replayer may fast-forward).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 
 class ActionClass(enum.Enum):
@@ -60,6 +61,10 @@ class RegRead(_Action):
     reg_name: str = ""
     expect_value: int = 0  # meaningful only for STATE reads
     state_class: ActionClass = ActionClass.STATE
+
+    @property
+    def nondet(self) -> bool:
+        return self.state_class is ActionClass.NONDET
 
 
 @dataclass(frozen=True)
@@ -157,27 +162,73 @@ class Recording:
                    if isinstance(a, RegWrite) and a.reg_name == "JOB_START")
 
 
+# Wire byte of RegRead.state_class: its index here.
+_READ_CLASSES = (ActionClass.STATE, ActionClass.NONDET)
+
+
+def _reg_read(raw: int, floor: int, name: str, expect: int, cls: int) -> RegRead:
+    if cls >= len(_READ_CLASSES):
+        raise ValueError(f"bad read class {cls}")
+    return RegRead(raw, floor, name, expect, _READ_CLASSES[cls])
+
+
+@dataclass(frozen=True)
+class ActionSchema:
+    """One action type, defined once for the codec, ``gprr inspect`` and
+    canonical_actions.
+
+    On the wire an action is its ``tag`` byte and the two u64 interval
+    fields, then the str16 register name when ``named``, then the
+    attributes in ``fields`` packed with the little-endian struct codes
+    in ``fmt``. ``build`` makes the action from the decoded values in
+    wire order (the class itself unless a field needs converting) and
+    raises ValueError for an out-of-range final byte.
+    """
+
+    cls: type
+    tag: int
+    named: bool
+    fields: tuple[str, ...]
+    fmt: str
+    canon: Callable[[Any], tuple]  # the projection canonical_actions keeps
+    text: Callable[[Any], str]     # the ``gprr inspect`` listing
+    build: Callable[..., Any] | None = None
+
+
+ACTION_SCHEMAS = (
+    ActionSchema(RegWrite, 1, True, ("value",), "I",
+                 canon=lambda a: ("w", a.reg_name, a.value),
+                 text=lambda a: f"write   {a.reg_name} <- {a.value:#x}"),
+    ActionSchema(RegRead, 2, True, ("expect_value", "nondet"), "IB",
+                 canon=lambda a: (("r?", a.reg_name) if a.nondet
+                                  else ("r", a.reg_name, a.expect_value)),
+                 text=lambda a: (f"read    {a.reg_name} (nondet)" if a.nondet
+                                 else f"read    {a.reg_name} expect {a.expect_value:#x}"),
+                 build=_reg_read),
+    ActionSchema(RegReadWait, 3, True, ("mask", "expect_value", "max_polls"), "III",
+                 canon=lambda a: ("rw", a.reg_name, a.mask, a.expect_value),
+                 text=lambda a: (f"poll    {a.reg_name} mask {a.mask:#x} until "
+                                 f"{a.expect_value:#x} (<= {a.max_polls} reads)")),
+    ActionSchema(WaitIrq, 4, False, ("expect_rawstat", "residency_ns"), "IQ",
+                 canon=lambda a: ("irq", a.expect_rawstat),
+                 text=lambda a: (f"waitirq rawstat {a.expect_rawstat:#x} "
+                                 f"(~{a.residency_ns} ns)")),
+    ActionSchema(MapGpuMem, 5, False, ("gpu_va", "len_bytes", "perm_flags_encoded"), "IIB",
+                 canon=lambda a: ("map", a.gpu_va, a.len_bytes, a.perm_flags_encoded),
+                 text=lambda a: (f"map     {a.gpu_va:#010x}+{a.len_bytes:#x} "
+                                 f"perms {a.perm_flags_encoded:#06b}")),
+    ActionSchema(UnmapGpuMem, 6, False, ("gpu_va", "len_bytes"), "II",
+                 canon=lambda a: ("unmap", a.gpu_va, a.len_bytes),
+                 text=lambda a: f"unmap   {a.gpu_va:#010x}+{a.len_bytes:#x}"),
+    ActionSchema(LoadMemDump, 7, False, ("dump_id", "gpu_va"), "II",
+                 canon=lambda a: ("dump", a.gpu_va),
+                 text=lambda a: f"load    dump {a.dump_id} at {a.gpu_va:#010x}"),
+)
+SCHEMA_BY_CLASS = {s.cls: s for s in ACTION_SCHEMAS}
+
+
 def canonical_actions(rec: Recording) -> list[tuple]:
     """Projection for comparing recordings of the same workload: erases
     poll counts, interval fields, wait residencies and NONDET expectations,
     which are the permitted run-to-run variations."""
-    out = []
-    for a in rec.actions:
-        if isinstance(a, RegWrite):
-            out.append(("w", a.reg_name, a.value))
-        elif isinstance(a, RegRead):
-            if a.state_class is ActionClass.NONDET:
-                out.append(("r?", a.reg_name))
-            else:
-                out.append(("r", a.reg_name, a.expect_value))
-        elif isinstance(a, RegReadWait):
-            out.append(("rw", a.reg_name, a.mask, a.expect_value))
-        elif isinstance(a, WaitIrq):
-            out.append(("irq", a.expect_rawstat))
-        elif isinstance(a, MapGpuMem):
-            out.append(("map", a.gpu_va, a.len_bytes, a.perm_flags_encoded))
-        elif isinstance(a, UnmapGpuMem):
-            out.append(("unmap", a.gpu_va, a.len_bytes))
-        elif isinstance(a, LoadMemDump):
-            out.append(("dump", a.gpu_va))
-    return out
+    return [SCHEMA_BY_CLASS[type(a)].canon(a) for a in rec.actions]

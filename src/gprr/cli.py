@@ -12,8 +12,7 @@ from pathlib import Path
 
 from . import device as dv
 from . import recfmt
-from .actions import (Granularity, LoadMemDump, MapGpuMem, RegRead,
-                      RegReadWait, RegWrite, UnmapGpuMem, WaitIrq)
+from .actions import SCHEMA_BY_CLASS, Granularity, MapGpuMem, RegWrite
 from .device import Device, SKUS, parse_register_map
 from .patcher import PatchError, patch_recording
 from .recorder import (DiscoveryError, RecordHarness, parse_harness, record)
@@ -23,8 +22,23 @@ from .replayer import (LoadError, ReplayConfig, ReplayError, init,
 from .verifier import verify
 
 
+class UsageError(Exception):
+    """A bad argument or input text file; exits 2."""
+
+
 def _err(msg: str) -> None:
     print(f"gprr: {msg}", file=sys.stderr)
+
+
+def _parse_file(parse, path):
+    """Parse a workload, harness or register map text file."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as e:
+        raise UsageError(f"{path}: {e}") from None
+
+
+_SKU_NAMES = [*SKUS, *(k.lower() for k in SKUS)]
 
 
 def _sku(name: str):
@@ -43,9 +57,9 @@ def _layer_path(base: Path, index: int) -> Path:
 
 
 def cmd_record(args) -> int:
-    graph = parse_workload(Path(args.workload).read_text())
+    graph = _parse_file(parse_workload, args.workload)
     if args.harness:
-        harness = parse_harness(Path(args.harness).read_text())
+        harness = _parse_file(parse_harness, args.harness)
     else:
         harness = RecordHarness()
         harness.magic_seed = args.seed * 131 + 7
@@ -134,7 +148,7 @@ def cmd_replay(args) -> int:
                        force=args.force)
     session = init(dev, cfg)
     inputs = Path(args.input).read_bytes() if args.input else None
-    fault = _parse_fault(args.inject_fault) if args.inject_fault else None
+    fault = args.inject_fault
     try:
         if len(recs) == 1:
             session.load(recs[0])
@@ -178,7 +192,7 @@ def cmd_verify(args) -> int:
     except recfmt.DecodeError as e:
         _err(f"decode failed: {e}")
         return 1
-    reg_map = (parse_register_map(Path(args.map).read_text())
+    reg_map = (_parse_file(parse_register_map, args.map)
                if args.map else dv.DEFAULT_REGISTER_MAP)
     report = verify(rec, reg_map, args.mem_budget)
     print(report.to_json() if args.json else report.to_text())
@@ -202,24 +216,7 @@ def cmd_inspect(args) -> int:
     for i, a in enumerate(rec.actions):
         iv = f"T={a.min_interval_ns}" + (
             f" raw={a.raw_interval_ns}" if a.raw_interval_ns != a.min_interval_ns else "")
-        if isinstance(a, RegWrite):
-            desc = f"write   {a.reg_name} <- {a.value:#x}"
-        elif isinstance(a, RegRead):
-            desc = (f"read    {a.reg_name} expect {a.expect_value:#x}"
-                    if a.state_class.name == "STATE" else f"read    {a.reg_name} (nondet)")
-        elif isinstance(a, RegReadWait):
-            desc = (f"poll    {a.reg_name} mask {a.mask:#x} until {a.expect_value:#x} "
-                    f"(<= {a.max_polls} reads)")
-        elif isinstance(a, WaitIrq):
-            desc = f"waitirq rawstat {a.expect_rawstat:#x} (~{a.residency_ns} ns)"
-        elif isinstance(a, MapGpuMem):
-            desc = (f"map     {a.gpu_va:#010x}+{a.len_bytes:#x} "
-                    f"perms {a.perm_flags_encoded:#06b}")
-        elif isinstance(a, UnmapGpuMem):
-            desc = f"unmap   {a.gpu_va:#010x}+{a.len_bytes:#x}"
-        elif isinstance(a, LoadMemDump):
-            desc = f"load    dump {a.dump_id} at {a.gpu_va:#010x}"
-        print(f"  {i:4d}  {desc}  [{iv}]")
+        print(f"  {i:4d}  {SCHEMA_BY_CLASS[type(a)].text(a)}  [{iv}]")
     print(f"dumps ({len(rec.dumps)}):")
     for d in rec.dumps:
         print(f"  {d.dump_id:4d}  {d.gpu_va:#010x}  {d.raw_len:7d} raw  "
@@ -247,7 +244,7 @@ def cmd_patch(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    graph = parse_workload(Path(args.workload).read_text())
+    graph = _parse_file(parse_workload, args.workload)
     harness = RecordHarness()
     harness.magic_seed = args.seed * 131 + 7
     dev = Device(sku=_sku(args.sku), env_seed=args.seed)
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("record", help="record a workload into a .gpr file")
     rec.add_argument("workload")
     rec.add_argument("-o", "--output", required=True)
-    rec.add_argument("--sku", default="A", choices=["A", "B", "a", "b"])
+    rec.add_argument("--sku", default="A", choices=_SKU_NAMES)
     rec.add_argument("--granularity", choices=["monolithic", "per_layer"])
     rec.add_argument("--harness")
     rec.add_argument("--delays", type=_parse_delays, default=None,
@@ -312,12 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("recordings", nargs="+")
     rep.add_argument("--input")
     rep.add_argument("--output")
-    rep.add_argument("--sku", default="A", choices=["A", "B", "a", "b"])
+    rep.add_argument("--sku", default="A", choices=_SKU_NAMES)
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--no-skip", action="store_true",
                      help="honor raw recorded intervals instead of skips")
     rep.add_argument("--checkpoint-every", type=int, default=0, metavar="K")
-    rep.add_argument("--inject-fault", metavar="KIND[:MODE][:ARG]")
+    rep.add_argument("--inject-fault", type=_parse_fault, metavar="KIND[:MODE][:ARG]")
     rep.add_argument("--clock-div", type=int, default=1)
     rep.add_argument("--force", action="store_true")
     rep.set_defaults(func=cmd_replay)
@@ -335,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pat = sub.add_parser("patch", help="re-target a recording to another SKU")
     pat.add_argument("recording")
-    pat.add_argument("--from", dest="from_sku", required=True)
-    pat.add_argument("--to", dest="to_sku", required=True)
+    pat.add_argument("--from", dest="from_sku", required=True, choices=_SKU_NAMES)
+    pat.add_argument("--to", dest="to_sku", required=True, choices=_SKU_NAMES)
     pat.add_argument("-o", "--output", required=True)
     pat.set_defaults(func=cmd_patch)
 
     ben = sub.add_parser("bench", help="record then compare replay modes")
     ben.add_argument("workload")
-    ben.add_argument("--sku", default="A", choices=["A", "B", "a", "b"])
+    ben.add_argument("--sku", default="A", choices=_SKU_NAMES)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--delays", type=_parse_delays,
                      default=DelayPolicy(50_000, 20_000, 5_000))
@@ -358,7 +355,7 @@ def dispatch(argv: list[str]) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, UsageError) as e:
         _err(str(e))
         return 2
     except recfmt.DecodeError as e:

@@ -90,7 +90,6 @@ class Access(enum.Enum):
 
 
 class StateClass(enum.Enum):
-    STATE_CHANGING = "state_changing"  # reads carry side effects (none in default map)
     PURE_READ = "pure_read"
     NONDET_READ = "nondet_read"
 
@@ -264,7 +263,7 @@ DEFAULT_REGISTER_MAP = default_register_map()
 
 
 def parse_register_map(text: str) -> RegisterMap:
-    """Line format: ``NAME OFFSET ro|wo|rw [state_changing|pure_read|nondet_read]``."""
+    """Line format: ``NAME OFFSET ro|wo|rw [pure_read|nondet_read]``."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -314,7 +313,6 @@ class DeviceSnapshot:
     vclock_ns: int
     regs: dict[str, int]
     irq_rawstat: int
-    irq_mask: int
     cores_on: int
     clock_div: int
     job_state: int
@@ -325,12 +323,6 @@ class DeviceSnapshot:
     pending_flush: _PendingFlush | None
     rng_state: tuple
     busy_since: int | None
-
-
-class FaultKind(enum.Enum):
-    OFFLINE_CORES = "offline_cores"
-    CORRUPT_PTE = "corrupt_pte"
-    STALL = "stall"
 
 
 class Device:
@@ -701,7 +693,6 @@ class Device:
             vclock_ns=self.vclock_ns,
             regs=dict(self._stored),
             irq_rawstat=self.irq_rawstat,
-            irq_mask=self._stored["GPU_IRQ_MASK"],
             cores_on=self.cores_on,
             clock_div=self.clock_div,
             job_state=self.job_state,
@@ -738,18 +729,8 @@ class Device:
 
     # -- fault injection (test harness only) ---------------------------------------
 
-    def inject_fault(self, kind: FaultKind, arg: int = 0) -> None:
-        if kind is FaultKind.OFFLINE_CORES:
-            self.cores_on &= ~arg & U32
-        elif kind is FaultKind.CORRUPT_PTE:
-            self.corrupt_pte(arg)
-        elif kind is FaultKind.STALL:
-            self.stall(arg)
-        else:
-            raise ValueError(kind)
-
     def offline_cores(self, mask: int) -> None:
-        self.inject_fault(FaultKind.OFFLINE_CORES, mask)
+        self.cores_on &= ~mask & U32
 
     def corrupt_pte(self, gpu_va: int) -> None:
         """Flip the VALID bit of the L2 entry mapping ``gpu_va``."""

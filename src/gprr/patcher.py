@@ -5,16 +5,17 @@ Three fix classes, applied to decoded structures (never raw bytes):
 page-table permission bits re-arranged into the target layout, two
 register fixes per recording (the expected GPU_ID value and the MMU
 config write), and one register per job (the core affinity write plus
-its read-back expectation). Replaying on a smaller device is refused:
-shader relocation and memory compaction would need GPU internals this
-tool treats as opaque.
+its read-back expectation) when it names every core of the source
+model; a job pinned to chosen cores keeps its mask. Replaying on a
+smaller device is refused: shader relocation and memory compaction
+would need GPU internals this tool treats as opaque.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .actions import MapGpuMem, Recording, RegRead, RegWrite, ActionClass
+from .actions import MapGpuMem, Recording, RegRead, RegWrite
 from .device import SKUS_BY_ID, SkuProfile
 
 
@@ -26,7 +27,7 @@ class PatchError(Exception):
 class PatchResult:
     recording: Recording
     recording_edits: int   # GPU_ID expectation + MMU_CONFIG write
-    job_edits: int         # one per job: the affinity register
+    job_edits: int         # one per full-mask affinity write
     pte_reencodes: int     # MapGpuMem entries re-encoded
 
     @property
@@ -67,18 +68,20 @@ def patch_recording(rec: Recording, from_sku: SkuProfile,
             perms = from_sku.decode_perms(a.perm_flags_encoded)
             a = replace(a, perm_flags_encoded=to_sku.encode_perms(perms))
             pte += 1
-        elif isinstance(a, RegRead) and a.state_class is ActionClass.STATE:
+        elif isinstance(a, RegRead) and not a.nondet:
             if a.reg_name == "GPU_ID":
                 a = replace(a, expect_value=to_sku.gpu_id_value)
                 rec_edits += 1
-            elif a.reg_name == "JOB_AFFINITY":
+            elif (a.reg_name == "JOB_AFFINITY"
+                  and a.expect_value == from_sku.full_core_mask):
                 # read-back of the per-job affinity write; counted with it
                 a = replace(a, expect_value=to_sku.full_core_mask)
         elif isinstance(a, RegWrite):
             if a.reg_name == "MMU_CONFIG":
                 a = replace(a, value=to_sku.expected_mmu_config)
                 rec_edits += 1
-            elif a.reg_name == "JOB_AFFINITY":
+            elif (a.reg_name == "JOB_AFFINITY"
+                  and a.value == from_sku.full_core_mask):
                 a = replace(a, value=to_sku.full_core_mask)
                 job_edits += 1
         actions.append(a)

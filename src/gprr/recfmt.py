@@ -3,7 +3,8 @@
 Little-endian throughout, fixed-width counts, deterministic output:
 identical Recording values encode to identical bytes. Dump payloads are
 raw DEFLATE streams. The file ends with a SHA-256 over everything before
-it. See docs/format.md for the byte-level layout.
+it. See docs/format.md for the byte-level layout; action payloads follow
+gprr.actions.ACTION_SCHEMAS.
 
 decode() never raises anything but DecodeError subclasses on arbitrary
 input; every error carries the byte offset it was detected at.
@@ -15,22 +16,13 @@ import hashlib
 import struct
 import zlib
 
-from .actions import (ActionClass, DumpOrigin, Granularity, IoDescriptor,
-                      IoMode, IoRole, LoadMemDump, MapGpuMem, MemDump,
-                      Recording, RecordingHeader, RegRead, RegReadWait,
-                      RegWrite, UnmapGpuMem, WaitIrq)
+from .actions import (ACTION_SCHEMAS, ActionSchema, DumpOrigin, Granularity,
+                      IoDescriptor, IoMode, IoRole, LoadMemDump, MemDump,
+                      Recording, RecordingHeader)
 
 MAGIC = b"GPRR"
 VERSION = 1
 FILE_EXTENSION = ".gpr"
-
-_TAG_REG_WRITE = 1
-_TAG_REG_READ = 2
-_TAG_REG_READ_WAIT = 3
-_TAG_WAIT_IRQ = 4
-_TAG_MAP = 5
-_TAG_UNMAP = 6
-_TAG_LOAD_DUMP = 7
 
 
 def deflate(data: bytes) -> bytes:
@@ -88,11 +80,6 @@ class _Writer:
     def raw(self, b: bytes):
         self.parts.append(b)
 
-    def string16(self, s: str):
-        b = s.encode("utf-8")
-        self.u16(len(b))
-        self.raw(b)
-
     def blob32(self, b: bytes):
         self.u32(len(b))
         self.raw(b)
@@ -118,14 +105,6 @@ class _Reader:
     def u32(self): return struct.unpack("<I", self._take(4))[0]
     def u64(self): return struct.unpack("<Q", self._take(8))[0]
 
-    def string16(self) -> str:
-        at = self.pos
-        b = self._take(self.u16())
-        try:
-            return b.decode("utf-8")
-        except UnicodeDecodeError:
-            raise Malformed(at, "string is not valid UTF-8") from None
-
     def blob32(self) -> bytes:
         n = self.u32()
         if n > len(self.data):
@@ -133,77 +112,77 @@ class _Reader:
         return self._take(n)
 
 
-def _encode_action(w: _Writer, a) -> None:
-    if isinstance(a, RegWrite):
-        w.u8(_TAG_REG_WRITE)
-    elif isinstance(a, RegRead):
-        w.u8(_TAG_REG_READ)
-    elif isinstance(a, RegReadWait):
-        w.u8(_TAG_REG_READ_WAIT)
-    elif isinstance(a, WaitIrq):
-        w.u8(_TAG_WAIT_IRQ)
-    elif isinstance(a, MapGpuMem):
-        w.u8(_TAG_MAP)
-    elif isinstance(a, UnmapGpuMem):
-        w.u8(_TAG_UNMAP)
-    elif isinstance(a, LoadMemDump):
-        w.u8(_TAG_LOAD_DUMP)
-    else:
+def _compile(spec: ActionSchema):
+    """A named type packs tag, intervals and name length in ``head`` and
+    its fixed fields in ``tail``; any other type packs all in ``head``."""
+    if spec.named:
+        return (spec, struct.Struct("<BQQH"), struct.Struct("<" + spec.fmt),
+                spec.build or spec.cls)
+    return (spec, struct.Struct("<BQQ" + spec.fmt), None, spec.build or spec.cls)
+
+
+_CODECS = [_compile(s) for s in ACTION_SCHEMAS]
+_CODEC_BY_TAG = {c[0].tag: c for c in _CODECS}
+_CODEC_BY_CLASS = {c[0].cls: c for c in _CODECS}
+
+
+def _write_action(w: _Writer, a) -> None:
+    codec = _CODEC_BY_CLASS.get(type(a))
+    if codec is None:
         raise TypeError(f"not a replay action: {a!r}")
-    w.u64(a.raw_interval_ns)
-    w.u64(a.min_interval_ns)
-    if isinstance(a, RegWrite):
-        w.string16(a.reg_name)
-        w.u32(a.value)
-    elif isinstance(a, RegRead):
-        w.string16(a.reg_name)
-        w.u32(a.expect_value)
-        w.u8(0 if a.state_class is ActionClass.STATE else 1)
-    elif isinstance(a, RegReadWait):
-        w.string16(a.reg_name)
-        w.u32(a.mask)
-        w.u32(a.expect_value)
-        w.u32(a.max_polls)
-    elif isinstance(a, WaitIrq):
-        w.u32(a.expect_rawstat)
-        w.u64(a.residency_ns)
-    elif isinstance(a, MapGpuMem):
-        w.u32(a.gpu_va)
-        w.u32(a.len_bytes)
-        w.u8(a.perm_flags_encoded)
-    elif isinstance(a, UnmapGpuMem):
-        w.u32(a.gpu_va)
-        w.u32(a.len_bytes)
-    elif isinstance(a, LoadMemDump):
-        w.u32(a.dump_id)
-        w.u32(a.gpu_va)
+    spec, head, tail, _ = codec
+    values = [getattr(a, f) for f in spec.fields]
+    if tail is None:
+        w.raw(head.pack(spec.tag, a.raw_interval_ns, a.min_interval_ns, *values))
+        return
+    name = a.reg_name.encode("utf-8")
+    w.raw(head.pack(spec.tag, a.raw_interval_ns, a.min_interval_ns, len(name)))
+    w.raw(name)
+    w.raw(tail.pack(*values))
 
 
-def _decode_action(r: _Reader):
-    at = r.pos
-    tag = r.u8()
-    raw_iv = r.u64()
-    min_iv = r.u64()
-    if tag == _TAG_REG_WRITE:
-        return RegWrite(raw_iv, min_iv, r.string16(), r.u32())
-    if tag == _TAG_REG_READ:
-        name, expect = r.string16(), r.u32()
-        cls_b = r.u8()
-        if cls_b > 1:
-            raise Malformed(r.pos - 1, f"bad read class {cls_b}")
-        cls = ActionClass.STATE if cls_b == 0 else ActionClass.NONDET
-        return RegRead(raw_iv, min_iv, name, expect, cls)
-    if tag == _TAG_REG_READ_WAIT:
-        return RegReadWait(raw_iv, min_iv, r.string16(), r.u32(), r.u32(), r.u32())
-    if tag == _TAG_WAIT_IRQ:
-        return WaitIrq(raw_iv, min_iv, r.u32(), r.u64())
-    if tag == _TAG_MAP:
-        return MapGpuMem(raw_iv, min_iv, r.u32(), r.u32(), r.u8())
-    if tag == _TAG_UNMAP:
-        return UnmapGpuMem(raw_iv, min_iv, r.u32(), r.u32())
-    if tag == _TAG_LOAD_DUMP:
-        return LoadMemDump(raw_iv, min_iv, r.u32(), r.u32())
-    raise UnknownTag(at, f"unknown action tag {tag:#x}")
+def _cut(pos: int, codes: str, end: int) -> Truncated:
+    """Truncated at the first field of ``codes``, read from ``pos``, that
+    runs past ``end``."""
+    for c in codes:
+        n = struct.calcsize("<" + c)
+        if pos + n > end:
+            return Truncated(pos, f"needed {n} more bytes")
+        pos += n
+    raise AssertionError("fields fit")
+
+
+def _read_action(r: _Reader):
+    data, at, end = r.data, r.pos, len(r.data)
+    if at + 17 > end:
+        raise _cut(at, "BQQ", end)
+    codec = _CODEC_BY_TAG.get(data[at])
+    if codec is None:
+        raise UnknownTag(at, f"unknown action tag {data[at]:#x}")
+    spec, head, tail, build = codec
+    p = at + head.size
+    if p > end:
+        raise _cut(at, head.format[1:], end)
+    if tail is None:
+        values = head.unpack_from(data, at)[1:]
+    else:
+        _, raw_iv, min_iv, n = head.unpack_from(data, at)
+        if p + n > end:
+            raise Truncated(p, f"needed {n} more bytes")
+        try:
+            name = data[p:p + n].decode("utf-8")
+        except UnicodeDecodeError:
+            raise Malformed(p - 2, "string is not valid UTF-8") from None
+        p += n
+        if p + tail.size > end:
+            raise _cut(p, spec.fmt, end)
+        values = (raw_iv, min_iv, name, *tail.unpack_from(data, p))
+        p += tail.size
+    r.pos = p
+    try:
+        return build(*values)
+    except ValueError as e:  # only a payload's final byte is range-checked
+        raise Malformed(p - 1, str(e)) from None
 
 
 def encode(rec: Recording) -> bytes:
@@ -221,7 +200,7 @@ def encode(rec: Recording) -> bytes:
 
     w.u32(len(rec.actions))
     for a in rec.actions:
-        _encode_action(w, a)
+        _write_action(w, a)
 
     w.u32(len(rec.dumps))
     for d in rec.dumps:
@@ -270,9 +249,7 @@ def decode(data: bytes) -> Recording:
     header = RecordingHeader(sku_id, map_hash, created, gran, label)
 
     n_actions = r.u32()
-    actions = []
-    for _ in range(n_actions):
-        actions.append(_decode_action(r))
+    actions = [_read_action(r) for _ in range(n_actions)]
 
     n_dumps = r.u32()
     dumps = []

@@ -104,45 +104,6 @@ def classify_interval(t0: int, t1: int, was_idle) -> IntervalDecision:
 
 
 # ---------------------------------------------------------------------------
-# Poll summarizing
-# ---------------------------------------------------------------------------
-
-def summarize_poll(window: list[tuple[str, int]], reg_map=dv.DEFAULT_REGISTER_MAP,
-                   mask: int | None = None):
-    """Collapse a window of consecutive reads of one register.
-
-    Two or more reads whose masked value holds steady and then changes on
-    the last read become one RegReadWait. A single read passes through as
-    a RegRead (with no expectation when the register is nondeterministic).
-    Returns None for an empty window.
-    """
-    if not window:
-        return None
-    names = {r for r, _ in window}
-    if len(names) != 1:
-        raise ValueError("window must cover a single register")
-    name = window[0][0]
-    reg = reg_map.by_name(name)
-    nondet = reg is not None and reg.state_class is StateClass.NONDET_READ
-    if len(window) == 1:
-        value = window[0][1]
-        if nondet:
-            return RegRead(reg_name=name, expect_value=0,
-                           state_class=ActionClass.NONDET)
-        return RegRead(reg_name=name, expect_value=value,
-                       state_class=ActionClass.STATE)
-    values = [v for _, v in window]
-    if mask is None:
-        mask = (values[0] ^ values[-1]) & 0xFFFFFFFF
-    stable = all((v & mask) == (values[0] & mask) for v in values[:-1])
-    changed = (values[-1] & mask) != (values[0] & mask)
-    if not (stable and changed):
-        raise ValueError("window is not an unchanged-then-changed poll run")
-    return RegReadWait(reg_name=name, mask=mask,
-                       expect_value=values[-1] & mask, max_polls=len(values))
-
-
-# ---------------------------------------------------------------------------
 # Run tracing
 # ---------------------------------------------------------------------------
 

@@ -147,6 +147,8 @@ def make_layer(op: str, params: tuple[int, ...], in_elems: int) -> Layer:
             raise ValueError("vec_add needs an even packed input")
         return Layer(op, (), in_elems, in_elems // 2)
     if op == "scale":
+        if len(params) != 1:
+            raise ValueError("scale takes one factor")
         return Layer(op, (params[0],), in_elems, in_elems)
     if op in ("relu", "copy"):
         return Layer(op, (), in_elems, in_elems)
@@ -449,10 +451,6 @@ class GpuStack:
         self._rng = random.Random(rng_seed)
         self._free_pages: list[int] = []
         self._next_va = VA_BASE
-
-    def inject_stack_delay(self, policy: DelayPolicy) -> None:
-        """Configure the deliberate stack delays; call before a run."""
-        self.delays = policy
 
     # -- time & memory plumbing -------------------------------------------------
 

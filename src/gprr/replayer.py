@@ -21,9 +21,9 @@ import threading
 from dataclasses import dataclass, field
 
 from . import device as dv
-from .actions import (ActionClass, IoDescriptor, IoMode, IoRole, LoadMemDump,
-                      MapGpuMem, Recording, RegRead, RegReadWait, RegWrite,
-                      ReplayAction, UnmapGpuMem, WaitIrq)
+from .actions import (IoMode, LoadMemDump, MapGpuMem, Recording, RegRead,
+                      RegReadWait, RegWrite, ReplayAction, UnmapGpuMem, WaitIrq,
+                      canonical_actions)
 from .device import Device, DeviceSnapshot, Perm, RegisterMap, SKUS_BY_ID
 from .recfmt import inflate
 from .verifier import VerificationReport, verify
@@ -106,16 +106,9 @@ class ReplayConfig:
 
 
 def expected_event_log(rec: Recording) -> list[tuple]:
-    """The state-changing event sequence a correct replay must produce."""
-    log = []
-    for a in rec.actions:
-        if isinstance(a, RegWrite):
-            log.append(("w", a.reg_name, a.value))
-        elif isinstance(a, RegRead) and a.state_class is ActionClass.STATE:
-            log.append(("r", a.reg_name, a.expect_value))
-        elif isinstance(a, WaitIrq):
-            log.append(("irq", a.expect_rawstat))
-    return log
+    """The state-changing event sequence a correct replay must produce:
+    the writes, STATE reads and interrupt waits of canonical_actions."""
+    return [c for c in canonical_actions(rec) if c[0] in ("w", "r", "irq")]
 
 
 class ReplaySession:
@@ -192,7 +185,6 @@ class ReplaySession:
         if pa + dv.PAGE_SIZE > dv.MEM_BYTES:
             raise LoadError("out of physical pages")
         self._free_pa += dv.PAGE_SIZE
-        self.dev.mem_write(pa, b"\x00" * dv.PAGE_SIZE)
         return pa
 
     def _va_to_pa(self, va: int) -> int:
@@ -239,8 +231,8 @@ class ReplaySession:
     # -- load -----------------------------------------------------------------------
 
     def load(self, rec: Recording, verify_report: VerificationReport | None = None):
-        """Assign fresh zeroed pages, rebuild page tables, write dumps and
-        program the MMU. A second load fully supersedes the first."""
+        """Assign fresh pages for the recording's ranges and lay them out.
+        A second load fully supersedes the first."""
         cfg = self.config
         if rec.header.register_map_hash != self.reg_map.digest() and not cfg.force:
             raise LoadError("recording register map hash does not match replayer map")
@@ -264,38 +256,42 @@ class ReplaySession:
         self._ranges = {}
         self._perm_bits = {}
         self._l2_pages = {}
-        self._unmapped = set()
-
         for a in rec.actions:
             if isinstance(a, MapGpuMem) and a.gpu_va not in self._ranges:
                 pages = max(1, -(-a.len_bytes // dv.PAGE_SIZE))
                 self._ranges[a.gpu_va] = (pages, [])
                 self._perm_bits[a.gpu_va] = a.perm_flags_encoded
         self._l1_pa = self._alloc_page()
-        sku = self.dev.sku
         for va, (pages, pas) in self._ranges.items():
             for i in range(pages):
                 l1_idx = ((va + i * dv.PAGE_SIZE) >> 22) & 0x3FF
                 if l1_idx not in self._l2_pages:
-                    l2_pa = self._alloc_page()
-                    self._l2_pages[l1_idx] = l2_pa
-                    entry = l2_pa | sku.encode_perms(Perm.VALID | Perm.READ)
-                    self.dev.mem_write(self._l1_pa + l1_idx * 4,
-                                       entry.to_bytes(4, "little"))
+                    self._l2_pages[l1_idx] = self._alloc_page()
                 pas.append(self._alloc_page())
-            self._install_range(va)
+        self._lay_out()
 
-        self._write_dumps()
-        self.dev.reg_write(self._offset("MMU_TABLE_BASE_LO"), self._l1_pa & 0xFFFFFFFF)
-        self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"), self._l1_pa >> 32)
+    def _lay_out(self):
+        """Zero the session's pages, write the L1 and L2 entries and the
+        dumps, and program the MMU: the state every replay starts from."""
+        self._scrub_pages()
+        sku = self.dev.sku
+        for l1_idx, l2_pa in self._l2_pages.items():
+            entry = l2_pa | sku.encode_perms(Perm.VALID | Perm.READ)
+            self.dev.mem_write(self._l1_pa + l1_idx * 4, entry.to_bytes(4, "little"))
+        self._unmapped = set()
+        for va in self._ranges:
+            self._install_range(va)
+        for d in self.loaded.dumps:
+            self._write_va(d.gpu_va, inflate(d.payload, d.raw_len))
+        self._set_mmu_base()
         self.dev.reg_write(self._offset("GPU_CMD"), dv.CMD_TLB_INVALIDATE)
         self.cursor = 0
         self.jobs_done = 0
         self._at_job_boundary = True
 
-    def _write_dumps(self):
-        for d in self.loaded.dumps:
-            self._write_va(d.gpu_va, inflate(d.payload, d.raw_len))
+    def _set_mmu_base(self):
+        self.dev.reg_write(self._offset("MMU_TABLE_BASE_LO"), self._l1_pa & 0xFFFFFFFF)
+        self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"), self._l1_pa >> 32)
 
     def _scrub_pages(self):
         zero = b"\x00" * dv.PAGE_SIZE
@@ -308,30 +304,9 @@ class ReplaySession:
             self.dev.mem_write(self._l1_pa, zero)
 
     def _reload(self):
-        """Fresh start for a recovery attempt: reset, rebuild tables,
-        rewrite dumps."""
+        """Fresh start for a new replay or a recovery attempt."""
         self._reset_sequence()
-        zero = b"\x00" * dv.PAGE_SIZE
-        for va, (pages, pas) in self._ranges.items():
-            for pa in pas:
-                self.dev.mem_write(pa, zero)
-        for l1_idx, l2_pa in self._l2_pages.items():
-            self.dev.mem_write(l2_pa, zero)
-        self.dev.mem_write(self._l1_pa, zero)
-        sku = self.dev.sku
-        for l1_idx, l2_pa in self._l2_pages.items():
-            entry = l2_pa | sku.encode_perms(Perm.VALID | Perm.READ)
-            self.dev.mem_write(self._l1_pa + l1_idx * 4, entry.to_bytes(4, "little"))
-        self._unmapped = set()
-        for va in self._ranges:
-            self._install_range(va)
-        self._write_dumps()
-        self.dev.reg_write(self._offset("MMU_TABLE_BASE_LO"), self._l1_pa & 0xFFFFFFFF)
-        self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"), self._l1_pa >> 32)
-        self.dev.reg_write(self._offset("GPU_CMD"), dv.CMD_TLB_INVALIDATE)
-        self.cursor = 0
-        self.jobs_done = 0
-        self._at_job_boundary = True
+        self._lay_out()
 
     # -- stepping -------------------------------------------------------------------
 
@@ -373,14 +348,11 @@ class ReplaySession:
                 # reset wipes the MMU base; replaying pages live elsewhere
                 # than at record time, so re-arming it is the nano driver's
                 # fixed post-reset step
-                self.dev.reg_write(self._offset("MMU_TABLE_BASE_LO"),
-                                   self._l1_pa & 0xFFFFFFFF)
-                self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"),
-                                   self._l1_pa >> 32)
+                self._set_mmu_base()
             return None
         if isinstance(a, RegRead):
             v = self._read(a.reg_name)
-            if a.state_class is ActionClass.NONDET:
+            if a.nondet:
                 return None  # read and discard
             if v != a.expect_value:
                 return DivergenceReport(self.cursor, DivergenceKind.VALUE_MISMATCH,
@@ -475,7 +447,8 @@ class ReplaySession:
         return supplied
 
     def write_inputs(self, inputs) -> None:
-        """Deposit input bytes at their recorded GPU addresses."""
+        """Deposit input bytes at their recorded GPU addresses. Takes the
+        input forms replay() takes."""
         supplied = self._normalize_inputs(inputs)
         for i, d in enumerate(self.loaded.inputs()):
             buf = supplied.get(i)
@@ -487,11 +460,7 @@ class ReplaySession:
                   from_checkpoint: Checkpoint | None) -> DivergenceReport | str | None:
         if from_checkpoint is not None:
             self.restore(from_checkpoint)
-        for i, d in enumerate(self.loaded.inputs()):
-            buf = inputs.get(i)
-            if buf is not None:
-                self._write_va(d.gpu_va, buf)
-                self._tick(round(len(buf) * INPUT_BYTE_NS))
+        self.write_inputs(inputs)
         actions = self.loaded.actions
         while self.cursor < len(actions):
             if self._preempt_request.is_set():
@@ -520,38 +489,27 @@ class ReplaySession:
         attempts = 0
         if isinstance(outcome, DivergenceReport):
             outcome, attempts = self._recover_loop(outcome, supplied)
-        if outcome == "preempted":
-            return ReplayResult(ok=False, preempted=True,
-                                preempt_ack=self.last_preempt_ack,
-                                recovery_attempts=attempts,
-                                vclock_ns=self.vclock_consumed - start,
-                                event_log=list(self.event_log))
-        if isinstance(outcome, DivergenceReport):
-            return ReplayResult(ok=False, divergence=outcome,
-                                recovery_attempts=attempts,
-                                vclock_ns=self.vclock_consumed - start,
-                                event_log=list(self.event_log))
-        outputs = [self._read_va(d.gpu_va, d.len_bytes)
-                   for d in self.loaded.outputs()]
-        return ReplayResult(ok=True, outputs=outputs, recovery_attempts=attempts,
-                            vclock_ns=self.vclock_consumed - start,
-                            event_log=list(self.event_log))
+        return self._result(outcome, attempts, self.vclock_consumed - start)
 
     def recover(self, report: DivergenceReport, inputs=None) -> ReplayResult:
         """Public entry for the recovery ladder after a manual step() run."""
-        outcome, attempts = self._recover_loop(report, self._normalize_inputs(inputs))
-        if isinstance(outcome, DivergenceReport):
-            return ReplayResult(ok=False, divergence=outcome,
-                                recovery_attempts=attempts,
-                                event_log=list(self.event_log))
+        return self._result(*self._recover_loop(report, self._normalize_inputs(inputs)))
+
+    def _result(self, outcome: DivergenceReport | str | None, attempts: int,
+                vclock_ns: int = 0) -> ReplayResult:
+        """What replay() and recover() return for a run that ended in
+        ``outcome``."""
+        result = ReplayResult(ok=outcome is None, recovery_attempts=attempts,
+                              vclock_ns=vclock_ns, event_log=list(self.event_log))
         if outcome == "preempted":
-            return ReplayResult(ok=False, preempted=True,
-                                preempt_ack=self.last_preempt_ack,
-                                recovery_attempts=attempts)
-        outputs = [self._read_va(d.gpu_va, d.len_bytes)
-                   for d in self.loaded.outputs()]
-        return ReplayResult(ok=True, outputs=outputs, recovery_attempts=attempts,
-                            event_log=list(self.event_log))
+            result.preempted = True
+            result.preempt_ack = self.last_preempt_ack
+        elif outcome is not None:
+            result.divergence = outcome
+        else:
+            result.outputs = [self._read_va(d.gpu_va, d.len_bytes)
+                              for d in self.loaded.outputs()]
+        return result
 
     def _recover_loop(self, report: DivergenceReport, inputs: dict[int, bytes]):
         cfg = self.config

@@ -34,8 +34,8 @@ _OP_NAMES = {
 
 
 class ShaderFault(Exception):
-    """Undecodable instruction stream (unknown opcode, truncated LDI,
-    branch out of range)."""
+    """Undecodable instruction stream (unknown opcode, register above r7,
+    truncated LDI, branch out of range)."""
 
 
 def _signed16(v: int) -> int:
@@ -142,6 +142,15 @@ def disassemble(words: list[int]) -> list[str]:
     return out
 
 
+# Only r0..r7 exist: per opcode, the top bit of each 4-bit register field
+# it uses, which must be clear.
+_RD, _RA, _RB = 1 << 23, 1 << 19, 1 << 15
+_REG_FIELD_TOPS = {
+    OP_LDI: _RD, OP_LD: _RD | _RA, OP_ST: _RD | _RA, OP_ADDI: _RD | _RA,
+    OP_BNZ: _RA, OP_ADD: _RD | _RA | _RB, OP_SUB: _RD | _RA | _RB,
+    OP_MUL: _RD | _RA | _RB, OP_MAX: _RD | _RA | _RB,
+}
+
 _decode_cache: dict[bytes, list[tuple]] = {}
 
 
@@ -159,6 +168,8 @@ def _decode(words: list[int]) -> list[tuple]:
         w = words[pc]
         op = w >> 24
         rd, ra, rb = (w >> 20) & 0xF, (w >> 16) & 0xF, (w >> 12) & 0xF
+        if w & _REG_FIELD_TOPS.get(op, 0):
+            raise ShaderFault(f"register field above r7 at word {pc}")
         if op == OP_LDI:
             if pc + 1 >= n:
                 raise ShaderFault(f"truncated ldi at word {pc}")

@@ -28,10 +28,6 @@ from .device import Access, RegisterMap
 DEFAULT_MEM_BUDGET = dv.MEM_BYTES
 
 
-class PeakMemError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class Violation:
     action_index: int  # -1 for recording-level findings (io table, budget)
@@ -62,25 +58,6 @@ class VerificationReport:
                 for v in self.violations
             ],
         }, indent=2)
-
-
-def peak_gpu_mem(rec: Recording) -> int:
-    """Running maximum of the mapped footprint over the action order."""
-    peak = 0
-    current = 0
-    live: dict[int, int] = {}
-    for i, a in enumerate(rec.actions):
-        if isinstance(a, MapGpuMem):
-            pages = _pages(a.len_bytes)
-            live[a.gpu_va] = pages
-            current += pages * dv.PAGE_SIZE
-            peak = max(peak, current)
-        elif isinstance(a, UnmapGpuMem):
-            pages = live.pop(a.gpu_va, None)
-            if pages is None:
-                raise PeakMemError(f"action {i}: unmap of unmapped {a.gpu_va:#x}")
-            current -= pages * dv.PAGE_SIZE
-    return peak
 
 
 def _pages(len_bytes: int) -> int:

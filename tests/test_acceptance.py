@@ -20,7 +20,7 @@ from gprr.refstack import DelayPolicy, GpuStack, build_graph
 from gprr.replayer import (DivergenceKind, LoadError, ReplayConfig,
                            expected_event_log, init, replay_sequence)
 from gprr.patcher import patch_recording
-from gprr.verifier import peak_gpu_mem, verify
+from gprr.verifier import verify
 
 from conftest import i32s, random_input, record_graph, replay_once
 
@@ -250,7 +250,7 @@ def test_c7_verification(recorded, graphs):
         MapGpuMem(0, 0, 0x400000, 3 * 4096, 1),
         MapGpuMem(0, 0, 0x500000, 2 * 4096, 1),
         UnmapGpuMem(0, 0, 0x400000, 3 * 4096)), dumps=(), io_table=())
-    assert peak_gpu_mem(fixture) == 20480
+    assert verify(fixture).peak_gpu_mem_bytes == 20480
     note("C7", "6 corruption fixtures hit R1/R2/R5/R4/R3/checksum; recorder "
                "output clean; peak fixture = 20480")
 

@@ -80,10 +80,31 @@ def test_corrupted_file_fails_cleanly(ws, capsys):
     assert "checksum" in capsys.readouterr().err.lower()
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(ws, capsys):
+    tmp_path, wl = ws
     assert dispatch([]) == 2
     assert dispatch(["record"]) == 2
     assert dispatch(["replay", str(tmp_path / "missing.gpr")]) == 2
+    rec = tmp_path / "rec.gpr"
+    assert dispatch(["record", str(wl), "-o", str(rec)]) == 0
+    capsys.readouterr()
+    for text in ("input 8\nlayer frobnicate\n", "input 8\nfrobnicate 3\n",
+                 "input 8\nlayer scale\n"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert dispatch(["record", str(bad), "-o", str(tmp_path / "x.gpr")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gprr: ") and err.count("\n") == 1
+    assert dispatch(["replay", str(rec), "--inject-fault", "bogus"]) == 2
+    assert "unknown fault kind" in capsys.readouterr().err
+    for line in ("GPU_ID 0x00 ro state_changing\n", "GPU_ID zero ro\n"):
+        bad_map = tmp_path / "map.txt"
+        bad_map.write_text(line)
+        assert dispatch(["verify", str(rec), "--map", str(bad_map)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gprr: ") and err.count("\n") == 1
+    assert dispatch(["patch", str(rec), "--from", "A", "--to", "Z",
+                     "-o", str(tmp_path / "z.gpr")]) == 2
 
 
 def test_patch_subcommand_and_replay_on_b(ws, capsys):

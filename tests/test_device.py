@@ -8,8 +8,8 @@ their own.
 import pytest
 
 import gprr.device as dv
-from gprr.device import (BusError, Device, DeviceSnapshot, FaultKind,
-                         MmuFault, Perm, SKU_A, SKU_B, SkuMismatch)
+from gprr.device import (BusError, Device, DeviceSnapshot, MmuFault,
+                         Perm, SKU_A, SKU_B, SkuMismatch)
 from gprr.shader import Asm
 
 OFF = {e.name: e.offset for e in dv.DEFAULT_REGISTER_MAP.entries}
@@ -372,7 +372,7 @@ def test_corrupt_pte_causes_mmu_fault_on_kick():
     rig = _Rig(dev)
     out_va, _ = rig.map_page(Perm.READ | Perm.WRITE)
     desc = rig.job(store_const_shader(out_va, 9), [])
-    dev.inject_fault(FaultKind.CORRUPT_PTE, out_va)
+    dev.corrupt_pte(out_va)
     wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
     rig.kick(desc)
     events = dev.tick(10_000_000)
@@ -384,7 +384,7 @@ def test_corrupt_pte_causes_mmu_fault_on_kick():
 def test_offline_cores_diverges_status_reads():
     dev = Device(sku=SKU_B)
     before = (rd(dev, "GPU_STATUS"), rd(dev, "PWR_CORES_ON"))
-    dev.inject_fault(FaultKind.OFFLINE_CORES, SKU_B.full_core_mask)
+    dev.offline_cores(SKU_B.full_core_mask)
     after = (rd(dev, "GPU_STATUS"), rd(dev, "PWR_CORES_ON"))
     assert before != after
     assert after[1] == 0
@@ -404,7 +404,7 @@ def test_stall_zero_changes_nothing():
     rig = _Rig(dev)
     run_store_job(dev, rig)
     t = dev.next_event_ns()
-    dev.inject_fault(FaultKind.STALL, 0)
+    dev.stall(0)
     assert dev.next_event_ns() == t
 
 

@@ -9,7 +9,8 @@ from gprr.actions import MapGpuMem, RegRead, RegWrite
 from gprr.device import Device, Perm, SKU_A, SKU_B, SkuProfile
 from gprr.patcher import PatchError, patch, patch_recording
 from gprr.recfmt import encode
-from gprr.refstack import build_graph
+from gprr.recorder import RecordHarness, record
+from gprr.refstack import GpuStack, build_graph
 from gprr.replayer import ReplayConfig, init
 from gprr.verifier import verify
 
@@ -46,6 +47,28 @@ def test_edit_counts_two_plus_one_per_job():
     assert result.recording_edits == 2
     assert result.job_edits == 5
     assert result.register_edits == 2 + 5
+
+
+def test_pinned_affinity_survives_same_sku_patch():
+    g = build_graph([("vec_add",)], 8)
+    rec = record(GpuStack(Device(sku=SKU_B, env_seed=7)), g,
+                 RecordHarness()).recordings[0]
+
+    def pin(a):  # the affinity write and its read-back name cores 0 and 1
+        if isinstance(a, RegWrite) and a.reg_name == "JOB_AFFINITY":
+            return dataclasses.replace(a, value=0x3)
+        if isinstance(a, RegRead) and a.reg_name == "JOB_AFFINITY":
+            return dataclasses.replace(a, expect_value=0x3)
+        return a
+
+    pinned = dataclasses.replace(rec, actions=tuple(map(pin, rec.actions)))
+    assert pinned.actions != rec.actions
+    result = patch_recording(pinned, SKU_B, SKU_B)
+    assert result.job_edits == 0
+    assert result.recording.actions == pinned.actions
+    inp = random_input(g, 3)
+    out = replay_once(result.recording, inp, sku=SKU_B)
+    assert out.ok and out.outputs[0] == g.evaluate(inp)
 
 
 def test_patch_rewrites_the_three_register_surfaces(vecadd_rec):

@@ -12,47 +12,10 @@ from gprr.actions import (ActionClass, Granularity, IoMode, IoRole,
 from gprr.device import Device
 from gprr.recfmt import inflate
 from gprr.recorder import (DiscoveryError, RecordHarness, classify_interval,
-                           magic_bytes, parse_harness, record, summarize_poll)
+                           magic_bytes, parse_harness, record)
 from gprr.refstack import AllocFlags, DelayPolicy, GpuStack, build_graph
 
 from conftest import builtin_graphs, i32s, record_graph
-
-
-# -- summarize_poll ------------------------------------------------------------
-
-def test_poll_run_collapses_to_reg_read_wait():
-    busy, idle = dv.STATUS_DIRTY, 0
-    window = [("GPU_STATUS", busy)] * 3 + [("GPU_STATUS", idle)]
-    action = summarize_poll(window)
-    assert isinstance(action, RegReadWait)
-    assert action.mask == dv.STATUS_DIRTY
-    assert action.expect_value == 0
-    assert action.max_polls == 4
-
-
-def test_single_read_passes_through_as_state_read():
-    action = summarize_poll([("GPU_ID", 0x0B31)])
-    assert isinstance(action, RegRead)
-    assert action.state_class is ActionClass.STATE
-    assert action.expect_value == 0x0B31
-
-
-def test_nondet_register_read_has_no_expectation():
-    action = summarize_poll([("JOB_PROGRESS", 0x12345678)])
-    assert action.state_class is ActionClass.NONDET
-    assert action.expect_value == 0
-
-
-def test_poll_window_must_be_single_register():
-    with pytest.raises(ValueError):
-        summarize_poll([("GPU_ID", 1), ("GPU_STATUS", 2)])
-    assert summarize_poll([]) is None
-
-
-def test_unstable_window_rejected():
-    with pytest.raises(ValueError):
-        summarize_poll([("GPU_STATUS", 2), ("GPU_STATUS", 0),
-                        ("GPU_STATUS", 2)], mask=0x2)
 
 
 # -- classify_interval ------------------------------------------------------------

@@ -10,12 +10,13 @@ import gprr.device as dv
 from gprr.actions import (LoadMemDump, MapGpuMem, RegRead, RegWrite, WaitIrq,
                           ActionClass)
 from gprr.device import Device, DeviceOwned, SKU_B
-from gprr.recfmt import inflate
+from gprr.recfmt import deflate, inflate
 from gprr.recorder import RecordHarness
 from gprr.refstack import DelayPolicy, GpuStack, build_graph
 from gprr.replayer import (DivergenceKind, LoadError, ReplayConfig,
                            ReplayError, ReplaySession, expected_event_log,
                            init, replay_sequence)
+from gprr.shader import OP_LDI
 
 from conftest import i32s, random_input, record_graph, replay_once, unpack32
 
@@ -218,6 +219,32 @@ def test_value_mismatch_reports_action(vecadd):
     assert r.divergence.action_index == idx
     assert r.recovery_attempts == 4
     assert r.divergence.origin.endswith(f"#action{idx}")
+    s.cleanup()
+
+
+def test_bad_register_in_shader_dump_diverges(vecadd):
+    _, rec = vecadd
+    head = next(a.value for a in rec.actions
+                if isinstance(a, RegWrite) and a.reg_name == "JOB_HEAD_LO")
+
+    def dump_at(va):
+        return next(d for d in rec.dumps if d.gpu_va <= va < d.gpu_va + d.raw_len)
+
+    desc = dump_at(head)
+    raw = inflate(desc.payload, desc.raw_len)
+    shader_va = int.from_bytes(raw[head - desc.gpu_va + 4:][:4], "little")
+    shader = dump_at(shader_va)
+    code = bytearray(inflate(shader.payload, shader.raw_len))
+    at = shader_va - shader.gpu_va
+    code[at:at + 4] = ((OP_LDI << 24) | (9 << 20)).to_bytes(4, "little")  # ldi r9
+    bad = dataclasses.replace(shader, payload=deflate(bytes(code)))
+    evil = dataclasses.replace(rec, dumps=tuple(
+        bad if d is shader else d for d in rec.dumps))
+    s = session_for(evil)
+    r = s.replay(i32s([0] * 8))
+    assert not r.ok and r.divergence is not None
+    assert s.dev.reg_read(dv.DEFAULT_REGISTER_MAP.by_name("JOB_STATUS").offset) \
+        == dv.JOB_BAD_STATE
     s.cleanup()
 
 

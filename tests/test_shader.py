@@ -140,6 +140,15 @@ def test_truncated_ldi_faults():
         run([OP_LDI << 24])
 
 
+def test_register_field_above_r7_faults():
+    from gprr.shader import OP_ADD, OP_LDI, OP_ST
+    for word in ((OP_LDI << 24) | (9 << 20),
+                 (OP_ADD << 24) | (1 << 20) | (2 << 16) | (8 << 12),
+                 (OP_ST << 24) | (3 << 20) | (15 << 16)):
+        with pytest.raises(ShaderFault):
+            run([word, 5, OP_HALT])
+
+
 def test_branch_out_of_range_faults():
     from gprr.shader import OP_BNZ
     word = (OP_BNZ << 24) | (1 << 16) | (50 & 0xFFFF)

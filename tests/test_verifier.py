@@ -3,8 +3,6 @@ recorder output."""
 
 import json
 
-import pytest
-
 import gprr.device as dv
 from gprr.actions import (Granularity, IoDescriptor, IoMode, IoRole,
                           LoadMemDump, MapGpuMem, MemDump, Recording,
@@ -13,7 +11,7 @@ from gprr.actions import (Granularity, IoDescriptor, IoMode, IoRole,
 from gprr.device import DEFAULT_REGISTER_MAP
 from gprr.recfmt import deflate
 from gprr.recorder import RecordHarness
-from gprr.verifier import PeakMemError, peak_gpu_mem, verify
+from gprr.verifier import verify
 
 from conftest import builtin_graphs, record_graph
 
@@ -49,7 +47,6 @@ def test_peak_memory_fixture_is_20480():
         MapGpuMem(0, 0, 0x500000, 2 * 4096, 0b0011),
         UnmapGpuMem(0, 0, 0x400000, 3 * 4096),
     ])
-    assert peak_gpu_mem(rec) == 20480
     assert verify(rec).peak_gpu_mem_bytes == 20480
 
 
@@ -95,8 +92,6 @@ def test_io_outside_any_mapping_is_r4():
 def test_unmap_before_map_is_r5():
     rec = make_rec([UnmapGpuMem(0, 0, 0x400000, 4096)])
     assert rules_of(verify(rec)) == ["R5"]
-    with pytest.raises(PeakMemError):
-        peak_gpu_mem(rec)
 
 
 def test_wait_without_cause_is_r6():
@@ -110,7 +105,7 @@ def test_wait_without_cause_is_r6():
 
 
 def test_no_maps_means_zero_peak():
-    assert peak_gpu_mem(make_rec([RegWrite(0, 0, "GPU_CMD", 1)])) == 0
+    assert verify(make_rec([RegWrite(0, 0, "GPU_CMD", 1)])).peak_gpu_mem_bytes == 0
 
 
 def test_verification_is_pure():
