@@ -154,7 +154,7 @@ def _cut(pos: int, codes: str, end: int) -> Truncated:
 
 def _read_action(r: _Reader):
     data, at, end = r.data, r.pos, len(r.data)
-    if at + 17 > end:
+    if at + 17 > end:  # every type starts with its tag and both intervals
         raise _cut(at, "BQQ", end)
     codec = _CODEC_BY_TAG.get(data[at])
     if codec is None:
