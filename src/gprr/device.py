@@ -17,20 +17,29 @@ Shader stores do not hit physical memory directly. They are buffered as
 pending cache writebacks and commit only when a CACHE_FLUSH completes,
 which is when the GPU_STATUS dirty bit clears. Host-side reads through
 :meth:`Device.mem_read` never see uncommitted writebacks.
+
+Physical memory is an anonymous ``mmap``: the kernel zeroes its pages
+lazily, so constructing a device costs no time and resident memory grows
+only with the pages actually touched.
 """
 
 from __future__ import annotations
 
 import enum
+import mmap
 import random
+import struct
 from dataclasses import dataclass, field
 
 from .shader import ShaderFault, execute
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
+PAGE_MASK = PAGE_SIZE - 1
 MEM_BYTES = 16 * 1024 * 1024
 U32 = 0xFFFFFFFF
+_LAST_WORD_PA = MEM_BYTES - 4  # highest PA a 4-byte access may start at
+_u32_at = struct.Struct("<I").unpack_from
 
 # Interrupt bits (GPU_IRQ_RAWSTAT / GPU_IRQ_MASK / GPU_IRQ_CLEAR).
 IRQ_JOB_DONE = 1 << 0
@@ -81,6 +90,10 @@ class Perm(enum.Flag):
     READ = enum.auto()
     WRITE = enum.auto()
     EXEC = enum.auto()
+
+
+_VALID, _READ, _WRITE, _EXEC = (Perm.VALID.value, Perm.READ.value,
+                                Perm.WRITE.value, Perm.EXEC.value)
 
 
 class Access(enum.Enum):
@@ -134,12 +147,17 @@ class SkuProfile:
     perm_bit_layout: tuple[Perm, Perm, Perm, Perm]
     expected_mmu_config: int
     gpu_id_value: int
+    # decode_perms of every 4-bit PTE field, as an int mask of Perm values:
+    # the MMU tests these instead of building a Perm on every access
+    perm_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.core_count <= 32:
             raise ValueError(f"core_count {self.core_count} out of [1, 32]")
         if set(self.perm_bit_layout) != {Perm.VALID, Perm.READ, Perm.WRITE, Perm.EXEC}:
             raise ValueError("perm_bit_layout must be a permutation of V,R,W,X")
+        object.__setattr__(self, "perm_masks",
+                           tuple(self.decode_perms(bits).value for bits in range(16)))
 
     @property
     def full_core_mask(self) -> int:
@@ -333,7 +351,7 @@ class Device:
                  reg_map: RegisterMap = DEFAULT_REGISTER_MAP):
         self.sku = sku
         self.reg_map = reg_map
-        self.mem = bytearray(MEM_BYTES)
+        self.mem = mmap.mmap(-1, MEM_BYTES)
         self.rng = random.Random(env_seed)
         self.vclock_ns = 0
         self.owner: object | None = None
@@ -458,47 +476,48 @@ class Device:
         return (self._stored["MMU_TABLE_BASE_HI"] << 32) | self._stored["MMU_TABLE_BASE_LO"]
 
     def _mem_u32(self, pa: int) -> int:
-        return int.from_bytes(self.mem[pa:pa + 4], "little")
+        return _u32_at(self.mem, pa)[0]
 
-    def _walk(self, va: int, access: Perm) -> int:
-        """Pure two-level walk; returns the physical address or raises
-        MmuFault without touching device state (other than the TLB fill)."""
+    def _walk(self, va: int, need: int) -> int:
+        """Pure two-level walk for an access needing the Perm bits ``need``
+        (an int mask); returns the physical address or raises MmuFault
+        without touching device state (other than the TLB fill)."""
         va &= U32
         vpn = va >> PAGE_SHIFT
+        masks = self.sku.perm_masks
         cached = self.tlb.get(vpn)
         if cached is not None:
             ppn, raw_bits = cached
         else:
             base = self.mmu_base
             if base == 0 or base + PAGE_SIZE > MEM_BYTES:
-                raise MmuFault(va, access)
+                raise MmuFault(va, Perm(need))
             l1_idx = (va >> 22) & 0x3FF
             l1_entry = self._mem_u32(base + l1_idx * 4)
-            if Perm.VALID not in self.sku.decode_perms(l1_entry & 0xF):
-                raise MmuFault(va, access)
+            if not masks[l1_entry & 0xF] & _VALID:
+                raise MmuFault(va, Perm(need))
             l2_base = l1_entry & ~(PAGE_SIZE - 1)
             if l2_base + PAGE_SIZE > MEM_BYTES:
-                raise MmuFault(va, access)
+                raise MmuFault(va, Perm(need))
             l2_idx = (va >> 12) & 0x3FF
             l2_entry = self._mem_u32(l2_base + l2_idx * 4)
             raw_bits = l2_entry & 0xF
-            if Perm.VALID not in self.sku.decode_perms(raw_bits):
-                raise MmuFault(va, access)
+            if not masks[raw_bits] & _VALID:
+                raise MmuFault(va, Perm(need))
             ppn = l2_entry >> PAGE_SHIFT
             self.tlb[vpn] = (ppn, raw_bits)
-        perms = self.sku.decode_perms(raw_bits)
-        if access not in perms:
-            raise MmuFault(va, access)
-        pa = (ppn << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
+        if masks[raw_bits] & need != need:
+            raise MmuFault(va, Perm(need))
+        pa = (ppn << PAGE_SHIFT) | (va & PAGE_MASK)
         if pa >= MEM_BYTES:
-            raise MmuFault(va, access)
+            raise MmuFault(va, Perm(need))
         return pa
 
     def translate(self, va: int, access: Perm) -> int:
         """Walk the page tables for ``va``. On failure the fault is latched
         device-wide: MMU_FAULT raised, VA stored, a running job faults."""
         try:
-            return self._walk(va, access)
+            return self._walk(va, access.value)
         except MmuFault:
             self.fault_addr = va & U32
             self.irq_rawstat |= IRQ_MMU_FAULT
@@ -513,7 +532,7 @@ class Device:
     def mem_read(self, pa: int, n: int) -> bytes:
         if pa < 0 or n < 0 or pa + n > MEM_BYTES:
             raise ValueError(f"physical range {pa:#x}+{n:#x} out of bounds")
-        return bytes(self.mem[pa:pa + n])
+        return self.mem[pa:pa + n]
 
     def mem_write(self, pa: int, data: bytes) -> None:
         if pa < 0 or pa + len(data) > MEM_BYTES:
@@ -547,25 +566,58 @@ class Device:
 
     def _run_chain(self, head_va: int) -> _PendingJob:
         """Execute a whole descriptor chain against current memory. Effects
-        (stores, fault, status) are latched and applied at finish time."""
-        stores: dict[int, int] = {}
+        (stores, fault, status) are latched and applied at finish time.
+
+        Loads and stores translate their first byte's VA only; the other
+        three bytes are the next physical bytes, even across a page edge.
+        Each page is walked on its first access per access kind and the
+        chain reuses that translation afterwards."""
+        mem = self.mem
+        walk = self._walk
+        writeback = self.writeback
+        stores: dict[int, int] = {}  # pa -> byte, like writeback
+        # word indices (pa >> 2) holding a buffered byte: a load touching
+        # none of them reads memory in one slice
+        dirty = {pa >> 2 for pa in writeback}
+        read_pages: dict[int, int] = {}  # vpn -> physical page base
+        write_pages: dict[int, int] = {}
         total_instr = 0
         va = head_va
 
         def load_word(a):
-            pa = self._walk(a, Perm.READ)
-            b0 = stores.get(pa, self.writeback.get(pa, self.mem[pa]))
-            b1 = stores.get(pa + 1, self.writeback.get(pa + 1, self.mem[pa + 1]))
-            b2 = stores.get(pa + 2, self.writeback.get(pa + 2, self.mem[pa + 2]))
-            b3 = stores.get(pa + 3, self.writeback.get(pa + 3, self.mem[pa + 3]))
-            return b0 | (b1 << 8) | (b2 << 16) | (b3 << 24)
+            a &= U32
+            base = read_pages.get(a >> PAGE_SHIFT)
+            if base is None:
+                pa = walk(a, _READ)
+                read_pages[a >> PAGE_SHIFT] = pa & ~PAGE_MASK
+            else:
+                pa = base | (a & PAGE_MASK)
+            if pa > _LAST_WORD_PA:
+                raise MmuFault(a, Perm.READ)
+            if pa >> 2 in dirty or (pa + 3) >> 2 in dirty:
+                b0 = stores.get(pa, writeback.get(pa, mem[pa]))
+                b1 = stores.get(pa + 1, writeback.get(pa + 1, mem[pa + 1]))
+                b2 = stores.get(pa + 2, writeback.get(pa + 2, mem[pa + 2]))
+                b3 = stores.get(pa + 3, writeback.get(pa + 3, mem[pa + 3]))
+                return b0 | (b1 << 8) | (b2 << 16) | (b3 << 24)
+            return _u32_at(mem, pa)[0]
 
         def store_word(a, val):
-            pa = self._walk(a, Perm.WRITE)
+            a &= U32
+            base = write_pages.get(a >> PAGE_SHIFT)
+            if base is None:
+                pa = walk(a, _WRITE)
+                write_pages[a >> PAGE_SHIFT] = pa & ~PAGE_MASK
+            else:
+                pa = base | (a & PAGE_MASK)
+            if pa > _LAST_WORD_PA:
+                raise MmuFault(a, Perm.WRITE)
             stores[pa] = val & 0xFF
             stores[pa + 1] = (val >> 8) & 0xFF
             stores[pa + 2] = (val >> 16) & 0xFF
             stores[pa + 3] = (val >> 24) & 0xFF
+            dirty.add(pa >> 2)
+            dirty.add((pa + 3) >> 2)
 
         try:
             seen = 0
@@ -580,11 +632,15 @@ class Device:
                 params = desc[4:12]
                 if shader_va % 4 != 0 or shader_len % 4 != 0 or shader_len > SHADER_MAX_BYTES:
                     raise MmuFault(shader_va, Perm.EXEC)
-                words = []
-                for off in range(0, shader_len, 4):
-                    a = shader_va + off
-                    pa = self._walk(a, Perm.EXEC)
-                    words.append(int.from_bytes(self.mem[pa:pa + 4], "little"))
+                # fetch straight from memory (buffered stores are not
+                # visible to it), one walk and one unpack per page
+                words: list[int] = []
+                off = 0
+                while off < shader_len:
+                    a = (shader_va + off) & U32
+                    n = min(shader_len - off, PAGE_SIZE - (a & PAGE_MASK))
+                    words += struct.unpack_from(f"<{n >> 2}I", mem, walk(a, _EXEC))
+                    off += n
                 n, halted = execute(words, list(params), load_word, store_word,
                                     SHADER_STEP_BUDGET)
                 total_instr += n
@@ -735,12 +791,13 @@ class Device:
     def corrupt_pte(self, gpu_va: int) -> None:
         """Flip the VALID bit of the L2 entry mapping ``gpu_va``."""
         base = self.mmu_base
-        if base == 0:
+        if base == 0 or base + PAGE_SIZE > MEM_BYTES:
             raise ValueError("no page tables live")
         l1_entry = self._mem_u32(base + ((gpu_va >> 22) & 0x3FF) * 4)
-        if Perm.VALID not in self.sku.decode_perms(l1_entry & 0xF):
-            raise ValueError(f"VA {gpu_va:#x} has no live mapping to corrupt")
         l2_base = l1_entry & ~(PAGE_SIZE - 1)
+        if Perm.VALID not in self.sku.decode_perms(l1_entry & 0xF) \
+                or l2_base + PAGE_SIZE > MEM_BYTES:
+            raise ValueError(f"VA {gpu_va:#x} has no live mapping to corrupt")
         pte_pa = l2_base + ((gpu_va >> 12) & 0x3FF) * 4
         entry = self._mem_u32(pte_pa)
         valid_bit = self.sku.encode_perms(Perm.VALID)

@@ -19,6 +19,7 @@ import zlib
 from .actions import (ACTION_SCHEMAS, ActionSchema, DumpOrigin, Granularity,
                       IoDescriptor, IoMode, IoRole, LoadMemDump, MemDump,
                       Recording, RecordingHeader)
+from .device import MEM_BYTES
 
 MAGIC = b"GPRR"
 VERSION = 1
@@ -255,6 +256,10 @@ def decode(data: bytes) -> Recording:
     dumps = []
     for _ in range(n_dumps):
         dump_id, gpu_va, raw_len = r.u32(), r.u32(), r.u32()
+        if raw_len > MEM_BYTES:
+            # checked before inflating: DEFLATE expands zeros ~1000:1
+            raise Malformed(r.pos - 4, f"dump {dump_id} raw length {raw_len} "
+                            f"exceeds device memory {MEM_BYTES}")
         at = r.pos
         origin_b = r.u8()
         try:

@@ -268,6 +268,7 @@ class _Driver:
         self.l1_pa = 0
         self.mappings: dict[int, tuple[int, int, Perm, AllocFlags, list[int]]] = {}
         # gpu_va -> (len_bytes, n_pages, perms, flags, phys pages)
+        self._page_pa: dict[int, int] = {}  # vpn -> pa, over all mappings
 
     # -- low-level accessor, observed by the recorder ----------------------
 
@@ -356,6 +357,8 @@ class _Driver:
         self.dev.reg_write(self._off("GPU_CMD"), dv.CMD_TLB_INVALIDATE)
         self.dev.tick(REG_ACCESS_NS)
         self.mappings[gpu_va] = (len_bytes, len(pages), perms, flags, pages)
+        vpn = gpu_va >> dv.PAGE_SHIFT  # alloc_map hands out whole pages
+        self._page_pa.update((vpn + i, pa) for i, pa in enumerate(pages))
         self._emit(kind="map", gpu_va=gpu_va, len_bytes=len_bytes,
                    perm_bits=self.sku.encode_perms(perms), flags=flags,
                    t0=t0, t1=self.dev.vclock_ns)
@@ -366,6 +369,7 @@ class _Driver:
         len_bytes, n_pages, _, _, pages = self.mappings.pop(gpu_va)
         for i in range(n_pages):
             self._clear_pte(gpu_va + i * dv.PAGE_SIZE)
+            del self._page_pa[(gpu_va >> dv.PAGE_SHIFT) + i]
         self.dev.reg_write(self._off("GPU_CMD"), dv.CMD_TLB_INVALIDATE)
         self.dev.tick(REG_ACCESS_NS)
         self.stack._free_phys_pages(pages)
@@ -392,11 +396,10 @@ class _Driver:
         self.dev.mem_write(l2_pa + ((va >> 12) & 0x3FF) * 4, b"\x00" * 4)
 
     def va_to_pa(self, va: int) -> int:
-        for base, (len_bytes, n_pages, _, _, pages) in self.mappings.items():
-            if base <= va < base + n_pages * dv.PAGE_SIZE:
-                off = va - base
-                return pages[off // dv.PAGE_SIZE] + off % dv.PAGE_SIZE
-        raise DriverError(f"VA {va:#x} not mapped by this driver")
+        pa = self._page_pa.get(va >> dv.PAGE_SHIFT)
+        if pa is None:
+            raise DriverError(f"VA {va:#x} not mapped by this driver")
+        return pa + (va & dv.PAGE_MASK)
 
     # -- submission -----------------------------------------------------------
 

@@ -135,6 +135,9 @@ class ReplaySession:
         self._preempt_request_t = 0
         self._from_sku = dev.sku
         self._ranges: dict[int, tuple[int, list[int]]] = {}  # va -> (pages, pas)
+        # vpn -> pa of that VA page; None where a range that is not
+        # page-aligned covers part of it (_va_to_pa then scans _ranges)
+        self._page_pa: dict[int, int | None] = {}
         self._perm_bits: dict[int, int] = {}
         self._unmapped: set[int] = set()
         self._l1_pa = 0
@@ -188,6 +191,9 @@ class ReplaySession:
         return pa
 
     def _va_to_pa(self, va: int) -> int:
+        pa = self._page_pa.get(va >> dv.PAGE_SHIFT)
+        if pa is not None:
+            return pa + (va & dv.PAGE_MASK)
         for base, (pages, pas) in self._ranges.items():
             if base <= va < base + pages * dv.PAGE_SIZE:
                 off = va - base
@@ -268,6 +274,16 @@ class ReplaySession:
                 if l1_idx not in self._l2_pages:
                     self._l2_pages[l1_idx] = self._alloc_page()
                 pas.append(self._alloc_page())
+        # the first range inserted wins where ranges overlap, as in the scan
+        self._page_pa = {}
+        for va, (pages, pas) in self._ranges.items():
+            vpn = va >> dv.PAGE_SHIFT
+            if va & dv.PAGE_MASK:
+                for i in range(pages + 1):
+                    self._page_pa.setdefault(vpn + i, None)
+            else:
+                for i, pa in enumerate(pas):
+                    self._page_pa.setdefault(vpn + i, pa)
         self._lay_out()
 
     def _lay_out(self):

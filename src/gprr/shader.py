@@ -14,6 +14,8 @@ Word encoding (fields unused by an op are zero):
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 U32 = 0xFFFFFFFF
 
 OP_HALT = 0x00
@@ -151,7 +153,11 @@ _REG_FIELD_TOPS = {
     OP_MUL: _RD | _RA | _RB, OP_MAX: _RD | _RA | _RB,
 }
 
-_decode_cache: dict[bytes, list[tuple]] = {}
+# Decoded shaders by their bytes, least recently used first. A job chain
+# reuses a handful of shaders; the bound keeps a long-lived process that
+# sees many distinct ones from growing without limit.
+DECODE_CACHE_SIZE = 32
+_decode_cache: OrderedDict[bytes, list[tuple]] = OrderedDict()
 
 
 def _decode(words: list[int]) -> list[tuple]:
@@ -160,6 +166,7 @@ def _decode(words: list[int]) -> list[tuple]:
     key = b"".join(w.to_bytes(4, "little") for w in words)
     cached = _decode_cache.get(key)
     if cached is not None:
+        _decode_cache.move_to_end(key)
         return cached
     decoded: list[tuple | None] = [None] * len(words)
     pc = 0
@@ -191,6 +198,8 @@ def _decode(words: list[int]) -> list[tuple]:
         else:
             raise ShaderFault(f"unknown opcode {op:#x} at word {pc}")
     _decode_cache[key] = decoded
+    if len(_decode_cache) > DECODE_CACHE_SIZE:
+        _decode_cache.popitem(last=False)
     return decoded
 
 

@@ -5,7 +5,11 @@ independently of the reference stack, so device semantics are pinned on
 their own.
 """
 
+import random
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gprr.device as dv
 from gprr.device import (BusError, Device, DeviceSnapshot, MmuFault,
@@ -45,10 +49,14 @@ class _Rig:
         va, pa = self.next_va, self.next_pa
         self.next_va += dv.PAGE_SIZE
         self.next_pa += dv.PAGE_SIZE
+        self.map_at(va, pa, perms)
+        return va, pa
+
+    def map_at(self, va, pa, perms):
+        """Map one VA page (inside L1 slot 1) to any physical page."""
         entry = pa | self.dev.sku.encode_perms(perms | Perm.VALID)
         self.dev.mem_write(self.L2_PA + ((va >> 12) & 0x3FF) * 4,
                            entry.to_bytes(4, "little"))
-        return va, pa
 
     def put(self, va, data):
         # direct physical placement: pages were handed out sequentially
@@ -332,6 +340,179 @@ def test_determinism_under_identical_seed_and_inputs():
         return states
 
     assert drive(Device(env_seed=11)) == drive(Device(env_seed=11))
+
+
+# -- chain memory path ------------------------------------------------------------------
+
+LAST_PAGE_PA = dv.MEM_BYTES - dv.PAGE_SIZE
+
+
+def test_device_construction_allocates_no_arena():
+    tracemalloc.start()
+    try:
+        Device()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def access_last_page_job(dev, rig, offset, store):
+    """Kick one job that loads from (or stores to) ``offset`` in a VA page
+    mapped to the last physical page."""
+    va, _ = rig.map_page(Perm.READ | Perm.WRITE)
+    rig.map_at(va, LAST_PAGE_PA, Perm.READ | Perm.WRITE)
+    a = Asm()
+    a.ldi(0, va + offset)
+    a.ldi(1, 0xA5A5A5A5)
+    if store:
+        a.st(0, 1)
+    else:
+        a.ld(1, 0)
+    a.halt()
+    wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
+    rig.kick(rig.job(a.assemble(), []))
+    return va + offset
+
+
+@pytest.mark.parametrize("store", [False, True])
+def test_access_past_end_of_memory_is_mmu_fault(store):
+    dev = Device()
+    rig = _Rig(dev)
+    va = access_last_page_job(dev, rig, 0xFFD, store)
+    events = dev.tick(10_000_000)
+    assert any(e.bits & dv.IRQ_MMU_FAULT for e in events)
+    assert rd(dev, "JOB_STATUS") == dv.JOB_MMU_FAULT
+    assert rd(dev, "MMU_FAULT_ADDR") == va
+    assert dev.writeback == {}
+    wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+    dev.tick(10_000_000)
+
+
+@pytest.mark.parametrize("store", [False, True])
+def test_last_word_of_memory_is_accessible(store):
+    dev = Device()
+    rig = _Rig(dev)
+    access_last_page_job(dev, rig, 0xFFC, store)
+    dev.tick(10_000_000)
+    assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+    wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+    dev.tick(10_000_000)
+    expect = b"\xa5" * 4 if store else b"\x00" * 4
+    assert dev.mem_read(dv.MEM_BYTES - 4, 4) == expect
+
+
+# Byte-wise reference model of a job's loads and stores. Three VA pages map
+# to two scattered physical pages and the last one; each word access
+# translates its first byte only and touches the next three physical bytes.
+DATA_VA = 0x0050_0000
+DATA_PAS = (0x20000, 0x31000, LAST_PAGE_PA)
+RESULT_VA, RESULT_PA = 0x0060_0000, 0x50000
+# mostly read-write, so that most jobs run to the end instead of faulting
+PERM_CHOICES = (Perm.READ, Perm.WRITE) + (Perm.READ | Perm.WRITE,) * 4
+
+# few distinct offsets, so that loads often overlap earlier stores
+mem_ops = st.lists(st.tuples(
+    st.sampled_from(("ld", "st")),
+    st.integers(0, len(DATA_PAS) - 1),
+    st.sampled_from((0, 1, 3, 4, 6, dv.PAGE_SIZE - 6, dv.PAGE_SIZE - 4,
+                     dv.PAGE_SIZE - 3, dv.PAGE_SIZE - 1)),
+    st.integers(0, dv.U32)), max_size=12)
+
+
+def model_job(ops, pages, mem_byte, writeback):
+    """-> ("fault", va) or ("done", stores) for one job running ``ops``;
+    every load's value is stored to the next word of the result page."""
+    stores = {}
+
+    def pa_of(va, need):
+        pa_base, perms = pages[va >> 12]
+        pa = pa_base + (va & 0xFFF)
+        if need not in perms or pa + 4 > dv.MEM_BYTES:
+            raise MmuFault(va, need)
+        return pa
+
+    def store(va, val):
+        pa = pa_of(va, Perm.WRITE)
+        for i in range(4):
+            stores[pa + i] = (val >> 8 * i) & 0xFF
+
+    result_va = RESULT_VA
+    try:
+        for kind, page, off, val in ops:
+            va = DATA_VA + page * dv.PAGE_SIZE + off
+            if kind == "st":
+                store(va, val)
+                continue
+            pa = pa_of(va, Perm.READ)
+            got = 0
+            for i in range(4):
+                p = pa + i
+                got |= stores.get(p, writeback.get(p, mem_byte(p))) << 8 * i
+            store(result_va, got)
+            result_va += 4
+    except MmuFault as f:
+        return "fault", f.va
+    return "done", stores
+
+
+def ops_shader(ops):
+    a = Asm()
+    a.ldi(2, RESULT_VA)
+    for kind, page, off, val in ops:
+        a.ldi(0, DATA_VA + page * dv.PAGE_SIZE + off)
+        if kind == "st":
+            a.ldi(1, val)
+            a.st(0, 1)
+        else:
+            a.ld(1, 0)
+            a.st(2, 1)
+            a.addi(2, 2, 4)
+    a.halt()
+    return a.assemble()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sku=st.sampled_from((SKU_A, SKU_B)), order=st.permutations(DATA_PAS),
+       perms=st.lists(st.sampled_from(PERM_CHOICES), min_size=3, max_size=3),
+       fill_seed=st.integers(0, 2 ** 32), first=mem_ops, second=mem_ops)
+def test_chain_loads_and_stores_match_bytewise_model(sku, order, perms, fill_seed,
+                                                     first, second):
+    dev = Device(sku=sku)
+    rig = _Rig(dev)
+    rng = random.Random(fill_seed)
+    for pa in DATA_PAS:
+        dev.mem_write(pa, rng.randbytes(dv.PAGE_SIZE))
+        if pa != LAST_PAGE_PA:  # straddling words read the next physical page
+            dev.mem_write(pa + dv.PAGE_SIZE, rng.randbytes(16))
+    pages = {RESULT_VA >> 12: (RESULT_PA, Perm.READ | Perm.WRITE)}
+    rig.map_at(RESULT_VA, RESULT_PA, Perm.READ | Perm.WRITE)
+    for i, (pa, p) in enumerate(zip(order, perms)):
+        va = DATA_VA + i * dv.PAGE_SIZE
+        rig.map_at(va, pa, p)
+        pages[va >> 12] = (pa, p)
+    wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
+
+    def mem_byte(p):
+        return dev.mem_read(p, 1)[0]
+
+    # the first job's stores stay buffered as writeback, unflushed
+    writeback = {}
+    for ops in (first, second):
+        expect = model_job(ops, pages, mem_byte, writeback)
+        rig.kick(rig.job(ops_shader(ops), []))
+        dev.tick(10_000_000)
+        if expect[0] == "fault":
+            assert rd(dev, "JOB_STATUS") == dv.JOB_MMU_FAULT
+            assert rd(dev, "MMU_FAULT_ADDR") == expect[1]
+        else:
+            assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+            writeback = {**writeback, **expect[1]}
+        assert dev.writeback == writeback
+    wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+    dev.tick(10_000_000)
+    for p, b in writeback.items():
+        assert dev.mem_read(p, 1)[0] == b
 
 
 # -- snapshot / restore ----------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Binary codec: round trips, structured failures, fuzz totality."""
 
 import random
+import tracemalloc
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,28 @@ def test_fuzz_mutated_valid_files(seed, pos, val):
         decode(bytes(blob))
     except DecodeError:
         pass
+
+
+def test_oversized_dump_rejected_before_inflating():
+    raw_len = 64 << 20
+    c = zlib.compressobj(6, zlib.DEFLATED, -15)
+    chunk = bytes(1 << 20)
+    payload = b"".join(c.compress(chunk) for _ in range(raw_len // len(chunk)))
+    payload += c.flush()
+    dump = MemDump(0, 0x400000, raw_len, payload, DumpOrigin.EXEC_PAGE)
+    blob = encode(Recording(header(), (), (dump,), ()))
+    assert len(blob) < 70_000
+    # the dump table starts where an empty recording's io count would be
+    raw_len_at = len(encode(Recording(header(), (), (), ()))) - 36 + 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(Malformed) as err:
+            decode(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert err.value.offset == raw_len_at
 
 
 def test_zero_heavy_payload_compresses_below_half():

@@ -98,6 +98,24 @@ def test_alloc_flags_exclusion():
                         Perm.READ)
 
 
+def test_driver_va_to_pa_follows_map_and_unmap():
+    stack = fresh_stack()
+    stack._reset_allocators()
+    stack.driver.init_mmu()
+    rw = Perm.READ | Perm.WRITE
+    a = stack.alloc_map("a", 3 * dv.PAGE_SIZE - 100, AllocFlags.CPU_VISIBLE, rw)
+    b = stack.alloc_map("b", 16, AllocFlags.CPU_VISIBLE, rw)
+    pages = stack.driver.mappings[a.gpu_va][4]
+    for i, pa in enumerate(pages):
+        for off in (0, 5, dv.PAGE_SIZE - 1):
+            assert stack.driver.va_to_pa(a.gpu_va + i * dv.PAGE_SIZE + off) == pa + off
+    stack.driver.unmap_pages(a.gpu_va)
+    for va in (a.gpu_va, a.gpu_va + 2 * dv.PAGE_SIZE, b.gpu_va + dv.PAGE_SIZE):
+        with pytest.raises(DriverError):
+            stack.driver.va_to_pa(va)
+    assert stack.driver.va_to_pa(b.gpu_va + 4) == stack.driver.mappings[b.gpu_va][4][0] + 4
+
+
 def test_input_length_checked():
     g = build_graph([("relu",)], 4)
     with pytest.raises(ValueError):

@@ -122,6 +122,35 @@ def test_second_load_supersedes_first(vecadd, mixed):
 
 # -- replay basics -----------------------------------------------------------------
 
+def test_va_to_pa_matches_first_range_in_order(vecadd):
+    g, rec = vecadd
+    page = dv.PAGE_SIZE
+    first = next(a for a in rec.actions if isinstance(a, MapGpuMem))
+    perm = first.perm_flags_encoded
+    extra = (
+        MapGpuMem(0, 0, first.gpu_va - page, 3 * page, perm),  # overlaps, loses
+        MapGpuMem(0, 0, 0x0100_0800, 2 * page, perm),  # not page-aligned
+        MapGpuMem(0, 0, 0x0100_2000, page, perm),  # overlaps the one above
+    )
+    s = session_for(dataclasses.replace(rec, actions=rec.actions + extra))
+
+    def scan(va):
+        for base, (pages, pas) in s._ranges.items():
+            if base <= va < base + pages * page:
+                return pas[(va - base) // page] + (va - base) % page
+        return None
+
+    probes = [base + d for base in (first.gpu_va, 0x0100_0000)
+              for d in range(-2 * page, 4 * page, 0x3F0)]
+    for va in probes:
+        want = scan(va)
+        if want is None:
+            with pytest.raises(ReplayError):
+                s._va_to_pa(va)
+        else:
+            assert s._va_to_pa(va) == want
+
+
 def test_replay_new_inputs(vecadd):
     g, rec = vecadd
     r = replay_once(rec, i32s([10, 20, 30, 40, 1, 2, 3, 4]))

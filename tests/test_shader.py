@@ -193,3 +193,22 @@ def test_disassemble_covers_all_ops():
     text = "\n".join(disassemble(a.assemble()))
     for op in ("ldi", "ld", "st", "add", "sub", "mul", "max", "addi", "bnz", "halt"):
         assert op in text
+
+
+def test_decode_cache_is_bounded_and_hits_decode_identically():
+    from gprr import shader
+    n = shader.DECODE_CACHE_SIZE
+    programs = []
+    for i in range(n + 1):
+        a = Asm()
+        a.ldi(1, i)
+        a.st(0, 1)
+        a.halt()
+        programs.append(a.assemble())
+    for words in programs:
+        run(words)
+    assert len(shader._decode_cache) <= n
+    hit = shader._decode(programs[-1])
+    shader._decode_cache.clear()
+    assert shader._decode(programs[-1]) == hit
+    assert run(programs[-1])[2].words == {0: n}
