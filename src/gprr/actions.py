@@ -146,10 +146,14 @@ class Recording:
     io_table: tuple[IoDescriptor, ...]
 
     def dump_by_id(self, dump_id: int) -> MemDump | None:
-        for d in self.dumps:
-            if d.dump_id == dump_id:
-                return d
-        return None
+        """The first dump with this id, or None."""
+        idx = self.__dict__.get("_dump_idx")
+        if idx is None:
+            idx = {}
+            for d in self.dumps:
+                idx.setdefault(d.dump_id, d)
+            object.__setattr__(self, "_dump_idx", idx)
+        return idx.get(dump_id)
 
     def inputs(self) -> list[IoDescriptor]:
         return [d for d in self.io_table if d.role is IoRole.INPUT]

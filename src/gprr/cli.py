@@ -158,7 +158,7 @@ def cmd_replay(args) -> int:
             outputs = result.outputs
             vclock = result.vclock_ns
             ok = result.ok
-            if result.recovery_attempts:
+            if ok and result.recovery_attempts:
                 print(f"recovered after {result.recovery_attempts} attempt(s)",
                       file=sys.stderr)
             if not ok and result.divergence:

@@ -20,7 +20,10 @@ which is when the GPU_STATUS dirty bit clears. Host-side reads through
 
 Physical memory is an anonymous ``mmap``: the kernel zeroes its pages
 lazily, so constructing a device costs no time and resident memory grows
-only with the pages actually touched.
+only with the pages actually touched. Every committed write to it, host
+``mem_write`` or flush, is logged by physical page number; the device's
+owner takes that log (:meth:`Device.take_dirty_pages`) to copy only what
+changed since it last looked.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ import enum
 import mmap
 import random
 import struct
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .shader import ShaderFault, execute
 
@@ -309,6 +315,7 @@ class _PendingJob:
     instr_count: int
     fault_va: int | None
     status: int  # JOB_STATUS value to latch on completion
+    pages: set[int] = field(default_factory=set)  # physical pages ``stores`` touch
 
 
 @dataclass
@@ -343,6 +350,27 @@ class DeviceSnapshot:
     busy_since: int | None
 
 
+def va_chunks(va: int, n: int, to_pa) -> Iterator[tuple[int, int, int]]:
+    """Split the VA span [va, va + n) at VA page edges. Yields
+    ``(offset into the span, pa, length)`` per chunk, where ``pa`` is
+    ``to_pa`` of the chunk's first VA and the chunk's bytes are the
+    ``length`` physical bytes from ``pa`` on."""
+    off = 0
+    while off < n:
+        a = va + off
+        chunk = min(n - off, PAGE_SIZE - (a & PAGE_MASK))
+        yield off, to_pa(a), chunk
+        off += chunk
+
+
+def span_pages(va: int, n: int, to_pa) -> set[int]:
+    """Physical page numbers that the chunks of ``va_chunks`` cover."""
+    pages: set[int] = set()
+    for _, pa, chunk in va_chunks(va, n, to_pa):
+        pages.update(range(pa >> PAGE_SHIFT, ((pa + chunk - 1) >> PAGE_SHIFT) + 1))
+    return pages
+
+
 class Device:
     """One simulated GPU instance. Single-owner: exactly one session mutates
     a device at a time (ownership is advisory, via claim/release)."""
@@ -355,6 +383,8 @@ class Device:
         self.rng = random.Random(env_seed)
         self.vclock_ns = 0
         self.owner: object | None = None
+        # physical pages written since the owner last took the log
+        self._dirty_pages: set[int] = set()
         # busy periods as [start, end] pairs; end None while open
         self._busy_periods: list[list[int | None]] = []
         self._stored: dict[str, int] = {}
@@ -378,6 +408,7 @@ class Device:
         self.job_state = JOB_IDLE
         self.fault_addr = 0
         self.writeback: dict[int, int] = {}
+        self._writeback_pages: set[int] = set()  # physical pages writeback touches
         self.tlb: dict[int, tuple[int, int]] = {}  # vpn -> (ppn, perm bits raw)
         self._pending_job: _PendingJob | None = None
         self._pending_flush: _PendingFlush | None = None
@@ -535,9 +566,24 @@ class Device:
         return self.mem[pa:pa + n]
 
     def mem_write(self, pa: int, data: bytes) -> None:
-        if pa < 0 or pa + len(data) > MEM_BYTES:
+        end = pa + len(data)
+        if pa < 0 or end > MEM_BYTES:
             raise ValueError(f"physical range {pa:#x}+{len(data):#x} out of bounds")
-        self.mem[pa:pa + len(data)] = data
+        self.mem[pa:end] = data
+        first = pa >> PAGE_SHIFT
+        last = (end - 1) >> PAGE_SHIFT
+        if first == last:
+            self._dirty_pages.add(first)
+        elif first < last:
+            self._dirty_pages.update(range(first, last + 1))
+
+    def take_dirty_pages(self) -> set[int]:
+        """Physical page numbers written since the previous call (host
+        writes and flush commits), and start a new log. Only the device's
+        owner calls this: a second taker would hide writes from the first."""
+        dirty = self._dirty_pages
+        self._dirty_pages = set()
+        return dirty
 
     # -- job chains ----------------------------------------------------------
 
@@ -651,7 +697,12 @@ class Device:
             return _PendingJob(None, {}, total_instr, f.va, JOB_MMU_FAULT)
         except ShaderFault:
             return _PendingJob(None, {}, total_instr, None, JOB_BAD_STATE)
-        return _PendingJob(None, stores, total_instr, None, JOB_DONE)
+        pages = set()
+        for base in write_pages.values():
+            pages.add(base >> PAGE_SHIFT)
+            if base + PAGE_SIZE in stores:  # a word stored across the page edge
+                pages.add((base >> PAGE_SHIFT) + 1)
+        return _PendingJob(None, stores, total_instr, None, JOB_DONE, pages)
 
     def _start_flush(self):
         if self._pending_flush is not None or not self.writeback:
@@ -695,6 +746,7 @@ class Device:
             raised = 0
             if job.status == JOB_DONE:
                 self.writeback.update(job.stores)
+                self._writeback_pages |= job.pages
                 raised = IRQ_JOB_DONE
             elif job.status == JOB_MMU_FAULT:
                 self.fault_addr = (job.fault_va or 0) & U32
@@ -712,6 +764,8 @@ class Device:
             for pa, b in self.writeback.items():
                 self.mem[pa] = b
             self.writeback = {}
+            self._dirty_pages |= self._writeback_pages
+            self._writeback_pages = set()
             self._update_busy()
         return events
 
@@ -732,12 +786,14 @@ class Device:
         """True iff the device was provably idle for all of [t0, t1]."""
         if t1 <= t0:
             return True
-        for start, end in self._busy_periods:
-            if end is None:
-                end = self.vclock_ns
-            if start < t1 and end > t0:
-                return False
-        return True
+        # periods are disjoint and ordered by start, so their ends are
+        # ordered too: the last period starting before t1 ends latest
+        periods = self._busy_periods
+        i = bisect_left(periods, t1, key=itemgetter(0)) - 1
+        if i < 0:
+            return True
+        end = periods[i][1]
+        return (self.vclock_ns if end is None else end) <= t0
 
     # -- snapshot / restore ------------------------------------------------------
 
@@ -775,6 +831,7 @@ class Device:
         self.job_state = snap.job_state
         self.fault_addr = snap.fault_addr
         self.writeback = dict(snap.writeback)
+        self._writeback_pages = {pa >> PAGE_SHIFT for pa in self.writeback}
         self.tlb = dict(snap.tlb)
         self._pending_job = copy.deepcopy(snap.pending_job)
         self._pending_flush = copy.deepcopy(snap.pending_flush)

@@ -139,6 +139,9 @@ class _RunTrace(StackListener):
         self.layer_marks: dict[int, int] = {}        # layer -> first entry index
         self.layer_regions: dict[int, list[_Region]] = {}
         self.live: dict[int, _Region] = {}           # va -> region (no content)
+        # va -> (physical pages, content) of the region's last snapshot,
+        # kept until its mapping changes
+        self._seen: dict[int, tuple[set[int], bytes]] = {}
         self.output: bytes | None = None
         self.t_start = stack.dev.vclock_ns
 
@@ -161,8 +164,10 @@ class _RunTrace(StackListener):
         if ev.kind == "map":
             self.live[ev.gpu_va] = _Region(ev.gpu_va, ev.len_bytes,
                                            ev.perm_bits, ev.flags)
+            self._seen.pop(ev.gpu_va, None)
         elif ev.kind == "unmap":
             self.live.pop(ev.gpu_va, None)
+            self._seen.pop(ev.gpu_va, None)
         elif ev.kind == "pre_kick":
             entry.kick_regions = self._snapshot_live()
             if self.charge_dump_time:
@@ -172,11 +177,19 @@ class _RunTrace(StackListener):
         self.entries.append(entry)
 
     def _snapshot_live(self) -> list[_Region]:
+        """Every live region with its current content. A region none of
+        whose physical pages was written since the last snapshot keeps the
+        content read then."""
+        dirty = self.stack.dev.take_dirty_pages()
         out = []
         for va in sorted(self.live):
             r = self.live[va]
-            content = self.stack.mem_read_va(va, r.page_len)
-            out.append(_Region(va, r.len_bytes, r.perm_bits, r.flags, content))
+            seen = self._seen.get(va)
+            if seen is None or not seen[0].isdisjoint(dirty):
+                pages = seen[0] if seen else dv.span_pages(
+                    va, r.page_len, self.stack.driver.va_to_pa)
+                seen = self._seen[va] = (pages, self.stack.mem_read_va(va, r.page_len))
+            out.append(_Region(va, r.len_bytes, r.perm_bits, r.flags, seen[1]))
         return out
 
     def final_cpu_visible(self) -> list[_Region]:

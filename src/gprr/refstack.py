@@ -503,20 +503,12 @@ class GpuStack:
     def mem_write_va(self, va: int, data: bytes) -> None:
         """Runtime-side write through the CPU mapping; invisible to the
         driver accessor stream on purpose."""
-        off = 0
-        while off < len(data):
-            pa = self.driver.va_to_pa(va + off)
-            chunk = min(len(data) - off, dv.PAGE_SIZE - (va + off) % dv.PAGE_SIZE)
+        for off, pa, chunk in dv.va_chunks(va, len(data), self.driver.va_to_pa):
             self.dev.mem_write(pa, data[off:off + chunk])
-            off += chunk
 
     def mem_read_va(self, va: int, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            pa = self.driver.va_to_pa(va + len(out))
-            chunk = min(n - len(out), dv.PAGE_SIZE - (va + len(out)) % dv.PAGE_SIZE)
-            out += self.dev.mem_read(pa, chunk)
-        return bytes(out)
+        return b"".join(self.dev.mem_read(pa, chunk)
+                        for _, pa, chunk in dv.va_chunks(va, n, self.driver.va_to_pa))
 
     def find_alloc(self, tag: str) -> Allocation:
         for a in self.allocations:

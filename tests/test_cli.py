@@ -138,6 +138,7 @@ def test_inject_fault_recovers(ws, capsys):
                      "--inject-fault", "corrupt_pte:persist"]) == 1
     err = capsys.readouterr().err
     assert "diverged" in err
+    assert "recovered" not in err  # failed recovery is not reported as one
 
 
 def test_per_layer_record_and_sequence_replay(tmp_path, capsys):

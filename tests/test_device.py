@@ -509,10 +509,108 @@ def test_chain_loads_and_stores_match_bytewise_model(sku, order, perms, fill_see
             assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
             writeback = {**writeback, **expect[1]}
         assert dev.writeback == writeback
+    dev.take_dirty_pages()  # the jobs' descriptors and shaders
     wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
     dev.tick(10_000_000)
     for p, b in writeback.items():
         assert dev.mem_read(p, 1)[0] == b
+    # the flush logs exactly the pages its bytes land on, straddled next
+    # pages included; a faulted job's stores land nowhere
+    assert dev.take_dirty_pages() == {p >> dv.PAGE_SHIFT for p in writeback}
+
+
+# -- dirty-page log -----------------------------------------------------------------
+
+def test_mem_write_logs_every_page_it_touches():
+    dev = Device()
+    assert dev.take_dirty_pages() == set()
+    dev.mem_write(0x5000, b"x")
+    dev.mem_write(0x7FFE, b"abcd")  # straddles pages 7 and 8
+    dev.mem_write(0x9000, b"")
+    assert dev.take_dirty_pages() == {5, 7, 8}
+    assert dev.take_dirty_pages() == set()
+    dev.mem_write(0xA000, bytes(3 * dv.PAGE_SIZE))
+    assert dev.take_dirty_pages() == {0xA, 0xB, 0xC}
+
+
+def flush(dev):
+    wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+    dev.tick(10_000_000)
+
+
+def test_flush_logs_a_straddled_next_page():
+    dev = Device()
+    rig = _Rig(dev)
+    out_va, out_pa = rig.map_page(Perm.READ | Perm.WRITE)
+    rig.map_page(Perm.READ)  # the next physical page, not mapped writable
+    desc = rig.job(store_const_shader(out_va + dv.PAGE_SIZE - 2, 0xA1B2C3D4), [])
+    rig.kick(desc)
+    dev.tick(10_000_000)
+    assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+    dev.take_dirty_pages()
+    snap = dev.snapshot()
+    flush(dev)
+    ppn = out_pa >> dv.PAGE_SHIFT
+    assert dev.take_dirty_pages() == {ppn, ppn + 1}
+    assert dev.mem_read(out_pa + dv.PAGE_SIZE - 2, 4) == (0xA1B2C3D4).to_bytes(4, "little")
+    # a restored writeback logs the same pages when it commits again
+    dev.restore(snap)
+    flush(dev)
+    assert dev.take_dirty_pages() == {ppn, ppn + 1}
+
+
+def test_faulted_job_logs_nothing():
+    dev = Device()
+    rig = _Rig(dev)
+    out_va, _ = rig.map_page(Perm.READ | Perm.WRITE)
+    a = Asm()
+    a.ldi(0, out_va); a.ldi(1, 7); a.st(0, 1)  # a store that is lost...
+    a.ldi(0, 0x0090_0000); a.ld(1, 0)           # ...when an unmapped load faults
+    a.halt()
+    rig.kick(rig.job(a.assemble(), []))
+    dev.tick(10_000_000)
+    assert rd(dev, "JOB_STATUS") == dv.JOB_MMU_FAULT
+    dev.take_dirty_pages()
+    flush(dev)
+    assert dev.take_dirty_pages() == set()
+
+
+# Busy periods as a list of (time step, busy?) moves plus restores to an
+# earlier snapshot; was_idle_between must agree with a scan of every period.
+busy_moves = st.lists(st.one_of(
+    st.tuples(st.integers(0, 50), st.booleans()),
+    st.just("snapshot"), st.just("restore")), max_size=20)
+
+
+def idle_by_scan(periods, now, t0, t1):
+    if t1 <= t0:
+        return True
+    return not any(start < t1 and (now if end is None else end) > t0
+                   for start, end in periods)
+
+
+@settings(max_examples=100, deadline=None)
+@given(moves=busy_moves)
+def test_was_idle_between_matches_scan(moves):
+    dev = Device()
+    snap = dev.snapshot()
+    for move in moves:
+        if move == "snapshot":
+            snap = dev.snapshot()
+        elif move == "restore":
+            dev.restore(snap)
+        else:
+            dt, busy = move
+            dev.tick(dt)  # nothing is pending: only the clock moves
+            dev._set_busy(busy)  # zero-length periods when dt is 0
+    periods = [tuple(p) for p in dev._busy_periods]
+    # every pair of instants on or next to a period's start or end
+    edges = {0, dev.vclock_ns, *(t for p in periods for t in p if t is not None)}
+    probes = sorted({t + d for t in edges for d in (-1, 0, 1)})
+    for t0 in probes:
+        for t1 in probes:
+            assert dev.was_idle_between(t0, t1) == idle_by_scan(
+                periods, dev.vclock_ns, t0, t1), (periods, t0, t1)
 
 
 # -- snapshot / restore ----------------------------------------------------------------

@@ -11,9 +11,9 @@ from gprr.actions import (ActionClass, Granularity, IoMode, IoRole,
                           RegWrite, UnmapGpuMem, WaitIrq, canonical_actions)
 from gprr.device import Device
 from gprr.recfmt import inflate
-from gprr.recorder import (DiscoveryError, RecordHarness, classify_interval,
-                           magic_bytes, parse_harness, record)
-from gprr.refstack import AllocFlags, DelayPolicy, GpuStack, build_graph
+from gprr.recorder import (DiscoveryError, RecordHarness, _RunTrace,
+                           classify_interval, magic_bytes, parse_harness, record)
+from gprr.refstack import VA_BASE, AllocFlags, DelayPolicy, GpuStack, build_graph
 
 from conftest import builtin_graphs, i32s, record_graph
 
@@ -122,6 +122,34 @@ def test_unchanged_pages_not_redumped():
             inflate(d.payload, d.raw_len)).digest())
     for va, hashes in per_va.items():
         assert len(hashes) == len(set(hashes)), f"duplicate dump content at {va:#x}"
+
+
+def test_kick_snapshot_sees_host_write_since_the_last_kick():
+    g = build_graph([("scale", 3), ("relu",)], 16)
+    stack = GpuStack(Device())
+    poke = b"\x5a" * 8
+
+    class PokeBeforeSecondKick(_RunTrace):
+        kicks = 0
+
+        def on_port_event(self, ev):
+            if ev.kind == "pre_kick":
+                self.kicks += 1
+                if self.kicks == 2:  # into the input buffer, read by job 1 only
+                    self.stack.mem_write_va(VA_BASE + 8, poke)
+            super().on_port_event(ev)
+
+    trace = PokeBeforeSecondKick(stack, charge_dump_time=False)
+    stack.listener = trace
+    stack.run_workload(g, i32s(range(16)))
+    stack.listener = None
+    first, second = [{r.gpu_va: r.content for r in e.kick_regions}
+                     for e in trace.entries if e.kick_regions][:2]
+    assert first[VA_BASE][8:16] == i32s([2, 3])
+    assert second[VA_BASE][8:16] == poke
+    # layer 0's shader was not written between the kicks: its bytes are shared
+    shader = stack.find_alloc("L0.shader").gpu_va
+    assert second[shader] is first[shader]
 
 
 def test_scratch_forced_dump_compresses_below_half():

@@ -5,10 +5,11 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gprr.device as dv
-from gprr.actions import (LoadMemDump, MapGpuMem, RegRead, RegWrite, WaitIrq,
-                          ActionClass)
+from gprr.actions import (LoadMemDump, MapGpuMem, RegRead, RegWrite, UnmapGpuMem,
+                          WaitIrq, ActionClass)
 from gprr.device import Device, DeviceOwned, SKU_B
 from gprr.recfmt import deflate, inflate
 from gprr.recorder import RecordHarness
@@ -356,6 +357,84 @@ def test_checkpoint_restore_reruns_identically(mixed):
     while s.cursor < len(rec.actions):
         assert s.step() is None
     assert s._read_va(out_desc.gpu_va, out_desc.len_bytes) == first == g.evaluate(inp)
+    s.cleanup()
+
+
+def full_copy(s):
+    """What a checkpoint holds, read from scratch: live ranges, table pages,
+    the byte count and the unmapped ranges."""
+    memory = {va: s._read_va(va, pages * dv.PAGE_SIZE)
+              for va, (pages, _) in s._ranges.items() if va not in s._unmapped}
+    tables = {pa: s.dev.mem_read(pa, dv.PAGE_SIZE)
+              for pa in [s._l1_pa, *s._l2_pages.values()]}
+    nbytes = sum(map(len, memory.values())) + sum(map(len, tables.values()))
+    return memory, tables, nbytes, frozenset(s._ranges.keys() - memory.keys())
+
+
+def held(cp):
+    return cp.memory, cp.table_pages, cp.byte_count, cp.unmapped
+
+
+ckpt_ops = st.lists(st.one_of(
+    st.just(("job",)),
+    st.tuples(st.just("write"), st.integers(0, 9), st.integers(0, 3 * dv.PAGE_SIZE),
+              st.binary(min_size=1, max_size=64)),
+    st.tuples(st.sampled_from(("unmap", "remap")), st.integers(0, 9)),
+    st.just(("checkpoint",)),
+    st.tuples(st.just("restore"), st.integers(0, 99)),
+), max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=ckpt_ops)
+def test_incremental_checkpoints_and_restores_match_full_ones(mixed, ops):
+    g, rec = mixed
+    page = dv.PAGE_SIZE
+    perm = next(a for a in rec.actions if isinstance(a, MapGpuMem)).perm_flags_encoded
+    extra = (  # the second reads half its bytes from the first's pages
+        MapGpuMem(0, 0, 0x0100_0800, 2 * page, perm),
+        MapGpuMem(0, 0, 0x0100_2000, page, perm),
+    )
+    s = session_for(dataclasses.replace(rec, actions=rec.actions + extra),
+                    config=ReplayConfig(checkpoint_every_jobs=1))
+    s.write_inputs(random_input(g, 3))
+    # the extra ranges first, so that low indices pick them and ops collide
+    ranges = sorted(s._ranges, key=lambda va: va < extra[0].gpu_va)
+    data_ranges = [va for va in ranges  # host writes to code could hang a job
+                   if dv.Perm.EXEC not in dv.SKU_A.decode_perms(s._perm_bits[va])]
+    last = s.checkpoint()
+    cps = [last]
+    assert held(last) == full_copy(s)
+    for op in ops:
+        if op[0] == "job":
+            jobs = s.jobs_done
+            while s.cursor < len(s.loaded.actions) and s.jobs_done == jobs:
+                if s.step() is not None:
+                    break  # stays mid-job until a restore
+        elif op[0] == "write":
+            va = data_ranges[op[1] % len(data_ranges)]
+            span = s._ranges[va][0] * page
+            s._write_va(va + op[2] % (span - len(op[3]) + 1), op[3])
+        elif op[0] == "unmap":
+            va = ranges[op[1] % len(ranges)]
+            s._dispatch(UnmapGpuMem(0, 0, va, page), 1)
+        elif op[0] == "remap":
+            va = ranges[op[1] % len(ranges)]
+            s._dispatch(MapGpuMem(0, 0, va, page, s._perm_bits[va]), 1)
+        elif op[0] == "checkpoint" and s._at_job_boundary:
+            s.checkpoint()
+        elif op[0] == "restore":
+            k = op[1] % len(cps)
+            s.restore(cps[k])
+            assert full_copy(s) == held(cps[k])
+            incremental = s.dev.mem_read(0, s._free_pa + page)
+            cps[k] = dataclasses.replace(cps[k])  # not the log's base: the full path
+            s.restore(cps[k])
+            assert s.dev.mem_read(0, s._free_pa + page) == incremental
+        if s.last_checkpoint is not last:
+            last = s.last_checkpoint
+            assert held(last) == full_copy(s)
+            cps.append(last)
     s.cleanup()
 
 
