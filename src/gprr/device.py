@@ -16,7 +16,8 @@ seed, only timing does.
 Shader stores do not hit physical memory directly. They are buffered as
 pending cache writebacks and commit only when a CACHE_FLUSH completes,
 which is when the GPU_STATUS dirty bit clears. Host-side reads through
-:meth:`Device.mem_read` never see uncommitted writebacks.
+:meth:`Device.mem_read` never see uncommitted writebacks. The buffer is
+keyed by aligned word; a word only partly written carries a byte mask.
 
 Physical memory is an anonymous ``mmap``: the kernel zeroes its pages
 lazily, so constructing a device costs no time and resident memory grows
@@ -37,7 +38,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .shader import ShaderFault, execute
+from .shader import MemPath, ShaderFault, execute
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
@@ -46,6 +47,9 @@ MEM_BYTES = 16 * 1024 * 1024
 U32 = 0xFFFFFFFF
 _LAST_WORD_PA = MEM_BYTES - 4  # highest PA a 4-byte access may start at
 _u32_at = struct.Struct("<I").unpack_from
+_put_u32 = struct.Struct("<I").pack_into
+# the bits of a u32 that each 4-bit byte mask selects
+_BYTE_BITS = tuple(sum(0xFF << 8 * i for i in range(4) if m >> i & 1) for m in range(16))
 
 # Interrupt bits (GPU_IRQ_RAWSTAT / GPU_IRQ_MASK / GPU_IRQ_CLEAR).
 IRQ_JOB_DONE = 1 << 0
@@ -311,11 +315,12 @@ class InterruptEvent:
 @dataclass
 class _PendingJob:
     finish_ns: int | None  # None: stalled with no powered core in affinity
-    stores: dict[int, int]
+    stores: dict[int, int]  # aligned word pa -> value, like writeback
     instr_count: int
     fault_va: int | None
     status: int  # JOB_STATUS value to latch on completion
     pages: set[int] = field(default_factory=set)  # physical pages ``stores`` touch
+    masks: dict[int, int] = field(default_factory=dict)  # partial words of ``stores``
 
 
 @dataclass
@@ -343,11 +348,40 @@ class DeviceSnapshot:
     job_state: int
     fault_addr: int
     writeback: dict[int, int]
+    writeback_masks: dict[int, int]
     tlb: dict[int, tuple[int, int]]
     pending_job: _PendingJob | None
     pending_flush: _PendingFlush | None
     rng_state: tuple
     busy_since: int | None
+
+
+def _merge_word(words: dict[int, int], masks: dict[int, int], w: int,
+                val: int, mask: int) -> None:
+    """Write the bytes of ``val`` that ``mask`` selects into the buffered
+    word ``w``. ``masks`` holds the byte mask of every word in ``words``
+    not fully written; bytes outside a word's mask read as zero."""
+    old = words.get(w)
+    if old is None:
+        words[w] = val & _BYTE_BITS[mask]
+        have = mask
+    else:
+        bits = _BYTE_BITS[mask]
+        words[w] = (old & ~bits) | (val & bits)
+        have = masks.get(w, 0xF) | mask
+    if have == 0xF:
+        masks.pop(w, None)
+    else:
+        masks[w] = have
+
+
+def _overlay(words: dict[int, int], masks: dict[int, int], w: int, under: int) -> int:
+    """Word ``w`` as the buffer ``words`` shows it over the value ``under``."""
+    val = words.get(w)
+    if val is None:
+        return under
+    mask = masks.get(w)
+    return val if mask is None else (under & ~_BYTE_BITS[mask]) | val
 
 
 def va_chunks(va: int, n: int, to_pa) -> Iterator[tuple[int, int, int]]:
@@ -369,6 +403,26 @@ def span_pages(va: int, n: int, to_pa) -> set[int]:
     for _, pa, chunk in va_chunks(va, n, to_pa):
         pages.update(range(pa >> PAGE_SHIFT, ((pa + chunk - 1) >> PAGE_SHIFT) + 1))
     return pages
+
+
+# The compiled shader loops' memory fast path over _run_chain's state: an
+# aligned load on a walked page that holds no buffered word reads memory,
+# and an aligned store on a walked page sets its word while no stored word
+# is partial. Anything else calls the chain's load_word / store_word.
+_MEM_PATH = MemPath(
+    ld="""\
+_b = read_fast.get({a} >> %d)
+if _b is None or {a} & 3:
+    {d} = load_word({a})
+else:
+    {d} = u32_at(mem, _b | ({a} & %d))[0]""" % (PAGE_SHIFT, PAGE_MASK),
+    st="""\
+_b = write_pages.get({a} >> %d)
+if _b is None or {a} & 3 or masks:
+    store_word({a}, {s})
+else:
+    stores[_b | ({a} & %d)] = {s}""" % (PAGE_SHIFT, PAGE_MASK),
+    names=("mem", "u32_at", "read_fast", "write_pages", "stores", "masks"))
 
 
 class Device:
@@ -407,7 +461,10 @@ class Device:
         self.clock_div = getattr(self, "clock_div", 1)
         self.job_state = JOB_IDLE
         self.fault_addr = 0
+        # buffered stores: aligned word pa -> value, and the byte mask of
+        # each word not fully written
         self.writeback: dict[int, int] = {}
+        self.writeback_masks: dict[int, int] = {}
         self._writeback_pages: set[int] = set()  # physical pages writeback touches
         self.tlb: dict[int, tuple[int, int]] = {}  # vpn -> (ppn, perm bits raw)
         self._pending_job: _PendingJob | None = None
@@ -620,32 +677,39 @@ class Device:
         chain reuses that translation afterwards."""
         mem = self.mem
         walk = self._walk
-        writeback = self.writeback
-        stores: dict[int, int] = {}  # pa -> byte, like writeback
-        # word indices (pa >> 2) holding a buffered byte: a load touching
-        # none of them reads memory in one slice
-        dirty = {pa >> 2 for pa in writeback}
+        writeback, wb_masks = self.writeback, self.writeback_masks
+        stores: dict[int, int] = {}  # aligned word pa -> value, like writeback
+        masks: dict[int, int] = {}  # byte masks of the partly stored words
         read_pages: dict[int, int] = {}  # vpn -> physical page base
         write_pages: dict[int, int] = {}
+        # physical pages holding a buffered word, and the read pages on none
+        # of them (by ppn too): an aligned load there reads memory directly
+        buffered = {w >> PAGE_SHIFT for w in writeback}
+        read_fast: dict[int, int] = {}
+        fast_vpns: dict[int, list[int]] = {}
         total_instr = 0
         va = head_va
+
+        def word(w):
+            return _overlay(stores, masks, w,
+                            _overlay(writeback, wb_masks, w, _u32_at(mem, w)[0]))
 
         def load_word(a):
             a &= U32
             base = read_pages.get(a >> PAGE_SHIFT)
             if base is None:
                 pa = walk(a, _READ)
-                read_pages[a >> PAGE_SHIFT] = pa & ~PAGE_MASK
+                base = read_pages[a >> PAGE_SHIFT] = pa & ~PAGE_MASK
+                if pa >> PAGE_SHIFT not in buffered:
+                    read_fast[a >> PAGE_SHIFT] = base
+                    fast_vpns.setdefault(pa >> PAGE_SHIFT, []).append(a >> PAGE_SHIFT)
             else:
                 pa = base | (a & PAGE_MASK)
             if pa > _LAST_WORD_PA:
                 raise MmuFault(a, Perm.READ)
-            if pa >> 2 in dirty or (pa + 3) >> 2 in dirty:
-                b0 = stores.get(pa, writeback.get(pa, mem[pa]))
-                b1 = stores.get(pa + 1, writeback.get(pa + 1, mem[pa + 1]))
-                b2 = stores.get(pa + 2, writeback.get(pa + 2, mem[pa + 2]))
-                b3 = stores.get(pa + 3, writeback.get(pa + 3, mem[pa + 3]))
-                return b0 | (b1 << 8) | (b2 << 16) | (b3 << 24)
+            w, last = pa & ~3, (pa + 3) & ~3  # the one or two words it reads
+            if w in stores or w in writeback or last in stores or last in writeback:
+                return ((word(last) << 32 | word(w)) >> (pa & 3) * 8) & U32
             return _u32_at(mem, pa)[0]
 
         def store_word(a, val):
@@ -658,13 +722,22 @@ class Device:
                 pa = base | (a & PAGE_MASK)
             if pa > _LAST_WORD_PA:
                 raise MmuFault(a, Perm.WRITE)
-            stores[pa] = val & 0xFF
-            stores[pa + 1] = (val >> 8) & 0xFF
-            stores[pa + 2] = (val >> 16) & 0xFF
-            stores[pa + 3] = (val >> 24) & 0xFF
-            dirty.add(pa >> 2)
-            dirty.add((pa + 3) >> 2)
+            val &= U32
+            w, shift = pa & ~3, (pa & 3) * 8
+            if not shift:
+                stores[w] = val
+                if masks:
+                    masks.pop(w, None)
+            else:  # an unaligned word merges into the two words it spans
+                _merge_word(stores, masks, w, val << shift, 0xF << (pa & 3) & 0xF)
+                _merge_word(stores, masks, w + 4, val >> (32 - shift), 0xF >> (4 - (pa & 3)))
+            for ppn in (pa >> PAGE_SHIFT, (pa + 3) >> PAGE_SHIFT):
+                if ppn not in buffered:
+                    buffered.add(ppn)
+                    for vpn in fast_vpns.pop(ppn, ()):
+                        del read_fast[vpn]
 
+        bound = (mem, _u32_at, read_fast, write_pages, stores, masks)
         try:
             seen = 0
             while va != 0:
@@ -688,7 +761,7 @@ class Device:
                     words += struct.unpack_from(f"<{n >> 2}I", mem, walk(a, _EXEC))
                     off += n
                 n, halted = execute(words, list(params), load_word, store_word,
-                                    SHADER_STEP_BUDGET)
+                                    SHADER_STEP_BUDGET, _MEM_PATH, bound)
                 total_instr += n
                 if not halted:
                     return _PendingJob(None, {}, total_instr, None, JOB_BAD_STATE)
@@ -702,13 +775,16 @@ class Device:
             pages.add(base >> PAGE_SHIFT)
             if base + PAGE_SIZE in stores:  # a word stored across the page edge
                 pages.add((base >> PAGE_SHIFT) + 1)
-        return _PendingJob(None, stores, total_instr, None, JOB_DONE, pages)
+        return _PendingJob(None, stores, total_instr, None, JOB_DONE, pages, masks)
 
     def _start_flush(self):
         if self._pending_flush is not None or not self.writeback:
             return
         jitter = self.rng.uniform(JITTER_LO, JITTER_HI)
-        cost = FLUSH_BASE_COST_NS + FLUSH_BYTE_COST_NS * len(self.writeback)
+        # the bytes buffered: four per word less the ones a partial word lacks
+        nbytes = 4 * len(self.writeback) - sum(
+            4 - m.bit_count() for m in self.writeback_masks.values())
+        cost = FLUSH_BASE_COST_NS + FLUSH_BYTE_COST_NS * nbytes
         self._pending_flush = _PendingFlush(
             self.vclock_ns + round(cost * self.clock_div * jitter))
         self._update_busy()
@@ -745,7 +821,12 @@ class Device:
             self.job_state = job.status
             raised = 0
             if job.status == JOB_DONE:
-                self.writeback.update(job.stores)
+                if job.masks or self.writeback_masks:
+                    for w, val in job.stores.items():
+                        _merge_word(self.writeback, self.writeback_masks, w, val,
+                                    job.masks.get(w, 0xF))
+                else:
+                    self.writeback.update(job.stores)
                 self._writeback_pages |= job.pages
                 raised = IRQ_JOB_DONE
             elif job.status == JOB_MMU_FAULT:
@@ -761,9 +842,17 @@ class Device:
         flush = self._pending_flush
         if flush is not None and flush.finish_ns <= t:
             self._pending_flush = None
-            for pa, b in self.writeback.items():
-                self.mem[pa] = b
+            mem, masks = self.mem, self.writeback_masks
+            for w, val in self.writeback.items():
+                mask = masks.get(w) if masks else None
+                if mask is None:
+                    _put_u32(mem, w, val)
+                else:
+                    for i in range(4):
+                        if mask >> i & 1:
+                            mem[w + i] = (val >> 8 * i) & 0xFF
             self.writeback = {}
+            self.writeback_masks = {}
             self._dirty_pages |= self._writeback_pages
             self._writeback_pages = set()
             self._update_busy()
@@ -810,6 +899,7 @@ class Device:
             job_state=self.job_state,
             fault_addr=self.fault_addr,
             writeback=dict(self.writeback),
+            writeback_masks=dict(self.writeback_masks),
             tlb=dict(self.tlb),
             pending_job=copy.deepcopy(self._pending_job),
             pending_flush=copy.deepcopy(self._pending_flush),
@@ -831,7 +921,8 @@ class Device:
         self.job_state = snap.job_state
         self.fault_addr = snap.fault_addr
         self.writeback = dict(snap.writeback)
-        self._writeback_pages = {pa >> PAGE_SHIFT for pa in self.writeback}
+        self.writeback_masks = dict(snap.writeback_masks)
+        self._writeback_pages = {w >> PAGE_SHIFT for w in self.writeback}
         self.tlb = dict(snap.tlb)
         self._pending_job = copy.deepcopy(snap.pending_job)
         self._pending_flush = copy.deepcopy(snap.pending_flush)

@@ -156,6 +156,10 @@ def make_layer(op: str, params: tuple[int, ...], in_elems: int) -> Layer:
         m, n, k = params
         if in_elems != m * k + k * n:
             raise ValueError(f"matmul({m},{n},{k}) needs {m * k + k * n} input elems")
+        size = 4 * matmul_shader_words(m, n, k)
+        if size > dv.SHADER_MAX_BYTES:
+            raise ValueError(f"matmul({m},{n},{k}) unrolls to a {size}-byte shader, "
+                             f"over the {dv.SHADER_MAX_BYTES}-byte shader limit")
         return Layer(op, (m, n, k), in_elems, m * n)
     raise ValueError(f"unknown op {op}")
 
@@ -426,12 +430,12 @@ class _Driver:
             watchdog = max(10 * est_cost * self.dev.clock_div, 1_000_000)
             bits = self.wait_irq(dv.IRQ_JOB_DONE | dv.IRQ_MMU_FAULT, watchdog)
             if bits & dv.IRQ_MMU_FAULT:
-                raise WorkloadError(-1, f"MMU fault at {self.read('MMU_FAULT_ADDR'):#x}")
+                raise DriverError(f"MMU fault at {self.read('MMU_FAULT_ADDR'):#x}")
             raw = self.read("GPU_IRQ_RAWSTAT")
             self.write("GPU_IRQ_CLEAR", raw & dv.IRQ_JOB_DONE)
             status = self.read("JOB_STATUS")
             if status != dv.JOB_DONE:
-                raise WorkloadError(-1, f"job status {status}")
+                raise DriverError(f"job status {status}")
             self.write("GPU_CMD", dv.CMD_CACHE_FLUSH)
             self.poll("GPU_STATUS", dv.STATUS_DIRTY, 0)
         finally:
@@ -555,7 +559,7 @@ class GpuStack:
                                        Perm.READ | Perm.WRITE)
             try:
                 self._run_job(f"L{i}", layer, src_va, out_alloc.gpu_va)
-            except (WorkloadError, DriverError) as e:
+            except DriverError as e:
                 raise WorkloadError(i, str(e)) from e
             src_va = out_alloc.gpu_va
 
@@ -567,7 +571,7 @@ class GpuStack:
             copy_layer = Layer("copy", (), graph.output_elems, graph.output_elems)
             try:
                 self._run_job("stage", copy_layer, src_va, stage.gpu_va)
-            except (WorkloadError, DriverError) as e:
+            except DriverError as e:
                 raise WorkloadError(len(graph.layers) - 1, str(e)) from e
             out_alloc = stage
 
@@ -599,6 +603,13 @@ class GpuStack:
 
         self.driver.submit_job(desc.gpu_va, est_instr)
         self.driver.unmap_pages(scratch.gpu_va)
+
+
+def matmul_shader_words(m: int, n: int, k: int) -> int:
+    """Length of emit_shader's unrolled matmul: per output element two LDI
+    (accumulator, store offset), and for each of the k products two LDI,
+    three ADD, two LD and one MUL (10 words), an ADD and an ST; one HALT."""
+    return m * n * (10 * k + 6) + 1
 
 
 def emit_shader(layer: Layer, src_va: int, out_va: int) -> tuple[list[int], int, list[int]]:

@@ -153,6 +153,8 @@ class ReplaySession:
         # more slowly (measured: chain-64 replay 5% slower).
         self._cp_base: Checkpoint | None = None
         self._page_ranges: dict[int, list[int]] | None = None
+        # (gpu_va, bytes) of each input the caller supplied to this replay
+        self._inputs: list[tuple[int, bytes]] = []
 
     # -- nano driver -----------------------------------------------------------
 
@@ -257,6 +259,7 @@ class ReplaySession:
             self._scrub_pages()
         self.loaded = rec
         self.last_checkpoint = None
+        self._inputs = []
         self._cp_base = None
         self._page_ranges = None
         self._window_mult = {}
@@ -395,7 +398,7 @@ class ReplaySession:
             return self._wait_irq(a, mult)
         if isinstance(a, LoadMemDump):
             d = self.loaded.dump_by_id(a.dump_id)
-            data = inflate(d.payload, d.raw_len)
+            data = self._over_inputs(a.gpu_va, inflate(d.payload, d.raw_len))
             self._write_va(a.gpu_va, data)
             self._tick(round(len(data) * LOAD_BYTE_NS))
             return None
@@ -466,13 +469,25 @@ class ReplaySession:
 
     def write_inputs(self, inputs) -> None:
         """Deposit input bytes at their recorded GPU addresses. Takes the
-        input forms replay() takes."""
+        input forms replay() takes. Supplied bytes also win over the dumps
+        loaded later (an input captured ``both`` ways is baked into one);
+        an input left out keeps the baked bytes."""
         supplied = self._normalize_inputs(inputs)
+        self._inputs = []
         for i, d in enumerate(self.loaded.inputs()):
             buf = supplied.get(i)
             if buf is not None:
+                self._inputs.append((d.gpu_va, buf))
                 self._write_va(d.gpu_va, buf)
                 self._tick(round(len(buf) * INPUT_BYTE_NS))
+
+    def _over_inputs(self, va: int, data: bytes) -> bytes:
+        """``data`` bound for ``va`` with the supplied inputs laid over it."""
+        for in_va, buf in self._inputs:
+            lo, hi = max(va, in_va), min(va + len(data), in_va + len(buf))
+            if lo < hi:
+                data = data[:lo - va] + buf[lo - in_va:hi - in_va] + data[hi - va:]
+        return data
 
     def _run_once(self, inputs: dict[int, bytes],
                   from_checkpoint: Checkpoint | None) -> DivergenceReport | str | None:
@@ -498,6 +513,7 @@ class ReplaySession:
         supplied = self._normalize_inputs(inputs)
         self.preempted = False
         self.event_log = []
+        self.last_checkpoint = None  # recovery never resumes an earlier replay
         if self.cursor != 0:
             self._reload()  # a session replays its recording any number of times
         start = self.vclock_consumed

@@ -10,11 +10,19 @@ Word encoding (fields unused by an op are zero):
     [31:24] opcode   [23:20] rd   [19:16] ra   [15:12] rb
     ADDI/BNZ carry a signed 16-bit immediate in [15:0];
     LDI takes the full next word as its immediate.
+
+The interpreter runs every shader. A *self-loop*, a backward BNZ whose
+body up to the branch is straight-line code, is compiled to a Python
+function the first time its back-edge is taken (the translation-block
+idea of QEMU's TCG). The compiled loop runs whole iterations while the
+step budget allows and hands everything else back to the interpreter, so
+counts, faults and callback order are the interpreter's.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 
 U32 = 0xFFFFFFFF
 
@@ -153,16 +161,35 @@ _REG_FIELD_TOPS = {
     OP_MUL: _RD | _RA | _RB, OP_MAX: _RD | _RA | _RB,
 }
 
-# Decoded shaders by their bytes, least recently used first. A job chain
-# reuses a handful of shaders; the bound keeps a long-lived process that
-# sees many distinct ones from growing without limit.
+@dataclass(frozen=True)
+class MemPath:
+    """How compiled loops do LD and ST. ``ld`` and ``st`` are statement
+    templates: ``{d}``, ``{a}`` and ``{s}`` stand for the destination,
+    address and source registers, which hold values in [0, 2^32). The
+    statements may call ``load_word`` and ``store_word`` and use ``names``,
+    whose values ``execute`` takes as ``bound``, in the same order."""
+
+    ld: str
+    st: str
+    names: tuple[str, ...] = ()
+
+
+# every access calls the memory callbacks, as the interpreter does
+CALLBACK_PATH = MemPath(ld="{d} = load_word({a}) & 0xFFFFFFFF",
+                        st="store_word({a}, {s})")
+
+# Decoded shaders by their bytes, least recently used first: the decoded
+# words and the loops compiled for them, by (MemPath, BNZ word index).
+# A job chain reuses a handful of shaders; the bound keeps a long-lived
+# process that sees many distinct ones from growing without limit.
 DECODE_CACHE_SIZE = 32
-_decode_cache: OrderedDict[bytes, list[tuple]] = OrderedDict()
+_decode_cache: OrderedDict[bytes, tuple[list[tuple], dict]] = OrderedDict()
 
 
-def _decode(words: list[int]) -> list[tuple]:
+def _decode(words: list[int]) -> tuple[list[tuple], dict]:
     """Decode to one entry per word index. Each entry is
-    (op, a, b, c, next_pc); LDI's second word gets a None placeholder."""
+    (op, a, b, c, next_pc); LDI's second word gets a None placeholder.
+    Returns the entries and the shader's (initially empty) loop cache."""
     key = b"".join(w.to_bytes(4, "little") for w in words)
     cached = _decode_cache.get(key)
     if cached is not None:
@@ -197,21 +224,73 @@ def _decode(words: list[int]) -> list[tuple]:
             pc += 1
         else:
             raise ShaderFault(f"unknown opcode {op:#x} at word {pc}")
-    _decode_cache[key] = decoded
+    entry = _decode_cache[key] = (decoded, {})
     if len(_decode_cache) > DECODE_CACHE_SIZE:
         _decode_cache.popitem(last=False)
-    return decoded
+    return entry
+
+
+_ALU = {
+    OP_ADD: "r{a} = (r{b} + r{c}) & 0xFFFFFFFF",
+    OP_SUB: "r{a} = (r{b} - r{c}) & 0xFFFFFFFF",
+    OP_MUL: "r{a} = (r{b} * r{c}) & 0xFFFFFFFF",
+    # signed order of two u32 values is the order with the sign bit flipped
+    OP_MAX: "r{a} = r{b} if (r{b} ^ 0x80000000) >= (r{c} ^ 0x80000000) else r{c}",
+    OP_ADDI: "r{a} = (r{b} + {c}) & 0xFFFFFFFF",
+    OP_LDI: "r{a} = {b}",
+}
+_REGS = "r0, r1, r2, r3, r4, r5, r6, r7"
+
+
+def _compile_loop(decoded: list, head: int, end: int, path: MemPath):
+    """Compile the loop from word ``head`` to the BNZ at ``end``. Returns
+    (function, instructions per iteration), or None when the body is not
+    straight-line code. The function takes (regs, count, iterations,
+    load_word, store_word, *bound), runs at most ``iterations`` whole
+    iterations, updates ``regs`` and returns (count, pc to resume at)."""
+    body = []
+    pc = head
+    while pc != end:
+        entry = decoded[pc] if pc < end else None
+        if entry is None or entry[0] in (OP_HALT, OP_BNZ):
+            return None
+        op, a, b, c, pc = entry
+        if op == OP_LD:
+            body.append(path.ld.format(d=f"r{a}", a=f"r{b}"))
+        elif op == OP_ST:
+            body.append(path.st.format(a=f"r{b}", s=f"r{a}"))
+        else:
+            body.append(_ALU[op].format(a=a, b=b, c=c))
+    steps = len(body) + 1
+    _, cond, _, _, exit_pc = decoded[end]
+    lines = [f"def loop(regs, count, iterations, load_word, store_word, "
+             f"{''.join(n + ', ' for n in path.names)}):",
+             f"    {_REGS} = regs",
+             f"    pc = {head}",
+             "    for i in range(1, iterations + 1):",
+             *("        " + line for stmt in body for line in stmt.splitlines()),
+             f"        if not r{cond}:",
+             f"            pc = {exit_pc}",
+             "            break",
+             f"    regs[:] = {_REGS}",
+             f"    return count + i * {steps}, pc"]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["loop"], steps
 
 
 def execute(words: list[int], params: list[int], load_word, store_word,
-            budget: int) -> tuple[int, bool]:
+            budget: int, path: MemPath = CALLBACK_PATH,
+            bound: tuple = ()) -> tuple[int, bool]:
     """Run a shader. Registers r0..r7 start from the 8-entry param block.
 
     Returns (dynamic instruction count, halted). ``halted`` is False when
     the step budget ran out. Memory callbacks may raise; the fault
     propagates with the partial count lost, matching a faulted job.
+    Compiled loops do memory as ``path`` says, with ``bound`` as the
+    values of its names.
     """
-    decoded = _decode(words)
+    decoded, loops = _decode(words)
     regs = [p & U32 for p in params[:8]] + [0] * max(0, 8 - len(params))
     pc = 0
     count = 0
@@ -242,6 +321,15 @@ def execute(words: list[int], params: list[int], load_word, store_word,
             regs[a] = (regs[b] + c) & U32
         elif op == OP_BNZ:
             if regs[a] != 0:
+                if b <= pc:  # a back-edge: whole iterations run compiled
+                    key = (path, pc)
+                    if key not in loops:
+                        loops[key] = _compile_loop(decoded, b, pc, path)
+                    loop = loops[key]
+                    if loop is not None and budget - count >= loop[1]:
+                        count, pc = loop[0](regs, count, (budget - count) // loop[1],
+                                            load_word, store_word, *bound)
+                        continue
                 pc = b
                 continue
         elif op == OP_LDI:

@@ -10,6 +10,10 @@ Pure function over the decoded structure. Rules:
   R5  unmap of a range that was never mapped
   R6  interrupt wait with no plausible cause (JOB_DONE with no pending
       kick, RESET_DONE with no prior soft reset)
+  R7  a mapped range (page-rounded) overlaps another range of the
+      recording with a different base, at any two points in action order:
+      the replayer lays out every range at once, so one would re-point
+      the other's page table entries
 
 Violations are data, not failures; the report's ``ok`` is just
 "no violations".
@@ -70,6 +74,23 @@ def _covered(live: dict[int, int], va: int, n: int) -> bool:
         if base <= va and va + n <= base + pages * dv.PAGE_SIZE:
             return True
     return False
+
+
+def _overlaps(spans: dict[int, int], first_map: dict[int, int]) -> list[Violation]:
+    """R7 over ``spans`` (base -> pages) in one sort: a range overlaps an
+    earlier base's range iff it starts before the furthest end so far."""
+    found = []
+    reach, reach_base = 0, None
+    for base in sorted(spans):
+        if base < reach:
+            found.append(Violation(
+                max(first_map[base], first_map[reach_base]), "R7",
+                f"range {base:#x}+{spans[base] * dv.PAGE_SIZE:#x} overlaps range "
+                f"{reach_base:#x}+{spans[reach_base] * dv.PAGE_SIZE:#x}"))
+        end = base + spans[base] * dv.PAGE_SIZE
+        if end > reach:
+            reach, reach_base = end, base
+    return found
 
 
 def verify(rec: Recording, reg_map: RegisterMap | None = None,
@@ -143,10 +164,13 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
                     pending_resets -= 1
 
     ever_mapped: dict[int, int] = {}
-    for a in rec.actions:
+    first_map: dict[int, int] = {}  # base -> index of its first MapGpuMem
+    for i, a in enumerate(rec.actions):
         if isinstance(a, MapGpuMem):
             ever_mapped[a.gpu_va] = max(ever_mapped.get(a.gpu_va, 0),
                                         _pages(a.len_bytes))
+            first_map.setdefault(a.gpu_va, i)
+    violations.extend(_overlaps(ever_mapped, first_map))
     for io in rec.io_table:
         if not _covered(ever_mapped, io.gpu_va, io.len_bytes):
             violations.append(Violation(

@@ -89,7 +89,7 @@ def test_usage_errors_exit_2(ws, capsys):
     assert dispatch(["record", str(wl), "-o", str(rec)]) == 0
     capsys.readouterr()
     for text in ("input 8\nlayer frobnicate\n", "input 8\nfrobnicate 3\n",
-                 "input 8\nlayer scale\n"):
+                 "input 8\nlayer scale\n", "layer matmul 12 12 12\n"):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         assert dispatch(["record", str(bad), "-o", str(tmp_path / "x.gpr")]) == 2

@@ -456,6 +456,17 @@ def model_job(ops, pages, mem_byte, writeback):
     return "done", stores
 
 
+def buffered_bytes(dev):
+    """The device's word-keyed writeback as pa -> byte, like the model's."""
+    out = {}
+    for w, val in dev.writeback.items():
+        mask = dev.writeback_masks.get(w, 0xF)
+        for i in range(4):
+            if mask >> i & 1:
+                out[w + i] = (val >> 8 * i) & 0xFF
+    return out
+
+
 def ops_shader(ops):
     a = Asm()
     a.ldi(2, RESULT_VA)
@@ -472,12 +483,10 @@ def ops_shader(ops):
     return a.assemble()
 
 
-@settings(max_examples=150, deadline=None)
-@given(sku=st.sampled_from((SKU_A, SKU_B)), order=st.permutations(DATA_PAS),
-       perms=st.lists(st.sampled_from(PERM_CHOICES), min_size=3, max_size=3),
-       fill_seed=st.integers(0, 2 ** 32), first=mem_ops, second=mem_ops)
-def test_chain_loads_and_stores_match_bytewise_model(sku, order, perms, fill_seed,
-                                                     first, second):
+def run_against_model(sku, order, perms, fill_seed, jobs, alias_perms=None):
+    """Run ``jobs``, (model ops, shader words) pairs, on a device whose data
+    VA pages map to ``order`` (and, with ``alias_perms``, one more VA page
+    to ``order[0]``), checking each job against ``model_job``."""
     dev = Device(sku=sku)
     rig = _Rig(dev)
     rng = random.Random(fill_seed)
@@ -487,7 +496,10 @@ def test_chain_loads_and_stores_match_bytewise_model(sku, order, perms, fill_see
             dev.mem_write(pa + dv.PAGE_SIZE, rng.randbytes(16))
     pages = {RESULT_VA >> 12: (RESULT_PA, Perm.READ | Perm.WRITE)}
     rig.map_at(RESULT_VA, RESULT_PA, Perm.READ | Perm.WRITE)
-    for i, (pa, p) in enumerate(zip(order, perms)):
+    maps = list(zip(order, perms))
+    if alias_perms is not None:
+        maps.append((order[0], alias_perms))
+    for i, (pa, p) in enumerate(maps):
         va = DATA_VA + i * dv.PAGE_SIZE
         rig.map_at(va, pa, p)
         pages[va >> 12] = (pa, p)
@@ -498,9 +510,9 @@ def test_chain_loads_and_stores_match_bytewise_model(sku, order, perms, fill_see
 
     # the first job's stores stay buffered as writeback, unflushed
     writeback = {}
-    for ops in (first, second):
+    for ops, words in jobs:
         expect = model_job(ops, pages, mem_byte, writeback)
-        rig.kick(rig.job(ops_shader(ops), []))
+        rig.kick(rig.job(words, []))
         dev.tick(10_000_000)
         if expect[0] == "fault":
             assert rd(dev, "JOB_STATUS") == dv.JOB_MMU_FAULT
@@ -508,15 +520,99 @@ def test_chain_loads_and_stores_match_bytewise_model(sku, order, perms, fill_see
         else:
             assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
             writeback = {**writeback, **expect[1]}
-        assert dev.writeback == writeback
+        assert buffered_bytes(dev) == writeback
     dev.take_dirty_pages()  # the jobs' descriptors and shaders
+    # the flush costs its bytes, whatever words they sit in
+    jitter = random.Random()
+    jitter.setstate(dev.rng.getstate())
+    cost = dv.FLUSH_BASE_COST_NS + dv.FLUSH_BYTE_COST_NS * len(writeback)
+    finish = dev.vclock_ns + round(cost * jitter.uniform(dv.JITTER_LO, dv.JITTER_HI))
     wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+    if writeback:
+        assert dev.next_event_ns() == finish
     dev.tick(10_000_000)
     for p, b in writeback.items():
         assert dev.mem_read(p, 1)[0] == b
     # the flush logs exactly the pages its bytes land on, straddled next
     # pages included; a faulted job's stores land nowhere
     assert dev.take_dirty_pages() == {p >> dv.PAGE_SHIFT for p in writeback}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sku=st.sampled_from((SKU_A, SKU_B)), order=st.permutations(DATA_PAS),
+       perms=st.lists(st.sampled_from(PERM_CHOICES), min_size=3, max_size=3),
+       fill_seed=st.integers(0, 2 ** 32), first=mem_ops, second=mem_ops)
+def test_chain_loads_and_stores_match_bytewise_model(sku, order, perms, fill_seed,
+                                                     first, second):
+    run_against_model(sku, order, perms, fill_seed,
+                      [(first, ops_shader(first)), (second, ops_shader(second))])
+
+
+# One load and one store per iteration, each stepping by its own stride from
+# its own start in data pages 1 or 2; every load's value goes to the result
+# page. Loops run compiled from their second iteration on.
+loop_access = st.tuples(st.integers(1, 2), st.sampled_from(
+    (0, 1, 4, dv.PAGE_SIZE - 64, dv.PAGE_SIZE - 62, dv.PAGE_SIZE - 3)),
+    st.sampled_from((-4, 0, 1, 3, 4, 4, 4, 8)))
+mem_loops = st.tuples(loop_access, loop_access, st.integers(0, dv.U32),
+                      st.integers(0, dv.U32), st.integers(1, 40))
+
+
+def loop_job(loop):
+    """(model ops, shader words) of one ``mem_loops`` loop."""
+    (ld_page, ld_off, ld_step), (st_page, st_off, st_step), val, val_step, n = loop
+    ld_va = DATA_VA + ld_page * dv.PAGE_SIZE + ld_off
+    st_va = DATA_VA + st_page * dv.PAGE_SIZE + st_off
+    a = Asm()
+    a.ldi(0, ld_va); a.ldi(1, st_va); a.ldi(2, RESULT_VA); a.ldi(3, n)
+    a.ldi(4, val); a.ldi(6, val_step)
+    a.label("loop")
+    a.ld(5, 0); a.st(2, 5); a.addi(2, 2, 4)
+    a.st(1, 4); a.add(4, 4, 6)
+    a.addi(0, 0, ld_step); a.addi(1, 1, st_step)
+    a.addi(3, 3, -1); a.bnz(3, "loop")
+    a.halt()
+    ops = []
+    for i in range(n):
+        for kind, va, v in (("ld", ld_va + i * ld_step, 0),
+                            ("st", st_va + i * st_step, (val + i * val_step) & dv.U32)):
+            ops.append((kind, (va - DATA_VA) >> 12, (va - DATA_VA) & dv.PAGE_MASK, v))
+    return ops, a.assemble()
+
+
+@settings(max_examples=150, deadline=None)
+@given(sku=st.sampled_from((SKU_A, SKU_B)), order=st.permutations(DATA_PAS),
+       perms=st.lists(st.sampled_from(PERM_CHOICES), min_size=4, max_size=4),
+       fill_seed=st.integers(0, 2 ** 32), first=mem_ops, loop=mem_loops)
+def test_compiled_loops_match_bytewise_model(sku, order, perms, fill_seed, first, loop):
+    # data page 3 aliases page 0's physical page: a store through one must
+    # show in loads through the other
+    run_against_model(sku, order, perms[:3], fill_seed,
+                      [(first, ops_shader(first)), loop_job(loop)], alias_perms=perms[3])
+
+
+def test_unaligned_store_merges_into_a_full_word():
+    dev = Device()
+    rig = _Rig(dev)
+    out_va, out_pa = rig.map_page(Perm.READ | Perm.WRITE)
+    rig.kick(rig.job(store_const_shader(out_va, 0x11223344), []))
+    dev.tick(10_000_000)
+    a = Asm()
+    # into a word of the writeback, then into one the same job wrote
+    a.ldi(1, 0xAABBCCDD); a.ldi(0, out_va + 1); a.st(0, 1)
+    a.ldi(0, out_va); a.ld(2, 0); a.ldi(0, out_va + 8); a.st(0, 2)
+    a.ldi(0, out_va + 12); a.ldi(3, 0x55667788); a.st(0, 3)
+    a.ldi(0, out_va + 14); a.st(0, 1)
+    a.halt()
+    rig.kick(rig.job(a.assemble(), []))
+    dev.tick(10_000_000)
+    assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+    assert dev.writeback == {out_pa: 0xBBCCDD44, out_pa + 4: 0xAA, out_pa + 8: 0xBBCCDD44,
+                             out_pa + 12: 0xCCDD7788, out_pa + 16: 0xAABB}
+    assert dev.writeback_masks == {out_pa + 4: 0b0001, out_pa + 16: 0b0011}
+    flush(dev)
+    assert dev.mem_read(out_pa, 20) == bytes.fromhex(
+        "44ddccbb aa000000 44ddccbb 8877ddcc bbaa0000")
 
 
 # -- dirty-page log -----------------------------------------------------------------

@@ -9,9 +9,10 @@ import gprr.device as dv
 from gprr.device import Device
 from gprr.refstack import (AllocFlags, DelayPolicy, DriverError, GpuStack,
                            Perm, StackListener, WorkloadError, build_graph,
-                           parse_workload)
+                           emit_shader, matmul_shader_words, parse_workload)
 
-from conftest import builtin_graphs, i32s, random_input, unpack32
+from conftest import (builtin_graphs, i32s, random_input, record_graph,
+                      replay_once, unpack32)
 
 
 def fresh_stack(env_seed=0, delays=DelayPolicy(), rng_seed=0):
@@ -207,6 +208,24 @@ def test_workload_error_carries_layer_index():
     with pytest.raises(WorkloadError) as ei:
         stack.run_workload(g, i32s([1, 2, 3, 4]))
     assert ei.value.layer == 0
+    assert str(ei.value) == "layer 0: MMU fault at 0x400000"  # one layer prefix
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (8, 8, 8)])
+def test_matmul_shader_size_formula(shape):
+    m, n, k = shape
+    layer = build_graph([("matmul", m, n, k)], m * k + k * n).layers[0]
+    assert len(emit_shader(layer, 0, 0)[0]) == matmul_shader_words(m, n, k)
+
+
+def test_matmul_shape_over_the_shader_limit_is_rejected_at_graph_build():
+    with pytest.raises(ValueError, match="65536-byte shader limit"):
+        build_graph([("matmul", 12, 12, 12)], 288)
+    g = build_graph([("matmul", 11, 11, 11)], 242)
+    assert 4 * matmul_shader_words(11, 11, 11) <= dv.SHADER_MAX_BYTES
+    inp = random_input(g, 3)
+    r = replay_once(record_graph(g).recordings[0], [inp])
+    assert r.ok and r.outputs == [g.evaluate(inp)]
 
 
 # -- delays and idle time ------------------------------------------------------------

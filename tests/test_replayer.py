@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gprr.device as dv
-from gprr.actions import (LoadMemDump, MapGpuMem, RegRead, RegWrite, UnmapGpuMem,
-                          WaitIrq, ActionClass)
+from gprr.actions import (IoMode, LoadMemDump, MapGpuMem, RegRead, RegWrite,
+                          UnmapGpuMem, WaitIrq, ActionClass)
 from gprr.device import Device, DeviceOwned, SKU_B
 from gprr.recfmt import deflate, inflate
-from gprr.recorder import RecordHarness
+from gprr.recorder import RecordHarness, magic_bytes
 from gprr.refstack import DelayPolicy, GpuStack, build_graph
 from gprr.replayer import (DivergenceKind, LoadError, ReplayConfig,
                            ReplayError, ReplaySession, expected_event_log,
@@ -133,7 +133,9 @@ def test_va_to_pa_matches_first_range_in_order(vecadd):
         MapGpuMem(0, 0, 0x0100_0800, 2 * page, perm),  # not page-aligned
         MapGpuMem(0, 0, 0x0100_2000, page, perm),  # overlaps the one above
     )
-    s = session_for(dataclasses.replace(rec, actions=rec.actions + extra))
+    # overlapping ranges fail verification (R7): only a forced load takes them
+    s = session_for(dataclasses.replace(rec, actions=rec.actions + extra),
+                    config=ReplayConfig(force=True))
 
     def scan(va):
         for base, (pages, pas) in s._ranges.items():
@@ -152,10 +154,41 @@ def test_va_to_pa_matches_first_range_in_order(vecadd):
             assert s._va_to_pa(va) == want
 
 
+def test_recording_with_an_overlapping_range_fails_to_load(mixed):
+    # the extra range would re-point the first layer's page table entries
+    _, rec = mixed
+    bad = dataclasses.replace(rec, actions=rec.actions + (
+        MapGpuMem(0, 0, 0x3FF000, 3 * dv.PAGE_SIZE, 0b0011),))
+    s = init(Device())
+    with pytest.raises(LoadError):
+        s.load(bad)
+    s.cleanup()
+
+
 def test_replay_new_inputs(vecadd):
     g, rec = vecadd
     r = replay_once(rec, i32s([10, 20, 30, 40, 1, 2, 3, 4]))
     assert r.ok and unpack32(r.outputs[0]) == [11, 22, 33, 44]
+
+
+@pytest.mark.parametrize("mode", list(IoMode))
+def test_output_follows_the_input_mode(mode):
+    g = build_graph([("vec_add",)], 64)
+    harness = RecordHarness(input_modes={0: mode})
+    result = record_graph(g, harness=harness)
+    baked = magic_bytes(harness.magic_seed, len(result.trials), g.input_elems * 4)
+    fresh = random_input(g, 5)
+    if mode is IoMode.BY_VALUE:  # nothing to supply: the baked bytes run
+        cases = [(None, baked)]
+    elif mode is IoMode.BY_ADDRESS:
+        cases = [([fresh], fresh), ({0: fresh}, fresh)]
+    else:  # supplied bytes win; left out, the baked ones run
+        cases = [([fresh], fresh), ({0: fresh}, fresh), (None, baked)]
+    s = session_for(result.recordings[0])
+    for inputs, used in cases:
+        r = s.replay(inputs)
+        assert r.ok and r.outputs == [g.evaluate(used)]
+    s.cleanup()
 
 
 def test_missing_required_input_rejected_before_actions(vecadd):
@@ -396,7 +429,7 @@ def test_incremental_checkpoints_and_restores_match_full_ones(mixed, ops):
         MapGpuMem(0, 0, 0x0100_2000, page, perm),
     )
     s = session_for(dataclasses.replace(rec, actions=rec.actions + extra),
-                    config=ReplayConfig(checkpoint_every_jobs=1))
+                    config=ReplayConfig(checkpoint_every_jobs=1, force=True))  # R7
     s.write_inputs(random_input(g, 3))
     # the extra ranges first, so that low indices pick them and ops collide
     ranges = sorted(s._ranges, key=lambda va: va < extra[0].gpu_va)
@@ -495,6 +528,27 @@ def test_recovery_resumes_from_checkpoint(mixed):
     assert s.last_checkpoint.action_index >= cp_at
     out = s._read_va(rec.outputs()[0].gpu_va, rec.outputs()[0].len_bytes)
     assert out == g.evaluate(inp)
+    s.cleanup()
+
+
+def test_recovery_never_resumes_a_previous_replay(mixed):
+    # the second replay stalls in its first job, before its own first
+    # checkpoint: it recovers from the start, on its own input
+    g, rec = mixed
+    s = session_for(rec, config=ReplayConfig(checkpoint_every_jobs=1))
+    first, second = random_input(g, 1), random_input(g, 2)
+    assert s.replay(first).outputs == [g.evaluate(first)]
+    armed = [True]
+
+    def post(sess, idx, action):
+        if armed[0] and isinstance(action, RegWrite) and action.reg_name == "JOB_START":
+            armed[0] = False
+            sess.dev.stall(20_000_000)
+
+    s.post_action_hook = post
+    r = s.replay(second)
+    assert r.ok and r.recovery_attempts == 1
+    assert r.outputs == [g.evaluate(second)]
     s.cleanup()
 
 

@@ -1,7 +1,11 @@
-"""Shader ISA: assembler, decoder, interpreter semantics."""
+"""Shader ISA: assembler, decoder, interpreter semantics, loop compiler."""
+
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gprr import shader
 from gprr.shader import (Asm, ShaderFault, disassemble, execute,
                          OP_HALT)
 
@@ -212,3 +216,171 @@ def test_decode_cache_is_bounded_and_hits_decode_identically():
     shader._decode_cache.clear()
     assert shader._decode(programs[-1]) == hit
     assert run(programs[-1])[2].words == {0: n}
+
+
+def test_loops_compile_when_their_back_edge_is_first_taken():
+    def program(trips):
+        a = Asm()
+        a.ldi(1, trips)
+        a.label("loop")
+        a.addi(2, 2, 3)
+        a.addi(1, 1, -1)
+        a.bnz(1, "loop")
+        a.ldi(0, 0)
+        a.st(0, 2)
+        a.halt()
+        return a.assemble()
+
+    shader._decode_cache.clear()
+    once = program(1)
+    assert run(once)[2].words == {0: 3}
+    assert shader._decode(once)[1] == {}  # the back-edge was never taken
+    many = program(5)
+    assert run(many)[:2] == (1 + 3 * 5 + 3, True)
+    (key, compiled), = shader._decode(many)[1].items()
+    assert key == (shader.CALLBACK_PATH, 4) and compiled[1] == 3
+
+
+def test_shader_without_back_edge_compiles_nothing():
+    a = Asm()
+    for i in range(50):
+        a.ldi(1, i); a.ldi(0, 4 * i); a.st(0, 1)
+    a.halt()
+    words = a.assemble()
+    run(words)
+    assert shader._decode(words)[1] == {}
+
+
+class Boom(Exception):
+    pass
+
+
+class LoggedMem:
+    """Memory callbacks that log every call and raise on call ``fail_at``."""
+
+    def __init__(self, fail_at):
+        self.words = {}
+        self.calls = []
+        self.fail_at = fail_at
+
+    def _call(self, *call):
+        self.calls.append(call)
+        if len(self.calls) == self.fail_at:
+            raise Boom
+
+    def load(self, addr):
+        self._call("ld", addr)
+        return self.words.get(addr, addr * 0x9E3779B1 & 0xFFFFFFFF)
+
+    def store(self, addr, value):
+        self._call("st", addr, value)
+        self.words[addr] = value
+
+
+reg = st.integers(0, 7)
+plain_op = st.one_of(
+    st.tuples(st.just("ld"), reg, reg),
+    st.tuples(st.just("st"), reg, reg),
+    st.tuples(st.sampled_from(("add", "sub", "mul", "max_")), reg, reg, reg),
+    st.tuples(st.just("addi"), reg, reg, st.integers(-0x8000, 0x7FFF)),
+    st.tuples(st.just("ldi"), reg, st.integers(0, 0xFFFFFFFF)),
+)
+# a loop: trips (counted down in r7), a straight-line body, and sometimes
+# one op that breaks the straight line (a HALT, or a BNZ forward over the
+# next op) or an entry by a BNZ from before the loop into the body
+rarely = st.none() | st.none() | st.none()
+loop_spec = st.tuples(
+    st.integers(1, 12), st.lists(plain_op, max_size=8),
+    rarely | st.tuples(st.integers(0, 8), st.just(("halt",)) | st.tuples(st.just("skip"), reg)),
+    rarely | st.tuples(st.integers(0, 8), reg))
+
+
+def loop_program(prologue, loops):
+    a = Asm()
+    for r, v in prologue:
+        a.ldi(r, v)
+    for k, (trips, body, breaker, entry) in enumerate(loops):
+        body = list(body)
+        if breaker is not None:
+            body.insert(min(breaker[0], len(body)), breaker[1])
+        if entry is not None:
+            a.bnz(entry[1], f"enter{k}")
+        a.ldi(7, trips)
+        a.label(f"loop{k}")
+        for j, op in enumerate(body + [None]):
+            if entry is not None and j == min(entry[0], len(body)):
+                a.label(f"enter{k}")
+            if j and body[j - 1][0] == "skip":
+                a.label(f"skip{k}")
+            if op is None:
+                break
+            if op[0] == "skip":
+                a.bnz(op[1], f"skip{k}")
+            elif op[0] == "halt":
+                a.halt()
+            else:
+                getattr(a, op[0])(*op[1:])
+        a.addi(7, 7, -1)
+        a.bnz(7, f"loop{k}")
+    for r in range(8):  # show every register to the store callback
+        a.st(0, r)
+    a.halt()
+    return a.assemble()
+
+
+def outcome(words, params, budget, fail_at):
+    shader._decode_cache.clear()
+    mem = LoggedMem(fail_at)
+    try:
+        result = execute(words, params, mem.load, mem.store, budget)
+    except Boom:
+        result = Boom
+    return result, mem.calls
+
+
+@settings(max_examples=500, deadline=None)
+@given(prologue=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 0xFFFFFFFF)),
+                         max_size=4),
+       loops=st.lists(loop_spec, min_size=1, max_size=2),
+       params=st.lists(st.integers(0, 0xFFFFFFFF), max_size=8),
+       budget=st.integers(0, 400),
+       fail_at=st.integers(0, 60))
+def test_compiled_loops_match_the_interpreter(prologue, loops, params, budget, fail_at):
+    words = loop_program(prologue, loops)
+    compiled = outcome(words, params, budget, fail_at)
+    with mock.patch.object(shader, "_compile_loop", lambda *args: None):
+        interpreted = outcome(words, params, budget, fail_at)
+    assert compiled == interpreted
+
+
+@pytest.mark.parametrize("budget", range(20))
+def test_every_budget_through_four_iterations(budget):
+    # 1 prologue step and 4 per iteration: budgets end before the first
+    # back-edge, on one, or inside an iteration, compiled or interpreted
+    a = Asm()
+    a.ldi(1, 100)
+    a.label("loop")
+    a.ld(2, 1); a.st(1, 2); a.addi(1, 1, -1)
+    a.bnz(1, "loop")
+    a.halt()
+    words = a.assemble()
+    compiled = outcome(words, [], budget, 0)
+    with mock.patch.object(shader, "_compile_loop", lambda *args: None):
+        assert outcome(words, [], budget, 0) == compiled
+    assert compiled[0] == (budget, False)
+
+
+def test_back_edge_over_a_halt_stays_interpreted():
+    # entered past its HALT, the loop's body is not straight-line code
+    a = Asm()
+    a.ldi(7, 3); a.ldi(1, 1)
+    a.bnz(1, "enter")
+    a.label("loop")
+    a.halt()
+    a.label("enter")
+    a.addi(7, 7, -1)
+    a.bnz(7, "loop")
+    a.halt()
+    words = a.assemble()
+    assert run(words)[:2] == (2 + 1 + 2 + 1, True)
+    assert list(shader._decode(words)[1].values()) == [None]

@@ -2,6 +2,7 @@
 recorder output."""
 
 import json
+import time
 
 import gprr.device as dv
 from gprr.actions import (Granularity, IoDescriptor, IoMode, IoRole,
@@ -102,6 +103,33 @@ def test_wait_without_cause_is_r6():
     assert verify(rec).ok
     rec = make_rec([WaitIrq(0, 0, dv.IRQ_RESET_DONE, 100)])
     assert rules_of(verify(rec)) == ["R6"]
+
+
+def test_overlapping_ranges_are_r7():
+    page = 4096
+    rec = make_rec([
+        MapGpuMem(0, 0, 0x400000, page, 0b0011),
+        MapGpuMem(0, 0, 0x401000, 2 * page, 0b0011),
+        UnmapGpuMem(0, 0, 0x400000, page),
+        MapGpuMem(0, 0, 0x3FF000, 3 * page, 0b0011),  # over both, though later
+        MapGpuMem(0, 0, 0x400000, page, 0b0011),  # the same base again
+        MapGpuMem(0, 0, 0x403000, 1, 0b0011),  # adjacent
+    ])
+    report = verify(rec)
+    assert rules_of(report) == ["R7", "R7"]
+    assert [v.action_index for v in report.violations] == [3, 3]
+    assert "0x400000+0x1000 overlaps range 0x3ff000+0x3000" in report.violations[0].message
+
+
+def test_r7_check_scales_with_a_sort():
+    # 20,000 ranges nested in one: checked pairwise, 2e8 comparisons
+    n = 20_000
+    rec = make_rec([MapGpuMem(0, 0, 0x100000, n * 4096, 0b0011)]
+                   + [MapGpuMem(0, 0, 0x100000 + i * 4096, 1, 0b0011) for i in range(1, n)])
+    t0 = time.perf_counter()
+    report = verify(rec, mem_budget_bytes=2 * n * 4096)
+    assert time.perf_counter() - t0 < 10
+    assert rules_of(report) == ["R7"] * (n - 1)
 
 
 def test_no_maps_means_zero_peak():
