@@ -32,6 +32,7 @@ NANO_ACCESS_NS = 20
 LOAD_BYTE_NS = 0.05
 INPUT_BYTE_NS = 0.1
 PREEMPT_DRAIN_BUDGET_NS = 10_000_000
+_ZERO_PAGE = bytes(dv.PAGE_SIZE)
 
 
 class ReplayError(Exception):
@@ -77,6 +78,34 @@ class Checkpoint:
     table_pages: dict[int, bytes]  # pa -> page bytes
     byte_count: int
     unmapped: frozenset[int]       # the ranges not in ``memory``
+
+
+class _Image:
+    """The session's RAM as ``load`` laid it out, which every replay starts
+    from, and what the session knows about it per load."""
+
+    __slots__ = ("pages", "written", "view", "page_ranges")
+
+    def __init__(self, pages: dict[int, bytes]):
+        self.pages = pages  # ppn -> page bytes; a page not here is zero
+        # pages taken from the device's dirty-page log since the image was
+        # last put back; with the log they are all that may differ from it
+        self.written: set[int] = set()
+        # the image as a checkpoint, and which ranges read each physical
+        # page: both built at their first use
+        self.view: Checkpoint | None = None
+        self.page_ranges: dict[int, list[int]] | None = None
+
+    def read(self, pa: int, n: int) -> bytes:
+        """The image's ``n`` physical bytes from ``pa`` on."""
+        out = []
+        while n > 0:
+            off = pa & dv.PAGE_MASK
+            k = min(n, dv.PAGE_SIZE - off)
+            out.append(self.pages.get(pa >> dv.PAGE_SHIFT, _ZERO_PAGE)[off:off + k])
+            pa += k
+            n -= k
+        return b"".join(out)
 
 
 @dataclass
@@ -147,12 +176,12 @@ class ReplaySession:
         self._at_job_boundary = True
         self._free_pa = dv.PAGE_SIZE  # bump allocator; page 0 stays reserved
         # The checkpoint that RAM equals outside the device's dirty-page
-        # log, and which ranges read each physical page (built at its first
-        # use per load). Mind the attribute count: from the 30th instance
-        # attribute on, CPython 3.11 reads every attribute of the session
-        # more slowly (measured: chain-64 replay 5% slower).
+        # log (None: the load-time image), and that image. Mind the
+        # attribute count: from the 30th instance attribute on, CPython 3.11
+        # reads every attribute of the session more slowly (measured:
+        # chain-64 replay 5% slower).
         self._cp_base: Checkpoint | None = None
-        self._page_ranges: dict[int, list[int]] | None = None
+        self._image: _Image | None = None
         # (gpu_va, bytes) of each input the caller supplied to this replay
         self._inputs: list[tuple[int, bytes]] = []
 
@@ -220,14 +249,13 @@ class ReplaySession:
 
     def _install_range(self, va: int):
         pages, pas = self._ranges[va]
-        sku = self.dev.sku
+        perms = self._from_sku.decode_perms(self._perm_bits[va])
+        bits = self.dev.sku.encode_perms(perms | Perm.VALID)
         for i, pa in enumerate(pas):
             page_va = va + i * dv.PAGE_SIZE
             l2_pa = self._l2_pages[(page_va >> 22) & 0x3FF]
-            perms = self._from_sku.decode_perms(self._perm_bits[va])
-            entry = pa | sku.encode_perms(perms | Perm.VALID)
             self.dev.mem_write(l2_pa + ((page_va >> 12) & 0x3FF) * 4,
-                               entry.to_bytes(4, "little"))
+                               (pa | bits).to_bytes(4, "little"))
 
     def _clear_range(self, va: int):
         pages, _ = self._ranges[va]
@@ -239,8 +267,9 @@ class ReplaySession:
     # -- load -----------------------------------------------------------------------
 
     def load(self, rec: Recording, verify_report: VerificationReport | None = None):
-        """Assign fresh pages for the recording's ranges and lay them out.
-        A second load fully supersedes the first."""
+        """Assign fresh pages for the recording's ranges, lay them out and
+        keep that image for every replay. A second load fully supersedes
+        the first."""
         cfg = self.config
         if rec.header.register_map_hash != self.reg_map.digest() and not cfg.force:
             raise LoadError("recording register map hash does not match replayer map")
@@ -257,11 +286,9 @@ class ReplaySession:
 
         if self.loaded is not None:
             self._scrub_pages()
-        self.loaded = rec
+        self.loaded = None  # a load that runs out of pages leaves none
         self.last_checkpoint = None
         self._inputs = []
-        self._cp_base = None
-        self._page_ranges = None
         self._window_mult = {}
         self._free_pa = dv.PAGE_SIZE
         self._ranges = {}
@@ -289,45 +316,87 @@ class ReplaySession:
             else:
                 for i, pa in enumerate(pas):
                     self._page_pa.setdefault(vpn + i, pa)
-        self._lay_out()
+        self.loaded = rec
+        self._image = _Image(self._lay_out())
+        self._put_back_image()
 
-    def _lay_out(self):
-        """Zero the session's pages, write the L1 and L2 entries and the
-        dumps, and program the MMU: the state every replay starts from."""
+    def _lay_out(self) -> dict[int, bytes]:
+        """Zero the session's pages, then write the L1 and L2 entries and
+        the dumps. Returns the non-zero pages of the result (ppn -> bytes),
+        found in the device's dirty-page log."""
         self._scrub_pages()
+        self.dev.take_dirty_pages()
         sku = self.dev.sku
         for l1_idx, l2_pa in self._l2_pages.items():
             entry = l2_pa | sku.encode_perms(Perm.VALID | Perm.READ)
             self.dev.mem_write(self._l1_pa + l1_idx * 4, entry.to_bytes(4, "little"))
-        self._unmapped = set()
         for va in self._ranges:
             self._install_range(va)
         for d in self.loaded.dumps:
             self._write_va(d.gpu_va, inflate(d.payload, d.raw_len))
-        self._set_mmu_base()
-        self.dev.reg_write(self._offset("GPU_CMD"), dv.CMD_TLB_INVALIDATE)
-        self.cursor = 0
-        self.jobs_done = 0
-        self._at_job_boundary = True
+        pages = {}
+        for ppn in self.dev.take_dirty_pages():
+            page = self.dev.mem_read(ppn << dv.PAGE_SHIFT, dv.PAGE_SIZE)
+            if page != _ZERO_PAGE:
+                pages[ppn] = page
+        return pages
 
     def _set_mmu_base(self):
         self.dev.reg_write(self._offset("MMU_TABLE_BASE_LO"), self._l1_pa & 0xFFFFFFFF)
         self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"), self._l1_pa >> 32)
 
     def _scrub_pages(self):
-        zero = b"\x00" * dv.PAGE_SIZE
         for pages, pas in self._ranges.values():
             for pa in pas:
-                self.dev.mem_write(pa, zero)
+                self.dev.mem_write(pa, _ZERO_PAGE)
         for l2_pa in self._l2_pages.values():
-            self.dev.mem_write(l2_pa, zero)
+            self.dev.mem_write(l2_pa, _ZERO_PAGE)
         if self._l1_pa:
-            self.dev.mem_write(self._l1_pa, zero)
+            self.dev.mem_write(self._l1_pa, _ZERO_PAGE)
+
+    def _take_log(self) -> set[int]:
+        """Take the device's dirty-page log, remembering its pages as
+        written since the image."""
+        dirty = self.dev.take_dirty_pages()
+        self._image.written |= dirty
+        return dirty
+
+    def _put_back(self, pages, ranges, cp: Checkpoint | None):
+        """Write ``pages`` ((pa, bytes) pairs) and ``ranges`` ((va, bytes)
+        pairs), after which RAM equals ``cp`` (None: the load-time image).
+        The device's log restarts from there, and the cursor goes to where
+        ``cp`` was taken."""
+        for pa, data in pages:
+            self.dev.mem_write(pa, data)
+        for va, data in ranges:
+            self._write_va(va, data)
+        if cp is None:
+            self.dev.take_dirty_pages()
+            self._image.written = set()
+            self._unmapped = set()
+            self.cursor = self.jobs_done = 0
+        else:
+            self._take_log()
+            self._unmapped = set(cp.unmapped)
+            self.cursor, self.jobs_done = cp.action_index, cp.jobs_done
+        self._cp_base = cp
+        self._at_job_boundary = True
+
+    def _put_back_image(self):
+        """Rewrite the session pages written since the load-time image from
+        it, and program the MMU: the state every replay starts from."""
+        image = self._image
+        end = self._free_pa >> dv.PAGE_SHIFT
+        stale = image.written | self.dev.take_dirty_pages()
+        self._put_back([(ppn << dv.PAGE_SHIFT, image.pages.get(ppn, _ZERO_PAGE))
+                        for ppn in stale if 0 < ppn < end], (), None)
+        self._set_mmu_base()
+        self.dev.reg_write(self._offset("GPU_CMD"), dv.CMD_TLB_INVALIDATE)
 
     def _reload(self):
         """Fresh start for a new replay or a recovery attempt."""
         self._reset_sequence()
-        self._lay_out()
+        self._put_back_image()
 
     # -- stepping -------------------------------------------------------------------
 
@@ -578,49 +647,62 @@ class ReplaySession:
     def _stale(self, dirty: set[int]) -> tuple[set[int], set[int]]:
         """The ranges and the table page PAs whose bytes ``dirty`` (physical
         page numbers) may have changed."""
-        if self._page_ranges is None:
-            self._page_ranges = {}
+        image = self._image
+        if image.page_ranges is None:
+            image.page_ranges = {}
             for va, (pages, _) in self._ranges.items():
                 for ppn in dv.span_pages(va, pages * dv.PAGE_SIZE, self._va_to_pa):
-                    self._page_ranges.setdefault(ppn, []).append(va)
+                    image.page_ranges.setdefault(ppn, []).append(va)
         ranges: set[int] = set()
         for ppn in dirty:
-            ranges.update(self._page_ranges.get(ppn, ()))
+            ranges.update(image.page_ranges.get(ppn, ()))
         tables = [self._l1_pa, *self._l2_pages.values()]
         return ranges, {pa for pa in tables if pa >> dv.PAGE_SHIFT in dirty}
 
     def _range_bytes(self, vas) -> int:
         return dv.PAGE_SIZE * sum(self._ranges[va][0] for va in vas)
 
+    def _image_view(self) -> Checkpoint:
+        """The load-time image as a checkpoint's memory, table pages and
+        byte count, each range read through ``_va_to_pa`` as ``_read_va``
+        reads it."""
+        image = self._image
+        if image.view is None:
+            memory = {va: b"".join(image.read(pa, chunk) for _, pa, chunk in
+                                   dv.va_chunks(va, pages * dv.PAGE_SIZE, self._va_to_pa))
+                      for va, (pages, _) in self._ranges.items()}
+            tables = {pa: image.read(pa, dv.PAGE_SIZE)
+                      for pa in [self._l1_pa, *self._l2_pages.values()]}
+            nbytes = self._range_bytes(memory) + dv.PAGE_SIZE * len(tables)
+            # never restored: only checkpoint() reads it, as a base
+            image.view = Checkpoint(token=None, action_index=0, jobs_done=0,
+                                    snapshot=None, memory=memory, table_pages=tables,
+                                    byte_count=nbytes, unmapped=frozenset())
+        return image.view
+
     def checkpoint(self) -> Checkpoint:
         """Copy the live ranges and the page tables. Only what changed since
-        the previous checkpoint (or restore) of this load is read again; the
-        rest shares that checkpoint's bytes. ``byte_count``, and so the
-        simulated cost, still covers every live range and table page."""
+        the previous checkpoint or restore of this replay, or else since the
+        load-time image, is read again; the rest shares those bytes.
+        ``byte_count``, and so the simulated cost, still covers every live
+        range and table page."""
         if self.loaded is None:
             raise ReplayError("no recording loaded")
         if not self._at_job_boundary:
             raise ReplayError("checkpoint only at a job boundary")
-        dirty = self.dev.take_dirty_pages()
-        base = self._cp_base
-        if base is None:
-            memory, tables = {}, {}
-            reread = [va for va in self._ranges if va not in self._unmapped]
-            reread_tables = [self._l1_pa, *self._l2_pages.values()]
-            nbytes = self._range_bytes(reread) + dv.PAGE_SIZE * len(reread_tables)
-        else:
-            memory, tables = dict(base.memory), dict(base.table_pages)
-            gone = self._unmapped - base.unmapped
-            new = base.unmapped - self._unmapped
-            for va in gone:
-                del memory[va]
-            stale, reread_tables = self._stale(dirty)
-            reread = new | (stale - self._unmapped)
-            nbytes = base.byte_count + self._range_bytes(new) - self._range_bytes(gone)
-        for va in reread:
+        dirty = self._take_log()
+        base = self._cp_base or self._image_view()
+        memory, tables = dict(base.memory), dict(base.table_pages)
+        gone = self._unmapped - base.unmapped
+        new = base.unmapped - self._unmapped
+        for va in gone:
+            del memory[va]
+        stale, reread_tables = self._stale(dirty)
+        for va in new | (stale - self._unmapped):
             memory[va] = self._read_va(va, self._ranges[va][0] * dv.PAGE_SIZE)
         for pa in reread_tables:
             tables[pa] = self.dev.mem_read(pa, dv.PAGE_SIZE)
+        nbytes = base.byte_count + self._range_bytes(new) - self._range_bytes(gone)
         cp = Checkpoint(token=(id(self), self.loaded), action_index=self.cursor,
                         jobs_done=self.jobs_done, snapshot=self.dev.snapshot(),
                         memory=memory, table_pages=tables, byte_count=nbytes,
@@ -635,23 +717,15 @@ class ReplaySession:
         pages are written; any other checkpoint of this load rewrites all."""
         if self.loaded is None or cp.token != (id(self), self.loaded):
             raise ReplayError("checkpoint belongs to a different session or recording")
-        dirty = self.dev.take_dirty_pages()
+        dirty = self._take_log()
         self.dev.restore(cp.snapshot)
         if cp is self._cp_base:
             stale, tables = self._stale(dirty)
             ranges = stale - cp.unmapped
         else:
             ranges, tables = cp.memory.keys(), cp.table_pages.keys()
-        for pa in tables:
-            self.dev.mem_write(pa, cp.table_pages[pa])
-        self._unmapped = set(cp.unmapped)
-        for va in ranges:
-            self._write_va(va, cp.memory[va])
-        self.dev.take_dirty_pages()  # RAM now equals cp: the log restarts from it
-        self._cp_base = cp
-        self.cursor = cp.action_index
-        self.jobs_done = cp.jobs_done
-        self._at_job_boundary = True
+        self._put_back([(pa, cp.table_pages[pa]) for pa in tables],
+                       [(va, cp.memory[va]) for va in ranges], cp)
         self.preempted = False
 
     # -- preemption ----------------------------------------------------------------
@@ -688,6 +762,7 @@ class ReplaySession:
         if self.loaded is not None:
             self._scrub_pages()
         self.loaded = None
+        self._image = None
         self._reset_sequence()
         self.dev.release(self)
 

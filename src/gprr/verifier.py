@@ -22,6 +22,7 @@ Violations are data, not failures; the report's ``ok`` is just
 from __future__ import annotations
 
 import json
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from . import device as dv
@@ -68,20 +69,22 @@ def _pages(len_bytes: int) -> int:
     return max(1, -(-len_bytes // dv.PAGE_SIZE))
 
 
-def _covered(live: dict[int, int], va: int, n: int) -> bool:
-    """Whole [va, va+n) inside one currently mapped range (page-rounded)."""
-    for base, pages in live.items():
-        if base <= va and va + n <= base + pages * dv.PAGE_SIZE:
-            return True
-    return False
+def _covered(bases: list[int], spans: dict[int, int], va: int, n: int) -> bool:
+    """Whole [va, va+n) inside the range (``spans``: base -> pages,
+    page-rounded) with the nearest of the sorted ``bases`` at or below
+    ``va``. Where ranges are disjoint (R7) no other range can hold it."""
+    i = bisect_right(bases, va) - 1
+    return i >= 0 and va + n <= bases[i] + spans[bases[i]] * dv.PAGE_SIZE
 
 
-def _overlaps(spans: dict[int, int], first_map: dict[int, int]) -> list[Violation]:
-    """R7 over ``spans`` (base -> pages) in one sort: a range overlaps an
-    earlier base's range iff it starts before the furthest end so far."""
+def _overlaps(bases: list[int], spans: dict[int, int],
+              first_map: dict[int, int]) -> list[Violation]:
+    """R7 over ``spans`` (base -> pages) in the order of the sorted
+    ``bases``: a range overlaps an earlier base's range iff it starts before
+    the furthest end so far."""
     found = []
     reach, reach_base = 0, None
-    for base in sorted(spans):
+    for base in bases:
         if base < reach:
             found.append(Violation(
                 max(first_map[base], first_map[reach_base]), "R7",
@@ -100,6 +103,7 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
     dump_ids = {d.dump_id: d for d in rec.dumps}
 
     live: dict[int, int] = {}
+    live_bases: list[int] = []  # the keys of ``live``, sorted
     current = 0
     peak = 0
     pending_kicks = 0
@@ -126,6 +130,8 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
                         i, "R2", f"read of write-only {a.reg_name}"))
         elif isinstance(a, MapGpuMem):
             pages = _pages(a.len_bytes)
+            if a.gpu_va not in live:
+                insort(live_bases, a.gpu_va)
             live[a.gpu_va] = pages
             current += pages * dv.PAGE_SIZE
             peak = max(peak, current)
@@ -139,13 +145,14 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
                 violations.append(Violation(
                     i, "R5", f"unmap of never-mapped {a.gpu_va:#x}"))
             else:
+                live_bases.pop(bisect_right(live_bases, a.gpu_va) - 1)
                 current -= pages * dv.PAGE_SIZE
         elif isinstance(a, LoadMemDump):
             d = dump_ids.get(a.dump_id)
             if d is None:
                 violations.append(Violation(
                     i, "R4", f"references missing dump {a.dump_id}"))
-            elif not _covered(live, a.gpu_va, d.raw_len):
+            elif not _covered(live_bases, live, a.gpu_va, d.raw_len):
                 violations.append(Violation(
                     i, "R4",
                     f"dump load at {a.gpu_va:#x}+{d.raw_len:#x} outside mapping"))
@@ -170,9 +177,10 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
             ever_mapped[a.gpu_va] = max(ever_mapped.get(a.gpu_va, 0),
                                         _pages(a.len_bytes))
             first_map.setdefault(a.gpu_va, i)
-    violations.extend(_overlaps(ever_mapped, first_map))
+    ever_bases = sorted(ever_mapped)
+    violations.extend(_overlaps(ever_bases, ever_mapped, first_map))
     for io in rec.io_table:
-        if not _covered(ever_mapped, io.gpu_va, io.len_bytes):
+        if not _covered(ever_bases, ever_mapped, io.gpu_va, io.len_bytes):
             violations.append(Violation(
                 -1, "R4",
                 f"{io.role.name} region {io.gpu_va:#x}+{io.len_bytes:#x} "

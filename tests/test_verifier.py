@@ -1,8 +1,11 @@
 """Static verifier: rule catalogue, peak-memory accounting, clean bills for
 recorder output."""
 
+import dataclasses
 import json
 import time
+
+from hypothesis import given, settings, strategies as st
 
 import gprr.device as dv
 from gprr.actions import (Granularity, IoDescriptor, IoMode, IoRole,
@@ -12,6 +15,7 @@ from gprr.actions import (Granularity, IoDescriptor, IoMode, IoRole,
 from gprr.device import DEFAULT_REGISTER_MAP
 from gprr.recfmt import deflate
 from gprr.recorder import RecordHarness
+from gprr.refstack import build_graph
 from gprr.verifier import verify
 
 from conftest import builtin_graphs, record_graph
@@ -130,6 +134,72 @@ def test_r7_check_scales_with_a_sort():
     report = verify(rec, mem_budget_bytes=2 * n * 4096)
     assert time.perf_counter() - t0 < 10
     assert rules_of(report) == ["R7"] * (n - 1)
+
+
+def test_dump_checks_scale_with_a_bisect():
+    # N one-page ranges, then a dump load into each: a scan of the live
+    # ranges per load took 4-8 s at N = 8,000
+    n = 8_000
+    rec = record_graph(build_graph([("vec_add",)], 16)).recordings[0]
+    dump = MemDump(max(d.dump_id for d in rec.dumps) + 1, 0x4000_0000, 4096,
+                   deflate(bytes(4096)), DumpOrigin.MAPPED_FALLBACK)
+    vas = [0x4000_0000 + 2 * i * 4096 for i in range(n)]
+    rec = dataclasses.replace(
+        rec, dumps=rec.dumps + (dump,),
+        actions=rec.actions + tuple(MapGpuMem(0, 0, va, 4096, 0b0011) for va in vas)
+        + tuple(LoadMemDump(0, 0, dump.dump_id, va) for va in vas))
+    t0 = time.perf_counter()
+    report = verify(rec, mem_budget_bytes=dv.MEM_BYTES + n * 4096)
+    assert time.perf_counter() - t0 <= 1
+    assert report.ok, report.violations[:3]
+
+
+def scanned_r4(rec):
+    """R4 findings of a scan over every range, for ranges in any layout."""
+    def covered(spans, va, n):
+        return any(base <= va and va + n <= base + pages * 4096
+                   for base, pages in spans.items())
+
+    dumps = {d.dump_id: d for d in rec.dumps}
+    live, ever, found = {}, {}, []
+    for i, a in enumerate(rec.actions):
+        if isinstance(a, MapGpuMem):
+            live[a.gpu_va] = max(1, -(-a.len_bytes // 4096))
+            ever[a.gpu_va] = max(ever.get(a.gpu_va, 0), live[a.gpu_va])
+        elif isinstance(a, UnmapGpuMem):
+            live.pop(a.gpu_va, None)
+        elif isinstance(a, LoadMemDump) and not covered(live, a.gpu_va,
+                                                        dumps[a.dump_id].raw_len):
+            found.append(i)
+    return found + [-1 for io in rec.io_table
+                    if not covered(ever, io.gpu_va, io.len_bytes)]
+
+
+slot_va = st.builds(lambda slot, off: 0x400000 + slot * 2 * 4096 + off,
+                    st.integers(0, 5), st.sampled_from((0, 1, 4095, 4096, 8000)))
+range_ops = st.lists(st.one_of(
+    st.builds(lambda slot, n: MapGpuMem(0, 0, 0x400000 + slot * 2 * 4096, n, 0b0011),
+              st.integers(0, 5), st.sampled_from((1, 4096, 4097, 8192, 8193))),
+    st.builds(lambda slot: UnmapGpuMem(0, 0, 0x400000 + slot * 2 * 4096, 4096),
+              st.integers(0, 5)),
+    st.builds(lambda k, va: LoadMemDump(0, 0, k, va), st.integers(0, 2), slot_va),
+), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(actions=range_ops, io_at=st.lists(st.tuples(slot_va, st.sampled_from((4, 4096, 6000))),
+                                         max_size=3))
+def test_dump_checks_match_a_scan_wherever_r7_passes(actions, io_at):
+    dumps = [MemDump(k, 0, n, deflate(bytes(n)), DumpOrigin.MAPPED_FALLBACK)
+             for k, n in enumerate((4, 4096, 5000))]
+    io = [IoDescriptor(IoRole.INPUT, va, n, IoMode.BY_ADDRESS) for va, n in io_at]
+    rec = make_rec(actions, dumps, io)
+    report = verify(rec)
+    found = [v.action_index for v in report.violations if v.rule == "R4"]
+    if "R7" in rules_of(report):
+        assert not report.ok
+    else:
+        assert found == scanned_r4(rec)
 
 
 def test_no_maps_means_zero_peak():
