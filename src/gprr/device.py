@@ -334,8 +334,8 @@ class DeviceSnapshot:
 
     Covers registers, protocol state, buffered writebacks, pending work and
     the RNG stream position. RAM contents are restored separately by
-    whoever owns the memory (the replayer's checkpoints copy the mapped
-    ranges and page tables); a restore therefore reproduces the original
+    whoever owns the memory (the replayer's checkpoints copy the pages
+    written since load); a restore therefore reproduces the original
     run exactly as long as RAM was not mutated in between.
     """
 

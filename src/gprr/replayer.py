@@ -7,8 +7,9 @@ is no dynamic policy: every register touched during replay is named by
 an action or belongs to the fixed reset/preempt sequences.
 
 Divergence handling follows a bounded ladder: reset + reload + re-run,
-then re-runs that widen the pacing floors and wait budgets of the eight
-actions leading up to (and including) the failure, doubling each attempt.
+then re-runs that widen the pacing floors and wait budgets from the
+eighth action before the failure to the end of the recording, doubling
+each attempt.
 Four attempts, then a final report naming the failing action and its
 origin. When checkpointing is on, retries resume from the latest
 checkpoint instead of the start.
@@ -73,39 +74,12 @@ class Checkpoint:
     token: object
     action_index: int
     jobs_done: int
-    snapshot: DeviceSnapshot
-    memory: dict[int, bytes]       # gpu_va -> range bytes
-    table_pages: dict[int, bytes]  # pa -> page bytes
+    snapshot: DeviceSnapshot | None  # None: the load-time image
+    # ppn -> page bytes of every page written since the load-time image was
+    # last put back; any other page is the image's, or zero
+    pages: dict[int, bytes]
     byte_count: int
-    unmapped: frozenset[int]       # the ranges not in ``memory``
-
-
-class _Image:
-    """The session's RAM as ``load`` laid it out, which every replay starts
-    from, and what the session knows about it per load."""
-
-    __slots__ = ("pages", "written", "view", "page_ranges")
-
-    def __init__(self, pages: dict[int, bytes]):
-        self.pages = pages  # ppn -> page bytes; a page not here is zero
-        # pages taken from the device's dirty-page log since the image was
-        # last put back; with the log they are all that may differ from it
-        self.written: set[int] = set()
-        # the image as a checkpoint, and which ranges read each physical
-        # page: both built at their first use
-        self.view: Checkpoint | None = None
-        self.page_ranges: dict[int, list[int]] | None = None
-
-    def read(self, pa: int, n: int) -> bytes:
-        """The image's ``n`` physical bytes from ``pa`` on."""
-        out = []
-        while n > 0:
-            off = pa & dv.PAGE_MASK
-            k = min(n, dv.PAGE_SIZE - off)
-            out.append(self.pages.get(pa >> dv.PAGE_SHIFT, _ZERO_PAGE)[off:off + k])
-            pa += k
-            n -= k
-        return b"".join(out)
+    unmapped: frozenset[int]
 
 
 @dataclass
@@ -165,23 +139,22 @@ class ReplaySession:
         self._preempt_request_t = 0
         self._from_sku = dev.sku
         self._ranges: dict[int, tuple[int, list[int]]] = {}  # va -> (pages, pas)
-        # vpn -> pa of that VA page; None where a range that is not
-        # page-aligned covers part of it (_va_to_pa then scans _ranges)
-        self._page_pa: dict[int, int | None] = {}
+        self._page_pa: dict[int, int] = {}  # vpn -> pa of that VA page
         self._perm_bits: dict[int, int] = {}
         self._unmapped: set[int] = set()
         self._l1_pa = 0
         self._l2_pages: dict[int, int] = {}
-        self._window_mult: dict[int, int] = {}
+        # (first action, multiplier): the recovery ladder's pacing window
+        self._window: tuple[int, int] = (0, 1)
         self._at_job_boundary = True
         self._free_pa = dv.PAGE_SIZE  # bump allocator; page 0 stays reserved
-        # The checkpoint that RAM equals outside the device's dirty-page
-        # log (None: the load-time image), and that image. Mind the
-        # attribute count: from the 30th instance attribute on, CPython 3.11
-        # reads every attribute of the session more slowly (measured:
-        # chain-64 replay 5% slower).
+        # The session's non-zero pages as load laid them out (ppn -> bytes),
+        # and the checkpoint that RAM equals outside the device's dirty-page
+        # log. Mind the attribute count: from the 30th instance attribute
+        # on, CPython 3.11 reads every attribute of the session more slowly
+        # (measured: chain-64 replay 5% slower).
+        self._image: dict[int, bytes] = {}
         self._cp_base: Checkpoint | None = None
-        self._image: _Image | None = None
         # (gpu_va, bytes) of each input the caller supplied to this replay
         self._inputs: list[tuple[int, bytes]] = []
 
@@ -231,13 +204,9 @@ class ReplaySession:
 
     def _va_to_pa(self, va: int) -> int:
         pa = self._page_pa.get(va >> dv.PAGE_SHIFT)
-        if pa is not None:
-            return pa + (va & dv.PAGE_MASK)
-        for base, (pages, pas) in self._ranges.items():
-            if base <= va < base + pages * dv.PAGE_SIZE:
-                off = va - base
-                return pas[off // dv.PAGE_SIZE] + off % dv.PAGE_SIZE
-        raise ReplayError(f"VA {va:#x} not assigned by this session")
+        if pa is None:
+            raise ReplayError(f"VA {va:#x} not assigned by this session")
+        return pa + (va & dv.PAGE_MASK)
 
     def _write_va(self, va: int, data: bytes):
         for off, pa, chunk in dv.va_chunks(va, len(data), self._va_to_pa):
@@ -284,21 +253,24 @@ class ReplaySession:
                 f"recording failed verification: {len(verify_report.violations)} violations")
         self._from_sku = SKUS_BY_ID.get(rec.header.sku_id, self.dev.sku)
 
-        if self.loaded is not None:
-            self._scrub_pages()
-        self.loaded = None  # a load that runs out of pages leaves none
+        self._scrub_pages()
+        self.loaded = None  # a load that fails at any step leaves none
         self.last_checkpoint = None
         self._inputs = []
-        self._window_mult = {}
+        self._window = (0, 1)
         self._free_pa = dv.PAGE_SIZE
         self._ranges = {}
         self._perm_bits = {}
         self._l2_pages = {}
         for a in rec.actions:
-            if isinstance(a, MapGpuMem) and a.gpu_va not in self._ranges:
+            if isinstance(a, MapGpuMem):
+                if a.gpu_va & dv.PAGE_MASK:
+                    raise LoadError(f"range {a.gpu_va:#x} is not page-aligned")
+                # a range is as long as its largest map, as the verifier sizes it
                 pages = max(1, -(-a.len_bytes // dv.PAGE_SIZE))
-                self._ranges[a.gpu_va] = (pages, [])
-                self._perm_bits[a.gpu_va] = a.perm_flags_encoded
+                if pages > self._ranges.get(a.gpu_va, (0,))[0]:
+                    self._ranges[a.gpu_va] = (pages, [])
+                self._perm_bits.setdefault(a.gpu_va, a.perm_flags_encoded)
         self._l1_pa = self._alloc_page()
         for va, (pages, pas) in self._ranges.items():
             for i in range(pages):
@@ -306,21 +278,18 @@ class ReplaySession:
                 if l1_idx not in self._l2_pages:
                     self._l2_pages[l1_idx] = self._alloc_page()
                 pas.append(self._alloc_page())
-        # the first range inserted wins where ranges overlap, as in the scan
+        # the first range inserted wins where ranges overlap
         self._page_pa = {}
         for va, (pages, pas) in self._ranges.items():
             vpn = va >> dv.PAGE_SHIFT
-            if va & dv.PAGE_MASK:
-                for i in range(pages + 1):
-                    self._page_pa.setdefault(vpn + i, None)
-            else:
-                for i, pa in enumerate(pas):
-                    self._page_pa.setdefault(vpn + i, pa)
+            for i, pa in enumerate(pas):
+                self._page_pa.setdefault(vpn + i, pa)
+        self._image = self._lay_out(rec)
+        self._cp_base = self._image_checkpoint()
+        self._put_back(self._cp_base)
         self.loaded = rec
-        self._image = _Image(self._lay_out())
-        self._put_back_image()
 
-    def _lay_out(self) -> dict[int, bytes]:
+    def _lay_out(self, rec: Recording) -> dict[int, bytes]:
         """Zero the session's pages, then write the L1 and L2 entries and
         the dumps. Returns the non-zero pages of the result (ppn -> bytes),
         found in the device's dirty-page log."""
@@ -332,7 +301,7 @@ class ReplaySession:
             self.dev.mem_write(self._l1_pa + l1_idx * 4, entry.to_bytes(4, "little"))
         for va in self._ranges:
             self._install_range(va)
-        for d in self.loaded.dumps:
+        for d in rec.dumps:
             self._write_va(d.gpu_va, inflate(d.payload, d.raw_len))
         pages = {}
         for ppn in self.dev.take_dirty_pages():
@@ -354,49 +323,43 @@ class ReplaySession:
         if self._l1_pa:
             self.dev.mem_write(self._l1_pa, _ZERO_PAGE)
 
-    def _take_log(self) -> set[int]:
-        """Take the device's dirty-page log, remembering its pages as
-        written since the image."""
-        dirty = self.dev.take_dirty_pages()
-        self._image.written |= dirty
-        return dirty
+    def _image_checkpoint(self) -> Checkpoint:
+        """The load-time image as a checkpoint: no page written since it,
+        every range mapped."""
+        nbytes = self._range_bytes(self._ranges) + dv.PAGE_SIZE * (1 + len(self._l2_pages))
+        return Checkpoint(token=None, action_index=0, jobs_done=0, snapshot=None,
+                          pages={}, byte_count=nbytes, unmapped=frozenset())
 
-    def _put_back(self, pages, ranges, cp: Checkpoint | None):
-        """Write ``pages`` ((pa, bytes) pairs) and ``ranges`` ((va, bytes)
-        pairs), after which RAM equals ``cp`` (None: the load-time image).
-        The device's log restarts from there, and the cursor goes to where
-        ``cp`` was taken."""
-        for pa, data in pages:
-            self.dev.mem_write(pa, data)
-        for va, data in ranges:
-            self._write_va(va, data)
-        if cp is None:
-            self.dev.take_dirty_pages()
-            self._image.written = set()
-            self._unmapped = set()
-            self.cursor = self.jobs_done = 0
+    def _range_bytes(self, vas) -> int:
+        return dv.PAGE_SIZE * sum(self._ranges[va][0] for va in vas)
+
+    def _put_back(self, cp: Checkpoint):
+        """Make RAM and the device as of ``cp``, and move the cursor to
+        where it was taken. RAM equals ``_cp_base`` outside the device's
+        dirty-page log, so a put-back to it writes the logged pages only;
+        any other also writes every page either one holds."""
+        stale = self.dev.take_dirty_pages()
+        if cp is not self._cp_base:
+            stale.update(self._cp_base.pages, cp.pages)
+        image, pages = self._image, cp.pages
+        for ppn in stale:
+            self.dev.mem_write(ppn << dv.PAGE_SHIFT,
+                               pages.get(ppn) or image.get(ppn, _ZERO_PAGE))
+        self.dev.take_dirty_pages()
+        if cp.snapshot is None:  # the image: program the MMU afresh
+            self._set_mmu_base()
+            self.dev.reg_write(self._offset("GPU_CMD"), dv.CMD_TLB_INVALIDATE)
         else:
-            self._take_log()
-            self._unmapped = set(cp.unmapped)
-            self.cursor, self.jobs_done = cp.action_index, cp.jobs_done
+            self.dev.restore(cp.snapshot)
+        self._unmapped = set(cp.unmapped)
+        self.cursor, self.jobs_done = cp.action_index, cp.jobs_done
         self._cp_base = cp
         self._at_job_boundary = True
-
-    def _put_back_image(self):
-        """Rewrite the session pages written since the load-time image from
-        it, and program the MMU: the state every replay starts from."""
-        image = self._image
-        end = self._free_pa >> dv.PAGE_SHIFT
-        stale = image.written | self.dev.take_dirty_pages()
-        self._put_back([(ppn << dv.PAGE_SHIFT, image.pages.get(ppn, _ZERO_PAGE))
-                        for ppn in stale if 0 < ppn < end], (), None)
-        self._set_mmu_base()
-        self.dev.reg_write(self._offset("GPU_CMD"), dv.CMD_TLB_INVALIDATE)
 
     def _reload(self):
         """Fresh start for a new replay or a recovery attempt."""
         self._reset_sequence()
-        self._put_back_image()
+        self._put_back(self._image_checkpoint())
 
     # -- stepping -------------------------------------------------------------------
 
@@ -408,7 +371,9 @@ class ReplaySession:
         if self.cursor >= len(self.loaded.actions):
             raise ReplayError("cursor past end of recording")
         a = self.loaded.actions[self.cursor]
-        mult = self._window_mult.get(self.cursor, 1)
+        lo, mult = self._window
+        if self.cursor < lo:
+            mult = 1
         pad = (a.min_interval_ns if self.config.honor_skips else a.raw_interval_ns)
         if pad:
             self._tick(pad * mult)
@@ -618,11 +583,12 @@ class ReplaySession:
         cfg = self.config
         for attempt in range(1, cfg.max_attempts + 1):
             if attempt == 1:
-                self._window_mult = {}
+                self._window = (0, 1)
             else:
+                # from the window on to the end: the jobs after the failure
+                # run as slowly as the one that failed
                 lo = max(0, report.action_index - cfg.delay_window + 1)
-                self._window_mult = {i: 2 ** (attempt - 1)
-                                     for i in range(lo, report.action_index + 1)}
+                self._window = (lo, 2 ** (attempt - 1))
             cp = self.last_checkpoint if cfg.checkpoint_every_jobs else None
             if cp is None:
                 self._reload()
@@ -631,7 +597,7 @@ class ReplaySession:
                 self.attempt_hook(self.dev, attempt)
             outcome = self._run_once(inputs, cp)
             if outcome is None or outcome == "preempted":
-                self._window_mult = {}
+                self._window = (0, 1)
                 return outcome, attempt
             report = outcome
         label = self.loaded.header.workload_label
@@ -639,93 +605,41 @@ class ReplaySession:
             report.action_index, report.kind, report.reg, report.expected,
             report.got, report.va, report.detail,
             origin=f"{label}#action{report.action_index}")
-        self._window_mult = {}
+        self._window = (0, 1)
         return final, cfg.max_attempts
 
     # -- checkpoint / restore ---------------------------------------------------------
 
-    def _stale(self, dirty: set[int]) -> tuple[set[int], set[int]]:
-        """The ranges and the table page PAs whose bytes ``dirty`` (physical
-        page numbers) may have changed."""
-        image = self._image
-        if image.page_ranges is None:
-            image.page_ranges = {}
-            for va, (pages, _) in self._ranges.items():
-                for ppn in dv.span_pages(va, pages * dv.PAGE_SIZE, self._va_to_pa):
-                    image.page_ranges.setdefault(ppn, []).append(va)
-        ranges: set[int] = set()
-        for ppn in dirty:
-            ranges.update(image.page_ranges.get(ppn, ()))
-        tables = [self._l1_pa, *self._l2_pages.values()]
-        return ranges, {pa for pa in tables if pa >> dv.PAGE_SHIFT in dirty}
-
-    def _range_bytes(self, vas) -> int:
-        return dv.PAGE_SIZE * sum(self._ranges[va][0] for va in vas)
-
-    def _image_view(self) -> Checkpoint:
-        """The load-time image as a checkpoint's memory, table pages and
-        byte count, each range read through ``_va_to_pa`` as ``_read_va``
-        reads it."""
-        image = self._image
-        if image.view is None:
-            memory = {va: b"".join(image.read(pa, chunk) for _, pa, chunk in
-                                   dv.va_chunks(va, pages * dv.PAGE_SIZE, self._va_to_pa))
-                      for va, (pages, _) in self._ranges.items()}
-            tables = {pa: image.read(pa, dv.PAGE_SIZE)
-                      for pa in [self._l1_pa, *self._l2_pages.values()]}
-            nbytes = self._range_bytes(memory) + dv.PAGE_SIZE * len(tables)
-            # never restored: only checkpoint() reads it, as a base
-            image.view = Checkpoint(token=None, action_index=0, jobs_done=0,
-                                    snapshot=None, memory=memory, table_pages=tables,
-                                    byte_count=nbytes, unmapped=frozenset())
-        return image.view
-
     def checkpoint(self) -> Checkpoint:
-        """Copy the live ranges and the page tables. Only what changed since
-        the previous checkpoint or restore of this replay, or else since the
-        load-time image, is read again; the rest shares those bytes.
-        ``byte_count``, and so the simulated cost, still covers every live
-        range and table page."""
+        """Copy the pages written since the load-time image. Only those
+        written since the previous checkpoint or restore of this replay, or
+        else since the image, are read again; the rest shares its bytes.
+        ``byte_count``, and so the simulated cost, covers every live range
+        and table page."""
         if self.loaded is None:
             raise ReplayError("no recording loaded")
         if not self._at_job_boundary:
             raise ReplayError("checkpoint only at a job boundary")
-        dirty = self._take_log()
-        base = self._cp_base or self._image_view()
-        memory, tables = dict(base.memory), dict(base.table_pages)
+        base = self._cp_base
+        pages = dict(base.pages)
+        for ppn in self.dev.take_dirty_pages():
+            pages[ppn] = self.dev.mem_read(ppn << dv.PAGE_SHIFT, dv.PAGE_SIZE)
         gone = self._unmapped - base.unmapped
         new = base.unmapped - self._unmapped
-        for va in gone:
-            del memory[va]
-        stale, reread_tables = self._stale(dirty)
-        for va in new | (stale - self._unmapped):
-            memory[va] = self._read_va(va, self._ranges[va][0] * dv.PAGE_SIZE)
-        for pa in reread_tables:
-            tables[pa] = self.dev.mem_read(pa, dv.PAGE_SIZE)
         nbytes = base.byte_count + self._range_bytes(new) - self._range_bytes(gone)
         cp = Checkpoint(token=(id(self), self.loaded), action_index=self.cursor,
                         jobs_done=self.jobs_done, snapshot=self.dev.snapshot(),
-                        memory=memory, table_pages=tables, byte_count=nbytes,
+                        pages=pages, byte_count=nbytes,
                         unmapped=frozenset(self._unmapped))
         self._tick(round(nbytes * self.config.checkpoint_byte_cost_ns))
         self.last_checkpoint = self._cp_base = cp
         return cp
 
     def restore(self, cp: Checkpoint) -> None:
-        """Put back device state and RAM as of ``cp``. From the checkpoint
-        the dirty-page log is relative to, only dirtied ranges and table
-        pages are written; any other checkpoint of this load rewrites all."""
+        """Put back device state and RAM as of ``cp``."""
         if self.loaded is None or cp.token != (id(self), self.loaded):
             raise ReplayError("checkpoint belongs to a different session or recording")
-        dirty = self._take_log()
-        self.dev.restore(cp.snapshot)
-        if cp is self._cp_base:
-            stale, tables = self._stale(dirty)
-            ranges = stale - cp.unmapped
-        else:
-            ranges, tables = cp.memory.keys(), cp.table_pages.keys()
-        self._put_back([(pa, cp.table_pages[pa]) for pa in tables],
-                       [(va, cp.memory[va]) for va in ranges], cp)
+        self._put_back(cp)
         self.preempted = False
 
     # -- preemption ----------------------------------------------------------------
@@ -759,10 +673,9 @@ class ReplaySession:
 
     def cleanup(self) -> None:
         """Reset the device and scrub every page this session touched."""
-        if self.loaded is not None:
-            self._scrub_pages()
+        self._scrub_pages()
         self.loaded = None
-        self._image = None
+        self._image = {}
         self._reset_sequence()
         self.dev.release(self)
 

@@ -14,6 +14,10 @@ Pure function over the decoded structure. Rules:
       recording with a different base, at any two points in action order:
       the replayer lays out every range at once, so one would re-point
       the other's page table entries
+  R8  a mapped range whose base is not page-aligned
+
+A range is as long as the largest MapGpuMem of its base, here and in the
+replayer's layout; R4 checks each LoadMemDump against the map live at it.
 
 Violations are data, not failures; the report's ``ok`` is just
 "no violations".
@@ -129,6 +133,9 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
                     violations.append(Violation(
                         i, "R2", f"read of write-only {a.reg_name}"))
         elif isinstance(a, MapGpuMem):
+            if a.gpu_va & dv.PAGE_MASK:
+                violations.append(Violation(
+                    i, "R8", f"range {a.gpu_va:#x} is not page-aligned"))
             pages = _pages(a.len_bytes)
             if a.gpu_va not in live:
                 insort(live_bases, a.gpu_va)

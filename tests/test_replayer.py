@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gprr.device as dv
-from gprr.actions import (IoMode, LoadMemDump, MapGpuMem, RegRead, RegWrite,
-                          UnmapGpuMem, WaitIrq, ActionClass)
+from gprr.actions import (DumpOrigin, IoMode, LoadMemDump, MapGpuMem, MemDump,
+                          RegRead, RegWrite, UnmapGpuMem, WaitIrq, ActionClass)
 from gprr.device import Device, DeviceOwned, SKU_B
 from gprr.recfmt import deflate, inflate
 from gprr.recorder import RecordHarness, magic_bytes
@@ -18,6 +18,7 @@ from gprr.replayer import (DivergenceKind, LoadError, ReplayConfig,
                            ReplayError, ReplaySession, expected_event_log,
                            init, replay_sequence)
 from gprr.shader import OP_LDI
+from gprr.verifier import verify
 
 from conftest import i32s, random_input, record_graph, replay_once, unpack32
 
@@ -140,6 +141,50 @@ def test_load_out_of_pages_leaves_nothing_loaded(vecadd):
     s.cleanup()
 
 
+def test_forced_load_refuses_an_unaligned_range(vecadd):
+    g, rec = vecadd
+    unaligned = dataclasses.replace(rec, actions=rec.actions + (
+        MapGpuMem(0, 0, 0x0100_0800, dv.PAGE_SIZE, 0b0011),))
+    s = session_for(rec, config=ReplayConfig(force=True))
+    with pytest.raises(LoadError, match="not page-aligned"):
+        s.load(unaligned)
+    with pytest.raises(ReplayError, match="no recording loaded"):
+        s.replay(i32s(range(8)))
+    s.cleanup()
+
+
+def test_range_is_as_long_as_its_largest_map(vecadd):
+    # a 1-page map, an unmap, then a 4-page remap of the same base and a
+    # 16 KiB dump loaded there: the verifier passes it, so load must too
+    g, rec = vecadd
+    va, data = 0x0200_0000, bytes(range(256)) * 64
+    dump = MemDump(max(d.dump_id for d in rec.dumps) + 1, va, len(data),
+                   deflate(data), DumpOrigin.MAPPED_FALLBACK)
+    remapped = dataclasses.replace(rec, dumps=rec.dumps + (dump,), actions=rec.actions + (
+        MapGpuMem(0, 0, va, dv.PAGE_SIZE, 0b0011), UnmapGpuMem(0, 0, va, dv.PAGE_SIZE),
+        MapGpuMem(0, 0, va, 4 * dv.PAGE_SIZE, 0b0011), LoadMemDump(0, 0, dump.dump_id, va)))
+    assert verify(remapped).ok
+    s = session_for(remapped)
+    inp = i32s(range(8))
+    assert s.replay(inp).outputs == [g.evaluate(inp)]
+    assert s._read_va(va, len(data)) == data
+    s.cleanup()
+
+
+def test_load_that_fails_to_lay_out_leaves_nothing_loaded(vecadd):
+    # forced past R4: the dump lies outside every range
+    g, rec = vecadd
+    dump = MemDump(max(d.dump_id for d in rec.dumps) + 1, 0x0300_0000, 16,
+                   deflate(bytes(16)), DumpOrigin.MAPPED_FALLBACK)
+    stray = dataclasses.replace(rec, dumps=rec.dumps + (dump,))
+    s = session_for(rec, config=ReplayConfig(force=True))
+    with pytest.raises(ReplayError, match="not assigned"):
+        s.load(stray)
+    with pytest.raises(ReplayError, match="no recording loaded"):
+        s.replay(i32s(range(8)))
+    s.cleanup()
+
+
 # -- replay basics -----------------------------------------------------------------
 
 def test_va_to_pa_matches_first_range_in_order(vecadd):
@@ -149,8 +194,8 @@ def test_va_to_pa_matches_first_range_in_order(vecadd):
     perm = first.perm_flags_encoded
     extra = (
         MapGpuMem(0, 0, first.gpu_va - page, 3 * page, perm),  # overlaps, loses
-        MapGpuMem(0, 0, 0x0100_0800, 2 * page, perm),  # not page-aligned
-        MapGpuMem(0, 0, 0x0100_2000, page, perm),  # overlaps the one above
+        MapGpuMem(0, 0, 0x0100_0000, 2 * page, perm),
+        MapGpuMem(0, 0, 0x0100_1000, 2 * page, perm),  # overlaps the one above
     )
     # overlapping ranges fail verification (R7): only a forced load takes them
     s = session_for(dataclasses.replace(rec, actions=rec.actions + extra),
@@ -391,6 +436,20 @@ def test_underclocked_replay_recovers_via_delay_injection(vecadd):
     s.cleanup()
 
 
+@pytest.mark.parametrize("clock_div", [4, 8])
+def test_underclocked_multi_job_replay_recovers(mixed, clock_div):
+    # each retry must slow every job from its window on, or the job after
+    # the failing one times out in turn
+    g, rec = mixed
+    for env_seed in range(8):
+        s = session_for(rec, clock_div=clock_div, env_seed=env_seed)
+        inp = random_input(g, env_seed)
+        r = s.replay(inp)
+        assert r.ok and 2 <= r.recovery_attempts <= 3, (env_seed, r.divergence)
+        assert r.outputs == [g.evaluate(inp)]
+        s.cleanup()
+
+
 # -- checkpoint / restore -------------------------------------------------------------------
 
 def test_checkpoint_restore_reruns_identically(mixed):
@@ -412,24 +471,24 @@ def test_checkpoint_restore_reruns_identically(mixed):
     s.cleanup()
 
 
-def full_copy(s):
-    """What a checkpoint holds, read from scratch: live ranges, table pages,
-    the byte count and the unmapped ranges."""
-    memory = {va: s._read_va(va, pages * dv.PAGE_SIZE)
-              for va, (pages, _) in s._ranges.items() if va not in s._unmapped}
-    tables = {pa: s.dev.mem_read(pa, dv.PAGE_SIZE)
-              for pa in [s._l1_pa, *s._l2_pages.values()]}
-    nbytes = sum(map(len, memory.values())) + sum(map(len, tables.values()))
-    return memory, tables, nbytes, frozenset(s._ranges.keys() - memory.keys())
-
-
-def held(cp):
-    return cp.memory, cp.table_pages, cp.byte_count, cp.unmapped
-
-
 def session_ram(s):
     """The bytes of every session page, page tables included."""
     return s.dev.mem_read(dv.PAGE_SIZE, s._free_pa - dv.PAGE_SIZE)
+
+
+def full_copy(s):
+    """What a checkpoint must hold, read afresh: every session page,
+    the byte count (live ranges plus table pages) and the unmapped ranges."""
+    live = sum(pages for va, (pages, _) in s._ranges.items() if va not in s._unmapped)
+    nbytes = dv.PAGE_SIZE * (live + 1 + len(s._l2_pages))
+    return session_ram(s), nbytes, frozenset(s._unmapped)
+
+
+def held(s, cp):
+    """The same as ``cp`` holds it: its pages over the load-time image."""
+    ram = b"".join(cp.pages.get(ppn) or s._image.get(ppn, bytes(dv.PAGE_SIZE))
+                   for ppn in range(1, s._free_pa >> dv.PAGE_SHIFT))
+    return ram, cp.byte_count, cp.unmapped
 
 
 ckpt_ops = st.lists(st.one_of(
@@ -449,9 +508,9 @@ def test_incremental_checkpoints_and_restores_match_full_ones(mixed, ops):
     g, rec = mixed
     page = dv.PAGE_SIZE
     perm = next(a for a in rec.actions if isinstance(a, MapGpuMem)).perm_flags_encoded
-    extra = (  # the second reads half its bytes from the first's pages
-        MapGpuMem(0, 0, 0x0100_0800, 2 * page, perm),
-        MapGpuMem(0, 0, 0x0100_2000, page, perm),
+    extra = (  # the second reads its first page from the first's pages
+        MapGpuMem(0, 0, 0x0100_0000, 2 * page, perm),
+        MapGpuMem(0, 0, 0x0100_1000, 2 * page, perm),
     )
     forced = dataclasses.replace(rec, actions=rec.actions + extra)
     config = ReplayConfig(checkpoint_every_jobs=1, force=True)  # R7
@@ -465,7 +524,7 @@ def test_incremental_checkpoints_and_restores_match_full_ones(mixed, ops):
                    if dv.Perm.EXEC not in dv.SKU_A.decode_perms(s._perm_bits[va])]
     last = s.checkpoint()
     cps = [last]
-    assert held(last) == full_copy(s)
+    assert held(s, last) == full_copy(s)
     for op in ops:
         if op[0] == "job":
             jobs = s.jobs_done
@@ -489,7 +548,7 @@ def test_incremental_checkpoints_and_restores_match_full_ones(mixed, ops):
         elif op[0] == "restore":
             k = op[1] % len(cps)
             s.restore(cps[k])
-            assert full_copy(s) == held(cps[k])
+            assert full_copy(s) == held(s, cps[k])
             incremental = s.dev.mem_read(0, s._free_pa + page)
             cps[k] = dataclasses.replace(cps[k])  # not the log's base: the full path
             s.restore(cps[k])
@@ -499,7 +558,7 @@ def test_incremental_checkpoints_and_restores_match_full_ones(mixed, ops):
             assert session_ram(s) == loaded
         if s.last_checkpoint is not last:
             last = s.last_checkpoint
-            assert held(last) == full_copy(s)
+            assert held(s, last) == full_copy(s)
             cps.append(last)
     s.cleanup()
 
@@ -515,7 +574,7 @@ def test_first_checkpoint_after_a_reload_matches_a_full_copy(mixed):
     while s.jobs_done < 1:
         assert s.step() is None
     assert s.last_checkpoint.action_index == s.cursor
-    assert held(s.last_checkpoint) == full_copy(s)
+    assert held(s, s.last_checkpoint) == full_copy(s)
     s.cleanup()
 
 

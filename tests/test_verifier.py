@@ -125,6 +125,16 @@ def test_overlapping_ranges_are_r7():
     assert "0x400000+0x1000 overlaps range 0x3ff000+0x3000" in report.violations[0].message
 
 
+def test_unaligned_range_is_r8():
+    rec = make_rec([
+        MapGpuMem(0, 0, 0x400000, 4096, 0b0011),
+        MapGpuMem(0, 0, 0x500800, 4096, 0b0011),
+    ])
+    report = verify(rec)
+    assert rules_of(report) == ["R8"]
+    assert report.violations[0].action_index == 1
+
+
 def test_r7_check_scales_with_a_sort():
     # 20,000 ranges nested in one: checked pairwise, 2e8 comparisons
     n = 20_000
