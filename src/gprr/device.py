@@ -34,7 +34,7 @@ import mmap
 import random
 import struct
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -90,6 +90,7 @@ SHADER_MAX_BYTES = 64 * 1024
 # Job descriptor layout in GPU memory: 12 little-endian u32 words.
 #   [0] next_va  [1] shader_va  [2] shader_len  [3] affinity  [4..11] params
 DESCRIPTOR_BYTES = 48
+_unpack_desc = struct.Struct(f"<{DESCRIPTOR_BYTES // 4}I").unpack_from
 
 
 class Perm(enum.Flag):
@@ -222,6 +223,10 @@ class RegisterMap:
     replayer resolves names against its own map."""
 
     entries: tuple[RegDef, ...]
+    # name -> RegDef and offset -> RegDef, each one dict.get built with the
+    # map: every register access resolves through one of them
+    by_name: Callable[[str], RegDef | None] = field(init=False, repr=False, compare=False)
+    by_offset: Callable[[int], RegDef | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [e.name for e in self.entries]
@@ -231,28 +236,8 @@ class RegisterMap:
         for e in self.entries:
             if e.state_class is StateClass.NONDET_READ and e.access is not Access.RO:
                 raise ValueError(f"NONDET_READ register {e.name} must be read-only")
-
-    def by_name(self, name: str) -> RegDef | None:
-        return self._name_index.get(name)
-
-    def by_offset(self, offset: int) -> RegDef | None:
-        return self._offset_index.get(offset)
-
-    @property
-    def _name_index(self):
-        idx = self.__dict__.get("_name_idx")
-        if idx is None:
-            idx = {e.name: e for e in self.entries}
-            object.__setattr__(self, "_name_idx", idx)
-        return idx
-
-    @property
-    def _offset_index(self):
-        idx = self.__dict__.get("_offset_idx")
-        if idx is None:
-            idx = {e.offset: e for e in self.entries}
-            object.__setattr__(self, "_offset_idx", idx)
-        return idx
+        object.__setattr__(self, "by_name", {e.name: e for e in self.entries}.get)
+        object.__setattr__(self, "by_offset", {e.offset: e for e in self.entries}.get)
 
     def digest(self) -> bytes:
         import hashlib
@@ -746,7 +731,16 @@ class Device:
                     return _PendingJob(None, {}, total_instr, va, JOB_BAD_STATE)
                 if va % 4 != 0:
                     raise MmuFault(va, Perm.READ)
-                desc = [load_word(va + 4 * i) for i in range(DESCRIPTOR_BYTES // 4)]
+                # the first load fills the TLB and the page maps; a
+                # descriptor on one page with no buffered word is then
+                # read straight from memory, all 12 words at once
+                first = load_word(va)
+                fast = read_fast.get(va >> PAGE_SHIFT)
+                if fast is not None and (va & PAGE_MASK) + DESCRIPTOR_BYTES <= PAGE_SIZE:
+                    desc = _unpack_desc(mem, fast | (va & PAGE_MASK))
+                else:
+                    desc = [first] + [load_word(va + 4 * i)
+                                      for i in range(1, DESCRIPTOR_BYTES // 4)]
                 next_va, shader_va, shader_len, _affinity = desc[0], desc[1], desc[2], desc[3]
                 params = desc[4:12]
                 if shader_va % 4 != 0 or shader_len % 4 != 0 or shader_len > SHADER_MAX_BYTES:
@@ -792,12 +786,11 @@ class Device:
     # -- virtual time ---------------------------------------------------------
 
     def next_event_ns(self) -> int | None:
-        times = []
-        if self._pending_job is not None and self._pending_job.finish_ns is not None:
-            times.append(self._pending_job.finish_ns)
-        if self._pending_flush is not None:
-            times.append(self._pending_flush.finish_ns)
-        return min(times) if times else None
+        job, flush = self._pending_job, self._pending_flush
+        t = None if job is None else job.finish_ns
+        if flush is not None and (t is None or flush.finish_ns < t):
+            t = flush.finish_ns
+        return t
 
     def tick(self, dt_ns: int) -> list[InterruptEvent]:
         if dt_ns < 0:

@@ -138,9 +138,9 @@ class ReplaySession:
         self._preempt_request = threading.Event()
         self._preempt_request_t = 0
         self._from_sku = dev.sku
-        self._ranges: dict[int, tuple[int, list[int]]] = {}  # va -> (pages, pas)
+        # va -> (pages, pas, perm bits of its first map, in the recording's layout)
+        self._ranges: dict[int, tuple[int, list[int], int]] = {}
         self._page_pa: dict[int, int] = {}  # vpn -> pa of that VA page
-        self._perm_bits: dict[int, int] = {}
         self._unmapped: set[int] = set()
         self._l1_pa = 0
         self._l2_pages: dict[int, int] = {}
@@ -155,6 +155,9 @@ class ReplaySession:
         # (measured: chain-64 replay 5% slower).
         self._image: dict[int, bytes] = {}
         self._cp_base: Checkpoint | None = None
+        # dump_id -> inflated bytes, kept from its first in-stream load on;
+        # None until then. Only the dumps load found room for are keys.
+        self._dumps: dict[int, bytes | None] = {}
         # (gpu_va, bytes) of each input the caller supplied to this replay
         self._inputs: list[tuple[int, bytes]] = []
 
@@ -217,8 +220,8 @@ class ReplaySession:
                         for _, pa, chunk in dv.va_chunks(va, n, self._va_to_pa))
 
     def _install_range(self, va: int):
-        pages, pas = self._ranges[va]
-        perms = self._from_sku.decode_perms(self._perm_bits[va])
+        _, pas, perm_bits = self._ranges[va]
+        perms = self._from_sku.decode_perms(perm_bits)
         bits = self.dev.sku.encode_perms(perms | Perm.VALID)
         for i, pa in enumerate(pas):
             page_va = va + i * dv.PAGE_SIZE
@@ -227,7 +230,7 @@ class ReplaySession:
                                (pa | bits).to_bytes(4, "little"))
 
     def _clear_range(self, va: int):
-        pages, _ = self._ranges[va]
+        pages = self._ranges[va][0]
         for i in range(pages):
             page_va = va + i * dv.PAGE_SIZE
             l2_pa = self._l2_pages[(page_va >> 22) & 0x3FF]
@@ -257,10 +260,10 @@ class ReplaySession:
         self.loaded = None  # a load that fails at any step leaves none
         self.last_checkpoint = None
         self._inputs = []
+        self._dumps = {}
         self._window = (0, 1)
         self._free_pa = dv.PAGE_SIZE
         self._ranges = {}
-        self._perm_bits = {}
         self._l2_pages = {}
         for a in rec.actions:
             if isinstance(a, MapGpuMem):
@@ -268,11 +271,13 @@ class ReplaySession:
                     raise LoadError(f"range {a.gpu_va:#x} is not page-aligned")
                 # a range is as long as its largest map, as the verifier sizes it
                 pages = max(1, -(-a.len_bytes // dv.PAGE_SIZE))
-                if pages > self._ranges.get(a.gpu_va, (0,))[0]:
-                    self._ranges[a.gpu_va] = (pages, [])
-                self._perm_bits.setdefault(a.gpu_va, a.perm_flags_encoded)
+                first = self._ranges.get(a.gpu_va)
+                if first is None:
+                    self._ranges[a.gpu_va] = (pages, [], a.perm_flags_encoded)
+                elif pages > first[0]:
+                    self._ranges[a.gpu_va] = (pages, [], first[2])
         self._l1_pa = self._alloc_page()
-        for va, (pages, pas) in self._ranges.items():
+        for va, (pages, pas, _) in self._ranges.items():
             for i in range(pages):
                 l1_idx = ((va + i * dv.PAGE_SIZE) >> 22) & 0x3FF
                 if l1_idx not in self._l2_pages:
@@ -280,14 +285,34 @@ class ReplaySession:
                 pas.append(self._alloc_page())
         # the first range inserted wins where ranges overlap
         self._page_pa = {}
-        for va, (pages, pas) in self._ranges.items():
+        for va, (_, pas, _) in self._ranges.items():
             vpn = va >> dv.PAGE_SHIFT
             for i, pa in enumerate(pas):
                 self._page_pa.setdefault(vpn + i, pa)
+        self._plan_dumps(rec)
         self._image = self._lay_out(rec)
         self._cp_base = self._image_checkpoint()
         self._put_back(self._cp_base)
         self.loaded = rec
+
+    def _plan_dumps(self, rec: Recording):
+        """Refuse, even when forced, an unmap or a dump load that names
+        nothing; the handlers trust both. Then choose the dumps replay
+        keeps inflated: in first-use order, while they total no more raw
+        bytes than the session's own pages, so the file cannot grow the
+        cache past the memory it already lays out."""
+        room = self._free_pa
+        for a in rec.actions:
+            kind = type(a)
+            if kind is UnmapGpuMem and a.gpu_va not in self._ranges:
+                raise LoadError(f"unmap of {a.gpu_va:#x}, which no MapGpuMem maps")
+            if kind is LoadMemDump and a.dump_id not in self._dumps:
+                d = rec.dump_by_id(a.dump_id)
+                if d is None:
+                    raise LoadError(f"LoadMemDump names dump {a.dump_id}, which does not exist")
+                if d.raw_len <= room:
+                    room -= d.raw_len
+                    self._dumps[a.dump_id] = None
 
     def _lay_out(self, rec: Recording) -> dict[int, bytes]:
         """Zero the session's pages, then write the L1 and L2 entries and
@@ -315,7 +340,7 @@ class ReplaySession:
         self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"), self._l1_pa >> 32)
 
     def _scrub_pages(self):
-        for pages, pas in self._ranges.values():
+        for _, pas, _ in self._ranges.values():
             for pa in pas:
                 self.dev.mem_write(pa, _ZERO_PAGE)
         for l2_pa in self._l2_pages.values():
@@ -371,85 +396,97 @@ class ReplaySession:
         if self.cursor >= len(self.loaded.actions):
             raise ReplayError("cursor past end of recording")
         a = self.loaded.actions[self.cursor]
+        kind = type(a)
         lo, mult = self._window
         if self.cursor < lo:
             mult = 1
         pad = (a.min_interval_ns if self.config.honor_skips else a.raw_interval_ns)
         if pad:
             self._tick(pad * mult)
-        report = self._dispatch(a, mult)
+        report = _HANDLERS.get(kind, _unknown_action)(self, a, mult)
         if report is not None:
             self.divergence_log.append(report)
             return report
         if self.post_action_hook is not None:
             self.post_action_hook(self, self.cursor, a)
         self.cursor += 1
-        if (isinstance(a, WaitIrq) and a.expect_rawstat & dv.IRQ_JOB_DONE):
+        if kind is WaitIrq and a.expect_rawstat & dv.IRQ_JOB_DONE:
             self.jobs_done += 1
             self._at_job_boundary = True
             every = self.config.checkpoint_every_jobs
             if every and self.jobs_done % every == 0:
                 self.checkpoint()
-        elif isinstance(a, RegWrite) and a.reg_name == "JOB_START":
+        elif kind is RegWrite and a.reg_name == "JOB_START":
             self._at_job_boundary = False
         return None
 
     def _dispatch(self, a: ReplayAction, mult: int) -> DivergenceReport | None:
-        cfg = self.config
-        if isinstance(a, RegWrite):
-            self._write(a.reg_name, a.value)
-            self.event_log.append(("w", a.reg_name, a.value))
-            if a.reg_name == "GPU_CMD" and a.value == dv.CMD_SOFT_RESET:
-                # reset wipes the MMU base; replaying pages live elsewhere
-                # than at record time, so re-arming it is the nano driver's
-                # fixed post-reset step
-                self._set_mmu_base()
-            return None
-        if isinstance(a, RegRead):
-            v = self._read(a.reg_name)
-            if a.nondet:
-                return None  # read and discard
-            if v != a.expect_value:
-                return DivergenceReport(self.cursor, DivergenceKind.VALUE_MISMATCH,
-                                        reg=a.reg_name, expected=a.expect_value, got=v)
-            self.event_log.append(("r", a.reg_name, v))
-            return None
-        if isinstance(a, RegReadWait):
-            budget = max(cfg.poll_budget_mult * a.max_polls, cfg.poll_budget_min) * mult
-            n = 0
-            while True:
-                v = self._read(a.reg_name)
-                n += 1
-                if (v & a.mask) == a.expect_value:
-                    return None
-                if n >= budget:
-                    return DivergenceReport(
-                        self.cursor, DivergenceKind.TIMEOUT, reg=a.reg_name,
-                        expected=a.expect_value, got=v & a.mask,
-                        detail=f"poll budget {budget} exhausted")
-                self._tick(cfg.poll_period_ns)
-        if isinstance(a, WaitIrq):
-            return self._wait_irq(a, mult)
-        if isinstance(a, LoadMemDump):
-            d = self.loaded.dump_by_id(a.dump_id)
-            data = self._over_inputs(a.gpu_va, inflate(d.payload, d.raw_len))
-            self._write_va(a.gpu_va, data)
-            self._tick(round(len(data) * LOAD_BYTE_NS))
-            return None
-        if isinstance(a, MapGpuMem):
-            if a.gpu_va in self._unmapped:
-                self._unmapped.discard(a.gpu_va)
-                self._install_range(a.gpu_va)
-            self._write("GPU_CMD", dv.CMD_TLB_INVALIDATE)
-            return None
-        if isinstance(a, UnmapGpuMem):
-            self._clear_range(a.gpu_va)
-            self._unmapped.add(a.gpu_va)
-            self._write("GPU_CMD", dv.CMD_TLB_INVALIDATE)
-            return None
-        raise ReplayError(f"unknown action {a!r}")
+        """Execute ``a`` at pacing multiplier ``mult``, outside step()'s
+        cursor and job bookkeeping."""
+        return _HANDLERS.get(type(a), _unknown_action)(self, a, mult)
 
-    def _wait_irq(self, a: WaitIrq, mult: int) -> DivergenceReport | None:
+    # One handler per action type, keyed by type in _HANDLERS: each
+    # executes its action and returns a report on divergence, else None.
+
+    def _step_write(self, a: RegWrite, mult: int) -> None:
+        self._write(a.reg_name, a.value)
+        self.event_log.append(("w", a.reg_name, a.value))
+        if a.reg_name == "GPU_CMD" and a.value == dv.CMD_SOFT_RESET:
+            # reset wipes the MMU base; replaying pages live elsewhere
+            # than at record time, so re-arming it is the nano driver's
+            # fixed post-reset step
+            self._set_mmu_base()
+
+    def _step_read(self, a: RegRead, mult: int) -> DivergenceReport | None:
+        v = self._read(a.reg_name)
+        if a.nondet:
+            return None  # read and discard
+        if v != a.expect_value:
+            return DivergenceReport(self.cursor, DivergenceKind.VALUE_MISMATCH,
+                                    reg=a.reg_name, expected=a.expect_value, got=v)
+        self.event_log.append(("r", a.reg_name, v))
+        return None
+
+    def _step_poll(self, a: RegReadWait, mult: int) -> DivergenceReport | None:
+        cfg = self.config
+        budget = max(cfg.poll_budget_mult * a.max_polls, cfg.poll_budget_min) * mult
+        n = 0
+        while True:
+            v = self._read(a.reg_name)
+            n += 1
+            if (v & a.mask) == a.expect_value:
+                return None
+            if n >= budget:
+                return DivergenceReport(
+                    self.cursor, DivergenceKind.TIMEOUT, reg=a.reg_name,
+                    expected=a.expect_value, got=v & a.mask,
+                    detail=f"poll budget {budget} exhausted")
+            self._tick(cfg.poll_period_ns)
+
+    def _step_loaddump(self, a: LoadMemDump, mult: int) -> None:
+        dumps = self._dumps
+        data = dumps.get(a.dump_id)
+        if data is None:
+            d = self.loaded.dump_by_id(a.dump_id)
+            data = inflate(d.payload, d.raw_len)
+            if a.dump_id in dumps:  # kept as recorded: the inputs differ per replay
+                dumps[a.dump_id] = data
+        data = self._over_inputs(a.gpu_va, data)
+        self._write_va(a.gpu_va, data)
+        self._tick(round(len(data) * LOAD_BYTE_NS))
+
+    def _step_map(self, a: MapGpuMem, mult: int) -> None:
+        if a.gpu_va in self._unmapped:
+            self._unmapped.discard(a.gpu_va)
+            self._install_range(a.gpu_va)
+        self._write("GPU_CMD", dv.CMD_TLB_INVALIDATE)
+
+    def _step_unmap(self, a: UnmapGpuMem, mult: int) -> None:
+        self._clear_range(a.gpu_va)
+        self._unmapped.add(a.gpu_va)
+        self._write("GPU_CMD", dv.CMD_TLB_INVALIDATE)
+
+    def _step_waitirq(self, a: WaitIrq, mult: int) -> DivergenceReport | None:
         cfg = self.config
         watchdog = max(cfg.watchdog_mult * a.residency_ns, cfg.watchdog_floor_ns) * mult
         deadline = self.dev.vclock_ns + watchdog
@@ -676,8 +713,24 @@ class ReplaySession:
         self._scrub_pages()
         self.loaded = None
         self._image = {}
+        self._dumps = {}
         self._reset_sequence()
         self.dev.release(self)
+
+
+def _unknown_action(session: ReplaySession, a, mult: int):
+    raise ReplayError(f"unknown action {a!r}")
+
+
+_HANDLERS = {
+    RegWrite: ReplaySession._step_write,
+    RegRead: ReplaySession._step_read,
+    RegReadWait: ReplaySession._step_poll,
+    WaitIrq: ReplaySession._step_waitirq,
+    MapGpuMem: ReplaySession._step_map,
+    UnmapGpuMem: ReplaySession._step_unmap,
+    LoadMemDump: ReplaySession._step_loaddump,
+}
 
 
 def init(dev: Device, config: ReplayConfig | None = None,

@@ -310,6 +310,72 @@ def test_chain_of_two_descriptors():
     assert dev.mem_read(pa2, 4) == (22).to_bytes(4, "little")
 
 
+def store_params_shader(out_va):
+    """Stores r1..r7, descriptor words 5..11, to seven words at out_va."""
+    a = Asm()
+    for r in range(1, 8):
+        a.ldi(0, out_va + 4 * (r - 1))
+        a.st(0, r)
+    a.halt()
+    return a.assemble()
+
+
+def words_le(words):
+    return b"".join((w & 0xFFFFFFFF).to_bytes(4, "little") for w in words)
+
+
+def test_descriptor_across_a_page_edge_reads_each_page_through_its_own_entry():
+    dev = Device()
+    rig = _Rig(dev)
+    out_va, out_pa = rig.map_page(Perm.READ | Perm.WRITE)
+    code = store_params_shader(out_va)
+    sh_va, _ = rig.map_page(Perm.READ | Perm.EXEC)
+    rig.put(sh_va, words_le(code))
+    # words 0..5 at the end of one VA page, 6..11 at the start of the next,
+    # whose physical page is not the one after the first
+    va_a, pa_a, pa_b = rig.next_va, 0x80000, 0x90000
+    rig.map_at(va_a, pa_a, Perm.READ)
+    rig.map_at(va_a + dv.PAGE_SIZE, pa_b, Perm.READ)
+    params = [0x1111 * (k + 1) for k in range(8)]
+    desc = words_le([0, sh_va, 4 * len(code), dev.sku.full_core_mask] + params)
+    dev.mem_write(pa_a + dv.PAGE_SIZE - 24, desc[:24])
+    dev.mem_write(pa_b, desc[24:])
+    dev.mem_write(pa_a + dv.PAGE_SIZE, b"\xEE" * 24)  # what one physical read would see
+    wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
+    rig.kick(va_a + dv.PAGE_SIZE - 24)
+    dev.tick(10_000_000)
+    assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+    wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+    dev.tick(10_000_000)
+    assert dev.mem_read(out_pa, 28) == words_le(params[1:])
+
+
+@pytest.mark.parametrize("chained", [False, True], ids=["unflushed", "same-chain"])
+def test_descriptor_reads_a_word_an_earlier_job_stored(chained):
+    # the first job stores into the second job's descriptor; the store is
+    # buffered, in writeback or in the chain's own stores, and the second
+    # descriptor must see it before any flush
+    dev = Device()
+    rig = _Rig(dev)
+    out_va, out_pa = rig.map_page(Perm.READ | Perm.WRITE)
+    second = rig.job(store_params_shader(out_va), [0, 1, 2, 3, 4, 5, 6, 7])
+    rig.map_at(second, rig.FIRST_DATA_PA + second - rig.VA_BASE,
+               Perm.READ | Perm.WRITE | Perm.EXEC)
+    first = rig.job(store_const_shader(second + 44, 0xC0FFEE), [],
+                    next_va=second if chained else 0)
+    wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
+    rig.kick(first)
+    dev.tick(10_000_000)
+    if not chained:
+        assert rd(dev, "JOB_STATUS") == dv.JOB_DONE and dev.writeback
+        rig.kick(second)
+        dev.tick(10_000_000)
+    assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+    wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+    dev.tick(10_000_000)
+    assert dev.mem_read(out_pa, 28) == words_le([1, 2, 3, 4, 5, 6, 0xC0FFEE])
+
+
 def test_seed_changes_timing_but_not_data():
     finish, datas = [], []
     for seed in (1, 2, 3):
@@ -790,6 +856,29 @@ def test_stall_delays_active_job():
     t = dev.next_event_ns()
     dev.stall(5000)
     assert dev.next_event_ns() == t + 5000
+
+
+def test_next_event_is_the_earlier_of_job_and_flush():
+    dev = Device(env_seed=2)
+    rig = _Rig(dev)
+    out_va, _ = rig.map_page(Perm.READ | Perm.WRITE)
+    wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
+    rig.kick(rig.job(store_const_shader(out_va, 1), []))
+    dev.tick(10_000_000)
+    assert dev.next_event_ns() is None and dev.writeback
+    a = Asm()  # about 2,000 instructions: the job outlasts the flush
+    a.ldi(0, 1000)
+    a.label("loop")
+    a.addi(0, 0, -1)
+    a.bnz(0, "loop")
+    a.halt()
+    rig.kick(rig.job(a.assemble(), []))
+    wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+    flush, job = dev._pending_flush.finish_ns, dev._pending_job.finish_ns
+    assert flush < job
+    assert dev.next_event_ns() == flush
+    dev.tick(flush - dev.vclock_ns)
+    assert dev.next_event_ns() == job
 
 
 def test_register_map_invariants():

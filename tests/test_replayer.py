@@ -3,13 +3,15 @@ checkpointing, preemption, sequences."""
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gprr.device as dv
-from gprr.actions import (DumpOrigin, IoMode, LoadMemDump, MapGpuMem, MemDump,
-                          RegRead, RegWrite, UnmapGpuMem, WaitIrq, ActionClass)
+import gprr.replayer as replayer
+from gprr.actions import (ACTION_SCHEMAS, DumpOrigin, IoMode, LoadMemDump, MapGpuMem,
+                          MemDump, RegRead, RegWrite, UnmapGpuMem, WaitIrq, ActionClass)
 from gprr.device import Device, DeviceOwned, SKU_B
 from gprr.recfmt import deflate, inflate
 from gprr.recorder import RecordHarness, magic_bytes
@@ -153,6 +155,27 @@ def test_forced_load_refuses_an_unaligned_range(vecadd):
     s.cleanup()
 
 
+@pytest.mark.parametrize("stray, why", [
+    (UnmapGpuMem(0, 0, 0x0700_0000, dv.PAGE_SIZE), "no MapGpuMem"),
+    (LoadMemDump(0, 0, 0xDEAD, 0x0700_0000), "does not exist"),
+], ids=["unmap-of-no-range", "dump-id-of-no-dump"])
+def test_forced_load_refuses_what_names_nothing(vecadd, stray, why):
+    # the verifier reports both (R5, R4); forced past it, replay used to
+    # raise a builtin KeyError / AttributeError from the action's handler
+    g, rec = vecadd
+    forced = dataclasses.replace(rec, actions=(stray,) + rec.actions)
+    assert not verify(forced).ok
+    s = session_for(rec, config=ReplayConfig(force=True))
+    with pytest.raises(LoadError, match=why):
+        s.load(forced)
+    with pytest.raises(ReplayError, match="no recording loaded"):
+        s.replay(i32s(range(8)))
+    s.load(rec)
+    inp = i32s(range(8, 16))
+    assert s.replay(inp).outputs == [g.evaluate(inp)]
+    s.cleanup()
+
+
 def test_range_is_as_long_as_its_largest_map(vecadd):
     # a 1-page map, an unmap, then a 4-page remap of the same base and a
     # 16 KiB dump loaded there: the verifier passes it, so load must too
@@ -202,7 +225,7 @@ def test_va_to_pa_matches_first_range_in_order(vecadd):
                     config=ReplayConfig(force=True))
 
     def scan(va):
-        for base, (pages, pas) in s._ranges.items():
+        for base, (pages, pas, _) in s._ranges.items():
             if base <= va < base + pages * page:
                 return pas[(va - base) // page] + (va - base) % page
         return None
@@ -247,11 +270,70 @@ def test_output_follows_the_input_mode(mode):
     elif mode is IoMode.BY_ADDRESS:
         cases = [([fresh], fresh), ({0: fresh}, fresh)]
     else:  # supplied bytes win; left out, the baked ones run
-        cases = [([fresh], fresh), ({0: fresh}, fresh), (None, baked)]
+        other = random_input(g, 6)
+        cases = [([fresh], fresh), ({0: other}, other), (None, baked), ([fresh], fresh)]
     s = session_for(result.recordings[0])
     for inputs, used in cases:
         r = s.replay(inputs)
         assert r.ok and r.outputs == [g.evaluate(used)]
+    s.cleanup()
+
+
+# -- dump cache ----------------------------------------------------------------------
+
+def test_each_dump_is_inflated_once_per_load(mixed, monkeypatch):
+    g, rec = mixed
+    calls = []
+
+    def counting(payload, raw_len=None):
+        calls.append(raw_len)
+        return inflate(payload, raw_len)
+
+    s = session_for(rec)
+    monkeypatch.setattr(replayer, "inflate", counting)
+    used = {a.dump_id for a in rec.actions if isinstance(a, LoadMemDump)}
+    for seed in range(3):
+        inp = random_input(g, seed)
+        assert s.replay(inp).outputs == [g.evaluate(inp)]
+        assert len(calls) == len(used)  # all on the first replay, none after
+    s.load(rec)  # a new load starts a new cache
+    calls.clear()
+    inp = random_input(g, 3)
+    assert s.replay(inp).outputs == [g.evaluate(inp)]
+    assert len(calls) == len(used)
+    s.cleanup()
+
+
+def test_dump_cache_holds_no_more_than_the_session_footprint(vecadd):
+    # 256 distinct one-page dumps loaded in turn into one one-page range:
+    # 1 MiB of raw bytes from a few KiB of file, far past the session's pages
+    g, rec = vecadd
+    va, page, n = 0x0200_0000, dv.PAGE_SIZE, 256
+    first_id = max(d.dump_id for d in rec.dumps) + 1
+    raws = [bytes([i]) * page for i in range(n)]
+    dumps = tuple(MemDump(first_id + i, va, page, deflate(raw), DumpOrigin.MAPPED_FALLBACK)
+                  for i, raw in enumerate(raws))
+    many = dataclasses.replace(rec, dumps=rec.dumps + dumps, actions=rec.actions + (
+        MapGpuMem(0, 0, va, page, 0b0011),
+        *(LoadMemDump(0, 0, d.dump_id, va) for d in dumps)))
+    assert verify(many).ok
+    s = session_for(many)
+    footprint = s._free_pa
+    assert n * page > 16 * footprint
+    tracemalloc.start()
+    try:
+        for k in range(2):
+            if k:
+                tracemalloc.reset_peak()  # the peak counts what replay 0 still holds
+            inp = i32s(range(k, k + 8))
+            r = s.replay(inp)
+            assert r.outputs == [g.evaluate(inp)]
+            assert s._read_va(va, page) == raws[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the allowance covers zlib's 32 KiB window while one dump inflates
+    assert peak < footprint + page + 96 * 1024, (peak, footprint)
     s.cleanup()
 
 
@@ -479,7 +561,7 @@ def session_ram(s):
 def full_copy(s):
     """What a checkpoint must hold, read afresh: every session page,
     the byte count (live ranges plus table pages) and the unmapped ranges."""
-    live = sum(pages for va, (pages, _) in s._ranges.items() if va not in s._unmapped)
+    live = sum(pages for va, (pages, *_) in s._ranges.items() if va not in s._unmapped)
     nbytes = dv.PAGE_SIZE * (live + 1 + len(s._l2_pages))
     return session_ram(s), nbytes, frozenset(s._unmapped)
 
@@ -521,7 +603,7 @@ def test_incremental_checkpoints_and_restores_match_full_ones(mixed, ops):
     # the extra ranges first, so that low indices pick them and ops collide
     ranges = sorted(s._ranges, key=lambda va: va < extra[0].gpu_va)
     data_ranges = [va for va in ranges  # host writes to code could hang a job
-                   if dv.Perm.EXEC not in dv.SKU_A.decode_perms(s._perm_bits[va])]
+                   if dv.Perm.EXEC not in dv.SKU_A.decode_perms(s._ranges[va][2])]
     last = s.checkpoint()
     cps = [last]
     assert held(s, last) == full_copy(s)
@@ -540,7 +622,7 @@ def test_incremental_checkpoints_and_restores_match_full_ones(mixed, ops):
             s._dispatch(UnmapGpuMem(0, 0, va, page), 1)
         elif op[0] == "remap":
             va = ranges[op[1] % len(ranges)]
-            s._dispatch(MapGpuMem(0, 0, va, page, s._perm_bits[va]), 1)
+            s._dispatch(MapGpuMem(0, 0, va, page, s._ranges[va][2]), 1)
         elif op[0] == "corrupt":
             s.dev.corrupt_pte(ranges[op[1] % len(ranges)])
         elif op[0] == "checkpoint" and s._at_job_boundary:
@@ -597,6 +679,21 @@ def test_session_stays_within_its_attribute_budget(mixed):
     r = s.replay(inp)
     assert r.ok and r.recovery_attempts == 1 and r.outputs == [g.evaluate(inp)]
     assert len(vars(s)) <= 29, sorted(vars(s))
+    s.cleanup()
+
+
+def test_every_action_type_has_exactly_one_handler(vecadd):
+    handlers = replayer._HANDLERS
+    assert set(handlers) == {schema.cls for schema in ACTION_SCHEMAS}
+    assert len(set(handlers.values())) == len(handlers)
+
+    @dataclasses.dataclass(frozen=True)
+    class Unlisted(RegWrite):  # a new action type no handler names
+        pass
+
+    s = session_for(vecadd[1])
+    with pytest.raises(ReplayError, match="unknown action"):
+        s._dispatch(Unlisted(0, 0, "GPU_IRQ_MASK", 0), 1)
     s.cleanup()
 
 
