@@ -11,7 +11,7 @@ provably idle for the whole gap, so a replayer may fast-forward).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 
@@ -111,6 +111,10 @@ class MemDump:
     raw_len: int
     payload: bytes  # DEFLATE-compressed
     origin_filter: DumpOrigin
+    # The payload inflated, when the decoder that checked it kept it; not
+    # part of the value: equality, hashing, repr and encoding ignore it,
+    # and dataclasses.replace drops it.
+    raw: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

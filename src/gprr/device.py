@@ -30,6 +30,7 @@ changed since it last looked.
 from __future__ import annotations
 
 import enum
+import functools
 import mmap
 import random
 import struct
@@ -207,6 +208,15 @@ SKU_B = SkuProfile(
 
 SKUS = {"A": SKU_A, "B": SKU_B}
 SKUS_BY_ID = {p.sku_id: p for p in SKUS.values()}
+
+
+@functools.cache
+def perm_table(from_sku: SkuProfile, to_sku: SkuProfile,
+               add: Perm = Perm(0)) -> tuple[int, ...]:
+    """For every 4-bit PTE field in ``from_sku``'s layout, the same
+    permissions plus ``add`` in ``to_sku``'s layout."""
+    return tuple(to_sku.encode_perms(from_sku.decode_perms(bits) | add)
+                 for bits in range(16))
 
 
 @dataclass(frozen=True)

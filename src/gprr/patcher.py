@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .actions import MapGpuMem, Recording, RegRead, RegWrite
-from .device import SKUS_BY_ID, SkuProfile
+from .device import SKUS_BY_ID, SkuProfile, perm_table
 
 
 class PatchError(Exception):
@@ -62,11 +62,11 @@ def patch_recording(rec: Recording, from_sku: SkuProfile,
     rec_edits = 0
     job_edits = 0
     pte = 0
+    perms = perm_table(from_sku, to_sku)
     actions = []
     for a in rec.actions:
         if isinstance(a, MapGpuMem):
-            perms = from_sku.decode_perms(a.perm_flags_encoded)
-            a = replace(a, perm_flags_encoded=to_sku.encode_perms(perms))
+            a = replace(a, perm_flags_encoded=perms[a.perm_flags_encoded & 0xF])
             pte += 1
         elif isinstance(a, RegRead) and not a.nondet:
             if a.reg_name == "GPU_ID":

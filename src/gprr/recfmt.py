@@ -89,6 +89,9 @@ class _Writer:
         return b"".join(self.parts)
 
 
+_U8, _U16, _U32, _U64 = (struct.Struct("<" + c) for c in "BHIQ")
+
+
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
@@ -101,10 +104,17 @@ class _Reader:
         self.pos += n
         return b
 
-    def u8(self): return self._take(1)[0]
-    def u16(self): return struct.unpack("<H", self._take(2))[0]
-    def u32(self): return struct.unpack("<I", self._take(4))[0]
-    def u64(self): return struct.unpack("<Q", self._take(8))[0]
+    def _int(self, fmt: struct.Struct) -> int:
+        p = self.pos
+        if p + fmt.size > len(self.data):
+            raise Truncated(p, f"needed {fmt.size} more bytes")
+        self.pos = p + fmt.size
+        return fmt.unpack_from(self.data, p)[0]
+
+    def u8(self): return self._int(_U8)
+    def u16(self): return self._int(_U16)
+    def u32(self): return self._int(_U32)
+    def u64(self): return self._int(_U64)
 
     def blob32(self) -> bytes:
         n = self.u32()
@@ -122,6 +132,7 @@ def _compile(spec: ActionSchema):
     return (spec, struct.Struct("<BQQ" + spec.fmt), None, spec.build or spec.cls)
 
 
+_ORIGINS = {o.value: o for o in DumpOrigin}
 _CODECS = [_compile(s) for s in ACTION_SCHEMAS]
 _CODEC_BY_TAG = {c[0].tag: c for c in _CODECS}
 _CODEC_BY_CLASS = {c[0].cls: c for c in _CODECS}
@@ -184,6 +195,34 @@ def _read_action(r: _Reader):
         return build(*values)
     except ValueError as e:  # only a payload's final byte is range-checked
         raise Malformed(p - 1, str(e)) from None
+
+
+def _read_actions(r: _Reader, count: int) -> list:
+    """``count`` actions from ``r.pos`` on. An action that does not fit,
+    or does not build, is read again by ``_read_action``, which raises
+    the error it finds."""
+    data, codecs, out = r.data, _CODEC_BY_TAG, []
+    p = r.pos
+    for _ in range(count):
+        try:
+            _, head, tail, build = codecs[data[p]]
+            if tail is None:
+                a = build(*head.unpack_from(data, p)[1:])
+                q = p + head.size
+            else:
+                _, raw_iv, min_iv, n = head.unpack_from(data, p)
+                q = p + head.size + n
+                name = data[q - n:q].decode("utf-8")
+                a = build(raw_iv, min_iv, name, *tail.unpack_from(data, q))
+                q += tail.size
+        except (LookupError, ValueError, struct.error):
+            r.pos = p
+            a = _read_action(r)
+            q = r.pos
+        out.append(a)
+        p = q
+    r.pos = p
+    return out
 
 
 def encode(rec: Recording) -> bytes:
@@ -249,11 +288,11 @@ def decode(data: bytes) -> Recording:
         raise Malformed(at, "label is not valid UTF-8") from None
     header = RecordingHeader(sku_id, map_hash, created, gran, label)
 
-    n_actions = r.u32()
-    actions = [_read_action(r) for _ in range(n_actions)]
+    actions = _read_actions(r, r.u32())
 
     n_dumps = r.u32()
     dumps = []
+    inflated = 0  # raw bytes of the dumps decoded so far
     for _ in range(n_dumps):
         dump_id, gpu_va, raw_len = r.u32(), r.u32(), r.u32()
         if raw_len > MEM_BYTES:
@@ -262,17 +301,20 @@ def decode(data: bytes) -> Recording:
                             f"exceeds device memory {MEM_BYTES}")
         at = r.pos
         origin_b = r.u8()
-        try:
-            origin = DumpOrigin(origin_b)
-        except ValueError:
-            raise Malformed(at, f"bad dump origin {origin_b}") from None
+        origin = _ORIGINS.get(origin_b)
+        if origin is None:
+            raise Malformed(at, f"bad dump origin {origin_b}")
         payload = r.blob32()
         at = r.pos
         try:
-            inflate(payload, raw_len)
+            raw = inflate(payload, raw_len)
         except zlib.error as e:
             raise Malformed(at, f"dump {dump_id} payload: {e}") from None
-        dumps.append(MemDump(dump_id, gpu_va, raw_len, payload, origin))
+        d = MemDump(dump_id, gpu_va, raw_len, payload, origin)
+        inflated += raw_len
+        if inflated <= MEM_BYTES:  # a file keeps no more than one maximal dump
+            object.__setattr__(d, "raw", raw)
+        dumps.append(d)
 
     n_io = r.u32()
     io_table = []

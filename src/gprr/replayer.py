@@ -8,16 +8,20 @@ an action or belongs to the fixed reset/preempt sequences.
 
 Divergence handling follows a bounded ladder: reset + reload + re-run,
 then re-runs that widen the pacing floors and wait budgets from the
-eighth action before the failure to the end of the recording, doubling
-each attempt.
-Four attempts, then a final report naming the failing action and its
-origin. When checkpointing is on, retries resume from the latest
-checkpoint instead of the start.
+eighth action before the failure to the end of the recording. Each
+widening at least doubles the last; when a retried wait or poll timed
+out, the ladder first waits on, up to a cap, to measure how many times
+slower than recorded the device ran, and starts at the power of two at
+or above that. Four attempts, then a final report naming the failing
+action and its origin. When checkpointing is on, retries resume from the
+latest checkpoint instead of the start.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import struct
 import threading
 from dataclasses import dataclass, field
 
@@ -33,7 +37,10 @@ NANO_ACCESS_NS = 20
 LOAD_BYTE_NS = 0.05
 INPUT_BYTE_NS = 0.1
 PREEMPT_DRAIN_BUDGET_NS = 10_000_000
+MEASURE_CAP = 64  # a timed-out retry waits on for up to this many budgets
+MAX_PACING_MULT = 256
 _ZERO_PAGE = bytes(dv.PAGE_SIZE)
+_put_u32 = struct.Struct("<I").pack_into
 
 
 class ReplayError(Exception):
@@ -108,6 +115,12 @@ class ReplayConfig:
     delay_window: int = 8
     force: bool = False
 
+    def poll_budget(self, a: RegReadWait, mult: int) -> int:
+        return max(self.poll_budget_mult * a.max_polls, self.poll_budget_min) * mult
+
+    def watchdog_ns(self, a: WaitIrq, mult: int) -> int:
+        return max(self.watchdog_mult * a.residency_ns, self.watchdog_floor_ns) * mult
+
 
 def expected_event_log(rec: Recording) -> list[tuple]:
     """The state-changing event sequence a correct replay must produce:
@@ -137,8 +150,8 @@ class ReplaySession:
         self.post_action_hook = None  # callable(session, index, action)
         self._preempt_request = threading.Event()
         self._preempt_request_t = 0
-        self._from_sku = dev.sku
-        # va -> (pages, pas, perm bits of its first map, in the recording's layout)
+        # va -> (pages, pas, PTE permission bits of its first map in the
+        # device's layout, VALID included)
         self._ranges: dict[int, tuple[int, list[int], int]] = {}
         self._page_pa: dict[int, int] = {}  # vpn -> pa of that VA page
         self._unmapped: set[int] = set()
@@ -147,16 +160,15 @@ class ReplaySession:
         # (first action, multiplier): the recovery ladder's pacing window
         self._window: tuple[int, int] = (0, 1)
         self._at_job_boundary = True
-        self._free_pa = dv.PAGE_SIZE  # bump allocator; page 0 stays reserved
+        self._free_pa = dv.PAGE_SIZE  # end of the pages load wrote; page 0 stays reserved
         # The session's non-zero pages as load laid them out (ppn -> bytes),
         # and the checkpoint that RAM equals outside the device's dirty-page
         # log. Mind the attribute count: from the 30th instance attribute
         # on, CPython 3.11 reads every attribute of the session more slowly
         # (measured: chain-64 replay 5% slower).
-        self._image: dict[int, bytes] = {}
+        self._image: dict[int, bytearray] = {}
         self._cp_base: Checkpoint | None = None
-        # dump_id -> inflated bytes, kept from its first in-stream load on;
-        # None until then. Only the dumps load found room for are keys.
+        # dump_id -> inflated bytes of each dump load found room for
         self._dumps: dict[int, bytes | None] = {}
         # (gpu_va, bytes) of each input the caller supplied to this replay
         self._inputs: list[tuple[int, bytes]] = []
@@ -198,13 +210,6 @@ class ReplaySession:
 
     # -- memory plumbing ----------------------------------------------------------
 
-    def _alloc_page(self) -> int:
-        pa = self._free_pa
-        if pa + dv.PAGE_SIZE > dv.MEM_BYTES:
-            raise LoadError("out of physical pages")
-        self._free_pa += dv.PAGE_SIZE
-        return pa
-
     def _va_to_pa(self, va: int) -> int:
         pa = self._page_pa.get(va >> dv.PAGE_SHIFT)
         if pa is None:
@@ -220,9 +225,7 @@ class ReplaySession:
                         for _, pa, chunk in dv.va_chunks(va, n, self._va_to_pa))
 
     def _install_range(self, va: int):
-        _, pas, perm_bits = self._ranges[va]
-        perms = self._from_sku.decode_perms(perm_bits)
-        bits = self.dev.sku.encode_perms(perms | Perm.VALID)
+        _, pas, bits = self._ranges[va]
         for i, pa in enumerate(pas):
             page_va = va + i * dv.PAGE_SIZE
             l2_pa = self._l2_pages[(page_va >> 22) & 0x3FF]
@@ -239,9 +242,11 @@ class ReplaySession:
     # -- load -----------------------------------------------------------------------
 
     def load(self, rec: Recording, verify_report: VerificationReport | None = None):
-        """Assign fresh pages for the recording's ranges, lay them out and
-        keep that image for every replay. A second load fully supersedes
-        the first."""
+        """Assign fresh pages for the recording's ranges, build them in
+        memory, write each page once and keep that image for every replay.
+        A second load fully supersedes the first. A load that fails leaves
+        no recording loaded and RAM as it was; the next load or
+        ``cleanup`` scrubs it."""
         cfg = self.config
         if rec.header.register_map_hash != self.reg_map.digest() and not cfg.force:
             raise LoadError("recording register map hash does not match replayer map")
@@ -254,15 +259,14 @@ class ReplaySession:
         if not verify_report.ok and not cfg.force:
             raise LoadError(
                 f"recording failed verification: {len(verify_report.violations)} violations")
-        self._from_sku = SKUS_BY_ID.get(rec.header.sku_id, self.dev.sku)
+        sku = self.dev.sku
+        pte_bits = dv.perm_table(SKUS_BY_ID.get(rec.header.sku_id, sku), sku, Perm.VALID)
 
-        self._scrub_pages()
         self.loaded = None  # a load that fails at any step leaves none
         self.last_checkpoint = None
         self._inputs = []
         self._dumps = {}
         self._window = (0, 1)
-        self._free_pa = dv.PAGE_SIZE
         self._ranges = {}
         self._l2_pages = {}
         for a in rec.actions:
@@ -273,35 +277,40 @@ class ReplaySession:
                 pages = max(1, -(-a.len_bytes // dv.PAGE_SIZE))
                 first = self._ranges.get(a.gpu_va)
                 if first is None:
-                    self._ranges[a.gpu_va] = (pages, [], a.perm_flags_encoded)
+                    self._ranges[a.gpu_va] = (pages, [], pte_bits[a.perm_flags_encoded & 0xF])
                 elif pages > first[0]:
                     self._ranges[a.gpu_va] = (pages, [], first[2])
-        self._l1_pa = self._alloc_page()
+        # bump allocation: page 0 stays reserved, the L1 table comes first;
+        # the first range inserted wins where ranges overlap
+        self._l1_pa = dv.PAGE_SIZE
+        end = 2 * dv.PAGE_SIZE
+        self._page_pa = {}
         for va, (pages, pas, _) in self._ranges.items():
+            if end + pages * dv.PAGE_SIZE > dv.MEM_BYTES:
+                raise LoadError("out of physical pages")
+            vpn = va >> dv.PAGE_SHIFT
             for i in range(pages):
                 l1_idx = ((va + i * dv.PAGE_SIZE) >> 22) & 0x3FF
                 if l1_idx not in self._l2_pages:
-                    self._l2_pages[l1_idx] = self._alloc_page()
-                pas.append(self._alloc_page())
-        # the first range inserted wins where ranges overlap
-        self._page_pa = {}
-        for va, (_, pas, _) in self._ranges.items():
-            vpn = va >> dv.PAGE_SHIFT
-            for i, pa in enumerate(pas):
-                self._page_pa.setdefault(vpn + i, pa)
-        self._plan_dumps(rec)
-        self._image = self._lay_out(rec)
+                    self._l2_pages[l1_idx] = end
+                    end += dv.PAGE_SIZE
+                pas.append(end)
+                self._page_pa.setdefault(vpn + i, end)
+                end += dv.PAGE_SIZE
+            if end > dv.MEM_BYTES:
+                raise LoadError("out of physical pages")
+        self._plan_dumps(rec, end)
+        self._image = self._lay_out(rec, end)
         self._cp_base = self._image_checkpoint()
         self._put_back(self._cp_base)
         self.loaded = rec
 
-    def _plan_dumps(self, rec: Recording):
+    def _plan_dumps(self, rec: Recording, room: int):
         """Refuse, even when forced, an unmap or a dump load that names
         nothing; the handlers trust both. Then choose the dumps replay
         keeps inflated: in first-use order, while they total no more raw
-        bytes than the session's own pages, so the file cannot grow the
-        cache past the memory it already lays out."""
-        room = self._free_pa
+        bytes than ``room``, the session's own pages, so the file cannot
+        grow the cache past the memory it already lays out."""
         for a in rec.actions:
             kind = type(a)
             if kind is UnmapGpuMem and a.gpu_va not in self._ranges:
@@ -314,39 +323,47 @@ class ReplaySession:
                     room -= d.raw_len
                     self._dumps[a.dump_id] = None
 
-    def _lay_out(self, rec: Recording) -> dict[int, bytes]:
-        """Zero the session's pages, then write the L1 and L2 entries and
-        the dumps. Returns the non-zero pages of the result (ppn -> bytes),
-        found in the device's dirty-page log."""
-        self._scrub_pages()
-        self.dev.take_dirty_pages()
-        sku = self.dev.sku
+    def _lay_out(self, rec: Recording, end: int) -> dict[int, bytearray]:
+        """Build the session's pages in memory: the L1 entries, the L2
+        entries and every dump, in that order, a later write winning. Keep
+        the bytes of the dumps ``_plan_dumps`` chose. Then write each page
+        below ``end``, and each page of the previous load past it, exactly
+        once. Returns the non-zero pages (ppn -> bytes), as built."""
+        page, shift = dv.PAGE_SIZE, dv.PAGE_SHIFT
+        built = {pa >> shift: bytearray(page) for pa in (self._l1_pa, *self._l2_pages.values())}
+        l1 = built[self._l1_pa >> shift]
+        l1_bits = self.dev.sku.encode_perms(Perm.VALID | Perm.READ)
+        l2 = {}
         for l1_idx, l2_pa in self._l2_pages.items():
-            entry = l2_pa | sku.encode_perms(Perm.VALID | Perm.READ)
-            self.dev.mem_write(self._l1_pa + l1_idx * 4, entry.to_bytes(4, "little"))
-        for va in self._ranges:
-            self._install_range(va)
+            _put_u32(l1, l1_idx * 4, l2_pa | l1_bits)
+            l2[l1_idx] = built[l2_pa >> shift]
+        for va, (_, pas, bits) in self._ranges.items():
+            for i, pa in enumerate(pas):
+                page_va = va + i * page
+                _put_u32(l2[(page_va >> 22) & 0x3FF], ((page_va >> 12) & 0x3FF) * 4, pa | bits)
+        dumps = self._dumps
         for d in rec.dumps:
-            self._write_va(d.gpu_va, inflate(d.payload, d.raw_len))
-        pages = {}
-        for ppn in self.dev.take_dirty_pages():
-            page = self.dev.mem_read(ppn << dv.PAGE_SHIFT, dv.PAGE_SIZE)
-            if page != _ZERO_PAGE:
-                pages[ppn] = page
-        return pages
+            data = d.raw if d.raw is not None else inflate(d.payload, d.raw_len)
+            if dumps.get(d.dump_id, b"") is None:  # chosen, and its first dump
+                dumps[d.dump_id] = data
+            view = memoryview(data)
+            for off, pa, n in dv.va_chunks(d.gpu_va, len(data), self._va_to_pa):
+                buf = built.get(pa >> shift)
+                if buf is None:
+                    buf = built[pa >> shift] = bytearray(page)
+                at = pa & dv.PAGE_MASK
+                buf[at:at + n] = view[off:off + n]
+        image = {ppn: buf for ppn, buf in built.items() if buf != _ZERO_PAGE}
+        write = self.dev.mem_write
+        for ppn in range(1, max(end, self._free_pa) >> shift):
+            write(ppn << shift, image.get(ppn, _ZERO_PAGE))
+        self.dev.take_dirty_pages()
+        self._free_pa = end
+        return image
 
     def _set_mmu_base(self):
         self.dev.reg_write(self._offset("MMU_TABLE_BASE_LO"), self._l1_pa & 0xFFFFFFFF)
         self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"), self._l1_pa >> 32)
-
-    def _scrub_pages(self):
-        for _, pas, _ in self._ranges.values():
-            for pa in pas:
-                self.dev.mem_write(pa, _ZERO_PAGE)
-        for l2_pa in self._l2_pages.values():
-            self.dev.mem_write(l2_pa, _ZERO_PAGE)
-        if self._l1_pa:
-            self.dev.mem_write(self._l1_pa, _ZERO_PAGE)
 
     def _image_checkpoint(self) -> Checkpoint:
         """The load-time image as a checkpoint: no page written since it,
@@ -449,7 +466,7 @@ class ReplaySession:
 
     def _step_poll(self, a: RegReadWait, mult: int) -> DivergenceReport | None:
         cfg = self.config
-        budget = max(cfg.poll_budget_mult * a.max_polls, cfg.poll_budget_min) * mult
+        budget = cfg.poll_budget(a, mult)
         n = 0
         while True:
             v = self._read(a.reg_name)
@@ -464,13 +481,10 @@ class ReplaySession:
             self._tick(cfg.poll_period_ns)
 
     def _step_loaddump(self, a: LoadMemDump, mult: int) -> None:
-        dumps = self._dumps
-        data = dumps.get(a.dump_id)
+        data = self._dumps.get(a.dump_id)  # kept as recorded: the inputs differ per replay
         if data is None:
             d = self.loaded.dump_by_id(a.dump_id)
-            data = inflate(d.payload, d.raw_len)
-            if a.dump_id in dumps:  # kept as recorded: the inputs differ per replay
-                dumps[a.dump_id] = data
+            data = d.raw if d.raw is not None else inflate(d.payload, d.raw_len)
         data = self._over_inputs(a.gpu_va, data)
         self._write_va(a.gpu_va, data)
         self._tick(round(len(data) * LOAD_BYTE_NS))
@@ -488,7 +502,7 @@ class ReplaySession:
 
     def _step_waitirq(self, a: WaitIrq, mult: int) -> DivergenceReport | None:
         cfg = self.config
-        watchdog = max(cfg.watchdog_mult * a.residency_ns, cfg.watchdog_floor_ns) * mult
+        watchdog = cfg.watchdog_ns(a, mult)
         deadline = self.dev.vclock_ns + watchdog
         while True:
             raw = self.dev.irq_rawstat
@@ -618,6 +632,7 @@ class ReplaySession:
 
     def _recover_loop(self, report: DivergenceReport, inputs: dict[int, bytes]):
         cfg = self.config
+        mult, slowdown = 1, 0.0
         for attempt in range(1, cfg.max_attempts + 1):
             if attempt == 1:
                 self._window = (0, 1)
@@ -625,7 +640,8 @@ class ReplaySession:
                 # from the window on to the end: the jobs after the failure
                 # run as slowly as the one that failed
                 lo = max(0, report.action_index - cfg.delay_window + 1)
-                self._window = (lo, 2 ** (attempt - 1))
+                mult = min(MAX_PACING_MULT, max(2 * mult, _pow2_at_least(slowdown)))
+                self._window = (lo, mult)
             cp = self.last_checkpoint if cfg.checkpoint_every_jobs else None
             if cp is None:
                 self._reload()
@@ -637,6 +653,7 @@ class ReplaySession:
                 self._window = (0, 1)
                 return outcome, attempt
             report = outcome
+            slowdown = self._measure_slowdown(report)
         label = self.loaded.header.workload_label
         final = DivergenceReport(
             report.action_index, report.kind, report.reg, report.expected,
@@ -644,6 +661,43 @@ class ReplaySession:
             origin=f"{label}#action{report.action_index}")
         self._window = (0, 1)
         return final, cfg.max_attempts
+
+    def _measure_slowdown(self, report: DivergenceReport) -> float:
+        """After a poll or interrupt wait timed out, wait on from where it
+        stopped, up to MEASURE_CAP times its budget in all, and return how
+        many times its recorded polls or residency it took. 0.0 when it
+        did not finish within the cap, nothing was pending, something else
+        went wrong first, or there is no record to measure against."""
+        a = self.loaded.actions[report.action_index]
+        kind = type(a)
+        if report.kind is not DivergenceKind.TIMEOUT or kind not in (RegReadWait, WaitIrq):
+            return 0.0
+        cfg = self.config
+        lo, mult = self._window
+        if report.action_index < lo:
+            mult = 1
+        if kind is RegReadWait:
+            budget = cfg.poll_budget(a, mult)
+            for n in range(budget + 1, MEASURE_CAP * budget + 1):
+                if self.dev.next_event_ns() is None:
+                    return 0.0  # nothing pending: the value will not change
+                self._tick(cfg.poll_period_ns)
+                if self._read(a.reg_name) & a.mask == a.expect_value:
+                    return n / a.max_polls if a.max_polls else 0.0
+            return 0.0
+        watchdog = cfg.watchdog_ns(a, mult)
+        start = self.dev.vclock_ns - watchdog  # the timed-out wait ended at its deadline
+        cap = start + MEASURE_CAP * watchdog
+        while True:
+            raw = self.dev.irq_rawstat
+            if raw & ~a.expect_rawstat & dv.IRQ_ALL:
+                return 0.0
+            if raw & a.expect_rawstat == a.expect_rawstat:
+                return (self.dev.vclock_ns - start) / a.residency_ns if a.residency_ns else 0.0
+            nxt = self.dev.next_event_ns()
+            if nxt is None or nxt > cap:
+                return 0.0
+            self._tick(nxt - self.dev.vclock_ns)
 
     # -- checkpoint / restore ---------------------------------------------------------
 
@@ -710,12 +764,17 @@ class ReplaySession:
 
     def cleanup(self) -> None:
         """Reset the device and scrub every page this session touched."""
-        self._scrub_pages()
+        for pa in range(dv.PAGE_SIZE, self._free_pa, dv.PAGE_SIZE):
+            self.dev.mem_write(pa, _ZERO_PAGE)
         self.loaded = None
         self._image = {}
         self._dumps = {}
         self._reset_sequence()
         self.dev.release(self)
+
+
+def _pow2_at_least(x: float) -> int:
+    return 1 << (max(1, math.ceil(x)) - 1).bit_length()
 
 
 def _unknown_action(session: ReplaySession, a, mult: int):

@@ -103,87 +103,95 @@ def _overlaps(bases: list[int], spans: dict[int, int],
 def verify(rec: Recording, reg_map: RegisterMap | None = None,
            mem_budget_bytes: int = DEFAULT_MEM_BUDGET) -> VerificationReport:
     reg_map = reg_map or dv.DEFAULT_REGISTER_MAP
+    by_name = reg_map.by_name
     violations: list[Violation] = []
+    flag = violations.append
     dump_ids = {d.dump_id: d for d in rec.dumps}
 
     live: dict[int, int] = {}
     live_bases: list[int] = []  # the keys of ``live``, sorted
-    current = 0
-    peak = 0
-    pending_kicks = 0
-    pending_resets = 0
-
-    for i, a in enumerate(rec.actions):
-        if isinstance(a, (RegWrite, RegRead, RegReadWait)):
-            reg = reg_map.by_name(a.reg_name)
-            if reg is None:
-                violations.append(Violation(
-                    i, "R1", f"register {a.reg_name!r} not in map"))
-                continue
-            if isinstance(a, RegWrite):
-                if reg.access is Access.RO:
-                    violations.append(Violation(
-                        i, "R2", f"write to read-only {a.reg_name}"))
-                elif a.reg_name == "JOB_START" and a.value & 1:
-                    pending_kicks += 1
-                elif a.reg_name == "GPU_CMD" and a.value == dv.CMD_SOFT_RESET:
-                    pending_resets += 1
-            else:
-                if reg.access is Access.WO:
-                    violations.append(Violation(
-                        i, "R2", f"read of write-only {a.reg_name}"))
-        elif isinstance(a, MapGpuMem):
-            if a.gpu_va & dv.PAGE_MASK:
-                violations.append(Violation(
-                    i, "R8", f"range {a.gpu_va:#x} is not page-aligned"))
-            pages = _pages(a.len_bytes)
-            if a.gpu_va not in live:
-                insort(live_bases, a.gpu_va)
-            live[a.gpu_va] = pages
-            current += pages * dv.PAGE_SIZE
-            peak = max(peak, current)
-            if current > mem_budget_bytes:
-                violations.append(Violation(
-                    i, "R3",
-                    f"mapped {current} bytes exceeds budget {mem_budget_bytes}"))
-        elif isinstance(a, UnmapGpuMem):
-            pages = live.pop(a.gpu_va, None)
-            if pages is None:
-                violations.append(Violation(
-                    i, "R5", f"unmap of never-mapped {a.gpu_va:#x}"))
-            else:
-                live_bases.pop(bisect_right(live_bases, a.gpu_va) - 1)
-                current -= pages * dv.PAGE_SIZE
-        elif isinstance(a, LoadMemDump):
-            d = dump_ids.get(a.dump_id)
-            if d is None:
-                violations.append(Violation(
-                    i, "R4", f"references missing dump {a.dump_id}"))
-            elif not _covered(live_bases, live, a.gpu_va, d.raw_len):
-                violations.append(Violation(
-                    i, "R4",
-                    f"dump load at {a.gpu_va:#x}+{d.raw_len:#x} outside mapping"))
-        elif isinstance(a, WaitIrq):
-            if a.expect_rawstat & dv.IRQ_JOB_DONE:
-                if pending_kicks <= 0:
-                    violations.append(Violation(
-                        i, "R6", "JOB_DONE wait without a pending job kick"))
-                else:
-                    pending_kicks -= 1
-            if a.expect_rawstat & dv.IRQ_RESET_DONE:
-                if pending_resets <= 0:
-                    violations.append(Violation(
-                        i, "R6", "RESET_DONE wait without a prior soft reset"))
-                else:
-                    pending_resets -= 1
-
-    ever_mapped: dict[int, int] = {}
+    ever_mapped: dict[int, int] = {}  # base -> pages of its largest map
     first_map: dict[int, int] = {}  # base -> index of its first MapGpuMem
+    current = peak = pending_kicks = pending_resets = 0
+
+    # One rule per action type, keyed by type below; each checks action
+    # ``a`` at index ``i`` and appends what it finds.
+
+    def write(i, a):
+        nonlocal pending_kicks, pending_resets
+        reg = by_name(a.reg_name)
+        if reg is None:
+            flag(Violation(i, "R1", f"register {a.reg_name!r} not in map"))
+        elif reg.access is Access.RO:
+            flag(Violation(i, "R2", f"write to read-only {a.reg_name}"))
+        elif a.reg_name == "JOB_START" and a.value & 1:
+            pending_kicks += 1
+        elif a.reg_name == "GPU_CMD" and a.value == dv.CMD_SOFT_RESET:
+            pending_resets += 1
+
+    def read(i, a):
+        reg = by_name(a.reg_name)
+        if reg is None:
+            flag(Violation(i, "R1", f"register {a.reg_name!r} not in map"))
+        elif reg.access is Access.WO:
+            flag(Violation(i, "R2", f"read of write-only {a.reg_name}"))
+
+    def map_(i, a):
+        nonlocal current, peak
+        va = a.gpu_va
+        if va & dv.PAGE_MASK:
+            flag(Violation(i, "R8", f"range {va:#x} is not page-aligned"))
+        pages = _pages(a.len_bytes)
+        if va not in live:
+            insort(live_bases, va)
+        live[va] = pages
+        if pages > ever_mapped.get(va, 0):
+            ever_mapped[va] = pages
+        first_map.setdefault(va, i)
+        current += pages * dv.PAGE_SIZE
+        peak = max(peak, current)
+        if current > mem_budget_bytes:
+            flag(Violation(i, "R3", f"mapped {current} bytes exceeds budget {mem_budget_bytes}"))
+
+    def unmap(i, a):
+        nonlocal current
+        pages = live.pop(a.gpu_va, None)
+        if pages is None:
+            flag(Violation(i, "R5", f"unmap of never-mapped {a.gpu_va:#x}"))
+        else:
+            live_bases.pop(bisect_right(live_bases, a.gpu_va) - 1)
+            current -= pages * dv.PAGE_SIZE
+
+    def load_dump(i, a):
+        d = dump_ids.get(a.dump_id)
+        if d is None:
+            flag(Violation(i, "R4", f"references missing dump {a.dump_id}"))
+        elif not _covered(live_bases, live, a.gpu_va, d.raw_len):
+            flag(Violation(i, "R4", f"dump load at {a.gpu_va:#x}+{d.raw_len:#x} outside mapping"))
+
+    def wait_irq(i, a):
+        nonlocal pending_kicks, pending_resets
+        if a.expect_rawstat & dv.IRQ_JOB_DONE:
+            if pending_kicks <= 0:
+                flag(Violation(i, "R6", "JOB_DONE wait without a pending job kick"))
+            else:
+                pending_kicks -= 1
+        if a.expect_rawstat & dv.IRQ_RESET_DONE:
+            if pending_resets <= 0:
+                flag(Violation(i, "R6", "RESET_DONE wait without a prior soft reset"))
+            else:
+                pending_resets -= 1
+
+    rules = {RegWrite: write, RegRead: read, RegReadWait: read, MapGpuMem: map_,
+             UnmapGpuMem: unmap, LoadMemDump: load_dump, WaitIrq: wait_irq}
     for i, a in enumerate(rec.actions):
-        if isinstance(a, MapGpuMem):
-            ever_mapped[a.gpu_va] = max(ever_mapped.get(a.gpu_va, 0),
-                                        _pages(a.len_bytes))
-            first_map.setdefault(a.gpu_va, i)
+        rule = rules.get(type(a))
+        if rule is None:  # a subclass takes its base's rule; anything else none
+            rule = next((rules[c] for c in type(a).__mro__ if c in rules), None)
+            if rule is None:
+                continue
+        rule(i, a)
+
     ever_bases = sorted(ever_mapped)
     violations.extend(_overlaps(ever_bases, ever_mapped, first_map))
     for io in rec.io_table:

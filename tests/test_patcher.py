@@ -6,7 +6,7 @@ import dataclasses
 import pytest
 
 from gprr.actions import MapGpuMem, RegRead, RegWrite
-from gprr.device import Device, Perm, SKU_A, SKU_B, SkuProfile
+from gprr.device import Device, Perm, SKU_A, SKU_B, SkuProfile, perm_table
 from gprr.patcher import PatchError, patch, patch_recording
 from gprr.recfmt import encode
 from gprr.recorder import RecordHarness, record
@@ -28,6 +28,16 @@ def test_perm_set_reencodes_across_layouts():
     assert SKU_A.encode_perms(perms) == 0b0111
     assert SKU_B.encode_perms(perms) == 0b1101
     assert SKU_B.decode_perms(0b1101) == perms
+
+
+@pytest.mark.parametrize("to_sku", [SKU_A, SKU_B], ids=["to-A", "to-B"])
+@pytest.mark.parametrize("from_sku", [SKU_A, SKU_B], ids=["from-A", "from-B"])
+def test_perm_table_is_the_perm_round_trip(from_sku, to_sku):
+    # the patcher's table, and the replayer's with VALID added, against Perm
+    for add in (Perm(0), Perm.VALID):
+        table = perm_table(from_sku, to_sku, add)
+        for bits in range(16):
+            assert table[bits] == to_sku.encode_perms(from_sku.decode_perms(bits) | add)
 
 
 def test_patch_reencodes_map_permissions(vecadd_rec):

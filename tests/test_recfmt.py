@@ -1,5 +1,7 @@
 """Binary codec: round trips, structured failures, fuzz totality."""
 
+import dataclasses
+import hashlib
 import random
 import tracemalloc
 import zlib
@@ -128,6 +130,17 @@ def test_unknown_action_tag():
     assert ei.value.offset == tag_at
 
 
+def test_register_name_that_is_not_utf8():
+    rec = Recording(header(), (RegWrite(0, 0, "GPU_CMD", 1),), (), ())
+    blob = bytearray(encode(rec))
+    at = bytes(blob).index(b"GPU_CMD")
+    blob[at] = 0xFF
+    body = bytes(blob[:-32])
+    with pytest.raises(Malformed, match="not valid UTF-8") as err:
+        decode(body + hashlib.sha256(body).digest())
+    assert err.value.offset == at - 2  # the name's length field
+
+
 def test_dangling_dump_reference():
     rec = Recording(header(), (LoadMemDump(0, 0, 9, 0x400000),), (), ())
     import hashlib
@@ -186,6 +199,24 @@ def test_oversized_dump_rejected_before_inflating():
         tracemalloc.stop()
     assert peak < 8 << 20
     assert err.value.offset == raw_len_at
+
+
+def test_decode_keeps_checked_dumps_up_to_device_memory():
+    # four 4 MiB dumps fill the 16 MiB the decoder keeps; the fifth and
+    # everything after it is checked and dropped
+    big, small = 4 << 20, 4096
+    dumps = tuple(MemDump(i, 0x400000, big, deflate(bytes([i]) * big), DumpOrigin.EXEC_PAGE)
+                  for i in range(5))
+    dumps += (MemDump(5, 0x400000, small, deflate(b"\x07" * small), DumpOrigin.EXEC_PAGE),)
+    rec = Recording(header(), (), dumps, ())
+    blob = encode(rec)
+    got = decode(blob)
+    assert [d.raw for d in got.dumps[:4]] == [bytes([i]) * big for i in range(4)]
+    assert [d.raw for d in got.dumps[4:]] == [None, None]
+    # the kept bytes are no part of the dump's value
+    assert got == rec and encode(got) == blob
+    assert hash(got.dumps[0]) == hash(dumps[0]) and repr(got.dumps[0]) == repr(dumps[0])
+    assert dataclasses.replace(got.dumps[0]).raw is None
 
 
 def test_zero_heavy_payload_compresses_below_half():

@@ -4,15 +4,18 @@ checkpointing, preemption, sequences."""
 import dataclasses
 import hashlib
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gprr.device as dv
+import gprr.recfmt as recfmt
 import gprr.replayer as replayer
 from gprr.actions import (ACTION_SCHEMAS, DumpOrigin, IoMode, LoadMemDump, MapGpuMem,
                           MemDump, RegRead, RegWrite, UnmapGpuMem, WaitIrq, ActionClass)
 from gprr.device import Device, DeviceOwned, SKU_B
+from gprr.patcher import patch
 from gprr.recfmt import deflate, inflate
 from gprr.recorder import RecordHarness, magic_bytes
 from gprr.refstack import DelayPolicy, GpuStack, build_graph
@@ -22,7 +25,7 @@ from gprr.replayer import (DivergenceKind, LoadError, ReplayConfig,
 from gprr.shader import OP_LDI
 from gprr.verifier import verify
 
-from conftest import i32s, random_input, record_graph, replay_once, unpack32
+from conftest import builtin_graphs, i32s, random_input, record_graph, replay_once, unpack32
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +211,152 @@ def test_load_that_fails_to_lay_out_leaves_nothing_loaded(vecadd):
     s.cleanup()
 
 
+def reference_layout(dev, rec):
+    """The layout as load once wrote it, straight onto ``dev``: zero every
+    session page, write each L1 and then each L2 entry on its own, with
+    the permissions translated through ``Perm``, write every dump through
+    the session's VA map, then read back each page the device logged.
+    Returns the non-zero pages, the VA page map and the footprint's end."""
+    page, zero = dv.PAGE_SIZE, bytes(dv.PAGE_SIZE)
+    from_sku = dv.SKUS_BY_ID.get(rec.header.sku_id, dev.sku)
+    ranges = {}
+    for a in rec.actions:
+        if isinstance(a, MapGpuMem):
+            if a.gpu_va & dv.PAGE_MASK:
+                raise LoadError(f"range {a.gpu_va:#x} is not page-aligned")
+            pages = max(1, -(-a.len_bytes // page))
+            first = ranges.get(a.gpu_va)
+            if first is None:
+                ranges[a.gpu_va] = (pages, [], a.perm_flags_encoded)
+            elif pages > first[0]:
+                ranges[a.gpu_va] = (pages, [], first[2])
+    free = [page]
+
+    def alloc():
+        pa = free[0]
+        if pa + page > dv.MEM_BYTES:
+            raise LoadError("out of physical pages")
+        free[0] += page
+        return pa
+
+    l1_pa, l2_pages = alloc(), {}
+    for va, (pages, pas, _) in ranges.items():
+        for i in range(pages):
+            l1_idx = ((va + i * page) >> 22) & 0x3FF
+            if l1_idx not in l2_pages:
+                l2_pages[l1_idx] = alloc()
+            pas.append(alloc())
+    page_pa = {}
+    for va, (_, pas, _) in ranges.items():
+        for i, pa in enumerate(pas):
+            page_pa.setdefault((va >> dv.PAGE_SHIFT) + i, pa)
+
+    def to_pa(va):
+        pa = page_pa.get(va >> dv.PAGE_SHIFT)
+        if pa is None:
+            raise ReplayError(f"VA {va:#x} not assigned by this session")
+        return pa + (va & dv.PAGE_MASK)
+
+    for pa in [pa for _, pas, _ in ranges.values() for pa in pas] + [*l2_pages.values(), l1_pa]:
+        dev.mem_write(pa, zero)
+    dev.take_dirty_pages()
+    for l1_idx, l2_pa in l2_pages.items():
+        entry = l2_pa | dev.sku.encode_perms(dv.Perm.VALID | dv.Perm.READ)
+        dev.mem_write(l1_pa + l1_idx * 4, entry.to_bytes(4, "little"))
+    for va, (_, pas, bits) in ranges.items():
+        pte_bits = dev.sku.encode_perms(from_sku.decode_perms(bits) | dv.Perm.VALID)
+        for i, pa in enumerate(pas):
+            page_va = va + i * page
+            l2_pa = l2_pages[(page_va >> 22) & 0x3FF]
+            dev.mem_write(l2_pa + ((page_va >> 12) & 0x3FF) * 4,
+                          (pa | pte_bits).to_bytes(4, "little"))
+    for d in rec.dumps:
+        data = inflate(d.payload, d.raw_len)
+        for off, pa, n in dv.va_chunks(d.gpu_va, len(data), to_pa):
+            dev.mem_write(pa, data[off:off + n])
+    image = {}
+    for ppn in dev.take_dirty_pages():
+        data = dev.mem_read(ppn << dv.PAGE_SHIFT, page)
+        if data != zero:
+            image[ppn] = data
+    return image, page_pa, free[0]
+
+
+# Extra ranges and dumps near a recorded range, near a fresh base and
+# across the 4 MiB edge of an L2 table; forced past R4 and R7, they overlap
+# each other and the recorded ones.
+_BASES = (None, 0x0100_0000, 0x003F_E000)
+extra_maps = st.lists(st.tuples(st.sampled_from(_BASES), st.integers(-3, 3),
+                                st.integers(1, 3 * dv.PAGE_SIZE), st.integers(0, 255)),
+                      max_size=6)
+extra_dumps = st.lists(st.tuples(st.sampled_from(_BASES), st.integers(-3 * dv.PAGE_SIZE, 3 * dv.PAGE_SIZE),
+                                 st.integers(1, 2 * dv.PAGE_SIZE), st.integers(0, 255),
+                                 st.booleans(), st.booleans()),
+                       max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(builtin_graphs())), sku=st.sampled_from([dv.SKU_A, SKU_B]),
+       maps=extra_maps, dumps=extra_dumps, reload=st.booleans())
+def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, maps, dumps,
+                                                   reload):
+    rec = recorded[name]
+    first = next(a for a in rec.actions if isinstance(a, MapGpuMem)).gpu_va
+    page = dv.PAGE_SIZE
+    actions, extra = list(rec.actions), []
+    next_id = max(d.dump_id for d in rec.dumps) + 1
+    for base, shift, length, perm in maps:
+        actions.append(MapGpuMem(0, 0, (base or first) + shift * page, length, perm))
+    for base, offset, length, fill, reuse_id, named in dumps:
+        va = max(0, (base or first) + offset)
+        dump_id = rec.dumps[0].dump_id if reuse_id else next_id + len(extra)
+        data = bytes((fill + i) & 0xFF for i in range(length))
+        extra.append(MemDump(dump_id, va, length, deflate(data), DumpOrigin.MAPPED_FALLBACK))
+        if named:
+            actions.append(LoadMemDump(0, 0, dump_id, va))
+    forced = dataclasses.replace(rec, actions=tuple(actions), dumps=rec.dumps + tuple(extra))
+
+    ref_dev = Device(sku=sku)
+    try:
+        want = reference_layout(ref_dev, forced)
+    except ReplayError as e:
+        want = e
+    dev = Device(sku=sku)
+    s = init(dev, ReplayConfig(force=True))
+    if reload:  # over a replayed load of a recording with a larger footprint
+        g, small = vecadd
+        va, fill = 0x0200_0000, b"\x5A" * (64 * page)
+        big = MemDump(max(d.dump_id for d in small.dumps) + 1, va, len(fill), deflate(fill),
+                      DumpOrigin.MAPPED_FALLBACK)
+        prior = dataclasses.replace(small, dumps=small.dumps + (big,), actions=small.actions + (
+            MapGpuMem(0, 0, va, len(fill), 0b0011), LoadMemDump(0, 0, big.dump_id, va)))
+        s.load(patch(prior, dv.SKU_A, sku))
+        assert s.replay(i32s(range(8))).ok
+    touched = s._free_pa  # no page past this or the new footprint was written
+    writes = Counter()  # ppn -> times load wrote it
+    write = dev.mem_write
+    dev.mem_write = lambda pa, data: (
+        writes.update(range(pa >> dv.PAGE_SHIFT, (pa + len(data) + page - 1) >> dv.PAGE_SHIFT)),
+        write(pa, data))
+    if isinstance(want, ReplayError):
+        with pytest.raises(type(want)) as got:
+            s.load(forced)
+        assert str(got.value) == str(want)
+        assert not writes  # RAM as it was, for the next load or cleanup
+    else:
+        s.load(forced)
+        image, page_pa, end = want
+        assert s._image == image
+        assert s._page_pa == page_pa
+        assert s._free_pa == end
+        touched = max(touched, end)
+        assert writes == Counter(range(1, touched >> dv.PAGE_SHIFT))  # each page once
+        assert dev.mem_read(0, touched) == ref_dev.mem_read(0, touched)
+        assert dev.take_dirty_pages() == ref_dev.take_dirty_pages() == set()
+    del dev.mem_write
+    s.cleanup()
+
+
 # -- replay basics -----------------------------------------------------------------
 
 def test_va_to_pa_matches_first_range_in_order(vecadd):
@@ -282,25 +431,32 @@ def test_output_follows_the_input_mode(mode):
 # -- dump cache ----------------------------------------------------------------------
 
 def test_each_dump_is_inflated_once_per_load(mixed, monkeypatch):
-    g, rec = mixed
+    # decode, load and three replays inflate each dump of a decoded
+    # recording once in all; a recording built in memory is inflated by
+    # load, once per dump, and never by a replay of the kept dumps
+    g, built = mixed
     calls = []
 
     def counting(payload, raw_len=None):
         calls.append(raw_len)
         return inflate(payload, raw_len)
 
-    s = session_for(rec)
+    monkeypatch.setattr(recfmt, "inflate", counting)
     monkeypatch.setattr(replayer, "inflate", counting)
-    used = {a.dump_id for a in rec.actions if isinstance(a, LoadMemDump)}
+    rec = recfmt.decode(recfmt.encode(built))
+    assert all(d.raw is not None for d in rec.dumps)
+    s = session_for(rec)
     for seed in range(3):
         inp = random_input(g, seed)
         assert s.replay(inp).outputs == [g.evaluate(inp)]
-        assert len(calls) == len(used)  # all on the first replay, none after
-    s.load(rec)  # a new load starts a new cache
+    assert len(calls) == len(rec.dumps)
     calls.clear()
-    inp = random_input(g, 3)
-    assert s.replay(inp).outputs == [g.evaluate(inp)]
-    assert len(calls) == len(used)
+    s.load(built)  # a new load starts a new cache
+    assert len(calls) == len(built.dumps)
+    for seed in range(3, 6):
+        inp = random_input(g, seed)
+        assert s.replay(inp).outputs == [g.evaluate(inp)]
+    assert len(calls) == len(built.dumps)
     s.cleanup()
 
 
@@ -530,6 +686,40 @@ def test_underclocked_multi_job_replay_recovers(mixed, clock_div):
         assert r.ok and 2 <= r.recovery_attempts <= 3, (env_seed, r.divergence)
         assert r.outputs == [g.evaluate(inp)]
         s.cleanup()
+
+
+@pytest.mark.parametrize("clock_div", [16, 32])
+def test_recovery_climbs_from_the_measured_slowdown(mixed, clock_div):
+    # doubling from 1 reaches only 8x by the fourth attempt; the retry that
+    # times out measures how much slower the device runs instead
+    g, rec = mixed
+    for env_seed in range(8):
+        s = session_for(rec, clock_div=clock_div, env_seed=env_seed)
+        inp = random_input(g, env_seed)
+        r = s.replay(inp)
+        assert r.ok and r.recovery_attempts <= ReplayConfig().max_attempts, (env_seed, r.divergence)
+        assert r.outputs == [g.evaluate(inp)]
+        s.cleanup()
+
+
+def test_a_device_that_never_finishes_still_ends_in_a_report(mixed):
+    # every kick stalls far past any watchdog: each retry measures up to its
+    # cap, finds nothing, and the ladder ends in a report, not a hang
+    g, rec = mixed
+    s = session_for(rec)
+    stall_ns = 10 ** 15
+
+    def post(sess, idx, action):
+        if isinstance(action, RegWrite) and action.reg_name == "JOB_START":
+            sess.dev.stall(stall_ns)
+
+    s.post_action_hook = post
+    r = s.replay(random_input(g, 1))
+    assert not r.ok and r.recovery_attempts == ReplayConfig().max_attempts
+    assert r.divergence.kind is DivergenceKind.TIMEOUT
+    assert r.divergence.origin.startswith(rec.header.workload_label)
+    assert r.vclock_ns < stall_ns
+    s.cleanup()
 
 
 # -- checkpoint / restore -------------------------------------------------------------------
