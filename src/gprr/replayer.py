@@ -653,7 +653,8 @@ class ReplaySession:
                 self._window = (0, 1)
                 return outcome, attempt
             report = outcome
-            slowdown = self._measure_slowdown(report)
+            if attempt < cfg.max_attempts:  # only a next attempt uses it
+                slowdown = self._measure_slowdown(report)
         label = self.loaded.header.workload_label
         final = DivergenceReport(
             report.action_index, report.kind, report.reg, report.expected,
