@@ -86,6 +86,10 @@ JITTER_HI = 1.3
 
 SHADER_STEP_BUDGET = 1 << 24
 CHAIN_MAX_JOBS = 4096
+# The most reads a driver's poll makes before it gives up. Replay polls a
+# recorded register up to a multiple of its max_polls, so a recording may
+# ask for no more (verifier rule R9).
+POLL_MAX_READS = 100_000
 SHADER_MAX_BYTES = 64 * 1024
 
 # Job descriptor layout in GPU memory: 12 little-endian u32 words.
@@ -732,6 +736,69 @@ class Device:
                     for vpn in fast_vpns.pop(ppn, ()):
                         del read_fast[vpn]
 
+        def run_bulk(plan, regs, n):
+            """Run the next ``n`` iterations of an affine self-loop at once
+            (``shader._bulk_loop``), or return False to leave them to the
+            compiled loop. First come the page walks those iterations make,
+            in their order, faulting where they would. Then the loop runs in
+            bulk only if no load reads a buffered word and no two ops touch
+            the same word, except a load and a later store of the same
+            iteration. Unaligned accesses and partial words fall back."""
+            ops, body = plan
+            if masks or any(regs[r] & 3 or regs[r] + 4 * n > 1 << 32 for _, r in ops):
+                return False
+            # one [first iteration, op, VA, words, pa] per op and VA page; as
+            # every address is aligned, each page holds at least one word
+            chunks = []
+            for i, (_, r) in enumerate(ops):
+                a, j = regs[r], 0
+                while j < n:
+                    k = min(n - j, (PAGE_SIZE - (a & PAGE_MASK)) >> 2)
+                    chunks.append([j, i, a, k, 0])
+                    j += k
+                    a += 4 * k
+            chunks.sort()
+            for chunk in chunks:
+                j, i, a, k, _ = chunk
+                if ops[i][0]:  # a store buffers its page at once, as store_word does
+                    base = write_pages.get(a >> PAGE_SHIFT)
+                    if base is None:
+                        base = write_pages[a >> PAGE_SHIFT] = walk(a, _WRITE) & ~PAGE_MASK
+                    if base >> PAGE_SHIFT not in buffered:
+                        buffered.add(base >> PAGE_SHIFT)
+                        for vpn in fast_vpns.pop(base >> PAGE_SHIFT, ()):
+                            del read_fast[vpn]
+                else:
+                    load_word(a)  # walks the page on its first load
+                    base = read_pages[a >> PAGE_SHIFT]
+                chunk[4] = base | (a & PAGE_MASK)
+            stored = [c for c in chunks if ops[c[1]][0]]
+            for j, i, _, k, pa in chunks:
+                for y in stored:
+                    if y[1] != i and y[4] < pa + 4 * k and pa < y[4] + 4 * y[3] and (
+                            y[4] - pa != 4 * (y[0] - j) or y[1] < i):
+                        return False
+                words = range(pa, pa + 4 * k, 4)
+                if not ops[i][0] and pa >> PAGE_SHIFT in buffered and not (
+                        stores.keys().isdisjoint(words) and writeback.keys().isdisjoint(words)):
+                    return False
+
+            def load(i):
+                words = []
+                for _, op, _, k, pa in chunks:
+                    if op == i:
+                        words += struct.unpack_from(f"<{k}I", mem, pa)
+                return words
+
+            def store(i, words):
+                words = iter(words)
+                for _, op, _, k, pa in chunks:
+                    if op == i:
+                        stores.update(zip(range(pa, pa + 4 * k, 4), words))
+
+            body(regs, n, load, store)
+            return True
+
         bound = (mem, _u32_at, read_fast, write_pages, stores, masks)
         try:
             seen = 0
@@ -765,7 +832,7 @@ class Device:
                     words += struct.unpack_from(f"<{n >> 2}I", mem, walk(a, _EXEC))
                     off += n
                 n, halted = execute(words, list(params), load_word, store_word,
-                                    SHADER_STEP_BUDGET, _MEM_PATH, bound)
+                                    SHADER_STEP_BUDGET, _MEM_PATH, bound, run_bulk)
                 total_instr += n
                 if not halted:
                     return _PendingJob(None, {}, total_instr, None, JOB_BAD_STATE)

@@ -304,7 +304,8 @@ class _Driver:
                    t0=t0, t1=self.dev.vclock_ns)
         return v
 
-    def poll(self, name: str, mask: int, expect: int, max_reads: int = 100000) -> int:
+    def poll(self, name: str, mask: int, expect: int,
+             max_reads: int = dv.POLL_MAX_READS) -> int:
         """wait_for() motif: re-read until (value & mask) == expect."""
         self.stack._os_jitter()
         t0 = self.dev.vclock_ns

@@ -307,12 +307,17 @@ class ReplaySession:
 
     def _plan_dumps(self, rec: Recording, room: int):
         """Refuse, even when forced, an unmap or a dump load that names
-        nothing; the handlers trust both. Then choose the dumps replay
-        keeps inflated: in first-use order, while they total no more raw
-        bytes than ``room``, the session's own pages, so the file cannot
-        grow the cache past the memory it already lays out."""
+        nothing, which the handlers trust, and a poll allowed more than
+        ``POLL_MAX_READS`` reads, whose budget could hang replay. Then
+        choose the dumps replay keeps inflated: in first-use order, while
+        they total no more raw bytes than ``room``, the session's own
+        pages, so the file cannot grow the cache past the memory it
+        already lays out."""
         for a in rec.actions:
             kind = type(a)
+            if kind is RegReadWait and a.max_polls > dv.POLL_MAX_READS:
+                raise LoadError(f"poll of up to {a.max_polls} reads, over "
+                                f"{dv.POLL_MAX_READS}")
             if kind is UnmapGpuMem and a.gpu_va not in self._ranges:
                 raise LoadError(f"unmap of {a.gpu_va:#x}, which no MapGpuMem maps")
             if kind is LoadMemDump and a.dump_id not in self._dumps:

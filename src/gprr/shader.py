@@ -17,6 +17,18 @@ function the first time its back-edge is taken (the translation-block
 idea of QEMU's TCG). The compiled loop runs whole iterations while the
 step budget allows and hands everything else back to the interpreter, so
 counts, faults and callback order are the interpreter's.
+
+An *affine* self-loop, whose loads and stores each walk an address
+register up by 4 per iteration and which carries no value from one
+iteration to the next, also gets a bulk form: its body evaluated over
+lists of n loaded words at once, from the same ALU table. When at least
+``BULK_MIN_ITERATIONS`` iterations are left and they fit the budget, the
+caller's ``run_bulk`` may run them all at once. The device does so after
+the page walks those iterations would make, in their order, and falls
+back to the compiled loop when an access is unaligned, a stored word is
+partial, a load span holds a buffered word, or two accesses share a word
+other than in place. Counts, faults, TLB contents, virtual time and
+outputs stay the interpreter's.
 """
 
 from __future__ import annotations
@@ -183,6 +195,11 @@ CALLBACK_PATH = MemPath(ld="{d} = load_word({a}) & 0xFFFFFFFF",
 # A job chain reuses a handful of shaders; the bound keeps a long-lived
 # process that sees many distinct ones from growing without limit.
 DECODE_CACHE_SIZE = 32
+# An affine self-loop with at least this many iterations left runs them in
+# bulk. Measured on sets of 16 scale, copy and vec_add jobs, the bulk path
+# ties the compiled loop at 15 iterations left and is 16-24% faster at 23;
+# the floor keeps loops near the tie, such as chain-64's, compiled.
+BULK_MIN_ITERATIONS = 32
 _decode_cache: OrderedDict[bytes, tuple[list[tuple], dict]] = OrderedDict()
 
 
@@ -230,37 +247,51 @@ def _decode(words: list[int]) -> tuple[list[tuple], dict]:
     return entry
 
 
+# Each ALU op as an expression over its operand fields: {b} and {c} are
+# register expressions or, for ADDI's c and LDI's b, the immediate. The
+# compiled loop and the bulk form are both generated from this one table.
 _ALU = {
-    OP_ADD: "r{a} = (r{b} + r{c}) & 0xFFFFFFFF",
-    OP_SUB: "r{a} = (r{b} - r{c}) & 0xFFFFFFFF",
-    OP_MUL: "r{a} = (r{b} * r{c}) & 0xFFFFFFFF",
+    OP_ADD: "({b} + {c}) & 0xFFFFFFFF",
+    OP_SUB: "({b} - {c}) & 0xFFFFFFFF",
+    OP_MUL: "({b} * {c}) & 0xFFFFFFFF",
     # signed order of two u32 values is the order with the sign bit flipped
-    OP_MAX: "r{a} = r{b} if (r{b} ^ 0x80000000) >= (r{c} ^ 0x80000000) else r{c}",
-    OP_ADDI: "r{a} = (r{b} + {c}) & 0xFFFFFFFF",
-    OP_LDI: "r{a} = {b}",
+    OP_MAX: "{b} if ({b} ^ 0x80000000) >= ({c} ^ 0x80000000) else {c}",
+    OP_ADDI: "({b} + {c}) & 0xFFFFFFFF",
+    OP_LDI: "{b}",
 }
 _REGS = "r0, r1, r2, r3, r4, r5, r6, r7"
 
 
+def _alu_expr(op: int, b: int, c: int, reg) -> str:
+    """ALU ``op``'s expression, each register k it reads written ``reg(k)``."""
+    if op == OP_LDI:
+        return _ALU[op].format(b=b)
+    return _ALU[op].format(b=reg(b), c=c if op == OP_ADDI else reg(c))
+
+
 def _compile_loop(decoded: list, head: int, end: int, path: MemPath):
     """Compile the loop from word ``head`` to the BNZ at ``end``. Returns
-    (function, instructions per iteration), or None when the body is not
-    straight-line code. The function takes (regs, count, iterations,
-    load_word, store_word, *bound), runs at most ``iterations`` whole
-    iterations, updates ``regs`` and returns (count, pc to resume at)."""
-    body = []
+    (function, instructions per iteration, bulk form), or None when the
+    body is not straight-line code. The function takes (regs, count,
+    iterations, load_word, store_word, *bound), runs at most ``iterations``
+    whole iterations, updates ``regs`` and returns (count, pc to resume at).
+    The bulk form is ``_bulk_loop``'s."""
+    ops = []
     pc = head
     while pc != end:
         entry = decoded[pc] if pc < end else None
         if entry is None or entry[0] in (OP_HALT, OP_BNZ):
             return None
         op, a, b, c, pc = entry
+        ops.append((op, a, b, c))
+    body = []
+    for op, a, b, c in ops:
         if op == OP_LD:
             body.append(path.ld.format(d=f"r{a}", a=f"r{b}"))
         elif op == OP_ST:
             body.append(path.st.format(a=f"r{b}", s=f"r{a}"))
         else:
-            body.append(_ALU[op].format(a=a, b=b, c=c))
+            body.append(f"r{a} = " + _alu_expr(op, b, c, "r{}".format))
     steps = len(body) + 1
     _, cond, _, _, exit_pc = decoded[end]
     lines = [f"def loop(regs, count, iterations, load_word, store_word, "
@@ -276,19 +307,99 @@ def _compile_loop(decoded: list, head: int, end: int, path: MemPath):
              f"    return count + i * {steps}, pc"]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
-    return namespace["loop"], steps
+    return namespace["loop"], steps, _bulk_loop(ops, cond)
+
+
+def _bulk_loop(ops: list[tuple], cond: int):
+    """The bulk form of a self-loop whose body is ``ops``, (op, a, b, c)
+    per instruction before its BNZ on ``cond``, or None unless the loop is
+    affine: each LD/ST address register and the counter are stepped once,
+    by ``ADDI r, r, 4`` after the register's every use as an address and by
+    ``ADDI cond, cond, -1``, and read nowhere else; no other register the
+    body writes is read before it is written in the same iteration.
+
+    Returns (memory ops, function): (is store, address register) per LD
+    and ST in body order, and a function of (regs, n, load, store) that
+    runs the next n >= 1 iterations. ``load(i)`` returns the n words
+    memory op i loads, ``store(i, words)`` takes the n words it stores,
+    and ``regs`` ends as after the n-th iteration."""
+    addrs = {b for op, _, b, _ in ops if op in (OP_LD, OP_ST)}
+    dests = {a for op, a, _, _ in ops if op != OP_ST}
+    if cond in addrs:
+        return None
+    stepped: set[int] = set()
+    written: set[int] = set()
+    mem = []
+    vec: dict[int, str] = {}  # register -> the list holding its values
+    stmts = []  # (statement, the lists it reads)
+    for p, (op, a, b, c) in enumerate(ops):
+        if op == OP_ADDI and a == b and a not in stepped and (
+                c == 4 and a in addrs or c == -1 and a == cond):
+            stepped.add(a)
+            continue
+        reads = ((a,) if op == OP_ST else () if op in (OP_LD, OP_LDI)
+                 else (b,) if op == OP_ADDI else (b, c))
+        if any(r in addrs or r == cond or r in dests and r not in written for r in reads):
+            return None
+        if op == OP_ST:
+            if b in stepped:
+                return None
+            if a in vec:
+                stmts.append((f"store({len(mem)}, {vec[a]})", {vec[a]}))
+            else:  # an invariant or a value computed from them
+                stmts.append((f"store({len(mem)}, [r{a}] * n)", set()))
+            mem.append((True, b))
+            continue
+        if a in addrs or a == cond or op == OP_LD and b in stepped:
+            return None
+        written.add(a)
+        v = f"v{p}"
+        if op == OP_LD:
+            stmts.append((f"{v} = load({len(mem)}); r{a} = {v}[-1]", {v}))
+            mem.append((False, b))
+        else:
+            ins = sorted({vec[r] for r in reads if r in vec})
+            expr = _alu_expr(op, b, c, lambda r: "e" + vec[r][1:] if r in vec else f"r{r}")
+            if not ins:  # from invariants and immediates only: one value
+                stmts.append((f"r{a} = {expr}", set()))
+                vec.pop(a, None)
+                continue
+            source = ins[0] if len(ins) == 1 else f"zip({', '.join(ins)})"
+            stmts.append((f"{v} = [{expr} for {', '.join('e' + x[1:] for x in ins)} "
+                          f"in {source}]; r{a} = {v}[-1]", {v, *ins}))
+        vec[a] = v
+    if stepped != addrs | {cond}:
+        return None
+    # each list is dropped after its last use, so they do not all live at once
+    lines, seen = [], set()
+    for stmt, uses in reversed(stmts):
+        dead = sorted(uses - seen)
+        seen |= uses
+        lines.append(f"    {stmt}" + (f"; del {', '.join(dead)}" if dead else ""))
+    namespace: dict = {}
+    exec("\n".join([
+        "def bulk(regs, n, load, store):",
+        f"    {_REGS} = regs",
+        *reversed(lines),
+        *(f"    r{r} = (r{r} + 4 * n) & 0xFFFFFFFF" for r in sorted(addrs)),
+        f"    r{cond} = 0",
+        f"    regs[:] = {_REGS}"]), namespace)
+    return tuple(mem), namespace["bulk"]
 
 
 def execute(words: list[int], params: list[int], load_word, store_word,
             budget: int, path: MemPath = CALLBACK_PATH,
-            bound: tuple = ()) -> tuple[int, bool]:
+            bound: tuple = (), run_bulk=None) -> tuple[int, bool]:
     """Run a shader. Registers r0..r7 start from the 8-entry param block.
 
     Returns (dynamic instruction count, halted). ``halted`` is False when
     the step budget ran out. Memory callbacks may raise; the fault
     propagates with the partial count lost, matching a faulted job.
     Compiled loops do memory as ``path`` says, with ``bound`` as the
-    values of its names.
+    values of its names. ``run_bulk(bulk form, regs, n)``, when given, is
+    offered the n iterations left of an affine self-loop (``_bulk_loop``)
+    when n is at least ``BULK_MIN_ITERATIONS`` and fits the budget; it runs
+    them all, or returns False to leave them to the compiled loop.
     """
     decoded, loops = _decode(words)
     regs = [p & U32 for p in params[:8]] + [0] * max(0, 8 - len(params))
@@ -327,8 +438,16 @@ def execute(words: list[int], params: list[int], load_word, store_word,
                         loops[key] = _compile_loop(decoded, b, pc, path)
                     loop = loops[key]
                     if loop is not None and budget - count >= loop[1]:
-                        count, pc = loop[0](regs, count, (budget - count) // loop[1],
-                                            load_word, store_word, *bound)
+                        fn, steps, bulk = loop
+                        iterations = (budget - count) // steps
+                        left = regs[a]  # the iterations left: the counter's value
+                        if (BULK_MIN_ITERATIONS <= left <= iterations and bulk is not None
+                                and run_bulk is not None and run_bulk(bulk, regs, left)):
+                            count += left * steps
+                            pc = nxt
+                        else:
+                            count, pc = fn(regs, count, iterations,
+                                           load_word, store_word, *bound)
                         continue
                 pc = b
                 continue

@@ -15,6 +15,8 @@ Pure function over the decoded structure. Rules:
       the replayer lays out every range at once, so one would re-point
       the other's page table entries
   R8  a mapped range whose base is not page-aligned
+  R9  a poll allowed more reads than a driver's poll makes
+      (``device.POLL_MAX_READS``): replay's poll budget grows with it
 
 A range is as long as the largest MapGpuMem of its base, here and in the
 replayer's layout; R4 checks each LoadMemDump against the map live at it.
@@ -136,6 +138,12 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
         elif reg.access is Access.WO:
             flag(Violation(i, "R2", f"read of write-only {a.reg_name}"))
 
+    def poll(i, a):
+        read(i, a)
+        if a.max_polls > dv.POLL_MAX_READS:
+            flag(Violation(i, "R9", f"poll of up to {a.max_polls} reads exceeds "
+                                    f"{dv.POLL_MAX_READS}"))
+
     def map_(i, a):
         nonlocal current, peak
         va = a.gpu_va
@@ -182,7 +190,7 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
             else:
                 pending_resets -= 1
 
-    rules = {RegWrite: write, RegRead: read, RegReadWait: read, MapGpuMem: map_,
+    rules = {RegWrite: write, RegRead: read, RegReadWait: poll, MapGpuMem: map_,
              UnmapGpuMem: unmap, LoadMemDump: load_dump, WaitIrq: wait_irq}
     for i, a in enumerate(rec.actions):
         rule = rules.get(type(a))

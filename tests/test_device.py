@@ -6,7 +6,9 @@ their own.
 """
 
 import random
+import struct
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 import gprr.device as dv
 from gprr.device import (BusError, Device, DeviceSnapshot, MmuFault,
                          Perm, SKU_A, SKU_B, SkuMismatch)
+from gprr import shader
+from gprr.refstack import Layer, emit_shader
 from gprr.shader import Asm
 
 OFF = {e.name: e.offset for e in dv.DEFAULT_REGISTER_MAP.entries}
@@ -488,11 +492,13 @@ mem_ops = st.lists(st.tuples(
 
 def model_job(ops, pages, mem_byte, writeback):
     """-> ("fault", va) or ("done", stores) for one job running ``ops``;
-    every load's value is stored to the next word of the result page."""
+    every load's value is stored to the next word of the result page. A
+    store whose value is None stores the last value loaded."""
     stores = {}
+    got = 0
 
     def pa_of(va, need):
-        pa_base, perms = pages[va >> 12]
+        pa_base, perms = pages.get(va >> 12, (0, Perm(0)))
         pa = pa_base + (va & 0xFFF)
         if need not in perms or pa + 4 > dv.MEM_BYTES:
             raise MmuFault(va, need)
@@ -508,7 +514,7 @@ def model_job(ops, pages, mem_byte, writeback):
         for kind, page, off, val in ops:
             va = DATA_VA + page * dv.PAGE_SIZE + off
             if kind == "st":
-                store(va, val)
+                store(va, got if val is None else val)
                 continue
             pa = pa_of(va, Perm.READ)
             got = 0
@@ -549,10 +555,13 @@ def ops_shader(ops):
     return a.assemble()
 
 
-def run_against_model(sku, order, perms, fill_seed, jobs, alias_perms=None):
+def run_against_model(sku, order, perms, fill_seed, jobs, alias_perms=None, budget=None):
     """Run ``jobs``, (model ops, shader words) pairs, on a device whose data
     VA pages map to ``order`` (and, with ``alias_perms``, one more VA page
-    to ``order[0]``), checking each job against ``model_job``."""
+    to ``order[0]``), checking each job against ``model_job``. With a step
+    ``budget``, a job may instead run out of steps and store nothing.
+    Returns per job its JOB_STATUS, MMU_FAULT_ADDR, instruction count,
+    writeback, writeback masks and TLB entries in fill order."""
     dev = Device(sku=sku)
     rig = _Rig(dev)
     rng = random.Random(fill_seed)
@@ -576,15 +585,23 @@ def run_against_model(sku, order, perms, fill_seed, jobs, alias_perms=None):
 
     # the first job's stores stay buffered as writeback, unflushed
     writeback = {}
+    seen = []
     for ops, words in jobs:
         expect = model_job(ops, pages, mem_byte, writeback)
-        rig.kick(rig.job(words, []))
+        desc = rig.job(words, [])
+        with mock.patch.object(dv, "SHADER_STEP_BUDGET", budget or dv.SHADER_STEP_BUDGET):
+            rig.kick(desc)
+        count = dev._pending_job.instr_count
         dev.tick(10_000_000)
-        if expect[0] == "fault":
-            assert rd(dev, "JOB_STATUS") == dv.JOB_MMU_FAULT
+        status = rd(dev, "JOB_STATUS")
+        seen.append((status, rd(dev, "MMU_FAULT_ADDR"), count, dict(dev.writeback),
+                     dict(dev.writeback_masks), list(dev.tlb.items())))
+        out_of_steps = budget is not None and status == dv.JOB_BAD_STATE
+        if expect[0] == "fault" and not out_of_steps:
+            assert status == dv.JOB_MMU_FAULT
             assert rd(dev, "MMU_FAULT_ADDR") == expect[1]
-        else:
-            assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+        elif not out_of_steps:
+            assert status == dv.JOB_DONE
             writeback = {**writeback, **expect[1]}
         assert buffered_bytes(dev) == writeback
     dev.take_dirty_pages()  # the jobs' descriptors and shaders
@@ -602,6 +619,7 @@ def run_against_model(sku, order, perms, fill_seed, jobs, alias_perms=None):
     # the flush logs exactly the pages its bytes land on, straddled next
     # pages included; a faulted job's stores land nowhere
     assert dev.take_dirty_pages() == {p >> dv.PAGE_SHIFT for p in writeback}
+    return seen
 
 
 @settings(max_examples=150, deadline=None)
@@ -655,6 +673,186 @@ def test_compiled_loops_match_bytewise_model(sku, order, perms, fill_seed, first
     # show in loads through the other
     run_against_model(sku, order, perms[:3], fill_seed,
                       [(first, ops_shader(first)), loop_job(loop)], alias_perms=perms[3])
+
+
+# Affine loops, which run in bulk from BULK_MIN_ITERATIONS iterations on:
+# each iteration loads a word, stores it to the result page and stores the
+# loaded word (a copy) or a loop invariant to a second span; after the loop
+# the address registers, the counter and the last loaded word go to the
+# result page too. Spans start anywhere in the data pages, cross page
+# edges, run into the unmapped page past the alias page, or sit over the
+# load span, the same element in place or shifted, through either alias.
+# Two stores before the loop leave partial words, unless aligned.
+DATA_OFFSETS = (0, 4, 8, 0x800, dv.PAGE_SIZE - 64, dv.PAGE_SIZE - 8, dv.PAGE_SIZE - 4,
+                1, dv.PAGE_SIZE - 62, dv.PAGE_SIZE - 3)
+FLOOR = shader.BULK_MIN_ITERATIONS
+affine_loops = st.tuples(
+    st.integers(0, 3), st.sampled_from(DATA_OFFSETS),
+    st.one_of(st.tuples(st.integers(0, 3), st.sampled_from(DATA_OFFSETS)),
+              st.sampled_from((0, 4, -4, 1, 3 * dv.PAGE_SIZE, -3 * dv.PAGE_SIZE))),
+    st.one_of(st.sampled_from((16, FLOOR, FLOOR + 1, FLOOR + 2, 300)), st.integers(1, 600)),
+    st.booleans(), st.booleans(), st.integers(0, dv.U32),
+    st.sampled_from((None, None, None, (0, 1), (2, dv.PAGE_SIZE - 2), (1, 0))))
+
+
+def affine_job(loop):
+    """(model ops, shader words) of one ``affine_loops`` loop."""
+    ld_page, ld_off, st_at, n, ld_first, copy, const, pre = loop
+    ld_va = DATA_VA + ld_page * dv.PAGE_SIZE + ld_off
+    st_va = ld_va + st_at if isinstance(st_at, int) else (
+        DATA_VA + st_at[0] * dv.PAGE_SIZE + st_at[1])
+    copy = copy and ld_first  # a store before the load would read last iteration's word
+
+    def at(va):
+        return (va - DATA_VA) >> 12, (va - DATA_VA) & dv.PAGE_MASK
+
+    a = Asm()
+    a.ldi(0, ld_va); a.ldi(1, st_va); a.ldi(2, RESULT_VA); a.ldi(3, n); a.ldi(6, const)
+    ops = []
+    if pre is not None:
+        pre_va = DATA_VA + pre[0] * dv.PAGE_SIZE + pre[1]
+        a.ldi(7, pre_va); a.st(7, 6); a.addi(7, 7, 4); a.st(7, 6)
+        ops += [("st", *at(pre_va), const), ("st", *at(pre_va + 4), const)]
+    a.label("loop")
+    if ld_first:
+        a.ld(4, 0); a.st(2, 4); a.st(1, 4 if copy else 6)
+    else:
+        a.st(1, 6); a.ld(4, 0); a.st(2, 4)
+    a.addi(0, 0, 4); a.addi(1, 1, 4); a.addi(2, 2, 4); a.addi(3, 3, -1)
+    a.bnz(3, "loop")
+    for r in (0, 1, 3, 4):
+        a.st(2, r); a.addi(2, 2, 4)
+    a.halt()
+    for i in range(n):
+        load = ("ld", *at(ld_va + 4 * i), 0)
+        store = ("st", *at(st_va + 4 * i), None if copy else const)
+        ops += [load, store] if ld_first else [store, load]
+    end = RESULT_VA + 4 * n
+    for k, val in enumerate((ld_va + 4 * n, st_va + 4 * n, 0, None)):
+        ops.append(("st", *at(end + 4 * k), val if val is None else val & dv.U32))
+    return ops, a.assemble()
+
+
+# read-write more often than PERM_CHOICES, so that more loops get past a walk
+@settings(max_examples=200, deadline=None)
+@given(sku=st.sampled_from((SKU_A, SKU_B)), order=st.permutations(DATA_PAS),
+       perms=st.lists(st.sampled_from(PERM_CHOICES + (Perm.READ | Perm.WRITE,) * 6),
+                      min_size=4, max_size=4),
+       fill_seed=st.integers(0, 2 ** 32), first=st.just([]) | mem_ops, loop=affine_loops,
+       budget=st.none() | st.integers(100, 6000))
+def test_bulk_loops_match_bytewise_model_and_compiled_loops(sku, order, perms, fill_seed,
+                                                            first, loop, budget):
+    # the first job's stores stay buffered, often inside the loop's spans
+    args = (sku, order, perms[:3], fill_seed, [(first, ops_shader(first)), affine_job(loop)],
+            perms[3], budget)
+    bulk = run_against_model(*args)
+    with mock.patch.object(shader, "BULK_MIN_ITERATIONS", 1 << 32):
+        assert run_against_model(*args) == bulk
+
+
+RW = Perm.READ | Perm.WRITE
+P = dv.PAGE_SIZE
+
+
+# (first job's ops, affine loop, step budget, bulk outcomes, JOB_STATUS)
+@pytest.mark.parametrize("first, loop, budget, outcomes, status", [
+    ([], (1, 0, (2, 0), 300, True, True, 7, None), None, [True], dv.JOB_DONE),
+    ([], (1, 8, (2, 0), 300, True, False, 7, None), None, [True], dv.JOB_DONE),  # invariant
+    ([], (1, 0, 0, 300, True, True, 7, None), None, [True], dv.JOB_DONE),  # in place
+    ([], (0, 8, 3 * P, 300, True, True, 7, None), None, [True], dv.JOB_DONE),  # via alias
+    ([], (1, 1, (2, 0), 300, True, True, 7, None), None, [False], dv.JOB_DONE),  # unaligned ld
+    ([], (1, 0, 0, 300, False, False, 7, None), None, [False], dv.JOB_DONE),  # st before ld
+    ([], (1, 0, 4, 300, True, True, 7, None), None, [False], dv.JOB_DONE),  # shifted
+    ([], (1, 0, 1, 300, True, True, 7, None), None, [False], dv.JOB_DONE),  # unaligned st
+    ([], (1, 0, (2, 0), 300, True, True, 7, (0, 1)), None, [False], dv.JOB_DONE),  # partial
+    ([], (1, 0, (2, 1), 300, True, True, 7, (2, 0)), None, [False],
+     dv.JOB_DONE),  # unaligned st over full words: no partial word yet
+    ([], (1, P - 64, 0, 300, False, False, 7, None), None, [False],
+     dv.JOB_DONE),  # falls back after walking the store's next page: it is buffered
+    ([], (0, P - 64, (2, P - 32), 300, True, True, 7, None), None, [True],
+     dv.JOB_DONE),  # the store reaches a new page before the load does
+    ([("st", 1, 0x800, 5)], (1, 0x400, (2, 0), 300, True, True, 7, None), None, [False],
+     dv.JOB_DONE),  # the first job's writeback
+    ([], (1, 0, RESULT_VA + 4 - DATA_VA - P, 300, True, False, 7, None), None, [False],
+     dv.JOB_DONE),  # two stores to the same words, a word apart
+    ([], (1, 0, (2, 0), 300, True, True, 7, None), 2000, [], dv.JOB_BAD_STATE),
+    ([], (1, 0, (2, 0), 300, True, True, 7, None), 2800, [True], dv.JOB_DONE),
+    ([], (3, P - 64, (2, 0), 300, True, True, 7, None), None, [], dv.JOB_MMU_FAULT),
+    ([], (1, 0, (3, P - 64), 300, True, True, 7, None), None, [], dv.JOB_MMU_FAULT),
+])
+def test_bulk_path_cases(first, loop, budget, outcomes, status):
+    # data page 4 is not mapped: the last two cases walk into it mid-span
+    check_bulk_case(DATA_PAS, first, loop, budget, outcomes, status)
+
+
+def test_bulk_path_refuses_a_store_ahead_of_the_load_through_other_aliases():
+    # data pages 0, 2 and 3 map one physical page. The store enters it
+    # through page 2 at offset 0 on iteration 8, the load through page 3 at
+    # offset 0 on iteration 32, and reads what the store wrote.
+    order = (DATA_PAS[0], DATA_PAS[1], DATA_PAS[0])
+    check_bulk_case(order, [], (2, P - 128, (1, P - 32), 300, True, True, 7, None), None,
+                    [False], dv.JOB_DONE)
+
+
+def check_bulk_case(order, first, loop, budget, outcomes, status):
+    """Run ``first`` and then ``loop`` against the model with the bulk path
+    on and off: the bulk runs end in ``outcomes`` and the loop's job in
+    ``status``, and the two runs match."""
+    args = (SKU_A, order, (RW,) * 3, 5, [(first, ops_shader(first)), affine_job(loop)],
+            RW, budget)
+    results = []
+    with count_bulk_runs(results):
+        bulk = run_against_model(*args)
+    assert results == outcomes
+    assert bulk[-1][0] == status
+    with mock.patch.object(shader, "BULK_MIN_ITERATIONS", 1 << 32):
+        assert run_against_model(*args) == bulk
+
+
+def count_bulk_runs(results):
+    """Patch the chain's ``execute`` to append each bulk run's outcome
+    (True: ran, False: fell back) to ``results``."""
+    real = dv.execute
+
+    def execute(*args):
+        *rest, run_bulk = args
+
+        def counted(plan, regs, n):
+            results.append(run_bulk(plan, regs, n))
+            return results[-1]
+        return real(*rest, counted)
+    return mock.patch.object(dv, "execute", execute)
+
+
+# the first iteration runs before the back-edge offers the rest
+@pytest.mark.parametrize("n, in_place, expect", [
+    (8192, False, [True]),     # vecadd-16k's shape
+    (16, False, []),           # chain-64's: below the floor, never offered
+    (FLOOR, False, []),
+    (FLOOR + 1, False, [True]),
+    (100, True, [True]),       # the first iteration already stored to the span's page
+])
+def test_bulk_path_runs_for_long_affine_loops(n, in_place, expect):
+    dev = Device()
+    rig = _Rig(dev)
+    pages = -(-(3 * n * 4) // dv.PAGE_SIZE) + 1
+    va = [rig.map_page(Perm.READ | Perm.WRITE)[0] for _ in range(pages)][0]
+    src = va + 4
+    out = src if in_place else src + 2 * n * 4
+    inputs = random.Random(n).randbytes(2 * n * 4)
+    rig.put(src, inputs)
+    words, instr, params = emit_shader(Layer("vec_add", (), 2 * n, n), src, out)
+    results = []
+    with count_bulk_runs(results):
+        rig.kick(rig.job(words, params))
+    assert dev._pending_job.instr_count == instr
+    dev.tick(10_000_000)
+    assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+    assert results == expect
+    flush(dev)
+    x = struct.unpack(f"<{2 * n}I", inputs)
+    assert dev.mem_read(rig.FIRST_DATA_PA + out - va, 4 * n) == struct.pack(
+        f"<{n}I", *((x[i] + x[n + i]) & dv.U32 for i in range(n)))
 
 
 def test_unaligned_store_merges_into_a_full_word():

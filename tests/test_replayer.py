@@ -3,6 +3,7 @@ checkpointing, preemption, sequences."""
 
 import dataclasses
 import hashlib
+import signal
 import tracemalloc
 from collections import Counter
 
@@ -13,7 +14,8 @@ import gprr.device as dv
 import gprr.recfmt as recfmt
 import gprr.replayer as replayer
 from gprr.actions import (ACTION_SCHEMAS, DumpOrigin, IoMode, LoadMemDump, MapGpuMem,
-                          MemDump, RegRead, RegWrite, UnmapGpuMem, WaitIrq, ActionClass)
+                          MemDump, RegRead, RegReadWait, RegWrite, UnmapGpuMem, WaitIrq,
+                          ActionClass)
 from gprr.device import Device, DeviceOwned, SKU_B
 from gprr.patcher import patch
 from gprr.recfmt import deflate, inflate
@@ -176,6 +178,36 @@ def test_forced_load_refuses_what_names_nothing(vecadd, stray, why):
     s.load(rec)
     inp = i32s(range(8, 16))
     assert s.replay(inp).outputs == [g.evaluate(inp)]
+    s.cleanup()
+
+
+def test_a_poll_over_the_drivers_limit_is_refused_even_when_forced(graphs, recorded):
+    # a poll that never matches (its value has bits outside its mask) reads
+    # 2 x max_polls times per attempt: at 2^32 - 1 replay hung, and a forced
+    # load took it
+    g, rec = graphs["mixed3"], recorded["mixed3"]
+    i = next(i for i, a in enumerate(rec.actions) if isinstance(a, RegReadWait))
+    a = rec.actions[i]
+
+    def with_poll(max_polls):
+        poll = dataclasses.replace(a, max_polls=max_polls, expect_value=dv.U32)
+        return dataclasses.replace(rec, actions=rec.actions[:i] + (poll,) + rec.actions[i + 1:])
+
+    assert [(v.action_index, v.rule) for v in verify(with_poll(dv.U32)).violations] == [(i, "R9")]
+    assert verify(with_poll(dv.POLL_MAX_READS)).ok
+    s = session_for(rec, config=ReplayConfig(force=True))
+
+    def timeout(*_):
+        raise TimeoutError("replay still polling")
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with pytest.raises(LoadError, match="poll of up to 4294967295 reads"):
+            s.load(with_poll(dv.U32))
+            s.replay(random_input(g, 1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
     s.cleanup()
 
 

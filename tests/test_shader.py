@@ -384,3 +384,93 @@ def test_back_edge_over_a_halt_stays_interpreted():
     words = a.assemble()
     assert run(words)[:2] == (2 + 1 + 2 + 1, True)
     assert list(shader._decode(words)[1].values()) == [None]
+
+
+# Affine bodies over value registers r4..r7: the address registers r0..r2
+# point at disjoint regions and step by 4 after the body, r3 counts down.
+value = st.integers(4, 7)
+affine_op = st.one_of(
+    st.tuples(st.just("ld"), value, st.integers(0, 2)),
+    st.tuples(st.just("st"), st.integers(0, 2), value),
+    st.tuples(st.sampled_from(("add", "sub", "mul", "max_")), value, value, value),
+    st.tuples(st.just("addi"), value, value, st.integers(-0x8000, 0x7FFF)),
+    st.tuples(st.just("ldi"), value, st.integers(0, 0xFFFFFFFF)),
+)
+
+
+def region_bulk(mem):
+    """A ``run_bulk`` over ``mem`` that always runs the loop. Right for
+    loops whose memory ops each keep to their own region."""
+    def run_bulk(plan, regs, n):
+        ops, body = plan
+        starts = [regs[r] for _, r in ops]
+        body(regs, n,
+             lambda i: [mem.load(starts[i] + 4 * j) & 0xFFFFFFFF for j in range(n)],
+             lambda i, words: [mem.store(starts[i] + 4 * j, w) for j, w in enumerate(words)])
+        return True
+    return run_bulk
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.lists(affine_op, min_size=1, max_size=10),
+       values=st.lists(st.integers(0, 0xFFFFFFFF), min_size=4, max_size=4),
+       trips=st.integers(1, 40))
+def test_bulk_form_matches_the_interpreter(body, values, trips):
+    a = Asm()
+    for r in range(3):
+        a.ldi(r, 0x10000 * (r + 1))
+    a.ldi(3, trips)
+    for r, v in zip(range(4, 8), values):
+        a.ldi(r, v)
+    a.label("loop")
+    for op in body:
+        getattr(a, op[0])(*op[1:])
+    for r in sorted({op[2] if op[0] == "ld" else op[1] for op in body if op[0] in ("ld", "st")}):
+        a.addi(r, r, 4)
+    a.addi(3, 3, -1)
+    a.bnz(3, "loop")
+    a.ldi(3, 0x100)  # every register to memory
+    for r in (0, 1, 2, 4, 5, 6, 7):
+        a.st(3, r); a.addi(3, 3, 4)
+    a.halt()
+    words = a.assemble()
+    shader._decode_cache.clear()
+    bulk = LoggedMem(0)
+    with mock.patch.object(shader, "BULK_MIN_ITERATIONS", 1):
+        got = execute(words, [], bulk.load, bulk.store, 1 << 20, run_bulk=region_bulk(bulk))
+    with mock.patch.object(shader, "_compile_loop", lambda *args: None):
+        interpreted = LoggedMem(0)
+        assert execute(words, [], interpreted.load, interpreted.store, 1 << 20) == got
+    assert interpreted.words == bulk.words
+
+
+def test_affine_loops_have_a_bulk_form():
+    def bulk_form(build):
+        a = Asm()
+        a.label("loop")
+        build(a)
+        a.addi(3, 3, -1)
+        a.bnz(3, "loop")
+        a.halt()
+        decoded = shader._decode(a.assemble())[0]
+        return shader._compile_loop(decoded, 0, len(decoded) - 2, shader.CALLBACK_PATH)[2]
+
+    def vec_add(a):
+        a.ld(4, 0); a.ld(5, 1); a.add(6, 4, 5); a.st(2, 6)
+        a.addi(0, 0, 4); a.addi(1, 1, 4); a.addi(2, 2, 4)
+    assert bulk_form(vec_add)[0] == ((False, 0), (False, 1), (True, 2))
+
+    def invariant_store(a):
+        a.st(0, 5); a.ldi(6, 9); a.mul(6, 6, 5); a.st(1, 6); a.addi(0, 0, 4); a.addi(1, 1, 4)
+    assert bulk_form(invariant_store)[0] == ((True, 0), (True, 1))
+    for build in (
+        lambda a: (a.st(0, 4), a.ld(4, 0), a.addi(0, 0, 4)),  # value read before written
+        lambda a: (a.ld(4, 0), a.addi(0, 0, 8)),  # stride 8
+        lambda a: (a.ld(4, 0), a.addi(0, 0, 4), a.addi(0, 0, 4)),  # stepped twice
+        lambda a: (a.addi(0, 0, 4), a.ld(4, 0)),  # used after its step
+        lambda a: (a.ld(4, 0), a.add(5, 4, 0), a.addi(0, 0, 4)),  # address read as a value
+        lambda a: (a.ld(4, 0), a.addi(0, 0, 4), a.addi(3, 3, -1)),  # counter stepped twice
+        lambda a: (a.ld(0, 0), a.addi(0, 0, 4)),  # address loaded
+        lambda a: a.ld(4, 0),  # address never stepped
+    ):
+        assert bulk_form(build) is None
