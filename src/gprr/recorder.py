@@ -5,8 +5,8 @@ Attaches to the refstack driver's accessor stream and
     into a single RegReadWait),
   * dumps GPU-mapped memory right before each job kick, filtered by page
     role (executable pages always kept, internal scratch dropped,
-    by-address input regions never captured) and deduplicated by content
-    hash,
+    by-address input regions never captured) and deduplicated against
+    the bytes last dumped at the same address,
   * classifies the gap before each action as skippable iff the GPU was
     provably idle throughout it,
   * discovers input/output GPU addresses by injecting high-entropy magic
@@ -16,9 +16,9 @@ Attaches to the refstack driver's accessor stream and
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 
 from . import device as dv
 from .actions import (ActionClass, DumpOrigin, Granularity, IoDescriptor,
@@ -107,17 +107,23 @@ def classify_interval(t0: int, t1: int, was_idle) -> IntervalDecision:
 # Run tracing
 # ---------------------------------------------------------------------------
 
+_GPU_EXEC = AllocFlags.GPU_EXEC.value
+_SCRATCH = AllocFlags.INTERNAL_SCRATCH.value
+_CPU_VISIBLE = AllocFlags.CPU_VISIBLE.value
+
+
 @dataclass
 class _Region:
+    """One snapshot of a mapped region. Every kick shares it until one of
+    the region's pages is written."""
+
     gpu_va: int
     len_bytes: int  # logical mapping length; dumps and scans cover whole pages
+    page_len: int
     perm_bits: int
-    flags: AllocFlags
-    content: bytes = b""
-
-    @property
-    def page_len(self) -> int:
-        return max(1, -(-self.len_bytes // dv.PAGE_SIZE)) * dv.PAGE_SIZE
+    flags: int  # AllocFlags bits
+    pages: set[int]  # physical page numbers, fixed while mapped
+    content: bytes | None = None  # None until first read
 
 
 @dataclass
@@ -125,11 +131,15 @@ class _Entry:
     ev: PortEvent
     t0: int
     t1: int
-    kick_regions: list[_Region] | None = None  # set on pre_kick entries
+    # pre_kick entries: every live region, and the ones mapped or rewritten
+    # since the previous kick, both in VA order
+    kick_regions: list[_Region] | None = None
+    changed: list[_Region] | None = None
 
 
 class _RunTrace(StackListener):
-    """Listener that captures everything one build pass needs."""
+    """Listener that captures everything one build pass needs. A snapshot
+    re-reads only the regions on pages the device logged as written."""
 
     def __init__(self, stack: GpuStack, charge_dump_time: bool = True):
         self.stack = stack
@@ -138,10 +148,13 @@ class _RunTrace(StackListener):
         self.allocations: list[Allocation] = []
         self.layer_marks: dict[int, int] = {}        # layer -> first entry index
         self.layer_regions: dict[int, list[_Region]] = {}
-        self.live: dict[int, _Region] = {}           # va -> region (no content)
-        # va -> (physical pages, content) of the region's last snapshot,
-        # kept until its mapping changes
-        self._seen: dict[int, tuple[set[int], bytes]] = {}
+        # the live regions' latest snapshots in VA order, their VAs alongside
+        self._vas: list[int] = []
+        self._regions: list[_Region] = []
+        self._page_va: dict[int, int] = {}           # physical page -> live VA
+        self._unread: set[int] = set()               # VAs mapped, not yet read
+        self._changed: dict[int, _Region] = {}       # mapped or rewritten since the last kick
+        self._live_bytes = 0
         self.output: bytes | None = None
         self.t_start = stack.dev.vclock_ns
 
@@ -154,52 +167,63 @@ class _RunTrace(StackListener):
     def on_layer_start(self, index):
         if index not in self.layer_marks:
             self.layer_marks[index] = len(self.entries)
-            self.layer_regions[index] = self._snapshot_live()
+            self._refresh()
+            self.layer_regions[index] = list(self._regions)
 
     def on_run_end(self, output):
         self.output = output
 
     def on_port_event(self, ev: PortEvent):
         entry = _Entry(ev, ev.t0, ev.t1)
+        va = ev.gpu_va
         if ev.kind == "map":
-            self.live[ev.gpu_va] = _Region(ev.gpu_va, ev.len_bytes,
-                                           ev.perm_bits, ev.flags)
-            self._seen.pop(ev.gpu_va, None)
+            page_len = max(1, -(-ev.len_bytes // dv.PAGE_SIZE)) * dv.PAGE_SIZE
+            pages = dv.span_pages(va, page_len, self.stack.driver.va_to_pa)
+            i = bisect_left(self._vas, va)
+            self._vas.insert(i, va)
+            self._regions.insert(i, _Region(va, ev.len_bytes, page_len, ev.perm_bits,
+                                            ev.flags.value, pages))
+            self._page_va.update(dict.fromkeys(pages, va))
+            self._unread.add(va)
+            self._live_bytes += ev.len_bytes
         elif ev.kind == "unmap":
-            self.live.pop(ev.gpu_va, None)
-            self._seen.pop(ev.gpu_va, None)
+            i = bisect_left(self._vas, va)
+            del self._vas[i]
+            r = self._regions.pop(i)
+            for p in r.pages:
+                del self._page_va[p]
+            self._unread.discard(va)
+            self._changed.pop(va, None)
+            self._live_bytes -= r.len_bytes
         elif ev.kind == "pre_kick":
-            entry.kick_regions = self._snapshot_live()
+            self._refresh()
+            entry.kick_regions = list(self._regions)
+            entry.changed = [self._changed[va] for va in sorted(self._changed)]
+            self._changed = {}
             if self.charge_dump_time:
-                total = sum(r.len_bytes for r in entry.kick_regions)
-                self.stack.sleep(round(total * DUMP_BYTE_NS))
+                self.stack.sleep(round(self._live_bytes * DUMP_BYTE_NS))
                 entry.t1 = self.stack.dev.vclock_ns
         self.entries.append(entry)
 
-    def _snapshot_live(self) -> list[_Region]:
-        """Every live region with its current content. A region none of
-        whose physical pages was written since the last snapshot keeps the
-        content read then."""
-        dirty = self.stack.dev.take_dirty_pages()
-        out = []
-        for va in sorted(self.live):
-            r = self.live[va]
-            seen = self._seen.get(va)
-            if seen is None or not seen[0].isdisjoint(dirty):
-                pages = seen[0] if seen else dv.span_pages(
-                    va, r.page_len, self.stack.driver.va_to_pa)
-                seen = self._seen[va] = (pages, self.stack.mem_read_va(va, r.page_len))
-            out.append(_Region(va, r.len_bytes, r.perm_bits, r.flags, seen[1]))
-        return out
+    def _refresh(self) -> None:
+        """Re-read the regions never read and those on pages written since
+        the last refresh. A region whose bytes did not change keeps its
+        snapshot."""
+        page_va = self._page_va
+        stale = {page_va[p] for p in self.stack.dev.take_dirty_pages() if p in page_va}
+        stale |= self._unread
+        self._unread = set()
+        for va in stale:
+            i = bisect_left(self._vas, va)
+            r = self._regions[i]
+            content = self.stack.mem_read_va(va, r.page_len)
+            if content != r.content:
+                r = self._regions[i] = replace(r, content=content)
+                self._changed[va] = r
 
     def final_cpu_visible(self) -> list[_Region]:
-        out = []
-        for va in sorted(self.live):
-            r = self.live[va]
-            if AllocFlags.CPU_VISIBLE in r.flags:
-                content = self.stack.mem_read_va(va, r.page_len)
-                out.append(_Region(va, r.len_bytes, r.perm_bits, r.flags, content))
-        return out
+        return [replace(r, content=self.stack.mem_read_va(r.gpu_va, r.page_len))
+                for r in self._regions if r.flags & _CPU_VISIBLE]
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +293,10 @@ def record(stack: GpuStack, graph: WorkloadGraph,
         if harness.pre_scan_hook is not None:
             harness.pre_scan_hook(stack)
         final_regions = trace.final_cpu_visible()
-        kick_cpuvis = [r for e in trace.entries if e.kick_regions
-                       for r in e.kick_regions if AllocFlags.CPU_VISIBLE in r.flags]
+        # each distinct kick snapshot once: a kick shares the rest with an
+        # earlier kick, at the same VA with the same bytes
+        kick_cpuvis = [r for e in trace.entries if e.changed
+                       for r in e.changed if r.flags & _CPU_VISIBLE]
 
         run_in: dict[int, set[int]] = {}
         run_in_dumps: dict[int, set[int]] = {}
@@ -291,12 +317,10 @@ def record(stack: GpuStack, graph: WorkloadGraph,
             if len(in_cands[idx]) > 1 and len(in_cands_dumps[idx]) == 1:
                 in_cands[idx] = set(in_cands_dumps[idx])
 
-        claimed = set()
-        for idx in input_indices:
-            for va in in_cands[idx]:
-                claimed.update(range(va, va + in_len))
+        claimed = [c for idx in input_indices for c in in_cands[idx]]
         run_out = {va for va in _scan_regions(final_regions, output)
-                   if not (claimed & set(range(va, va + len(output))))}
+                   if not any(c < va + len(output) and va < c + in_len
+                              for c in claimed)}
         if not run_out:
             raise DiscoveryError("output bytes not found in GPU memory")
         out_cands = run_out if out_cands is None else (out_cands & run_out)
@@ -365,11 +389,11 @@ class _Builder:
         )
 
     def _skip_region(self, r: _Region) -> bool:
-        if AllocFlags.GPU_EXEC in r.flags:
+        if r.flags & _GPU_EXEC:
             return False  # job binaries, always captured
-        if AllocFlags.INTERNAL_SCRATCH in r.flags and not self.include_scratch:
+        if r.flags & _SCRATCH and not self.include_scratch:
             return True
-        if AllocFlags.CPU_VISIBLE not in r.flags and not self.include_scratch:
+        if not r.flags & _CPU_VISIBLE and not self.include_scratch:
             # never CPU-mapped: a GPU-internal buffer passing data between
             # jobs; loading it back would clobber replayed data flow
             return True
@@ -378,18 +402,16 @@ class _Builder:
                 return True
         return False
 
-    def _emit_dumps(self, regions, dumps, next_id, last_hash):
+    def _emit_dumps(self, regions, dumps, next_id, last):
         """Returns LoadMemDump protos for regions that survive filtering
-        and content dedup; appends the MemDump payloads."""
+        and differ from the bytes last dumped at their VA (``last``, VA ->
+        bytes); appends the MemDump payloads."""
         loads = []
         for r in regions:
-            if self._skip_region(r):
-                continue
-            h = hashlib.sha256(r.content).digest()
-            if last_hash.get(r.gpu_va) == h:
-                continue
-            last_hash[r.gpu_va] = h
-            origin = (DumpOrigin.EXEC_PAGE if AllocFlags.GPU_EXEC in r.flags
+            if self._skip_region(r) or last.get(r.gpu_va) == r.content:
+                continue  # an unchanged snapshot is the very bytes object last dumped
+            last[r.gpu_va] = r.content
+            origin = (DumpOrigin.EXEC_PAGE if r.flags & _GPU_EXEC
                       else DumpOrigin.MAPPED_FALLBACK)
             dumps.append(MemDump(next_id[0], r.gpu_va, len(r.content),
                                  deflate(r.content), origin))
@@ -398,7 +420,7 @@ class _Builder:
             next_id[0] += 1
         return loads
 
-    def _entry_actions(self, entry: _Entry, dumps, next_id, last_hash):
+    def _entry_actions(self, entry: _Entry):
         ev = entry.ev
         if ev.kind == "write":
             return [RegWrite(reg_name=ev.reg, value=ev.value)]
@@ -419,21 +441,28 @@ class _Builder:
                               perm_flags_encoded=ev.perm_bits)]
         if ev.kind == "unmap":
             return [UnmapGpuMem(gpu_va=ev.gpu_va, len_bytes=ev.len_bytes)]
-        if ev.kind == "pre_kick":
-            return self._emit_dumps(entry.kick_regions, dumps, next_id, last_hash)
         raise RecordError(f"unknown event kind {ev.kind}")
 
     def _build(self, entries, prologue=(), prologue_dumps=(),
-               dumps=None, next_id=None, last_hash=None):
+               dumps=None, next_id=None, last=None):
         dumps = [] if dumps is None else dumps
         next_id = [0] if next_id is None else next_id
-        last_hash = {} if last_hash is None else last_hash
+        last = {} if last is None else last
         actions: list[ReplayAction] = list(prologue)
         dumps.extend(prologue_dumps)
         prev_end = entries[0].t0 if entries else 0
         dev = self.stack.dev
+        kicked = False
         for entry in entries:
-            protos = self._entry_actions(entry, dumps, next_id, last_hash)
+            if entry.kick_regions is None:
+                protos = self._entry_actions(entry)
+            else:
+                # a build's first kick checks every live region (a per-layer
+                # slice starts mid-run); a later one only those changed
+                # since the kick before: every other is as it was then
+                protos = self._emit_dumps(entry.changed if kicked else entry.kick_regions,
+                                          dumps, next_id, last)
+                kicked = True
             if not protos:
                 continue  # fully filtered; its time folds into the next gap
             decision = classify_interval(prev_end, entry.t0, dev.was_idle_between)
@@ -466,14 +495,14 @@ class _Builder:
             entries = self.trace.entries[start:end]
             dumps: list[MemDump] = []
             next_id = [0]
-            last_hash: dict[int, bytes] = {}
+            last: dict[int, bytes] = {}
             if k == 0:
                 prologue, prologue_dumps = (), ()
             else:
                 prologue, prologue_dumps = self._prologue(
-                    k, layer_out[k], init_values, next_id, last_hash)
+                    k, layer_out[k], init_values, next_id, last)
             actions, dumps = self._build(entries, prologue, prologue_dumps,
-                                         dumps, next_id, last_hash)
+                                         dumps, next_id, last)
             label = f"{self.graph.label()[:56]}[L{k}]"
             recs.append(Recording(self._header(label), tuple(actions),
                                   tuple(dumps), layer_out[k]))
@@ -512,7 +541,7 @@ class _Builder:
             out[k] = tuple(table)
         return out
 
-    def _prologue(self, k: int, slice_io, init_values, next_id, last_hash):
+    def _prologue(self, k: int, slice_io, init_values, next_id, last):
         regions = self.trace.layer_regions[k]
         actions: list[ReplayAction] = [
             RegRead(reg_name="GPU_ID", expect_value=self.sku.gpu_id_value,
@@ -531,7 +560,7 @@ class _Builder:
         saved = self.addr_only_inputs
         self.addr_only_inputs = addr_inputs
         try:
-            actions.extend(self._emit_dumps(regions, dumps, next_id, last_hash))
+            actions.extend(self._emit_dumps(regions, dumps, next_id, last))
         finally:
             self.addr_only_inputs = saved
         return actions, dumps

@@ -472,17 +472,23 @@ class ReplaySession:
     def _step_poll(self, a: RegReadWait, mult: int) -> DivergenceReport | None:
         cfg = self.config
         budget = cfg.poll_budget(a, mult)
+        # read with no device event pending, a register reads the same ever
+        # after, except JOB_PROGRESS, which reads random bits (an event can
+        # complete in the tick that follows a read)
+        settled = a.reg_name != "JOB_PROGRESS"
         n = 0
         while True:
+            idle = settled and self.dev.next_event_ns() is None
             v = self._read(a.reg_name)
             n += 1
             if (v & a.mask) == a.expect_value:
                 return None
-            if n >= budget:
+            if n >= budget or idle:
                 return DivergenceReport(
                     self.cursor, DivergenceKind.TIMEOUT, reg=a.reg_name,
                     expected=a.expect_value, got=v & a.mask,
-                    detail=f"poll budget {budget} exhausted")
+                    detail=(f"nothing pending after {n} of {budget} polls" if idle
+                            else f"poll budget {budget} exhausted"))
             self._tick(cfg.poll_period_ns)
 
     def _step_loaddump(self, a: LoadMemDump, mult: int) -> None:

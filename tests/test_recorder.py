@@ -2,6 +2,7 @@
 I/O discovery."""
 
 import hashlib
+import time
 
 import pytest
 
@@ -150,6 +151,26 @@ def test_kick_snapshot_sees_host_write_since_the_last_kick():
     # layer 0's shader was not written between the kicks: its bytes are shared
     shader = stack.find_alloc("L0.shader").gpu_va
     assert second[shader] is first[shader]
+
+
+def test_record_time_grows_linearly_with_the_job_count():
+    # a kick re-reads and re-checks only the regions written since the
+    # kick before, so 4x the jobs take about 4x the time (about 10x when
+    # every kick visited every live region)
+    def chain(jobs):  # built as the benchmark's chain-64
+        specs = [("scale", 3) if i % 2 == 0 else ("copy",) for i in range(jobs - 1)]
+        return build_graph(specs, 16)
+
+    def record_s(graph):
+        best = float("inf")
+        for _ in range(3):
+            stack = GpuStack(Device(env_seed=1), delays=DelayPolicy(50_000, 20_000, 5_000))
+            t0 = time.perf_counter()
+            record(stack, graph)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    assert record_s(chain(256)) <= 5 * record_s(chain(64))
 
 
 def test_scratch_forced_dump_compresses_below_half():

@@ -4,6 +4,7 @@ checkpointing, preemption, sequences."""
 import dataclasses
 import hashlib
 import signal
+import time
 import tracemalloc
 from collections import Counter
 
@@ -209,6 +210,35 @@ def test_a_poll_over_the_drivers_limit_is_refused_even_when_forced(graphs, recor
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
     s.cleanup()
+
+
+def test_a_poll_that_cannot_match_stops_when_nothing_is_pending(graphs, recorded):
+    # the driver's own limit of reads, which R9 accepts, on a value that
+    # never matches: once no device event is pending the register cannot
+    # change, so each attempt stops there instead of reading 200,000 times
+    g, rec = graphs["mixed3"], recorded["mixed3"]
+    i = next(i for i, a in enumerate(rec.actions) if isinstance(a, RegReadWait))
+    poll = dataclasses.replace(rec.actions[i], max_polls=dv.POLL_MAX_READS,
+                               expect_value=dv.U32)
+    edited = dataclasses.replace(rec, actions=rec.actions[:i] + (poll,) + rec.actions[i + 1:])
+    assert verify(edited).ok
+    t0 = time.perf_counter()
+    result = replay_once(edited, random_input(g, 1))
+    assert time.perf_counter() - t0 < 0.5
+    assert not result.ok
+    d = result.divergence
+    assert (d.kind, d.action_index) == (DivergenceKind.TIMEOUT, i)
+    assert d.detail.startswith("nothing pending after")
+
+
+def test_a_poll_is_not_cut_short_by_an_event_that_ends_in_its_read(graphs, recorded):
+    # a flush can finish in the tick that follows a poll's read: the next
+    # read sees it, so an empty event queue after the read stops nothing
+    # (env seeds 0, 2 and 11 hit that tick)
+    g, rec = graphs["vec_add"], recorded["vec_add"]
+    for seed in range(16):
+        result = replay_once(rec, random_input(g, seed), env_seed=seed)
+        assert result.ok and result.recovery_attempts == 0, seed
 
 
 def test_range_is_as_long_as_its_largest_map(vecadd):
