@@ -11,7 +11,7 @@ provably idle for the whole gap, so a replayer may fast-forward).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 
@@ -45,9 +45,6 @@ class Granularity(enum.Enum):
 class _Action:
     raw_interval_ns: int = 0
     min_interval_ns: int = 0
-
-    def with_intervals(self, raw: int, floor: int):
-        return replace(self, raw_interval_ns=raw, min_interval_ns=floor)
 
 
 @dataclass(frozen=True)

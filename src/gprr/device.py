@@ -17,7 +17,8 @@ Shader stores do not hit physical memory directly. They are buffered as
 pending cache writebacks and commit only when a CACHE_FLUSH completes,
 which is when the GPU_STATUS dirty bit clears. Host-side reads through
 :meth:`Device.mem_read` never see uncommitted writebacks. The buffer is
-keyed by aligned word; a word only partly written carries a byte mask.
+keyed by physical page: a buffered page is its bytes and a byte mask that
+is 0xFF on every byte buffered.
 
 Physical memory is an anonymous ``mmap``: the kernel zeroes its pages
 lazily, so constructing a device costs no time and resident memory grows
@@ -36,7 +37,7 @@ import random
 import struct
 from bisect import bisect_left
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from .shader import MemPath, ShaderFault, execute
@@ -49,8 +50,7 @@ U32 = 0xFFFFFFFF
 _LAST_WORD_PA = MEM_BYTES - 4  # highest PA a 4-byte access may start at
 _u32_at = struct.Struct("<I").unpack_from
 _put_u32 = struct.Struct("<I").pack_into
-# the bits of a u32 that each 4-bit byte mask selects
-_BYTE_BITS = tuple(sum(0xFF << 8 * i for i in range(4) if m >> i & 1) for m in range(16))
+_FF = b"\xff" * PAGE_SIZE  # a page mask's set bytes
 
 # Interrupt bits (GPU_IRQ_RAWSTAT / GPU_IRQ_MASK / GPU_IRQ_CLEAR).
 IRQ_JOB_DONE = 1 << 0
@@ -311,19 +311,24 @@ class InterruptEvent:
     bits: int  # raised bits that passed the mask
 
 
+# A buffer of stores maps a physical page number to the page's buffered
+# bytes and its mask, two bytearrays of PAGE_SIZE. A mask byte is 0xFF
+# where its byte is buffered and 0 elsewhere, where the data byte is 0 too;
+# a buffer holds no page without a buffered byte.
+PageBuffer = dict[int, tuple[bytearray, bytearray]]
+
+
 @dataclass
 class _PendingJob:
     finish_ns: int | None  # None: stalled with no powered core in affinity
-    stores: dict[int, int]  # aligned word pa -> value, like writeback
+    stores: PageBuffer
     instr_count: int
     fault_va: int | None
     status: int  # JOB_STATUS value to latch on completion
-    pages: set[int] = field(default_factory=set)  # physical pages ``stores`` touch
-    masks: dict[int, int] = field(default_factory=dict)  # partial words of ``stores``
 
 
 @dataclass
-class _PendingFlush:
+class _PendingFlush:  # never changed once made: snapshots share it
     finish_ns: int
 
 
@@ -332,7 +337,10 @@ class DeviceSnapshot:
     """Copyable device state minus the RAM array.
 
     Covers registers, protocol state, buffered writebacks, pending work and
-    the RNG stream position. RAM contents are restored separately by
+    the RNG stream position. The buffered pages, the writeback's and a
+    pending job's, are copies: a snapshot shares no bytearray with the
+    device it came from or the devices restored from it, so it can be
+    restored any number of times. RAM contents are restored separately by
     whoever owns the memory (the replayer's checkpoints copy the pages
     written since load); a restore therefore reproduces the original
     run exactly as long as RAM was not mutated in between.
@@ -346,8 +354,7 @@ class DeviceSnapshot:
     clock_div: int
     job_state: int
     fault_addr: int
-    writeback: dict[int, int]
-    writeback_masks: dict[int, int]
+    writeback: PageBuffer
     tlb: dict[int, tuple[int, int]]
     pending_job: _PendingJob | None
     pending_flush: _PendingFlush | None
@@ -355,32 +362,49 @@ class DeviceSnapshot:
     busy_since: int | None
 
 
-def _merge_word(words: dict[int, int], masks: dict[int, int], w: int,
-                val: int, mask: int) -> None:
-    """Write the bytes of ``val`` that ``mask`` selects into the buffered
-    word ``w``. ``masks`` holds the byte mask of every word in ``words``
-    not fully written; bytes outside a word's mask read as zero."""
-    old = words.get(w)
-    if old is None:
-        words[w] = val & _BYTE_BITS[mask]
-        have = mask
-    else:
-        bits = _BYTE_BITS[mask]
-        words[w] = (old & ~bits) | (val & bits)
-        have = masks.get(w, 0xF) | mask
-    if have == 0xF:
-        masks.pop(w, None)
-    else:
-        masks[w] = have
+def _copy_pages(pages: PageBuffer) -> PageBuffer:
+    """A copy of a page buffer that shares no bytearray with it."""
+    return {ppn: (bytearray(data), bytearray(mask)) for ppn, (data, mask) in pages.items()}
 
 
-def _overlay(words: dict[int, int], masks: dict[int, int], w: int, under: int) -> int:
-    """Word ``w`` as the buffer ``words`` shows it over the value ``under``."""
-    val = words.get(w)
-    if val is None:
-        return under
-    mask = masks.get(w)
-    return val if mask is None else (under & ~_BYTE_BITS[mask]) | val
+def _copy_job(job: _PendingJob | None) -> _PendingJob | None:
+    return None if job is None else replace(job, stores=_copy_pages(job.stores))
+
+
+def _runs(mask: bytearray) -> Iterator[tuple[int, int]]:
+    """[start, end) of each run of buffered bytes in a page mask."""
+    i = mask.find(0xFF)
+    while i >= 0:
+        j = mask.find(0, i)
+        if j < 0:
+            yield i, PAGE_SIZE
+            return
+        yield i, j
+        i = mask.find(0xFF, j)
+
+
+def _shown(pages: PageBuffer, pa: int, val: int) -> int:
+    """The u32 ``val`` read at ``pa`` with the bytes ``pages`` buffers over it."""
+    lo = pa & PAGE_MASK
+    if lo <= PAGE_SIZE - 4:
+        page = pages.get(pa >> PAGE_SHIFT)
+        if page is not None:
+            # mask bytes are 0 or 0xFF: the mask's u32 selects the data's bits
+            bits = _u32_at(page[1], lo)[0]
+            val = val & ~bits | _u32_at(page[0], lo)[0]
+        return val
+    for i in range(4):  # across a page edge, byte by byte
+        page = pages.get((pa + i) >> PAGE_SHIFT)
+        b = (pa + i) & PAGE_MASK
+        if page is not None and page[1][b]:
+            val = val & ~(0xFF << 8 * i) | page[0][b] << 8 * i
+    return val
+
+
+def _has_partial_word(mask: bytearray) -> bool:
+    """Whether a page mask buffers some but not all bytes of an aligned word."""
+    first = mask[::4]
+    return first != mask[1::4] or first != mask[2::4] or first != mask[3::4]
 
 
 def va_chunks(va: int, n: int, to_pa) -> Iterator[tuple[int, int, int]]:
@@ -405,9 +429,10 @@ def span_pages(va: int, n: int, to_pa) -> set[int]:
 
 
 # The compiled shader loops' memory fast path over _run_chain's state: an
-# aligned load on a walked page that holds no buffered word reads memory,
-# and an aligned store on a walked page sets its word while no stored word
-# is partial. Anything else calls the chain's load_word / store_word.
+# aligned load on a walked page that holds no buffered byte reads memory,
+# and an aligned store on a page the job already stored to sets its word in
+# the job's buffered page: the data, and the mask through a u32 view of it.
+# Anything else calls the chain's load_word / store_word.
 _MEM_PATH = MemPath(
     ld="""\
 _b = read_fast.get({a} >> %d)
@@ -416,12 +441,15 @@ if _b is None or {a} & 3:
 else:
     {d} = u32_at(mem, _b | ({a} & %d))[0]""" % (PAGE_SHIFT, PAGE_MASK),
     st="""\
-_b = write_pages.get({a} >> %d)
-if _b is None or {a} & 3 or masks:
+_p = write_fast.get({a} >> %d)
+if _p is None or {a} & 3:
     store_word({a}, {s})
 else:
-    stores[_b | ({a} & %d)] = {s}""" % (PAGE_SHIFT, PAGE_MASK),
-    names=("mem", "u32_at", "read_fast", "write_pages", "stores", "masks"))
+    _d, _m = _p
+    _o = {a} & %d
+    put_u32(_d, _o, {s})
+    _m[_o >> 2] = 0xFFFFFFFF""" % (PAGE_SHIFT, PAGE_MASK),
+    names=("mem", "u32_at", "put_u32", "read_fast", "write_fast"))
 
 
 class Device:
@@ -460,11 +488,7 @@ class Device:
         self.clock_div = getattr(self, "clock_div", 1)
         self.job_state = JOB_IDLE
         self.fault_addr = 0
-        # buffered stores: aligned word pa -> value, and the byte mask of
-        # each word not fully written
-        self.writeback: dict[int, int] = {}
-        self.writeback_masks: dict[int, int] = {}
-        self._writeback_pages: set[int] = set()  # physical pages writeback touches
+        self.writeback: PageBuffer = {}  # the finished jobs' buffered stores
         self.tlb: dict[int, tuple[int, int]] = {}  # vpn -> (ppn, perm bits raw)
         self._pending_job: _PendingJob | None = None
         self._pending_flush: _PendingFlush | None = None
@@ -676,22 +700,30 @@ class Device:
         chain reuses that translation afterwards."""
         mem = self.mem
         walk = self._walk
-        writeback, wb_masks = self.writeback, self.writeback_masks
-        stores: dict[int, int] = {}  # aligned word pa -> value, like writeback
-        masks: dict[int, int] = {}  # byte masks of the partly stored words
+        writeback = self.writeback
+        stores: PageBuffer = {}  # the chain's own, like writeback
         read_pages: dict[int, int] = {}  # vpn -> physical page base
         write_pages: dict[int, int] = {}
-        # physical pages holding a buffered word, and the read pages on none
+        # vpn -> the data and a u32 view of the mask of its page in stores,
+        # for aligned stores after the first
+        write_fast: dict[int, tuple[bytearray, memoryview]] = {}
+        # physical pages holding a buffered byte, and the read pages on none
         # of them (by ppn too): an aligned load there reads memory directly
-        buffered = {w >> PAGE_SHIFT for w in writeback}
+        buffered = set(writeback)
         read_fast: dict[int, int] = {}
         fast_vpns: dict[int, list[int]] = {}
         total_instr = 0
         va = head_va
 
-        def word(w):
-            return _overlay(stores, masks, w,
-                            _overlay(writeback, wb_masks, w, _u32_at(mem, w)[0]))
+        def page_of(ppn):
+            """The chain's buffered page ``ppn``; a store is about to fill it."""
+            page = stores.get(ppn)
+            if page is None:
+                page = stores[ppn] = bytearray(PAGE_SIZE), bytearray(PAGE_SIZE)
+                buffered.add(ppn)
+                for vpn in fast_vpns.pop(ppn, ()):
+                    del read_fast[vpn]
+            return page
 
         def load_word(a):
             a &= U32
@@ -706,9 +738,8 @@ class Device:
                 pa = base | (a & PAGE_MASK)
             if pa > _LAST_WORD_PA:
                 raise MmuFault(a, Perm.READ)
-            w, last = pa & ~3, (pa + 3) & ~3  # the one or two words it reads
-            if w in stores or w in writeback or last in stores or last in writeback:
-                return ((word(last) << 32 | word(w)) >> (pa & 3) * 8) & U32
+            if pa >> PAGE_SHIFT in buffered or (pa + 3) >> PAGE_SHIFT in buffered:
+                return _shown(stores, pa, _shown(writeback, pa, _u32_at(mem, pa)[0]))
             return _u32_at(mem, pa)[0]
 
         def store_word(a, val):
@@ -721,31 +752,31 @@ class Device:
                 pa = base | (a & PAGE_MASK)
             if pa > _LAST_WORD_PA:
                 raise MmuFault(a, Perm.WRITE)
-            val &= U32
-            w, shift = pa & ~3, (pa & 3) * 8
-            if not shift:
-                stores[w] = val
-                if masks:
-                    masks.pop(w, None)
-            else:  # an unaligned word merges into the two words it spans
-                _merge_word(stores, masks, w, val << shift, 0xF << (pa & 3) & 0xF)
-                _merge_word(stores, masks, w + 4, val >> (32 - shift), 0xF >> (4 - (pa & 3)))
-            for ppn in (pa >> PAGE_SHIFT, (pa + 3) >> PAGE_SHIFT):
-                if ppn not in buffered:
-                    buffered.add(ppn)
-                    for vpn in fast_vpns.pop(ppn, ()):
-                        del read_fast[vpn]
+            data, mask = stores.get(pa >> PAGE_SHIFT) or page_of(pa >> PAGE_SHIFT)
+            lo = pa & PAGE_MASK
+            if lo <= PAGE_SIZE - 4:
+                _put_u32(data, lo, val & U32)
+                mask[lo:lo + 4] = _FF[:4]
+                if not a & 3 and a >> PAGE_SHIFT not in write_fast:
+                    write_fast[a >> PAGE_SHIFT] = data, memoryview(mask).cast("I")
+            else:  # a word across the page edge: its last bytes start the next page
+                raw, k = (val & U32).to_bytes(4, "little"), PAGE_SIZE - lo
+                data[lo:], mask[lo:] = raw[:k], _FF[:k]
+                data, mask = page_of((pa >> PAGE_SHIFT) + 1)
+                data[:4 - k], mask[:4 - k] = raw[k:], _FF[:4 - k]
 
         def run_bulk(plan, regs, n):
             """Run the next ``n`` iterations of an affine self-loop at once
             (``shader._bulk_loop``), or return False to leave them to the
             compiled loop. First come the page walks those iterations make,
             in their order, faulting where they would. Then the loop runs in
-            bulk only if no load reads a buffered word and no two ops touch
+            bulk only if no load reads a buffered byte and no two ops touch
             the same word, except a load and a later store of the same
-            iteration. Unaligned accesses and partial words fall back."""
+            iteration. Unaligned accesses and words the chain stored only
+            in part fall back."""
             ops, body = plan
-            if masks or any(regs[r] & 3 or regs[r] + 4 * n > 1 << 32 for _, r in ops):
+            if any(regs[r] & 3 or regs[r] + 4 * n > 1 << 32 for _, r in ops) or any(
+                    _has_partial_word(mask) for _, mask in stores.values()):
                 return False
             # one [first iteration, op, VA, words, pa] per op and VA page; as
             # every address is aligned, each page holds at least one word
@@ -760,14 +791,10 @@ class Device:
             chunks.sort()
             for chunk in chunks:
                 j, i, a, k, _ = chunk
-                if ops[i][0]:  # a store buffers its page at once, as store_word does
+                if ops[i][0]:
                     base = write_pages.get(a >> PAGE_SHIFT)
                     if base is None:
                         base = write_pages[a >> PAGE_SHIFT] = walk(a, _WRITE) & ~PAGE_MASK
-                    if base >> PAGE_SHIFT not in buffered:
-                        buffered.add(base >> PAGE_SHIFT)
-                        for vpn in fast_vpns.pop(base >> PAGE_SHIFT, ()):
-                            del read_fast[vpn]
                 else:
                     load_word(a)  # walks the page on its first load
                     base = read_pages[a >> PAGE_SHIFT]
@@ -778,9 +805,11 @@ class Device:
                     if y[1] != i and y[4] < pa + 4 * k and pa < y[4] + 4 * y[3] and (
                             y[4] - pa != 4 * (y[0] - j) or y[1] < i):
                         return False
-                words = range(pa, pa + 4 * k, 4)
-                if not ops[i][0] and pa >> PAGE_SHIFT in buffered and not (
-                        stores.keys().isdisjoint(words) and writeback.keys().isdisjoint(words)):
+                if not ops[i][0] and pa >> PAGE_SHIFT in buffered and any(
+                        page is not None and page[1].find(0xFF, pa & PAGE_MASK,
+                                                          (pa & PAGE_MASK) + 4 * k) >= 0
+                        for page in (stores.get(pa >> PAGE_SHIFT),
+                                     writeback.get(pa >> PAGE_SHIFT))):
                     return False
 
             def load(i):
@@ -791,15 +820,19 @@ class Device:
                 return words
 
             def store(i, words):
-                words = iter(words)
+                at = 0
                 for _, op, _, k, pa in chunks:
                     if op == i:
-                        stores.update(zip(range(pa, pa + 4 * k, 4), words))
+                        data, mask = page_of(pa >> PAGE_SHIFT)
+                        lo = pa & PAGE_MASK
+                        struct.pack_into(f"<{k}I", data, lo, *words[at:at + k])
+                        mask[lo:lo + 4 * k] = _FF[:4 * k]
+                        at += k
 
             body(regs, n, load, store)
             return True
 
-        bound = (mem, _u32_at, read_fast, write_pages, stores, masks)
+        bound = (mem, _u32_at, _put_u32, read_fast, write_fast)
         try:
             seen = 0
             while va != 0:
@@ -841,20 +874,16 @@ class Device:
             return _PendingJob(None, {}, total_instr, f.va, JOB_MMU_FAULT)
         except ShaderFault:
             return _PendingJob(None, {}, total_instr, None, JOB_BAD_STATE)
-        pages = set()
-        for base in write_pages.values():
-            pages.add(base >> PAGE_SHIFT)
-            if base + PAGE_SIZE in stores:  # a word stored across the page edge
-                pages.add((base >> PAGE_SHIFT) + 1)
-        return _PendingJob(None, stores, total_instr, None, JOB_DONE, pages, masks)
+        return _PendingJob(None, stores, total_instr, None, JOB_DONE)
 
     def _start_flush(self):
         if self._pending_flush is not None or not self.writeback:
             return
         jitter = self.rng.uniform(JITTER_LO, JITTER_HI)
-        # the bytes buffered: four per word less the ones a partial word lacks
-        nbytes = 4 * len(self.writeback) - sum(
-            4 - m.bit_count() for m in self.writeback_masks.values())
+        nbytes = 0
+        for _, mask in self.writeback.values():
+            for i, j in _runs(mask):
+                nbytes += j - i
         cost = FLUSH_BASE_COST_NS + FLUSH_BYTE_COST_NS * nbytes
         self._pending_flush = _PendingFlush(
             self.vclock_ns + round(cost * self.clock_div * jitter))
@@ -891,13 +920,18 @@ class Device:
             self.job_state = job.status
             raised = 0
             if job.status == JOB_DONE:
-                if job.masks or self.writeback_masks:
-                    for w, val in job.stores.items():
-                        _merge_word(self.writeback, self.writeback_masks, w, val,
-                                    job.masks.get(w, 0xF))
-                else:
-                    self.writeback.update(job.stores)
-                self._writeback_pages |= job.pages
+                # the writeback adopts the pages it lacks and takes the
+                # buffered runs of the others
+                writeback = self.writeback
+                for ppn, page in job.stores.items():
+                    have = writeback.get(ppn)
+                    if have is None:
+                        writeback[ppn] = page
+                        continue
+                    data, mask = page
+                    for i, j in _runs(mask):
+                        have[0][i:j] = data[i:j]
+                        have[1][i:j] = mask[i:j]
                 raised = IRQ_JOB_DONE
             elif job.status == JOB_MMU_FAULT:
                 self.fault_addr = (job.fault_va or 0) & U32
@@ -912,19 +946,13 @@ class Device:
         flush = self._pending_flush
         if flush is not None and flush.finish_ns <= t:
             self._pending_flush = None
-            mem, masks = self.mem, self.writeback_masks
-            for w, val in self.writeback.items():
-                mask = masks.get(w) if masks else None
-                if mask is None:
-                    _put_u32(mem, w, val)
-                else:
-                    for i in range(4):
-                        if mask >> i & 1:
-                            mem[w + i] = (val >> 8 * i) & 0xFF
+            mem = self.mem
+            for ppn, (data, mask) in self.writeback.items():
+                base = ppn << PAGE_SHIFT
+                for i, j in _runs(mask):
+                    mem[base + i:base + j] = data[i:j]
+            self._dirty_pages.update(self.writeback)
             self.writeback = {}
-            self.writeback_masks = {}
-            self._dirty_pages |= self._writeback_pages
-            self._writeback_pages = set()
             self._update_busy()
         return events
 
@@ -957,8 +985,6 @@ class Device:
     # -- snapshot / restore ------------------------------------------------------
 
     def snapshot(self) -> DeviceSnapshot:
-        import copy
-
         return DeviceSnapshot(
             sku_id=self.sku.sku_id,
             vclock_ns=self.vclock_ns,
@@ -968,19 +994,16 @@ class Device:
             clock_div=self.clock_div,
             job_state=self.job_state,
             fault_addr=self.fault_addr,
-            writeback=dict(self.writeback),
-            writeback_masks=dict(self.writeback_masks),
+            writeback=_copy_pages(self.writeback),
             tlb=dict(self.tlb),
-            pending_job=copy.deepcopy(self._pending_job),
-            pending_flush=copy.deepcopy(self._pending_flush),
+            pending_job=_copy_job(self._pending_job),
+            pending_flush=self._pending_flush,
             rng_state=self.rng.getstate(),
             busy_since=self._busy_periods[-1][0]
             if self._busy_periods and self._busy_periods[-1][1] is None else None,
         )
 
     def restore(self, snap: DeviceSnapshot) -> None:
-        import copy
-
         if snap.sku_id != self.sku.sku_id:
             raise SkuMismatch(f"snapshot from SKU {snap.sku_id:#x}, device is {self.sku.sku_id:#x}")
         self.vclock_ns = snap.vclock_ns
@@ -990,12 +1013,10 @@ class Device:
         self.clock_div = snap.clock_div
         self.job_state = snap.job_state
         self.fault_addr = snap.fault_addr
-        self.writeback = dict(snap.writeback)
-        self.writeback_masks = dict(snap.writeback_masks)
-        self._writeback_pages = {w >> PAGE_SHIFT for w in self.writeback}
+        self.writeback = _copy_pages(snap.writeback)
         self.tlb = dict(snap.tlb)
-        self._pending_job = copy.deepcopy(snap.pending_job)
-        self._pending_flush = copy.deepcopy(snap.pending_flush)
+        self._pending_job = _copy_job(snap.pending_job)
+        self._pending_flush = snap.pending_flush
         self.rng.setstate(snap.rng_state)
         self._busy_periods = []
         if snap.busy_since is not None:

@@ -292,7 +292,10 @@ def decode(data: bytes) -> Recording:
 
     n_dumps = r.u32()
     dumps = []
-    inflated = 0  # raw bytes of the dumps decoded so far
+    # each distinct (payload, raw length) is inflated once and its bytes
+    # shared by every dump that repeats it; None past the byte cap
+    raws: dict[tuple[bytes, int], bytes | None] = {}
+    kept = 0  # raw bytes of the distinct dumps inflated so far
     for _ in range(n_dumps):
         dump_id, gpu_va, raw_len = r.u32(), r.u32(), r.u32()
         if raw_len > MEM_BYTES:
@@ -305,14 +308,20 @@ def decode(data: bytes) -> Recording:
         if origin is None:
             raise Malformed(at, f"bad dump origin {origin_b}")
         payload = r.blob32()
-        at = r.pos
-        try:
-            raw = inflate(payload, raw_len)
-        except zlib.error as e:
-            raise Malformed(at, f"dump {dump_id} payload: {e}") from None
+        key = (payload, raw_len)
+        if key in raws:
+            raw = raws[key]
+        else:
+            try:
+                raw = inflate(payload, raw_len)
+            except zlib.error as e:
+                raise Malformed(r.pos, f"dump {dump_id} payload: {e}") from None
+            kept += raw_len
+            if kept > MEM_BYTES:  # a file keeps no more than one maximal dump
+                raw = None
+            raws[key] = raw
         d = MemDump(dump_id, gpu_va, raw_len, payload, origin)
-        inflated += raw_len
-        if inflated <= MEM_BYTES:  # a file keeps no more than one maximal dump
+        if raw is not None:
             object.__setattr__(d, "raw", raw)
         dumps.append(d)
 

@@ -402,10 +402,11 @@ class _Builder:
                 return True
         return False
 
-    def _emit_dumps(self, regions, dumps, next_id, last):
-        """Returns LoadMemDump protos for regions that survive filtering
+    def _emit_dumps(self, regions, dumps, next_id, last, raw, floor):
+        """Returns LoadMemDump actions for regions that survive filtering
         and differ from the bytes last dumped at their VA (``last``, VA ->
-        bytes); appends the MemDump payloads."""
+        bytes), the first with the intervals ``raw`` and ``floor``;
+        appends the MemDump payloads."""
         loads = []
         for r in regions:
             if self._skip_region(r) or last.get(r.gpu_va) == r.content:
@@ -415,32 +416,30 @@ class _Builder:
                       else DumpOrigin.MAPPED_FALLBACK)
             dumps.append(MemDump(next_id[0], r.gpu_va, len(r.content),
                                  deflate(r.content), origin))
-            loads.append(LoadMemDump(dump_id=next_id[0], gpu_va=r.gpu_va))
+            loads.append(LoadMemDump(raw, floor, next_id[0], r.gpu_va))
+            raw = floor = 0
             self.raw_dump_bytes += len(r.content)
             next_id[0] += 1
         return loads
 
-    def _entry_actions(self, entry: _Entry):
+    def _entry_actions(self, entry: _Entry, raw: int, floor: int):
+        """The action of a non-kick entry, with the intervals ``raw`` and
+        ``floor`` (the fields after them are positional)."""
         ev = entry.ev
         if ev.kind == "write":
-            return [RegWrite(reg_name=ev.reg, value=ev.value)]
+            return [RegWrite(raw, floor, ev.reg, ev.value)]
         if ev.kind == "read":
             if ev.state_class is StateClass.NONDET_READ:
-                return [RegRead(reg_name=ev.reg, expect_value=0,
-                                state_class=ActionClass.NONDET)]
-            return [RegRead(reg_name=ev.reg, expect_value=ev.value,
-                            state_class=ActionClass.STATE)]
+                return [RegRead(raw, floor, ev.reg, 0, ActionClass.NONDET)]
+            return [RegRead(raw, floor, ev.reg, ev.value, ActionClass.STATE)]
         if ev.kind == "poll":
-            return [RegReadWait(reg_name=ev.reg, mask=ev.mask,
-                                expect_value=ev.expect, max_polls=ev.n_reads)]
+            return [RegReadWait(raw, floor, ev.reg, ev.mask, ev.expect, ev.n_reads)]
         if ev.kind == "wait_irq":
-            return [WaitIrq(expect_rawstat=ev.bits,
-                            residency_ns=entry.t1 - entry.t0)]
+            return [WaitIrq(raw, floor, ev.bits, entry.t1 - entry.t0)]
         if ev.kind == "map":
-            return [MapGpuMem(gpu_va=ev.gpu_va, len_bytes=ev.len_bytes,
-                              perm_flags_encoded=ev.perm_bits)]
+            return [MapGpuMem(raw, floor, ev.gpu_va, ev.len_bytes, ev.perm_bits)]
         if ev.kind == "unmap":
-            return [UnmapGpuMem(gpu_va=ev.gpu_va, len_bytes=ev.len_bytes)]
+            return [UnmapGpuMem(raw, floor, ev.gpu_va, ev.len_bytes)]
         raise RecordError(f"unknown event kind {ev.kind}")
 
     def _build(self, entries, prologue=(), prologue_dumps=(),
@@ -454,25 +453,25 @@ class _Builder:
         dev = self.stack.dev
         kicked = False
         for entry in entries:
+            # the gap before the entry goes to its first action
+            decision = classify_interval(prev_end, entry.t0, dev.was_idle_between)
+            raw = max(0, entry.t0 - prev_end)
             if entry.kick_regions is None:
-                protos = self._entry_actions(entry)
+                new = self._entry_actions(entry, raw, decision.floor_ns)
             else:
                 # a build's first kick checks every live region (a per-layer
                 # slice starts mid-run); a later one only those changed
                 # since the kick before: every other is as it was then
-                protos = self._emit_dumps(entry.changed if kicked else entry.kick_regions,
-                                          dumps, next_id, last)
+                new = self._emit_dumps(entry.changed if kicked else entry.kick_regions,
+                                       dumps, next_id, last, raw, decision.floor_ns)
                 kicked = True
-            if not protos:
+            if not new:
                 continue  # fully filtered; its time folds into the next gap
-            decision = classify_interval(prev_end, entry.t0, dev.was_idle_between)
-            raw = max(0, entry.t0 - prev_end)
             if decision.skip:
                 self.skipped += 1
             else:
                 self.kept += 1
-            actions.append(protos[0].with_intervals(raw, decision.floor_ns))
-            actions.extend(protos[1:])
+            actions.extend(new)
             prev_end = entry.t1
         return actions, dumps
 
@@ -560,7 +559,7 @@ class _Builder:
         saved = self.addr_only_inputs
         self.addr_only_inputs = addr_inputs
         try:
-            actions.extend(self._emit_dumps(regions, dumps, next_id, last))
+            actions.extend(self._emit_dumps(regions, dumps, next_id, last, 0, 0))
         finally:
             self.addr_only_inputs = saved
         return actions, dumps

@@ -33,6 +33,7 @@ outputs stay the interpreter's.
 
 from __future__ import annotations
 
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -207,7 +208,7 @@ def _decode(words: list[int]) -> tuple[list[tuple], dict]:
     """Decode to one entry per word index. Each entry is
     (op, a, b, c, next_pc); LDI's second word gets a None placeholder.
     Returns the entries and the shader's (initially empty) loop cache."""
-    key = b"".join(w.to_bytes(4, "little") for w in words)
+    key = struct.pack(f"<{len(words)}I", *words)
     cached = _decode_cache.get(key)
     if cached is not None:
         _decode_cache.move_to_end(key)

@@ -529,13 +529,13 @@ def model_job(ops, pages, mem_byte, writeback):
 
 
 def buffered_bytes(dev):
-    """The device's word-keyed writeback as pa -> byte, like the model's."""
+    """The device's page-keyed writeback as pa -> byte, like the model's."""
     out = {}
-    for w, val in dev.writeback.items():
-        mask = dev.writeback_masks.get(w, 0xF)
-        for i in range(4):
-            if mask >> i & 1:
-                out[w + i] = (val >> 8 * i) & 0xFF
+    for ppn, (data, mask) in dev.writeback.items():
+        for i, m in enumerate(mask):
+            assert m in (0, 0xFF)
+            if m:
+                out[(ppn << dv.PAGE_SHIFT) + i] = data[i]
     return out
 
 
@@ -561,7 +561,7 @@ def run_against_model(sku, order, perms, fill_seed, jobs, alias_perms=None, budg
     to ``order[0]``), checking each job against ``model_job``. With a step
     ``budget``, a job may instead run out of steps and store nothing.
     Returns per job its JOB_STATUS, MMU_FAULT_ADDR, instruction count,
-    writeback, writeback masks and TLB entries in fill order."""
+    buffered bytes and TLB entries in fill order."""
     dev = Device(sku=sku)
     rig = _Rig(dev)
     rng = random.Random(fill_seed)
@@ -594,8 +594,8 @@ def run_against_model(sku, order, perms, fill_seed, jobs, alias_perms=None, budg
         count = dev._pending_job.instr_count
         dev.tick(10_000_000)
         status = rd(dev, "JOB_STATUS")
-        seen.append((status, rd(dev, "MMU_FAULT_ADDR"), count, dict(dev.writeback),
-                     dict(dev.writeback_masks), list(dev.tlb.items())))
+        seen.append((status, rd(dev, "MMU_FAULT_ADDR"), count, buffered_bytes(dev),
+                     list(dev.tlb.items())))
         out_of_steps = budget is not None and status == dv.JOB_BAD_STATE
         if expect[0] == "fault" and not out_of_steps:
             assert status == dv.JOB_MMU_FAULT
@@ -871,12 +871,19 @@ def test_unaligned_store_merges_into_a_full_word():
     rig.kick(rig.job(a.assemble(), []))
     dev.tick(10_000_000)
     assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
-    assert dev.writeback == {out_pa: 0xBBCCDD44, out_pa + 4: 0xAA, out_pa + 8: 0xBBCCDD44,
-                             out_pa + 12: 0xCCDD7788, out_pa + 16: 0xAABB}
-    assert dev.writeback_masks == {out_pa + 4: 0b0001, out_pa + 16: 0b0011}
+    assert buffered_bytes(dev) == bytes_at(
+        out_pa, "44ddccbb aa...... 44ddccbb 8877ddcc bbaa....")
     flush(dev)
     assert dev.mem_read(out_pa, 20) == bytes.fromhex(
         "44ddccbb aa000000 44ddccbb 8877ddcc bbaa0000")
+
+
+def bytes_at(pa, text):
+    """pa -> byte of the hex bytes in ``text`` from ``pa`` on, like
+    ``buffered_bytes``; ``..`` is a byte not buffered, spaces are ignored."""
+    text = text.replace(" ", "")
+    return {pa + i // 2: int(text[i:i + 2], 16) for i in range(0, len(text), 2)
+            if text[i:i + 2] != ".."}
 
 
 # -- dirty-page log -----------------------------------------------------------------
@@ -917,6 +924,54 @@ def test_flush_logs_a_straddled_next_page():
     dev.restore(snap)
     flush(dev)
     assert dev.take_dirty_pages() == {ppn, ppn + 1}
+
+
+def test_snapshots_share_no_buffered_page_with_the_device():
+    # the snapshot's writeback holds a word across a page edge, part on
+    # each page; the second job merges into both pages and adds a third,
+    # which the writeback adopts. It merges first into the pages the
+    # snapshot was taken from, then into restored ones; each restore must
+    # bring back the first job's bytes alone.
+    dev = Device()
+    rig = _Rig(dev)
+    out_va, out_pa = rig.map_page(Perm.READ | Perm.WRITE)
+    rig.map_page(Perm.READ | Perm.WRITE)
+    third_va, third_pa = rig.map_page(Perm.READ | Perm.WRITE)
+    rig.kick(rig.job(store_const_shader(out_va + dv.PAGE_SIZE - 2, 0xA1B2C3D4), []))
+    dev.tick(10_000_000)
+    snap = dev.snapshot()
+    a = Asm()
+    a.ldi(1, 0x55555555)
+    for va in (out_va + dv.PAGE_SIZE - 4, out_va + dv.PAGE_SIZE, third_va):
+        a.ldi(0, va); a.st(0, 1)
+    a.halt()
+    second = rig.job(a.assemble(), [])
+    ppn = out_pa >> dv.PAGE_SHIFT
+    for _ in range(2):
+        rig.kick(second)
+        dev.tick(10_000_000)
+        assert buffered_bytes(dev) == {**bytes_at(out_pa + dv.PAGE_SIZE - 4, "55555555 55555555"),
+                                       **bytes_at(third_pa, "55555555")}
+        dev.restore(snap)
+        assert rd(dev, "GPU_STATUS") & dv.STATUS_DIRTY
+        dev.take_dirty_pages()
+        flush(dev)
+        assert not rd(dev, "GPU_STATUS") & dv.STATUS_DIRTY
+        assert dev.mem_read(out_pa + dv.PAGE_SIZE - 4, 8) == bytes.fromhex("0000d4c3 b2a10000")
+        assert dev.mem_read(third_pa, 4) == bytes(4)
+        assert dev.take_dirty_pages() == {ppn, ppn + 1}
+        dev.restore(snap)
+    # a pending job's pages are copies too: the writeback adopts the third
+    # page from the job, and a later job merges into it
+    rig.kick(second)
+    pending = dev.snapshot()
+    dev.tick(10_000_000)
+    rig.kick(rig.job(store_const_shader(third_va, 0x77777777), []))
+    dev.tick(10_000_000)
+    dev.restore(pending)
+    dev.tick(10_000_000)
+    flush(dev)
+    assert dev.mem_read(third_pa, 4) == bytes.fromhex("55555555")
 
 
 def test_faulted_job_logs_nothing():

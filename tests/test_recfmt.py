@@ -219,6 +219,34 @@ def test_decode_keeps_checked_dumps_up_to_device_memory():
     assert dataclasses.replace(got.dumps[0]).raw is None
 
 
+def test_dumps_that_repeat_a_payload_share_one_inflate(monkeypatch):
+    # five 4 MiB dumps of one payload are 4 MiB of distinct bytes: all are
+    # kept, as the very same bytes, from one inflate
+    big = 4 << 20
+    payload = deflate(b"\x05" * big)
+    dumps = tuple(MemDump(i, 0x400000, big, payload, DumpOrigin.EXEC_PAGE) for i in range(5))
+    rec = Recording(header(), (), dumps, ())
+    calls = []
+    real = recfmt.inflate
+    monkeypatch.setattr(recfmt, "inflate", lambda *a: calls.append(a) or real(*a))
+    got = decode(encode(rec))
+    assert len(calls) == 1
+    assert got.dumps[0].raw == b"\x05" * big
+    assert all(d.raw is got.dumps[0].raw for d in got.dumps)
+    assert got == rec
+
+
+def test_a_repeated_payload_of_another_length_is_rejected_at_its_dump():
+    payload = deflate(b"repeated payload " * 64)
+    dumps = (MemDump(0, 0x400000, 17 * 64, payload, DumpOrigin.EXEC_PAGE),
+             MemDump(1, 0x500000, 17 * 64 + 1, payload, DumpOrigin.EXEC_PAGE))
+    blob = encode(Recording(header(), (), dumps, ()))
+    second_end = blob.index(payload, blob.index(payload) + 1) + len(payload)
+    with pytest.raises(Malformed, match="dump 1 payload") as err:
+        decode(blob)
+    assert err.value.offset == second_end
+
+
 def test_zero_heavy_payload_compresses_below_half():
     raw = bytearray(8192)
     for i in range(0, len(raw), 128):
