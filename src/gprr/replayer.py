@@ -9,12 +9,13 @@ an action or belongs to the fixed reset/preempt sequences.
 Divergence handling follows a bounded ladder: reset + reload + re-run,
 then re-runs that widen the pacing floors and wait budgets from the
 eighth action before the failure to the end of the recording. Each
-widening at least doubles the last; when a retried wait or poll timed
-out, the ladder first waits on, up to a cap, to measure how many times
-slower than recorded the device ran, and starts at the power of two at
-or above that. Four attempts, then a final report naming the failing
-action and its origin. When checkpointing is on, retries resume from the
-latest checkpoint instead of the start.
+widening at least doubles the last; a retried wait or poll that times
+out waits on, up to a cap, to measure how many times slower than
+recorded the device ran (the report's ``slowdown``), and the next
+attempt starts at the power of two at or above that. Four attempts,
+then a final report naming the failing action and its origin. When
+checkpointing is on, retries resume from the latest checkpoint instead
+of the start.
 """
 
 from __future__ import annotations
@@ -23,20 +24,28 @@ import enum
 import math
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import device as dv
 from .actions import (IoMode, LoadMemDump, MapGpuMem, Recording, RegRead,
                       RegReadWait, RegWrite, ReplayAction, UnmapGpuMem, WaitIrq,
                       canonical_actions)
-from .device import Device, DeviceSnapshot, Perm, RegisterMap, SKUS_BY_ID
+from .device import Device, DeviceSnapshot, Perm, SKUS_BY_ID
 from .recfmt import inflate
-from .verifier import VerificationReport, verify
+from .verifier import verify
 
 NANO_ACCESS_NS = 20
 LOAD_BYTE_NS = 0.05
 INPUT_BYTE_NS = 0.1
 PREEMPT_DRAIN_BUDGET_NS = 10_000_000
+WATCHDOG_MULT = 10
+WATCHDOG_FLOOR_NS = 1_000_000
+POLL_BUDGET_MULT = 2
+POLL_BUDGET_MIN = 4
+POLL_PERIOD_NS = 200
+CHECKPOINT_BYTE_COST_NS = 1.0
+MAX_ATTEMPTS = 4
+DELAY_WINDOW = 8
 MEASURE_CAP = 64  # a timed-out retry waits on for up to this many budgets
 MAX_PACING_MULT = 256
 _ZERO_PAGE = bytes(dv.PAGE_SIZE)
@@ -69,6 +78,9 @@ class DivergenceReport:
     va: int = 0
     detail: str = ""
     origin: str = ""  # workload label + action index, set on final reports
+    # how many times its recorded polls or residency a timed-out retried
+    # wait took when it waited on; 0.0 when nothing was measured
+    slowdown: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -104,22 +116,16 @@ class ReplayResult:
 @dataclass
 class ReplayConfig:
     honor_skips: bool = True
-    watchdog_mult: int = 10
-    watchdog_floor_ns: int = 1_000_000
-    poll_budget_mult: int = 2
-    poll_budget_min: int = 4
-    poll_period_ns: int = 200
     checkpoint_every_jobs: int = 0  # 0 = checkpointing off
-    checkpoint_byte_cost_ns: float = 1.0
-    max_attempts: int = 4
-    delay_window: int = 8
     force: bool = False
 
-    def poll_budget(self, a: RegReadWait, mult: int) -> int:
-        return max(self.poll_budget_mult * a.max_polls, self.poll_budget_min) * mult
 
-    def watchdog_ns(self, a: WaitIrq, mult: int) -> int:
-        return max(self.watchdog_mult * a.residency_ns, self.watchdog_floor_ns) * mult
+def poll_budget(a: RegReadWait, mult: int) -> int:
+    return max(POLL_BUDGET_MULT * a.max_polls, POLL_BUDGET_MIN) * mult
+
+
+def watchdog_ns(a: WaitIrq, mult: int) -> int:
+    return max(WATCHDOG_MULT * a.residency_ns, WATCHDOG_FLOOR_NS) * mult
 
 
 def expected_event_log(rec: Recording) -> list[tuple]:
@@ -132,11 +138,10 @@ class ReplaySession:
     """Owns one device; drives replays via step(). Not thread-safe except
     for request_preempt(), which only sets a flag read between actions."""
 
-    def __init__(self, dev: Device, config: ReplayConfig | None = None,
-                 reg_map: RegisterMap | None = None):
+    def __init__(self, dev: Device, config: ReplayConfig | None = None):
         self.dev = dev
         self.config = config or ReplayConfig()
-        self.reg_map = reg_map or dev.reg_map
+        self.reg_map = dev.reg_map
         self.loaded: Recording | None = None
         self.cursor = 0
         self.jobs_done = 0
@@ -157,8 +162,9 @@ class ReplaySession:
         self._unmapped: set[int] = set()
         self._l1_pa = 0
         self._l2_pages: dict[int, int] = {}
-        # (first action, multiplier): the recovery ladder's pacing window
-        self._window: tuple[int, int] = (0, 1)
+        # (first action, multiplier, measure): the recovery ladder's pacing
+        # window, and whether a wait that times out waits on to measure
+        self._window: tuple[int, int, bool] = (0, 1, False)
         self._at_job_boundary = True
         self._free_pa = dv.PAGE_SIZE  # end of the pages load wrote; page 0 stays reserved
         # The session's non-zero pages as load laid them out (ppn -> bytes),
@@ -241,7 +247,7 @@ class ReplaySession:
 
     # -- load -----------------------------------------------------------------------
 
-    def load(self, rec: Recording, verify_report: VerificationReport | None = None):
+    def load(self, rec: Recording):
         """Assign fresh pages for the recording's ranges, build them in
         memory, write each page once and keep that image for every replay.
         A second load fully supersedes the first. A load that fails leaves
@@ -254,11 +260,10 @@ class ReplaySession:
             raise LoadError(
                 f"recording is for SKU {rec.header.sku_id:#x}, device is "
                 f"{self.dev.sku.sku_id:#x}; patch it first")
-        if verify_report is None:
-            verify_report = verify(rec, self.reg_map, dv.MEM_BYTES)
-        if not verify_report.ok and not cfg.force:
+        report = verify(rec, self.reg_map, dv.MEM_BYTES)
+        if not report.ok and not cfg.force:
             raise LoadError(
-                f"recording failed verification: {len(verify_report.violations)} violations")
+                f"recording failed verification: {len(report.violations)} violations")
         sku = self.dev.sku
         pte_bits = dv.perm_table(SKUS_BY_ID.get(rec.header.sku_id, sku), sku, Perm.VALID)
 
@@ -266,7 +271,7 @@ class ReplaySession:
         self.last_checkpoint = None
         self._inputs = []
         self._dumps = {}
-        self._window = (0, 1)
+        self._window = (0, 1, False)
         self._ranges = {}
         self._l2_pages = {}
         for a in rec.actions:
@@ -419,7 +424,7 @@ class ReplaySession:
             raise ReplayError("cursor past end of recording")
         a = self.loaded.actions[self.cursor]
         kind = type(a)
-        lo, mult = self._window
+        lo, mult, _ = self._window
         if self.cursor < lo:
             mult = 1
         pad = (a.min_interval_ns if self.config.honor_skips else a.raw_interval_ns)
@@ -470,26 +475,36 @@ class ReplaySession:
         return None
 
     def _step_poll(self, a: RegReadWait, mult: int) -> DivergenceReport | None:
-        cfg = self.config
-        budget = cfg.poll_budget(a, mult)
+        budget = poll_budget(a, mult)
         # read with no device event pending, a register reads the same ever
-        # after, except JOB_PROGRESS, which reads random bits (an event can
-        # complete in the tick that follows a read)
-        settled = a.reg_name != "JOB_PROGRESS"
+        # after. A measuring poll that times out reads on while an event is
+        # pending, up to MEASURE_CAP budgets in all, and checks for one
+        # before each tick (an event can complete in the tick that follows
+        # a read)
+        report = None
         n = 0
+        idle = self.dev.next_event_ns() is None
         while True:
-            idle = settled and self.dev.next_event_ns() is None
             v = self._read(a.reg_name)
             n += 1
             if (v & a.mask) == a.expect_value:
-                return None
-            if n >= budget or idle:
-                return DivergenceReport(
+                if report is None:
+                    return None
+                return replace(
+                    report, slowdown=n / a.max_polls if a.max_polls else 0.0)
+            if report is None and (n >= budget or idle):
+                report = DivergenceReport(
                     self.cursor, DivergenceKind.TIMEOUT, reg=a.reg_name,
                     expected=a.expect_value, got=v & a.mask,
                     detail=(f"nothing pending after {n} of {budget} polls" if idle
                             else f"poll budget {budget} exhausted"))
-            self._tick(cfg.poll_period_ns)
+                if not self._window[2]:
+                    return report
+            if report is not None and (n >= MEASURE_CAP * budget
+                                       or self.dev.next_event_ns() is None):
+                return report
+            self._tick(POLL_PERIOD_NS)
+            idle = self.dev.next_event_ns() is None
 
     def _step_loaddump(self, a: LoadMemDump, mult: int) -> None:
         data = self._dumps.get(a.dump_id)  # kept as recorded: the inputs differ per replay
@@ -512,33 +527,46 @@ class ReplaySession:
         self._write("GPU_CMD", dv.CMD_TLB_INVALIDATE)
 
     def _step_waitirq(self, a: WaitIrq, mult: int) -> DivergenceReport | None:
-        cfg = self.config
-        watchdog = cfg.watchdog_ns(a, mult)
-        deadline = self.dev.vclock_ns + watchdog
+        watchdog = watchdog_ns(a, mult)
+        start = self.dev.vclock_ns
+        deadline = start + watchdog
+        # a measuring wait that times out waits on, up to MEASURE_CAP
+        # watchdogs in all, for the interrupt and nothing else
+        report = None
         while True:
             raw = self.dev.irq_rawstat
             unexpected = raw & ~a.expect_rawstat & dv.IRQ_ALL
-            if unexpected & dv.IRQ_MMU_FAULT:
-                return DivergenceReport(self.cursor, DivergenceKind.MMU_FAULT,
-                                        va=self._read("MMU_FAULT_ADDR"))
             if unexpected:
+                if report is not None:
+                    return report
+                if unexpected & dv.IRQ_MMU_FAULT:
+                    return DivergenceReport(self.cursor, DivergenceKind.MMU_FAULT,
+                                            va=self._read("MMU_FAULT_ADDR"))
                 return DivergenceReport(self.cursor, DivergenceKind.IRQ_MISMATCH,
                                         expected=a.expect_rawstat, got=raw)
             if raw & a.expect_rawstat == a.expect_rawstat:
+                if report is not None:
+                    return replace(report, slowdown=(
+                        (self.dev.vclock_ns - start) / a.residency_ns if a.residency_ns else 0.0))
                 self.event_log.append(("irq", a.expect_rawstat))
                 return None
             nxt = self.dev.next_event_ns()
-            if nxt is None or nxt > deadline:
+            if report is None and (nxt is None or nxt > deadline):
                 self._tick(max(0, deadline - self.dev.vclock_ns))
                 raw = self.dev.irq_rawstat
                 if raw & a.expect_rawstat == a.expect_rawstat:
                     self.event_log.append(("irq", a.expect_rawstat))
                     return None
-                return DivergenceReport(
+                report = DivergenceReport(
                     self.cursor, DivergenceKind.TIMEOUT,
                     expected=a.expect_rawstat, got=raw,
                     detail=f"no interrupt within {watchdog} ns")
-            self._tick(nxt - self.dev.vclock_ns)
+                if not self._window[2]:
+                    return report
+            elif nxt is None or nxt > start + MEASURE_CAP * watchdog:
+                return report
+            else:
+                self._tick(nxt - self.dev.vclock_ns)
 
     # -- replay / recovery -------------------------------------------------------------
 
@@ -623,10 +651,12 @@ class ReplaySession:
 
     def recover(self, report: DivergenceReport, inputs=None) -> ReplayResult:
         """Public entry for the recovery ladder after a manual step() run."""
-        return self._result(*self._recover_loop(report, self._normalize_inputs(inputs)))
+        start = self.vclock_consumed
+        outcome, attempts = self._recover_loop(report, self._normalize_inputs(inputs))
+        return self._result(outcome, attempts, self.vclock_consumed - start)
 
     def _result(self, outcome: DivergenceReport | str | None, attempts: int,
-                vclock_ns: int = 0) -> ReplayResult:
+                vclock_ns: int) -> ReplayResult:
         """What replay() and recover() return for a run that ended in
         ``outcome``."""
         result = ReplayResult(ok=outcome is None, recovery_attempts=attempts,
@@ -642,74 +672,32 @@ class ReplaySession:
         return result
 
     def _recover_loop(self, report: DivergenceReport, inputs: dict[int, bytes]):
-        cfg = self.config
-        mult, slowdown = 1, 0.0
-        for attempt in range(1, cfg.max_attempts + 1):
-            if attempt == 1:
-                self._window = (0, 1)
-            else:
-                # from the window on to the end: the jobs after the failure
-                # run as slowly as the one that failed
-                lo = max(0, report.action_index - cfg.delay_window + 1)
-                mult = min(MAX_PACING_MULT, max(2 * mult, _pow2_at_least(slowdown)))
-                self._window = (lo, mult)
-            cp = self.last_checkpoint if cfg.checkpoint_every_jobs else None
-            if cp is None:
-                self._reload()
-            self.event_log = []
-            if self.attempt_hook is not None:
-                self.attempt_hook(self.dev, attempt)
-            outcome = self._run_once(inputs, cp)
-            if outcome is None or outcome == "preempted":
-                self._window = (0, 1)
-                return outcome, attempt
-            report = outcome
-            if attempt < cfg.max_attempts:  # only a next attempt uses it
-                slowdown = self._measure_slowdown(report)
+        mult = 1
+        try:
+            for attempt in range(1, MAX_ATTEMPTS + 1):
+                measure = attempt < MAX_ATTEMPTS  # only a next attempt uses it
+                if attempt == 1:
+                    self._window = (0, 1, measure)
+                else:
+                    # from the window on to the end: the jobs after the
+                    # failure run as slowly as the one that failed
+                    lo = max(0, report.action_index - DELAY_WINDOW + 1)
+                    mult = min(MAX_PACING_MULT, max(2 * mult, _pow2_at_least(report.slowdown)))
+                    self._window = (lo, mult, measure)
+                cp = self.last_checkpoint if self.config.checkpoint_every_jobs else None
+                if cp is None:
+                    self._reload()
+                self.event_log = []
+                if self.attempt_hook is not None:
+                    self.attempt_hook(self.dev, attempt)
+                outcome = self._run_once(inputs, cp)
+                if outcome is None or outcome == "preempted":
+                    return outcome, attempt
+                report = outcome
+        finally:
+            self._window = (0, 1, False)
         label = self.loaded.header.workload_label
-        final = DivergenceReport(
-            report.action_index, report.kind, report.reg, report.expected,
-            report.got, report.va, report.detail,
-            origin=f"{label}#action{report.action_index}")
-        self._window = (0, 1)
-        return final, cfg.max_attempts
-
-    def _measure_slowdown(self, report: DivergenceReport) -> float:
-        """After a poll or interrupt wait timed out, wait on from where it
-        stopped, up to MEASURE_CAP times its budget in all, and return how
-        many times its recorded polls or residency it took. 0.0 when it
-        did not finish within the cap, nothing was pending, something else
-        went wrong first, or there is no record to measure against."""
-        a = self.loaded.actions[report.action_index]
-        kind = type(a)
-        if report.kind is not DivergenceKind.TIMEOUT or kind not in (RegReadWait, WaitIrq):
-            return 0.0
-        cfg = self.config
-        lo, mult = self._window
-        if report.action_index < lo:
-            mult = 1
-        if kind is RegReadWait:
-            budget = cfg.poll_budget(a, mult)
-            for n in range(budget + 1, MEASURE_CAP * budget + 1):
-                if self.dev.next_event_ns() is None:
-                    return 0.0  # nothing pending: the value will not change
-                self._tick(cfg.poll_period_ns)
-                if self._read(a.reg_name) & a.mask == a.expect_value:
-                    return n / a.max_polls if a.max_polls else 0.0
-            return 0.0
-        watchdog = cfg.watchdog_ns(a, mult)
-        start = self.dev.vclock_ns - watchdog  # the timed-out wait ended at its deadline
-        cap = start + MEASURE_CAP * watchdog
-        while True:
-            raw = self.dev.irq_rawstat
-            if raw & ~a.expect_rawstat & dv.IRQ_ALL:
-                return 0.0
-            if raw & a.expect_rawstat == a.expect_rawstat:
-                return (self.dev.vclock_ns - start) / a.residency_ns if a.residency_ns else 0.0
-            nxt = self.dev.next_event_ns()
-            if nxt is None or nxt > cap:
-                return 0.0
-            self._tick(nxt - self.dev.vclock_ns)
+        return replace(report, origin=f"{label}#action{report.action_index}"), MAX_ATTEMPTS
 
     # -- checkpoint / restore ---------------------------------------------------------
 
@@ -734,7 +722,7 @@ class ReplaySession:
                         jobs_done=self.jobs_done, snapshot=self.dev.snapshot(),
                         pages=pages, byte_count=nbytes,
                         unmapped=frozenset(self._unmapped))
-        self._tick(round(nbytes * self.config.checkpoint_byte_cost_ns))
+        self._tick(round(nbytes * CHECKPOINT_BYTE_COST_NS))
         self.last_checkpoint = self._cp_base = cp
         return cp
 
@@ -804,10 +792,9 @@ _HANDLERS = {
 }
 
 
-def init(dev: Device, config: ReplayConfig | None = None,
-         reg_map: RegisterMap | None = None) -> ReplaySession:
+def init(dev: Device, config: ReplayConfig | None = None) -> ReplaySession:
     """Acquire the device with a reset; fails if it is already owned."""
-    session = ReplaySession(dev, config, reg_map)
+    session = ReplaySession(dev, config)
     dev.claim(session)
     try:
         session._reset_sequence()

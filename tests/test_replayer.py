@@ -22,7 +22,7 @@ from gprr.patcher import patch
 from gprr.recfmt import deflate, inflate
 from gprr.recorder import RecordHarness, magic_bytes
 from gprr.refstack import DelayPolicy, GpuStack, build_graph
-from gprr.replayer import (DivergenceKind, LoadError, ReplayConfig,
+from gprr.replayer import (MAX_ATTEMPTS, DivergenceKind, LoadError, ReplayConfig,
                            ReplayError, ReplaySession, expected_event_log,
                            init, replay_sequence)
 from gprr.shader import OP_LDI
@@ -228,6 +228,26 @@ def test_a_poll_that_cannot_match_stops_when_nothing_is_pending(graphs, recorded
     assert not result.ok
     d = result.divergence
     assert (d.kind, d.action_index) == (DivergenceKind.TIMEOUT, i)
+    assert d.detail.startswith("nothing pending after")
+
+
+def test_a_poll_on_job_progress_stops_when_nothing_is_pending(graphs, recorded):
+    # JOB_PROGRESS reads random bits, but with no device event pending it
+    # cannot match any more than another register can; a poll on it that
+    # read its whole budget (2 x POLL_MAX_READS x the multiplier) on every
+    # attempt took seconds
+    g, rec = graphs["mixed3"], recorded["mixed3"]
+    i = next(i for i, a in enumerate(rec.actions) if isinstance(a, RegReadWait))
+    poll = dataclasses.replace(rec.actions[i], reg_name="JOB_PROGRESS", mask=dv.U32,
+                               max_polls=dv.POLL_MAX_READS)
+    edited = dataclasses.replace(rec, actions=rec.actions[:i] + (poll,) + rec.actions[i + 1:])
+    assert verify(edited).ok
+    t0 = time.perf_counter()
+    result = replay_once(edited, random_input(g, 1))
+    assert time.perf_counter() - t0 < 0.5
+    assert not result.ok
+    d = result.divergence
+    assert (d.kind, d.action_index, d.reg) == (DivergenceKind.TIMEOUT, i, "JOB_PROGRESS")
     assert d.detail.startswith("nothing pending after")
 
 
@@ -694,6 +714,24 @@ def test_timeout_divergence_from_stall(vecadd):
     s.cleanup()
 
 
+def test_recover_reports_the_virtual_time_its_attempts_took(vecadd):
+    g, rec = vecadd
+    s = session_for(rec)
+    inp = i32s([5, 5, 5, 5, 1, 1, 1, 1])
+    s.write_inputs(inp)
+    report = None
+    while report is None:
+        a = rec.actions[s.cursor]
+        report = s.step()
+        if isinstance(a, RegWrite) and a.reg_name == "JOB_START":
+            s.dev.stall(50_000_000)
+    start = s.vclock_consumed
+    result = s.recover(report, inp)
+    assert result.ok and result.recovery_attempts == 1
+    assert result.vclock_ns == s.vclock_consumed - start > 0
+    s.cleanup()
+
+
 def test_mmu_fault_divergence_and_recovery(vecadd):
     g, rec = vecadd
     s = session_for(rec)
@@ -722,6 +760,25 @@ def test_persistent_fault_exhausts_exactly_four_attempts(vecadd):
     assert calls == [0, 1, 2, 3, 4]
     assert r.divergence.kind is DivergenceKind.MMU_FAULT
     assert r.divergence.origin.startswith(rec.header.workload_label)
+    s.cleanup()
+
+
+def test_a_ladder_that_raises_leaves_no_window_behind(vecadd):
+    # the next replay of the session must not run paced and measuring as
+    # a retry because a hook raised mid-ladder
+    _, rec = vecadd
+    s = session_for(rec)
+    in_va = rec.inputs()[0].gpu_va
+
+    def hook(dev, attempt):
+        dev.corrupt_pte(in_va)
+        if attempt == 2:
+            raise RuntimeError("hook failed")
+
+    s.attempt_hook = hook
+    with pytest.raises(RuntimeError):
+        s.replay(i32s([0] * 8))
+    assert s._window == (0, 1, False)
     s.cleanup()
 
 
@@ -759,9 +816,59 @@ def test_recovery_climbs_from_the_measured_slowdown(mixed, clock_div):
         s = session_for(rec, clock_div=clock_div, env_seed=env_seed)
         inp = random_input(g, env_seed)
         r = s.replay(inp)
-        assert r.ok and r.recovery_attempts <= ReplayConfig().max_attempts, (env_seed, r.divergence)
+        assert r.ok and r.recovery_attempts <= MAX_ATTEMPTS, (env_seed, r.divergence)
         assert r.outputs == [g.evaluate(inp)]
         s.cleanup()
+
+
+def test_the_measured_slowdown_reaches_the_report_and_the_ladder(graphs, recorded):
+    # a retried wait that times out waits on and reports how many times
+    # slower than recorded the device ran; the next attempt's multiplier
+    # starts at the power of two at or above that. The first attempt and
+    # the last measure nothing: no next attempt would use it
+    g, rec = graphs["mixed3"], recorded["mixed3"]
+
+    def replay(s, inp):
+        mults = [None]  # attempt -> window multiplier; attempt 0 has none
+        s.attempt_hook = lambda dev, attempt: attempt and mults.append(s._window[1])
+        return s.replay(inp), mults, s.divergence_log
+
+    for env_seed in range(8):
+        s = session_for(rec, clock_div=16, env_seed=env_seed)
+        inp = random_input(g, env_seed)
+        r, mults, log = replay(s, inp)
+        assert r.ok and r.outputs == [g.evaluate(inp)], env_seed
+        assert len(log) == r.recovery_attempts >= 2  # one report per failed attempt
+        assert log[0].slowdown == 0.0
+        for attempt in range(1, len(log)):
+            d = log[attempt]
+            assert d.kind is DivergenceKind.TIMEOUT and d.slowdown > 0, (env_seed, d)
+            assert mults[attempt + 1] >= replayer._pow2_at_least(d.slowdown), (env_seed, mults)
+        s.cleanup()
+
+    # every attempt stalls the first job by three watchdogs of its own
+    # window: each retry times out and measures, and the ladder runs out
+    kick = next(i for i, a in enumerate(rec.actions)
+                if isinstance(a, RegWrite) and a.reg_name == "JOB_START")
+    wait = next(a for a in rec.actions[kick:] if isinstance(a, WaitIrq))
+    s = session_for(rec)
+
+    def post(sess, idx, action):
+        if idx == kick:
+            sess.dev.stall(3 * replayer.watchdog_ns(wait, sess._window[1]))
+
+    s.post_action_hook = post
+    r, mults, log = replay(s, random_input(g, 1))
+    assert not r.ok and r.recovery_attempts == MAX_ATTEMPTS
+    assert len(log) == MAX_ATTEMPTS + 1
+    assert all(d.kind is DivergenceKind.TIMEOUT for d in log)
+    assert log[0].slowdown == 0.0 and log[-1].slowdown == 0.0
+    assert r.divergence.slowdown == 0.0
+    for attempt in range(1, MAX_ATTEMPTS):
+        assert log[attempt].slowdown > 0
+        assert mults[attempt + 1] == min(replayer.MAX_PACING_MULT, max(
+            2 * mults[attempt], replayer._pow2_at_least(log[attempt].slowdown)))
+    s.cleanup()
 
 
 def test_a_device_that_never_finishes_still_ends_in_a_report(mixed):
@@ -777,7 +884,7 @@ def test_a_device_that_never_finishes_still_ends_in_a_report(mixed):
 
     s.post_action_hook = post
     r = s.replay(random_input(g, 1))
-    assert not r.ok and r.recovery_attempts == ReplayConfig().max_attempts
+    assert not r.ok and r.recovery_attempts == MAX_ATTEMPTS
     assert r.divergence.kind is DivergenceKind.TIMEOUT
     assert r.divergence.origin.startswith(rec.header.workload_label)
     assert r.vclock_ns < stall_ns
