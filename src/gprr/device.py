@@ -83,6 +83,11 @@ FLUSH_BASE_COST_NS = 300
 FLUSH_BYTE_COST_NS = 0.25
 JITTER_LO = 0.9
 JITTER_HI = 1.3
+# The most 32-bit words drawn from a device's RNG since its base state
+# before a snapshot takes a fresh one (see DeviceSnapshot). The draw sites
+# count CPython's Mersenne Twister words: one per getrandbits(32), two per
+# random() and so per uniform().
+_RNG_REBASE_WORDS = 4096
 
 SHADER_STEP_BUDGET = 1 << 24
 CHAIN_MAX_JOBS = 4096
@@ -337,13 +342,18 @@ class DeviceSnapshot:
     """Copyable device state minus the RAM array.
 
     Covers registers, protocol state, buffered writebacks, pending work and
-    the RNG stream position. The buffered pages, the writeback's and a
-    pending job's, are copies: a snapshot shares no bytearray with the
-    device it came from or the devices restored from it, so it can be
-    restored any number of times. RAM contents are restored separately by
-    whoever owns the memory (the replayer's checkpoints copy the pages
-    written since load); a restore therefore reproduces the original
-    run exactly as long as RAM was not mutated in between.
+    the RNG stream position. The position is a base state of the stream
+    and the count of 32-bit words drawn since it: a device copies the
+    generator state at its first snapshot and then only once more than
+    ``_RNG_REBASE_WORDS`` (4096) words were drawn since its last copy, and
+    a restore sets the base and regenerates at most that many words. The
+    buffered pages, the writeback's and a pending job's, are copies: a
+    snapshot shares no bytearray with the device it came from or the
+    devices restored from it, so it can be restored any number of times.
+    RAM contents are restored separately by whoever owns the memory (the
+    replayer's checkpoints copy the pages written since load); a restore
+    therefore reproduces the original run exactly as long as RAM was not
+    mutated in between.
     """
 
     sku_id: int
@@ -358,7 +368,7 @@ class DeviceSnapshot:
     tlb: dict[int, tuple[int, int]]
     pending_job: _PendingJob | None
     pending_flush: _PendingFlush | None
-    rng_state: tuple
+    rng_state: tuple[tuple, int]  # (base state, words drawn since)
     busy_since: int | None
 
 
@@ -462,6 +472,10 @@ class Device:
         self.reg_map = reg_map
         self.mem = mmap.mmap(-1, MEM_BYTES)
         self.rng = random.Random(env_seed)
+        # the RNG position: a base state, taken at the first snapshot, and
+        # the 32-bit words drawn since it; every draw site counts its own
+        self._rng_base: tuple | None = None
+        self._rng_drawn = 0
         self.vclock_ns = 0
         self.owner: object | None = None
         # physical pages written since the owner last took the log
@@ -542,6 +556,7 @@ class Device:
             # actually powered
             return self._stored["JOB_AFFINITY"] & self.cores_on
         if name == "JOB_PROGRESS":
+            self._rng_drawn += 1
             return self.rng.getrandbits(32)
         if name == "CLOCK_DIV":
             return self.clock_div
@@ -684,6 +699,7 @@ class Device:
             return
         pending = self._run_chain(head)
         jitter = self.rng.uniform(JITTER_LO, JITTER_HI)
+        self._rng_drawn += 2
         cost = JOB_BASE_COST_NS + JOB_INSTR_COST_NS * pending.instr_count
         pending.finish_ns = self.vclock_ns + round(cost * self.clock_div * jitter)
         self.job_state = JOB_RUNNING
@@ -880,6 +896,7 @@ class Device:
         if self._pending_flush is not None or not self.writeback:
             return
         jitter = self.rng.uniform(JITTER_LO, JITTER_HI)
+        self._rng_drawn += 2
         nbytes = 0
         for _, mask in self.writeback.values():
             for i, j in _runs(mask):
@@ -985,6 +1002,8 @@ class Device:
     # -- snapshot / restore ------------------------------------------------------
 
     def snapshot(self) -> DeviceSnapshot:
+        if self._rng_base is None or self._rng_drawn > _RNG_REBASE_WORDS:
+            self._rng_base, self._rng_drawn = self.rng.getstate(), 0
         return DeviceSnapshot(
             sku_id=self.sku.sku_id,
             vclock_ns=self.vclock_ns,
@@ -998,7 +1017,7 @@ class Device:
             tlb=dict(self.tlb),
             pending_job=_copy_job(self._pending_job),
             pending_flush=self._pending_flush,
-            rng_state=self.rng.getstate(),
+            rng_state=(self._rng_base, self._rng_drawn),
             busy_since=self._busy_periods[-1][0]
             if self._busy_periods and self._busy_periods[-1][1] is None else None,
         )
@@ -1017,7 +1036,9 @@ class Device:
         self.tlb = dict(snap.tlb)
         self._pending_job = _copy_job(snap.pending_job)
         self._pending_flush = snap.pending_flush
-        self.rng.setstate(snap.rng_state)
+        self._rng_base, self._rng_drawn = snap.rng_state
+        self.rng.setstate(self._rng_base)
+        self.rng.getrandbits(32 * self._rng_drawn)  # skip the words drawn
         self._busy_periods = []
         if snap.busy_since is not None:
             self._busy_periods.append([snap.busy_since, None])

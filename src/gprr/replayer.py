@@ -138,6 +138,18 @@ class ReplaySession:
     """Owns one device; drives replays via step(). Not thread-safe except
     for request_preempt(), which only sets a flag read between actions."""
 
+    # Slots: CPython 3.11 reads every attribute of an instance with a
+    # __dict__ more slowly from its 30th on (measured: chain-64 replay 5%
+    # slower at 30), and slots have no such edge.
+    __slots__ = (
+        "dev", "config", "reg_map", "loaded", "cursor", "jobs_done",
+        "vclock_consumed", "event_log", "divergence_log", "last_checkpoint",
+        "preempted", "last_preempt_ack", "attempt_hook", "post_action_hook",
+        "_preempt_request", "_preempt_request_t", "_ranges", "_page_pa",
+        "_unmapped", "_live_bytes", "_l1_pa", "_l2_pages", "_window",
+        "_at_job_boundary", "_free_pa", "_image", "_cp_base", "_dumps",
+        "_inputs")
+
     def __init__(self, dev: Device, config: ReplayConfig | None = None):
         self.dev = dev
         self.config = config or ReplayConfig()
@@ -160,6 +172,7 @@ class ReplaySession:
         self._ranges: dict[int, tuple[int, list[int], int]] = {}
         self._page_pa: dict[int, int] = {}  # vpn -> pa of that VA page
         self._unmapped: set[int] = set()
+        self._live_bytes = 0  # byte_count of a checkpoint taken now
         self._l1_pa = 0
         self._l2_pages: dict[int, int] = {}
         # (first action, multiplier, measure): the recovery ladder's pacing
@@ -169,9 +182,7 @@ class ReplaySession:
         self._free_pa = dv.PAGE_SIZE  # end of the pages load wrote; page 0 stays reserved
         # The session's non-zero pages as load laid them out (ppn -> bytes),
         # and the checkpoint that RAM equals outside the device's dirty-page
-        # log. Mind the attribute count: from the 30th instance attribute
-        # on, CPython 3.11 reads every attribute of the session more slowly
-        # (measured: chain-64 replay 5% slower).
+        # log.
         self._image: dict[int, bytearray] = {}
         self._cp_base: Checkpoint | None = None
         # dump_id -> inflated bytes of each dump load found room for
@@ -378,12 +389,9 @@ class ReplaySession:
     def _image_checkpoint(self) -> Checkpoint:
         """The load-time image as a checkpoint: no page written since it,
         every range mapped."""
-        nbytes = self._range_bytes(self._ranges) + dv.PAGE_SIZE * (1 + len(self._l2_pages))
+        npages = sum(r[0] for r in self._ranges.values()) + 1 + len(self._l2_pages)
         return Checkpoint(token=None, action_index=0, jobs_done=0, snapshot=None,
-                          pages={}, byte_count=nbytes, unmapped=frozenset())
-
-    def _range_bytes(self, vas) -> int:
-        return dv.PAGE_SIZE * sum(self._ranges[va][0] for va in vas)
+                          pages={}, byte_count=dv.PAGE_SIZE * npages, unmapped=frozenset())
 
     def _put_back(self, cp: Checkpoint):
         """Make RAM and the device as of ``cp``, and move the cursor to
@@ -404,6 +412,7 @@ class ReplaySession:
         else:
             self.dev.restore(cp.snapshot)
         self._unmapped = set(cp.unmapped)
+        self._live_bytes = cp.byte_count
         self.cursor, self.jobs_done = cp.action_index, cp.jobs_done
         self._cp_base = cp
         self._at_job_boundary = True
@@ -518,12 +527,15 @@ class ReplaySession:
     def _step_map(self, a: MapGpuMem, mult: int) -> None:
         if a.gpu_va in self._unmapped:
             self._unmapped.discard(a.gpu_va)
+            self._live_bytes += dv.PAGE_SIZE * self._ranges[a.gpu_va][0]
             self._install_range(a.gpu_va)
         self._write("GPU_CMD", dv.CMD_TLB_INVALIDATE)
 
     def _step_unmap(self, a: UnmapGpuMem, mult: int) -> None:
         self._clear_range(a.gpu_va)
-        self._unmapped.add(a.gpu_va)
+        if a.gpu_va not in self._unmapped:
+            self._unmapped.add(a.gpu_va)
+            self._live_bytes -= dv.PAGE_SIZE * self._ranges[a.gpu_va][0]
         self._write("GPU_CMD", dv.CMD_TLB_INVALIDATE)
 
     def _step_waitirq(self, a: WaitIrq, mult: int) -> DivergenceReport | None:
@@ -637,6 +649,7 @@ class ReplaySession:
         supplied = self._normalize_inputs(inputs)
         self.preempted = False
         self.event_log = []
+        self.divergence_log = []
         self.last_checkpoint = None  # recovery never resumes an earlier replay
         if self.cursor != 0:
             self._reload()  # a session replays its recording any number of times
@@ -711,13 +724,10 @@ class ReplaySession:
             raise ReplayError("no recording loaded")
         if not self._at_job_boundary:
             raise ReplayError("checkpoint only at a job boundary")
-        base = self._cp_base
-        pages = dict(base.pages)
+        pages = dict(self._cp_base.pages)
         for ppn in self.dev.take_dirty_pages():
             pages[ppn] = self.dev.mem_read(ppn << dv.PAGE_SHIFT, dv.PAGE_SIZE)
-        gone = self._unmapped - base.unmapped
-        new = base.unmapped - self._unmapped
-        nbytes = base.byte_count + self._range_bytes(new) - self._range_bytes(gone)
+        nbytes = self._live_bytes
         cp = Checkpoint(token=(id(self), self.loaded), action_index=self.cursor,
                         jobs_done=self.jobs_done, snapshot=self.dev.snapshot(),
                         pages=pages, byte_count=nbytes,

@@ -1053,6 +1053,38 @@ def test_restore_mid_chain_replays_same_finish_time():
     assert first == second
 
 
+def test_restores_resume_the_rng_stream_below_and_above_the_rebase_bound():
+    # each round: kick (one jitter draw), JOB_PROGRESS reads, the job's end,
+    # flush (a second draw), more reads. Two rounds draw more words than
+    # the bound, so the later snapshots rest on fresh base states
+    big = dv._RNG_REBASE_WORDS + 100
+    rounds = [(1, 0), (3, 5), (0, 2), (big, 1), (7, 300), (2, big), (0, 0), (4, 4)]
+    dev = Device(env_seed=9)
+    rig = _Rig(dev)
+    out_va, _ = rig.map_page(Perm.READ | Perm.WRITE)
+    desc = rig.job(store_const_shader(out_va, 0xBEEF), [])
+
+    def one_round(between, after):
+        rig.kick(desc)
+        seen = [dev.next_event_ns()]  # the job's finish_ns
+        seen += [rd(dev, "JOB_PROGRESS") for _ in range(between)]
+        dev.tick(10_000_000)
+        wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+        seen.append(dev.next_event_ns())  # the flush's finish_ns
+        dev.tick(10_000_000)
+        return seen + [rd(dev, "JOB_PROGRESS") for _ in range(after)]
+
+    snaps, straight = [], []
+    for between, after in rounds:
+        snaps.append(dev.snapshot())
+        straight.append(one_round(between, after))
+    assert len({s.rng_state[0] for s in snaps}) == 3  # two rebases
+    assert any(s.rng_state[1] for s in snaps[4:])  # words drawn over a fresh base
+    for k in [*reversed(range(len(rounds))), 3, 0, 6, 5, 1, 7, 2, 4]:  # out of order, twice
+        dev.restore(snaps[k])
+        assert [one_round(*r) for r in rounds[k:]] == straight[k:], k
+
+
 def test_restore_rejects_other_sku():
     snap = Device(sku=SKU_A).snapshot()
     with pytest.raises(SkuMismatch):
