@@ -1,7 +1,7 @@
 """Command-line frontend: record, replay, verify, inspect, patch, bench.
 
 Exit codes: 0 success, 1 verification or replay failure (details on
-stderr), 2 usage error.
+stderr), 2 usage error, including a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -355,7 +355,7 @@ def dispatch(argv: list[str]) -> int:
         return e.code if isinstance(e.code, int) else 2
     try:
         return args.func(args)
-    except (FileNotFoundError, UsageError) as e:
+    except (OSError, UsageError) as e:
         _err(str(e))
         return 2
     except recfmt.DecodeError as e:

@@ -829,21 +829,17 @@ class Device:
                     return False
 
             def load(i):
-                words = []
-                for _, op, _, k, pa in chunks:
-                    if op == i:
-                        words += struct.unpack_from(f"<{k}I", mem, pa)
-                return words
+                return b"".join([mem[pa:pa + 4 * k] for _, op, _, k, pa in chunks if op == i])
 
-            def store(i, words):
+            def store(i, data):
                 at = 0
                 for _, op, _, k, pa in chunks:
                     if op == i:
-                        data, mask = page_of(pa >> PAGE_SHIFT)
+                        page, mask = page_of(pa >> PAGE_SHIFT)
                         lo = pa & PAGE_MASK
-                        struct.pack_into(f"<{k}I", data, lo, *words[at:at + k])
+                        page[lo:lo + 4 * k] = data[at:at + 4 * k]
                         mask[lo:lo + 4 * k] = _FF[:4 * k]
-                        at += k
+                        at += 4 * k
 
             body(regs, n, load, store)
             return True

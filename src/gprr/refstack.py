@@ -201,6 +201,9 @@ def parse_workload(text: str) -> WorkloadGraph:
             input_elems = m * k + k * n
         else:
             raise ValueError("workload needs an 'input <elems>' line")
+    if not 1 <= input_elems <= dv.MEM_BYTES // 4:
+        raise ValueError(f"input count {input_elems} is outside 1..{dv.MEM_BYTES // 4}, "
+                         f"the words device memory holds")
     return build_graph(specs, input_elems)
 
 

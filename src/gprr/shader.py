@@ -21,7 +21,9 @@ counts, faults and callback order are the interpreter's.
 An *affine* self-loop, whose loads and stores each walk an address
 register up by 4 per iteration and which carries no value from one
 iteration to the next, also gets a bulk form: its body evaluated over
-lists of n loaded words at once, from the same ALU table. When at least
+all n iterations at once, each value that differs per iteration held as
+one lane integer, a Python int with one word per 64-bit lane, so each
+vector op is a few big-int operations. When at least
 ``BULK_MIN_ITERATIONS`` iterations are left and they fit the budget, the
 caller's ``run_bulk`` may run them all at once. The device does so after
 the page walks those iterations would make, in their order, and falls
@@ -36,6 +38,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 U32 = 0xFFFFFFFF
 
@@ -197,9 +200,11 @@ CALLBACK_PATH = MemPath(ld="{d} = load_word({a}) & 0xFFFFFFFF",
 # process that sees many distinct ones from growing without limit.
 DECODE_CACHE_SIZE = 32
 # An affine self-loop with at least this many iterations left runs them in
-# bulk. Measured on sets of 16 scale, copy and vec_add jobs, the bulk path
-# ties the compiled loop at 15 iterations left and is 16-24% faster at 23;
-# the floor keeps loops near the tie, such as chain-64's, compiled.
+# bulk. Measured per shader run in scale, copy and vec_add jobs (median of
+# 21 alternating rounds), the bulk path ties the compiled loop at about 28
+# iterations left (copy, which only moves words, near 32) and is 10-22%
+# faster at 36; the floor keeps loops near the tie, such as chain-64's,
+# compiled.
 BULK_MIN_ITERATIONS = 32
 _decode_cache: OrderedDict[bytes, tuple[list[tuple], dict]] = OrderedDict()
 
@@ -250,7 +255,9 @@ def _decode(words: list[int]) -> tuple[list[tuple], dict]:
 
 # Each ALU op as an expression over its operand fields: {b} and {c} are
 # register expressions or, for ADDI's c and LDI's b, the immediate. The
-# compiled loop and the bulk form are both generated from this one table.
+# compiled loop is generated from this table, and so is each value of a
+# bulk form that is the same in every iteration (``_LANE_ALU`` for the
+# others).
 _ALU = {
     OP_ADD: "({b} + {c}) & 0xFFFFFFFF",
     OP_SUB: "({b} - {c}) & 0xFFFFFFFF",
@@ -311,19 +318,66 @@ def _compile_loop(decoded: list, head: int, end: int, path: MemPath):
     return namespace["loop"], steps, _bulk_loop(ops, cond)
 
 
+# Lane constants by n, for the bulk forms: ONES has a 1 at the bottom of
+# each of n 64-bit lanes, MASK the low 32 bits of each, SIGN bit 31 and
+# HIGH bit 32 of each.
+@lru_cache(maxsize=8)
+def _lanes(n: int) -> tuple[int, int, int, int]:
+    ones = int.from_bytes(b"\x01\0\0\0\0\0\0\0" * n, "little")
+    return ones, ones * U32, ones << 31, ones << 32
+
+
+def _widen(data: bytes) -> int:
+    """The lane integer of ``data``'s little-endian words: word j in bits
+    64j to 64j + 31."""
+    wide = bytearray(2 * len(data))
+    for k in range(4):
+        wide[k::8] = data[k::4]
+    return int.from_bytes(wide, "little")
+
+
+def _narrow(v: int, n: int) -> bytearray:
+    """The n little-endian words of lane integer ``v``, ``_widen`` undone."""
+    wide = v.to_bytes(8 * n, "little")
+    data = bytearray(4 * n)
+    for k in range(4):
+        data[k::4] = wide[k::8]
+    return data
+
+
+# Each ALU op over lane integers, as a statement that sets {v}: {b} and
+# {c} hold one word in [0, 2^32) per lane, except MUL's {c} and ADDI's
+# {c}, one value for every lane. No lane leaves 64 bits in any
+# intermediate, so lanes never carry into each other, and every result
+# lane is again below 2^32.
+_LANE_ALU = {
+    OP_ADD: "{v} = ({b} + {c}) & MASK",
+    OP_SUB: "{v} = ({b} + HIGH - {c}) & MASK",
+    OP_MUL: "{v} = ({b} * {c}) & MASK",
+    # bit 32 of x' + 2^32 - y', sign bits flipped, is 1 where x >= y signed;
+    # times 0xFFFFFFFF it selects x's lanes
+    OP_MAX: "sel = ((({b} ^ SIGN) + HIGH - ({c} ^ SIGN)) >> 32 & ONES) * 0xFFFFFFFF; "
+            "{v} = {b} & sel | {c} & (sel ^ MASK); del sel",
+    OP_ADDI: "{v} = ({b} + {c} * ONES) & MASK",
+}
+
+
 def _bulk_loop(ops: list[tuple], cond: int):
     """The bulk form of a self-loop whose body is ``ops``, (op, a, b, c)
     per instruction before its BNZ on ``cond``, or None unless the loop is
     affine: each LD/ST address register and the counter are stepped once,
     by ``ADDI r, r, 4`` after the register's every use as an address and by
     ``ADDI cond, cond, -1``, and read nowhere else; no other register the
-    body writes is read before it is written in the same iteration.
+    body writes is read before it is written in the same iteration. A MUL
+    of two values that differ per iteration gets no bulk form either.
 
     Returns (memory ops, function): (is store, address register) per LD
     and ST in body order, and a function of (regs, n, load, store) that
     runs the next n >= 1 iterations. ``load(i)`` returns the n words
-    memory op i loads, ``store(i, words)`` takes the n words it stores,
-    and ``regs`` ends as after the n-th iteration."""
+    memory op i loads, as 4n little-endian bytes, ``store(i, data)`` takes
+    the n words it stores in the same form, and ``regs`` ends as after the
+    n-th iteration. Inside, a value that differs per iteration is one lane
+    integer (``_widen``), so each vector op is a few big-int operations."""
     addrs = {b for op, _, b, _ in ops if op in (OP_LD, OP_ST)}
     dests = {a for op, a, _, _ in ops if op != OP_ST}
     if cond in addrs:
@@ -331,8 +385,10 @@ def _bulk_loop(ops: list[tuple], cond: int):
     stepped: set[int] = set()
     written: set[int] = set()
     mem = []
-    vec: dict[int, str] = {}  # register -> the list holding its values
-    stmts = []  # (statement, the lists it reads)
+    vec: dict[int, str] = {}  # register -> the lane integer holding its values
+    # a register's lane integer, or its one value broadcast to every lane
+    lane = lambda r: vec[r] if r in vec else f"(r{r} * ONES)"
+    stmts = []  # (statement, the lane integers it reads)
     for p, (op, a, b, c) in enumerate(ops):
         if op == OP_ADDI and a == b and a not in stepped and (
                 c == 4 and a in addrs or c == -1 and a == cond):
@@ -346,41 +402,48 @@ def _bulk_loop(ops: list[tuple], cond: int):
             if b in stepped:
                 return None
             if a in vec:
-                stmts.append((f"store({len(mem)}, {vec[a]})", {vec[a]}))
+                stmts.append((f"store({len(mem)}, _narrow({vec[a]}, n))", {vec[a]}))
             else:  # an invariant or a value computed from them
-                stmts.append((f"store({len(mem)}, [r{a}] * n)", set()))
+                stmts.append((f"store({len(mem)}, r{a}.to_bytes(4, 'little') * n)", set()))
             mem.append((True, b))
             continue
         if a in addrs or a == cond or op == OP_LD and b in stepped:
             return None
         written.add(a)
         v = f"v{p}"
+        ins = {vec[r] for r in reads if r in vec}
         if op == OP_LD:
-            stmts.append((f"{v} = load({len(mem)}); r{a} = {v}[-1]", {v}))
+            stmt = f"{v} = _widen(load({len(mem)}))"
             mem.append((False, b))
+        elif not ins:  # from invariants and immediates only: one value
+            stmts.append((f"r{a} = " + _alu_expr(op, b, c, "r{}".format), set()))
+            vec.pop(a, None)
+            continue
+        elif op == OP_MUL:
+            if len(ins) > 1 or b == c:
+                return None
+            vector, scalar = (b, c) if b in vec else (c, b)
+            stmt = _LANE_ALU[op].format(v=v, b=vec[vector], c=f"r{scalar}")
         else:
-            ins = sorted({vec[r] for r in reads if r in vec})
-            expr = _alu_expr(op, b, c, lambda r: "e" + vec[r][1:] if r in vec else f"r{r}")
-            if not ins:  # from invariants and immediates only: one value
-                stmts.append((f"r{a} = {expr}", set()))
-                vec.pop(a, None)
-                continue
-            source = ins[0] if len(ins) == 1 else f"zip({', '.join(ins)})"
-            stmts.append((f"{v} = [{expr} for {', '.join('e' + x[1:] for x in ins)} "
-                          f"in {source}]; r{a} = {v}[-1]", {v, *ins}))
+            c = c & U32 if op == OP_ADDI else lane(c)
+            stmt = _LANE_ALU[op].format(v=v, b=lane(b), c=c)
+        stmts.append((f"{stmt}; r{a} = {v} >> top & 0xFFFFFFFF", {v, *ins}))
         vec[a] = v
     if stepped != addrs | {cond}:
         return None
-    # each list is dropped after its last use, so they do not all live at once
+    # each lane integer is dropped after its last use, so they do not all
+    # live at once
     lines, seen = [], set()
     for stmt, uses in reversed(stmts):
         dead = sorted(uses - seen)
         seen |= uses
         lines.append(f"    {stmt}" + (f"; del {', '.join(dead)}" if dead else ""))
-    namespace: dict = {}
+    namespace = {"_lanes": _lanes, "_widen": _widen, "_narrow": _narrow}
     exec("\n".join([
         "def bulk(regs, n, load, store):",
         f"    {_REGS} = regs",
+        "    ONES, MASK, SIGN, HIGH = _lanes(n)",
+        "    top = 64 * (n - 1)",
         *reversed(lines),
         *(f"    r{r} = (r{r} + 4 * n) & 0xFFFFFFFF" for r in sorted(addrs)),
         f"    r{cond} = 0",

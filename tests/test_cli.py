@@ -179,3 +179,23 @@ def test_bench_reports_ratios(ws, capsys):
     import re
     m = re.search(r"without skips \(x([0-9.]+)\)", out)
     assert m and float(m.group(1)) >= 1.1
+
+
+@pytest.mark.parametrize("count", ["-4", "0", "0x400001", "0x10000000"])
+def test_input_counts_outside_device_memory_exit_2(tmp_path, capsys, count):
+    # device memory holds 0x400000 words
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"input {count}\nlayer copy\n")
+    assert dispatch(["record", str(bad), "-o", str(tmp_path / "x.gpr")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gprr: ") and "input count" in err and err.count("\n") == 1
+
+
+def test_a_directory_as_workload_or_output_exits_2(ws, capsys):
+    tmp_path, wl = ws
+    for argv in (["record", str(tmp_path), "-o", str(tmp_path / "x.gpr")],
+                 ["record", str(wl), "-o", str(tmp_path)],
+                 ["replay", str(tmp_path)]):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gprr: ") and err.count("\n") == 1

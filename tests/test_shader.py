@@ -404,9 +404,16 @@ def region_bulk(mem):
     def run_bulk(plan, regs, n):
         ops, body = plan
         starts = [regs[r] for _, r in ops]
-        body(regs, n,
-             lambda i: [mem.load(starts[i] + 4 * j) & 0xFFFFFFFF for j in range(n)],
-             lambda i, words: [mem.store(starts[i] + 4 * j, w) for j, w in enumerate(words)])
+
+        def load(i):
+            return b"".join((mem.load(starts[i] + 4 * j) & 0xFFFFFFFF).to_bytes(4, "little")
+                            for j in range(n))
+
+        def store(i, data):
+            for j in range(n):
+                mem.store(starts[i] + 4 * j, int.from_bytes(data[4 * j:4 * j + 4], "little"))
+
+        body(regs, n, load, store)
         return True
     return run_bulk
 
@@ -444,6 +451,59 @@ def test_bulk_form_matches_the_interpreter(body, values, trips):
     assert interpreted.words == bulk.words
 
 
+EDGE_WORDS = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+# One affine body per op the bulk form evaluates over lane integers, after
+# r4 and r5 load from r0 and r1 and before r6 stores through r2; r7 holds
+# the invariant 0xFFFFFFFF.
+LANE_BODIES = {
+    # the sum goes on into a multiply, where a lane left above 32 bits spills
+    "add": [("add", 6, 4, 5), ("mul", 6, 6, 7)],
+    "sub": [("sub", 6, 4, 5)],
+    "addi": [("addi", 6, 4, -1), ("addi", 6, 6, -0x8000)],
+    "mul": [("mul", 6, 4, 7), ("mul", 6, 7, 6)],
+    "max": [("max_", 6, 4, 5), ("max_", 6, 7, 6)],
+    "ldi": [("ldi", 6, 0x80000000), ("sub", 6, 6, 4)],
+    "invariant store": [("ldi", 6, 0x12345678)],
+}
+
+
+@pytest.mark.parametrize("n", (1, 32, 33, 2003))
+@pytest.mark.parametrize("body", LANE_BODIES)
+def test_each_lane_op_matches_the_interpreter_on_edge_words(body, n):
+    # the first iteration runs before the back-edge offers the n others in
+    # bulk; over them, r4 and r5 load every pair of edge words
+    init = {}
+    for j in range(n + 1):
+        init[0x10000 + 4 * j] = EDGE_WORDS[j % 5]
+        init[0x20000 + 4 * j] = EDGE_WORDS[j // 5 % 5]
+    a = Asm()
+    a.ldi(0, 0x10000); a.ldi(1, 0x20000); a.ldi(2, 0x30000); a.ldi(3, n + 1)
+    a.ldi(7, 0xFFFFFFFF)
+    a.label("loop")
+    a.ld(4, 0); a.ld(5, 1)
+    for op in LANE_BODIES[body]:
+        getattr(a, op[0])(*op[1:])
+    a.st(2, 6)
+    a.addi(0, 0, 4); a.addi(1, 1, 4); a.addi(2, 2, 4); a.addi(3, 3, -1)
+    a.bnz(3, "loop")
+    a.ldi(3, 0x100)  # every register to memory
+    for r in (0, 1, 2, 4, 5, 6, 7):
+        a.st(3, r); a.addi(3, 3, 4)
+    a.halt()
+    words = a.assemble()
+    shader._decode_cache.clear()
+    bulk, runs = Mem(init), []
+    run_bulk = region_bulk(bulk)
+    with mock.patch.object(shader, "BULK_MIN_ITERATIONS", 1):
+        got = execute(words, [], bulk.load, bulk.store, 1 << 20,
+                      run_bulk=lambda *args: runs.append(args[2]) or run_bulk(*args))
+    with mock.patch.object(shader, "_compile_loop", lambda *args: None):
+        interpreted = Mem(init)
+        assert execute(words, [], interpreted.load, interpreted.store, 1 << 20) == got
+    assert runs == [n]
+    assert interpreted.words == bulk.words
+
+
 def test_affine_loops_have_a_bulk_form():
     def bulk_form(build):
         a = Asm()
@@ -472,5 +532,8 @@ def test_affine_loops_have_a_bulk_form():
         lambda a: (a.ld(4, 0), a.addi(0, 0, 4), a.addi(3, 3, -1)),  # counter stepped twice
         lambda a: (a.ld(0, 0), a.addi(0, 0, 4)),  # address loaded
         lambda a: a.ld(4, 0),  # address never stepped
+        # a product of two values that differ per iteration
+        lambda a: (a.ld(4, 0), a.ld(5, 1), a.mul(6, 4, 5), a.addi(0, 0, 4), a.addi(1, 1, 4)),
+        lambda a: (a.ld(4, 0), a.mul(6, 4, 4), a.addi(0, 0, 4)),
     ):
         assert bulk_form(build) is None
