@@ -16,7 +16,7 @@ from .actions import SCHEMA_BY_CLASS, Granularity, MapGpuMem, RegWrite
 from .device import Device, SKUS, parse_register_map
 from .patcher import PatchError, patch_recording
 from .recorder import (DiscoveryError, RecordHarness, parse_harness, record)
-from .refstack import DelayPolicy, GpuStack, WorkloadError, parse_workload
+from .refstack import DelayPolicy, DriverError, GpuStack, WorkloadError, parse_workload
 from .replayer import (LoadError, ReplayConfig, ReplayError, init,
                        replay_sequence)
 from .verifier import verify
@@ -69,7 +69,7 @@ def cmd_record(args) -> int:
     stack = GpuStack(dev, delays=args.delays or DelayPolicy(), rng_seed=args.seed)
     try:
         result = record(stack, graph, harness)
-    except (WorkloadError, DiscoveryError) as e:
+    except (WorkloadError, DiscoveryError, DriverError) as e:
         _err(f"record failed: {e}")
         return 1
     out = Path(args.output)
@@ -251,7 +251,7 @@ def cmd_bench(args) -> int:
     stack = GpuStack(dev, delays=args.delays, rng_seed=args.seed)
     try:
         result = record(stack, graph, harness)
-    except (WorkloadError, DiscoveryError) as e:
+    except (WorkloadError, DiscoveryError, DriverError) as e:
         _err(f"record failed: {e}")
         return 1
     rec = result.recordings[0]

@@ -513,6 +513,10 @@ class Device:
         # outside the GPU reset domain. RAM is likewise untouched.
         self._power_on_state()
         self.irq_rawstat = IRQ_RESET_DONE
+        # every busy period has ended, so none can make a later gap busy: a
+        # run that starts with a reset, as every stack run and replay does,
+        # keeps only its own
+        self._busy_periods.clear()
 
     def claim(self, owner: object):
         if self.owner is not None:
@@ -815,12 +819,19 @@ class Device:
                     load_word(a)  # walks the page on its first load
                     base = read_pages[a >> PAGE_SHIFT]
                 chunk[4] = base | (a & PAGE_MASK)
-            stored = [c for c in chunks if ops[c[1]][0]]
-            for j, i, _, k, pa in chunks:
-                for y in stored:
-                    if y[1] != i and y[4] < pa + 4 * k and pa < y[4] + 4 * y[3] and (
-                            y[4] - pa != 4 * (y[0] - j) or y[1] < i):
+            # in PA order, each chunk meets the earlier ones whose span holds
+            # its first word, so every two chunks that share a word meet once
+            active: list[list[int]] = []
+            for x in sorted(chunks, key=itemgetter(4)):
+                j, i, _, k, pa = x
+                active = [y for y in active if y[4] + 4 * y[3] > pa]
+                for y in active:
+                    # two ops share a word only as a load and a later store
+                    # of the same iteration
+                    if y[1] != i and (ops[i][0] or ops[y[1]][0]) and (
+                            y[4] - pa != 4 * (y[0] - j) or ops[min(i, y[1])][0]):
                         return False
+                active.append(x)
                 if not ops[i][0] and pa >> PAGE_SHIFT in buffered and any(
                         page is not None and page[1].find(0xFF, pa & PAGE_MASK,
                                                           (pa & PAGE_MASK) + 4 * k) >= 0

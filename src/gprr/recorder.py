@@ -75,6 +75,8 @@ def parse_harness(text: str) -> RecordHarness:
                 h.magic_seed = int(parts[1], 0)
             elif parts[0] == "trials":
                 h.max_trials = int(parts[1], 0)
+                if h.max_trials < 1:
+                    raise ValueError("trials must be at least 1")
             elif parts[0] == "granularity":
                 h.granularity = Granularity[parts[1].upper()]
             else:

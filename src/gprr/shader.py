@@ -22,7 +22,7 @@ An *affine* self-loop, whose loads and stores each walk an address
 register up by 4 per iteration and which carries no value from one
 iteration to the next, also gets a bulk form: its body evaluated over
 all n iterations at once, each value that differs per iteration held as
-one lane integer, a Python int with one word per 64-bit lane, so each
+one Python int of its n words packed 32 bits apart, as loaded, so each
 vector op is a few big-int operations. When at least
 ``BULK_MIN_ITERATIONS`` iterations are left and they fit the budget, the
 caller's ``run_bulk`` may run them all at once. The device does so after
@@ -201,10 +201,9 @@ CALLBACK_PATH = MemPath(ld="{d} = load_word({a}) & 0xFFFFFFFF",
 DECODE_CACHE_SIZE = 32
 # An affine self-loop with at least this many iterations left runs them in
 # bulk. Measured per shader run in scale, copy and vec_add jobs (median of
-# 21 alternating rounds), the bulk path ties the compiled loop at about 28
-# iterations left (copy, which only moves words, near 32) and is 10-22%
-# faster at 36; the floor keeps loops near the tie, such as chain-64's,
-# compiled.
+# 21 alternating rounds), the bulk path ties the compiled loop at about 24
+# iterations left (vec_add near 21) and is 10-20% faster at 32; the floor
+# keeps loops near the tie, such as chain-64's, compiled.
 BULK_MIN_ITERATIONS = 32
 _decode_cache: OrderedDict[bytes, tuple[list[tuple], dict]] = OrderedDict()
 
@@ -318,48 +317,32 @@ def _compile_loop(decoded: list, head: int, end: int, path: MemPath):
     return namespace["loop"], steps, _bulk_loop(ops, cond)
 
 
-# Lane constants by n, for the bulk forms: ONES has a 1 at the bottom of
-# each of n 64-bit lanes, MASK the low 32 bits of each, SIGN bit 31 and
-# HIGH bit 32 of each.
+# Constants by n for the bulk forms, over ints of n words packed 32 bits
+# apart: ONES has a 1 at the bottom of each word, LO the low 31 bits of
+# each and HI bit 31, EVEN all of every even word.
 @lru_cache(maxsize=8)
 def _lanes(n: int) -> tuple[int, int, int, int]:
-    ones = int.from_bytes(b"\x01\0\0\0\0\0\0\0" * n, "little")
-    return ones, ones * U32, ones << 31, ones << 32
+    ones = int.from_bytes(b"\x01\0\0\0" * n, "little")
+    return ones, ones * 0x7FFFFFFF, ones << 31, int.from_bytes(
+        b"\xff\xff\xff\xff\0\0\0\0" * ((n + 1) // 2), "little")
 
 
-def _widen(data: bytes) -> int:
-    """The lane integer of ``data``'s little-endian words: word j in bits
-    64j to 64j + 31."""
-    wide = bytearray(2 * len(data))
-    for k in range(4):
-        wide[k::8] = data[k::4]
-    return int.from_bytes(wide, "little")
-
-
-def _narrow(v: int, n: int) -> bytearray:
-    """The n little-endian words of lane integer ``v``, ``_widen`` undone."""
-    wide = v.to_bytes(8 * n, "little")
-    data = bytearray(4 * n)
-    for k in range(4):
-        data[k::4] = wide[k::8]
-    return data
-
-
-# Each ALU op over lane integers, as a statement that sets {v}: {b} and
-# {c} hold one word in [0, 2^32) per lane, except MUL's {c} and ADDI's
-# {c}, one value for every lane. No lane leaves 64 bits in any
-# intermediate, so lanes never carry into each other, and every result
-# lane is again below 2^32.
+# Each ALU op over packed words, as a statement that sets {v}: {b} and {c}
+# hold n words, except MUL's {c}, one value for every word. ADD adds the
+# low 31 bits of each word, which cannot carry out of it, then sets bit 31
+# from both bit 31s; SUB likewise takes the low 31 bits from 2^31 plus
+# {b}'s. MUL multiplies the even and the odd words, each alone in 64 bits.
 _LANE_ALU = {
-    OP_ADD: "{v} = ({b} + {c}) & MASK",
-    OP_SUB: "{v} = ({b} + HIGH - {c}) & MASK",
-    OP_MUL: "{v} = ({b} * {c}) & MASK",
-    # bit 32 of x' + 2^32 - y', sign bits flipped, is 1 where x >= y signed;
-    # times 0xFFFFFFFF it selects x's lanes
-    OP_MAX: "sel = ((({b} ^ SIGN) + HIGH - ({c} ^ SIGN)) >> 32 & ONES) * 0xFFFFFFFF; "
-            "{v} = {b} & sel | {c} & (sel ^ MASK); del sel",
-    OP_ADDI: "{v} = ({b} + {c} * ONES) & MASK",
+    OP_ADD: "{v} = (({b} & LO) + ({c} & LO)) ^ (({b} ^ {c}) & HI)",
+    OP_SUB: "{v} = (({b} | HI) - ({c} & LO)) ^ (({b} ^ {c} ^ HI) & HI)",
+    OP_MUL: "{v} = ({b} & EVEN) * {c} & EVEN | (({b} >> 32 & EVEN) * {c} & EVEN) << 32",
+    # bit 31 of SUB's {b} - {c} before its last xor is 1 where the low 31
+    # bits of {b} are at least {c}'s; where the sign bits differ, {c}'s
+    # decides. Spread over each word, it selects {b}'s words.
+    OP_MAX: "t = ({b} | HI) - ({c} & LO); s = {b} ^ {c}; sel = ((t ^ (t ^ {c}) & s) & HI) >> 31; "
+            "{v} = {c} ^ s & sel * 0xFFFFFFFF; del t, s, sel",
 }
+_LANE_ALU[OP_ADDI] = _LANE_ALU[OP_ADD]
 
 
 def _bulk_loop(ops: list[tuple], cond: int):
@@ -376,8 +359,8 @@ def _bulk_loop(ops: list[tuple], cond: int):
     runs the next n >= 1 iterations. ``load(i)`` returns the n words
     memory op i loads, as 4n little-endian bytes, ``store(i, data)`` takes
     the n words it stores in the same form, and ``regs`` ends as after the
-    n-th iteration. Inside, a value that differs per iteration is one lane
-    integer (``_widen``), so each vector op is a few big-int operations."""
+    n-th iteration. Inside, a loaded value stays bytes until an ALU op
+    reads it as one int, word j in bits 32j to 32j + 31 (``_LANE_ALU``)."""
     addrs = {b for op, _, b, _ in ops if op in (OP_LD, OP_ST)}
     dests = {a for op, a, _, _ in ops if op != OP_ST}
     if cond in addrs:
@@ -385,10 +368,19 @@ def _bulk_loop(ops: list[tuple], cond: int):
     stepped: set[int] = set()
     written: set[int] = set()
     mem = []
-    vec: dict[int, str] = {}  # register -> the lane integer holding its values
-    # a register's lane integer, or its one value broadcast to every lane
-    lane = lambda r: vec[r] if r in vec else f"(r{r} * ONES)"
-    stmts = []  # (statement, the lane integers it reads)
+    # register -> [the name of its loaded bytes or None, of its int or None]
+    vec: dict[int, list] = {}
+    stmts = []  # (statement, the names it reads or sets)
+
+    def lane(r):  # the int of register r's words, or of its one value in each
+        if r not in vec:
+            return f"(r{r} * ONES)"
+        data, v = vec[r]
+        if v is None:  # loaded bytes, first read by an ALU op
+            v = vec[r][1] = "v" + data[1:]
+            stmts.append((f"{v} = int.from_bytes({data}, 'little')", {data, v}))
+        return v
+
     for p, (op, a, b, c) in enumerate(ops):
         if op == OP_ADDI and a == b and a not in stepped and (
                 c == 4 and a in addrs or c == -1 and a == cond):
@@ -401,8 +393,11 @@ def _bulk_loop(ops: list[tuple], cond: int):
         if op == OP_ST:
             if b in stepped:
                 return None
-            if a in vec:
-                stmts.append((f"store({len(mem)}, _narrow({vec[a]}, n))", {vec[a]}))
+            data, v = vec.get(a, (None, None))
+            if data:  # stored as loaded
+                stmts.append((f"store({len(mem)}, {data})", {data}))
+            elif v:
+                stmts.append((f"store({len(mem)}, {v}.to_bytes(4 * n, 'little'))", {v}))
             else:  # an invariant or a value computed from them
                 stmts.append((f"store({len(mem)}, r{a}.to_bytes(4, 'little') * n)", set()))
             mem.append((True, b))
@@ -410,40 +405,44 @@ def _bulk_loop(ops: list[tuple], cond: int):
         if a in addrs or a == cond or op == OP_LD and b in stepped:
             return None
         written.add(a)
-        v = f"v{p}"
-        ins = {vec[r] for r in reads if r in vec}
         if op == OP_LD:
-            stmt = f"{v} = _widen(load({len(mem)}))"
+            stmts.append((f"d{p} = load({len(mem)})", {f"d{p}"}))
             mem.append((False, b))
-        elif not ins:  # from invariants and immediates only: one value
+            vec[a] = [f"d{p}", None]
+            continue
+        per_iteration = [r for r in reads if r in vec]
+        if not per_iteration:  # from invariants and immediates only: one value
             stmts.append((f"r{a} = " + _alu_expr(op, b, c, "r{}".format), set()))
             vec.pop(a, None)
             continue
-        elif op == OP_MUL:
-            if len(ins) > 1 or b == c:
+        if op == OP_MUL:
+            if len(per_iteration) > 1:
                 return None
-            vector, scalar = (b, c) if b in vec else (c, b)
-            stmt = _LANE_ALU[op].format(v=v, b=vec[vector], c=f"r{scalar}")
+            x = per_iteration[0]
+            stmt = _LANE_ALU[op].format(v=f"v{p}", b=lane(x), c=f"r{c if x == b else b}")
         else:
-            c = c & U32 if op == OP_ADDI else lane(c)
-            stmt = _LANE_ALU[op].format(v=v, b=lane(b), c=c)
-        stmts.append((f"{stmt}; r{a} = {v} >> top & 0xFFFFFFFF", {v, *ins}))
-        vec[a] = v
+            stmt = _LANE_ALU[op].format(
+                v=f"v{p}", b=lane(b), c=f"({c & U32} * ONES)" if op == OP_ADDI else lane(c))
+        stmts.append((stmt, {f"v{p}", *(vec[r][1] for r in per_iteration)}))
+        vec[a] = [None, f"v{p}"]
     if stepped != addrs | {cond}:
         return None
-    # each lane integer is dropped after its last use, so they do not all
-    # live at once
+    # a register that ends differing per iteration keeps the last word
+    for r, (data, v) in vec.items():
+        stmts.append((f"r{r} = int.from_bytes({data}[-4:], 'little')" if data else
+                      f"r{r} = {v} >> 32 * (n - 1) & 0xFFFFFFFF", {data or v}))
+    # each value is dropped after its last use, so they do not all live at
+    # once
     lines, seen = [], set()
     for stmt, uses in reversed(stmts):
         dead = sorted(uses - seen)
         seen |= uses
         lines.append(f"    {stmt}" + (f"; del {', '.join(dead)}" if dead else ""))
-    namespace = {"_lanes": _lanes, "_widen": _widen, "_narrow": _narrow}
+    namespace = {"_lanes": _lanes}
     exec("\n".join([
         "def bulk(regs, n, load, store):",
         f"    {_REGS} = regs",
-        "    ONES, MASK, SIGN, HIGH = _lanes(n)",
-        "    top = 64 * (n - 1)",
+        "    ONES, LO, HI, EVEN = _lanes(n)",
         *reversed(lines),
         *(f"    r{r} = (r{r} + 4 * n) & 0xFFFFFFFF" for r in sorted(addrs)),
         f"    r{cond} = 0",

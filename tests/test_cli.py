@@ -199,3 +199,25 @@ def test_a_directory_as_workload_or_output_exits_2(ws, capsys):
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("gprr: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["record", "bench"])
+def test_a_workload_past_device_memory_exits_1(tmp_path, capsys, command):
+    # the input fits device memory, but not with the layer's output beside it
+    big = tmp_path / "big.txt"
+    big.write_text("input 4000000\nlayer scale 3\n")
+    argv = [command, str(big), *(["-o", str(tmp_path / "x.gpr")] if command == "record" else [])]
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gprr: ") and "out of physical pages" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_a_harness_with_fewer_than_one_trial_exits_2(ws, capsys, trials):
+    tmp_path, wl = ws
+    harness = tmp_path / "harness.txt"
+    harness.write_text(f"trials {trials}\n")
+    assert dispatch(["record", str(wl), "--harness", str(harness),
+                     "-o", str(tmp_path / "x.gpr")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gprr: ") and "trials" in err and err.count("\n") == 1

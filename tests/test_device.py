@@ -794,6 +794,13 @@ def test_bulk_path_refuses_a_store_ahead_of_the_load_through_other_aliases():
                     [False], dv.JOB_DONE)
 
 
+def test_bulk_path_refuses_spans_that_share_only_an_edge_word():
+    # 300 iterations, the last 299 offered in bulk: the store span ends on
+    # the load span's first word
+    check_bulk_case(DATA_PAS, [], (1, 0x800, -4 * 298, 300, True, True, 7, None), None,
+                    [False], dv.JOB_DONE)
+
+
 def check_bulk_case(order, first, loop, budget, outcomes, status):
     """Run ``first`` and then ``loop`` against the model with the bulk path
     on and off: the bulk runs end in ``outcomes`` and the loop's job in

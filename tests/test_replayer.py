@@ -577,6 +577,20 @@ def test_dump_cache_holds_no_more_than_the_session_footprint(vecadd):
     s.cleanup()
 
 
+def test_busy_history_does_not_grow_over_replays(mixed):
+    # each replay starts with a soft reset, so the device keeps only the
+    # busy periods of the replay it ran last
+    g, rec = mixed
+    s = session_for(rec)
+    lengths = []
+    for k in range(50):
+        inp = random_input(g, k)
+        assert s.replay(inp).outputs == [g.evaluate(inp)]
+        lengths.append(len(s.dev._busy_periods))
+    assert 0 < lengths[1] == lengths[-1], lengths
+    s.cleanup()
+
+
 def test_missing_required_input_rejected_before_actions(vecadd):
     _, rec = vecadd
     s = session_for(rec)

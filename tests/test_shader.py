@@ -464,10 +464,11 @@ LANE_BODIES = {
     "max": [("max_", 6, 4, 5), ("max_", 6, 7, 6)],
     "ldi": [("ldi", 6, 0x80000000), ("sub", 6, 6, 4)],
     "invariant store": [("ldi", 6, 0x12345678)],
+    "copy": [("ld", 6, 0)],  # stored as loaded
 }
 
 
-@pytest.mark.parametrize("n", (1, 32, 33, 2003))
+@pytest.mark.parametrize("n", (1, 2, 32, 33, 2003))
 @pytest.mark.parametrize("body", LANE_BODIES)
 def test_each_lane_op_matches_the_interpreter_on_edge_words(body, n):
     # the first iteration runs before the back-edge offers the n others in
@@ -523,6 +524,15 @@ def test_affine_loops_have_a_bulk_form():
     def invariant_store(a):
         a.st(0, 5); a.ldi(6, 9); a.mul(6, 6, 5); a.st(1, 6); a.addi(0, 0, 4); a.addi(1, 1, 4)
     assert bulk_form(invariant_store)[0] == ((True, 0), (True, 1))
+
+    def copy(a):
+        a.ld(4, 0); a.st(1, 4); a.addi(0, 0, 4); a.addi(1, 1, 4)
+    ops, body = bulk_form(copy)
+    assert ops == ((False, 0), (True, 1))
+    data, stored, regs = bytes(range(12)), [], [0] * 8
+    body(regs, 3, lambda i: data, lambda i, d: stored.append(d))
+    assert stored[0] is data  # a value no ALU op reads is stored as loaded
+    assert regs[4] == 0x0B0A0908 and regs[0] == regs[1] == 12
     for build in (
         lambda a: (a.st(0, 4), a.ld(4, 0), a.addi(0, 0, 4)),  # value read before written
         lambda a: (a.ld(4, 0), a.addi(0, 0, 8)),  # stride 8
