@@ -15,7 +15,8 @@ from . import recfmt
 from .actions import SCHEMA_BY_CLASS, Granularity, MapGpuMem, RegWrite
 from .device import Device, SKUS, parse_register_map
 from .patcher import PatchError, patch_recording
-from .recorder import (DiscoveryError, RecordHarness, parse_harness, record)
+from .recorder import (DiscoveryError, HarnessError, RecordHarness, parse_harness,
+                       record)
 from .refstack import DelayPolicy, DriverError, GpuStack, WorkloadError, parse_workload
 from .replayer import (LoadError, ReplayConfig, ReplayError, init,
                        replay_sequence)
@@ -69,6 +70,8 @@ def cmd_record(args) -> int:
     stack = GpuStack(dev, delays=args.delays or DelayPolicy(), rng_seed=args.seed)
     try:
         result = record(stack, graph, harness)
+    except HarnessError as e:
+        raise UsageError(f"{args.harness}: {e}") from None
     except (WorkloadError, DiscoveryError, DriverError) as e:
         _err(f"record failed: {e}")
         return 1

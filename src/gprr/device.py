@@ -25,7 +25,8 @@ lazily, so constructing a device costs no time and resident memory grows
 only with the pages actually touched. Every committed write to it, host
 ``mem_write`` or flush, is logged by physical page number; the device's
 owner takes that log (:meth:`Device.take_dirty_pages`) to copy only what
-changed since it last looked.
+changed since it last looked. Both writes also raise
+:attr:`Device.written_end`, past which RAM still holds the mmap's zeros.
 """
 
 from __future__ import annotations
@@ -480,6 +481,8 @@ class Device:
         self.owner: object | None = None
         # physical pages written since the owner last took the log
         self._dirty_pages: set[int] = set()
+        # a bound on RAM ever written: every byte at or past it is still zero
+        self.written_end = 0
         # busy periods as [start, end] pairs; end None while open
         self._busy_periods: list[list[int | None]] = []
         self._stored: dict[str, int] = {}
@@ -503,6 +506,9 @@ class Device:
         self.job_state = JOB_IDLE
         self.fault_addr = 0
         self.writeback: PageBuffer = {}  # the finished jobs' buffered stores
+        # the writeback's runs as the flush found them when it started, for
+        # its commit; None once a finished job's stores changed the writeback
+        self._flush_runs: list[tuple[int, int, bytearray, int, int]] | None = None
         self.tlb: dict[int, tuple[int, int]] = {}  # vpn -> (ppn, perm bits raw)
         self._pending_job: _PendingJob | None = None
         self._pending_flush: _PendingFlush | None = None
@@ -669,6 +675,8 @@ class Device:
         if pa < 0 or end > MEM_BYTES:
             raise ValueError(f"physical range {pa:#x}+{len(data):#x} out of bounds")
         self.mem[pa:end] = data
+        if end > self.written_end:
+            self.written_end = end
         first = pa >> PAGE_SHIFT
         last = (end - 1) >> PAGE_SHIFT
         if first == last:
@@ -904,14 +912,24 @@ class Device:
             return
         jitter = self.rng.uniform(JITTER_LO, JITTER_HI)
         self._rng_drawn += 2
+        runs = self._flush_runs = self._writeback_runs()
         nbytes = 0
-        for _, mask in self.writeback.values():
-            for i, j in _runs(mask):
-                nbytes += j - i
+        for pa, end, _, _, _ in runs:
+            nbytes += end - pa
         cost = FLUSH_BASE_COST_NS + FLUSH_BYTE_COST_NS * nbytes
         self._pending_flush = _PendingFlush(
             self.vclock_ns + round(cost * self.clock_div * jitter))
         self._update_busy()
+
+    def _writeback_runs(self) -> list[tuple[int, int, bytearray, int, int]]:
+        """(pa, end pa, page data, start, end in the page) of each run of
+        buffered bytes in the writeback."""
+        runs = []
+        for ppn, (data, mask) in self.writeback.items():
+            base = ppn << PAGE_SHIFT
+            for i, j in _runs(mask):
+                runs.append((base + i, base + j, data, i, j))
+        return runs
 
     # -- virtual time ---------------------------------------------------------
 
@@ -947,6 +965,8 @@ class Device:
                 # the writeback adopts the pages it lacks and takes the
                 # buffered runs of the others
                 writeback = self.writeback
+                if job.stores:
+                    self._flush_runs = None
                 for ppn, page in job.stores.items():
                     have = writeback.get(ppn)
                     if have is None:
@@ -970,13 +990,18 @@ class Device:
         flush = self._pending_flush
         if flush is not None and flush.finish_ns <= t:
             self._pending_flush = None
-            mem = self.mem
-            for ppn, (data, mask) in self.writeback.items():
-                base = ppn << PAGE_SHIFT
-                for i, j in _runs(mask):
-                    mem[base + i:base + j] = data[i:j]
+            runs = self._flush_runs
+            if runs is None:
+                runs = self._writeback_runs()
+            mem, top = self.mem, self.written_end
+            for pa, end, data, i, j in runs:
+                mem[pa:end] = data[i:j]
+                if end > top:
+                    top = end
+            self.written_end = top
             self._dirty_pages.update(self.writeback)
             self.writeback = {}
+            self._flush_runs = None
             self._update_busy()
         return events
 
@@ -1040,6 +1065,7 @@ class Device:
         self.job_state = snap.job_state
         self.fault_addr = snap.fault_addr
         self.writeback = _copy_pages(snap.writeback)
+        self._flush_runs = None
         self.tlb = dict(snap.tlb)
         self._pending_job = _copy_job(snap.pending_job)
         self._pending_flush = snap.pending_flush

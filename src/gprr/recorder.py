@@ -16,6 +16,7 @@ Attaches to the refstack driver's accessor stream and
 
 from __future__ import annotations
 
+import enum
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -41,6 +42,10 @@ class RecordError(Exception):
     pass
 
 
+class HarnessError(ValueError):
+    """A harness that does not fit the workload it records."""
+
+
 @dataclass
 class RecordHarness:
     """Record-time configuration supplied by the developer."""
@@ -57,32 +62,56 @@ class RecordHarness:
         return self.input_modes.get(index, IoMode.BY_ADDRESS)
 
 
+_HARNESS_FORMS = {
+    "input": "input <idx> by_value|by_address|both",
+    "magic_seed": "magic_seed <n>",
+    "trials": "trials <n>",
+    "granularity": "granularity monolithic|per_layer",
+}
+
+
+def _number(word: str) -> int:
+    try:
+        return int(word, 0)
+    except ValueError:
+        raise ValueError(f"{word!r} is not a number") from None
+
+
+def _member(word: str, kind: type[enum.Enum]):
+    try:
+        return kind[word.upper()]
+    except KeyError:
+        names = ", ".join(m.name.lower() for m in kind)
+        raise ValueError(f"{word!r} is not one of {names}") from None
+
+
 def parse_harness(text: str) -> RecordHarness:
-    """Line format: ``input <idx> by_value|by_address|both``,
-    ``magic_seed <n>``, ``trials <n>``, ``granularity monolithic|per_layer``."""
+    """One directive a line, in a form of ``_HARNESS_FORMS``. A bad line
+    is a ValueError that names the line and says what is wrong with it."""
     h = RecordHarness()
-    modes = {"by_value": IoMode.BY_VALUE, "by_address": IoMode.BY_ADDRESS,
-             "both": IoMode.BOTH}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        key, *args = line.split()
         try:
-            if parts[0] == "input":
-                h.input_modes[int(parts[1], 0)] = modes[parts[2]]
-            elif parts[0] == "magic_seed":
-                h.magic_seed = int(parts[1], 0)
-            elif parts[0] == "trials":
-                h.max_trials = int(parts[1], 0)
+            form = _HARNESS_FORMS.get(key)
+            if form is None:
+                raise ValueError(f"unknown directive {key!r}")
+            if len(args) != form.count(" "):
+                raise ValueError(f"want {form!r}")
+            if key == "input":
+                h.input_modes[_number(args[0])] = _member(args[1], IoMode)
+            elif key == "magic_seed":
+                h.magic_seed = _number(args[0])
+            elif key == "trials":
+                h.max_trials = _number(args[0])
                 if h.max_trials < 1:
                     raise ValueError("trials must be at least 1")
-            elif parts[0] == "granularity":
-                h.granularity = Granularity[parts[1].upper()]
             else:
-                raise KeyError(parts[0])
-        except (KeyError, IndexError, ValueError) as e:
-            raise ValueError(f"harness line {lineno}: {raw!r}") from e
+                h.granularity = _member(args[0], Granularity)
+        except ValueError as e:
+            raise ValueError(f"harness line {lineno}: {raw!r}: {e}") from None
     return h
 
 
@@ -277,6 +306,10 @@ def record(stack: GpuStack, graph: WorkloadGraph,
     harness = harness or RecordHarness()
     in_len = graph.input_elems * 4
     input_indices = [0]  # this stack packs all operands into one buffer
+    unknown = sorted(harness.input_modes.keys() - set(input_indices))
+    if unknown:
+        raise HarnessError(f"harness names input {unknown[0]}, but the workload "
+                           f"packs all its operands into input 0")
 
     in_cands: dict[int, set[int]] = {}
     in_cands_dumps: dict[int, set[int]] = {}

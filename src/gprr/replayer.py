@@ -260,7 +260,8 @@ class ReplaySession:
 
     def load(self, rec: Recording):
         """Assign fresh pages for the recording's ranges, build them in
-        memory, write each page once and keep that image for every replay.
+        memory, write each page whose bytes RAM may not already hold, once,
+        and keep that image for every replay.
         A second load fully supersedes the first. A load that fails leaves
         no recording loaded and RAM as it was; the next load or
         ``cleanup`` scrubs it."""
@@ -347,9 +348,11 @@ class ReplaySession:
     def _lay_out(self, rec: Recording, end: int) -> dict[int, bytearray]:
         """Build the session's pages in memory: the L1 entries, the L2
         entries and every dump, in that order, a later write winning. Keep
-        the bytes of the dumps ``_plan_dumps`` chose. Then write each page
-        below ``end``, and each page of the previous load past it, exactly
-        once. Returns the non-zero pages (ppn -> bytes), as built."""
+        the bytes of the dumps ``_plan_dumps`` chose. Then write, exactly
+        once, each non-zero page and each other page below ``end`` or of
+        the previous load past it that lies below the device's
+        ``written_end``: RAM past that bound is still zero. Returns the
+        non-zero pages (ppn -> bytes), as built."""
         page, shift = dv.PAGE_SIZE, dv.PAGE_SHIFT
         built = {pa >> shift: bytearray(page) for pa in (self._l1_pa, *self._l2_pages.values())}
         l1 = built[self._l1_pa >> shift]
@@ -376,8 +379,11 @@ class ReplaySession:
                 buf[at:at + n] = view[off:off + n]
         image = {ppn: buf for ppn, buf in built.items() if buf != _ZERO_PAGE}
         write = self.dev.mem_write
+        stale = -(-self.dev.written_end >> shift)  # from this page on RAM is zero
         for ppn in range(1, max(end, self._free_pa) >> shift):
-            write(ppn << shift, image.get(ppn, _ZERO_PAGE))
+            data = image.get(ppn)
+            if data is not None or ppn < stale:
+                write(ppn << shift, data or _ZERO_PAGE)
         self.dev.take_dirty_pages()
         self._free_pa = end
         return image

@@ -221,3 +221,15 @@ def test_a_harness_with_fewer_than_one_trial_exits_2(ws, capsys, trials):
                      "-o", str(tmp_path / "x.gpr")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gprr: ") and "trials" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("index", ["99", "1", "-1"])
+def test_a_harness_naming_an_input_the_workload_lacks_exits_2(ws, capsys, index):
+    # the stack packs every operand of a workload into input 0
+    tmp_path, wl = ws
+    harness, out = tmp_path / "harness.txt", tmp_path / "x.gpr"
+    harness.write_text(f"input {index} by_value\n")
+    assert dispatch(["record", str(wl), "--harness", str(harness), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gprr: ") and f"input {index}," in err and err.count("\n") == 1
+    assert not out.exists()

@@ -997,6 +997,63 @@ def test_faulted_job_logs_nothing():
     assert dev.take_dirty_pages() == set()
 
 
+def test_written_end_bounds_host_writes_and_flush_commits():
+    # each write raises the bound to the end of its bytes, never lowers it,
+    # and every byte past it is still zero
+    dev = Device()
+    assert dev.written_end == 0
+    rig = _Rig(dev)
+    assert dev.written_end == rig.L1_PA + 8  # the L1 entry of slot 1
+    out_va, high_pa = rig.VA_BASE + 0x200 * dv.PAGE_SIZE, dv.MEM_BYTES - 4 * dv.PAGE_SIZE
+    rig.map_at(out_va, high_pa, Perm.READ | Perm.WRITE)
+    rig.kick(rig.job(store_const_shader(out_va + 0x100, 0xA1B2C3D4), []))
+    dev.tick(10_000_000)
+    assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+    host_end = dev.written_end
+    assert host_end < high_pa  # the store is buffered, not written
+    snap = dev.snapshot()
+    flush(dev)
+    assert dev.written_end == high_pa + 0x104
+    dev.mem_write(rig.L1_PA, bytes(4))
+    dev.restore(snap)
+    assert dev.written_end == high_pa + 0x104
+    tail = dv.MEM_BYTES - dev.written_end
+    assert dev.mem_read(dev.written_end, tail) == bytes(tail)
+
+
+def test_flush_commits_what_a_merge_or_a_restore_left_buffered():
+    # the flush finds each page's runs when it starts; a job finishing while
+    # it is in flight merges new runs into a page, and a restore brings back
+    # a writeback whose runs it never saw
+    dev = Device(env_seed=3)
+    rig = _Rig(dev)
+    out_va, out_pa = rig.map_page(Perm.READ | Perm.WRITE)
+    first = rig.job(store_const_shader(out_va, 0x11111111), [])
+    second = rig.job(store_const_shader(out_va + 0x40, 0x22222222), [])
+    rig.kick(first)
+    dev.tick(10_000_000)
+    wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+    rig.kick(second)
+    assert dev._pending_job.finish_ns < dev._pending_flush.finish_ns
+    dev.tick(10_000_000)
+    assert dev.mem_read(out_pa, 4) == (0x11111111).to_bytes(4, "little")
+    assert dev.mem_read(out_pa + 0x40, 4) == (0x22222222).to_bytes(4, "little")
+    # a flush in flight over the second store, snapshotted; RAM then loses
+    # the store, as an owner's restore of RAM would undo it
+    rig.kick(second)
+    dev.tick(10_000_000)
+    wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+    snap = dev.snapshot()
+    dev.tick(10_000_000)
+    dev.mem_write(out_pa + 0x40, bytes(4))
+    rig.kick(first)
+    dev.tick(10_000_000)
+    wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)  # finds the runs of the first store
+    dev.restore(snap)
+    dev.tick(10_000_000)
+    assert dev.mem_read(out_pa + 0x40, 4) == (0x22222222).to_bytes(4, "little")
+
+
 # Busy periods as a list of (time step, busy?) moves plus restores to an
 # earlier snapshot; was_idle_between must agree with a scan of every period.
 busy_moves = st.lists(st.one_of(

@@ -292,6 +292,24 @@ def test_parse_harness():
         parse_harness("input 0 sideways\n")
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("trials 0", "trials must be at least 1"),
+    ("trials -1", "trials must be at least 1"),
+    ("input 0 sideways", "'sideways' is not one of by_value, by_address, both"),
+    ("input zero both", "'zero' is not a number"),
+    ("magic_seed 0xZZ", "'0xZZ' is not a number"),
+    ("granularity coarse", "'coarse' is not one of monolithic, per_layer"),
+    ("trials", "want 'trials <n>'"),
+    ("input 0 both 1", "want 'input <idx> by_value|by_address|both'"),
+    ("trails 3", "unknown directive 'trails'"),
+])
+def test_a_bad_harness_line_says_why(line, reason):
+    raw = f"{line}  # note"
+    with pytest.raises(ValueError) as e:
+        parse_harness(f"magic_seed 3\n{raw}\n")
+    assert str(e.value) == f"harness line 2: {raw!r}: {reason}"
+
+
 # -- per-layer slicing ------------------------------------------------------------------------
 
 def test_per_layer_recordings_are_self_contained():

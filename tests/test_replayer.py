@@ -366,6 +366,16 @@ def reference_layout(dev, rec):
     return image, page_pa, free[0]
 
 
+def count_writes(dev):
+    """Count, per physical page, the ``mem_write`` calls that touch it
+    from now until ``del dev.mem_write``."""
+    writes, write = Counter(), dev.mem_write
+    dev.mem_write = lambda pa, data: (
+        writes.update(range(pa >> dv.PAGE_SHIFT, (pa + len(data) + dv.PAGE_SIZE - 1) >> dv.PAGE_SHIFT)),
+        write(pa, data))
+    return writes
+
+
 # Extra ranges and dumps near a recorded range, near a fresh base and
 # across the 4 MiB edge of an L2 table; forced past R4 and R7, they overlap
 # each other and the recorded ones.
@@ -417,11 +427,8 @@ def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, 
         s.load(patch(prior, dv.SKU_A, sku))
         assert s.replay(i32s(range(8))).ok
     touched = s._free_pa  # no page past this or the new footprint was written
-    writes = Counter()  # ppn -> times load wrote it
-    write = dev.mem_write
-    dev.mem_write = lambda pa, data: (
-        writes.update(range(pa >> dv.PAGE_SHIFT, (pa + len(data) + page - 1) >> dv.PAGE_SHIFT)),
-        write(pa, data))
+    stale = -(-dev.written_end // page)  # pages that may hold bytes before the load
+    writes = count_writes(dev)
     if isinstance(want, ReplayError):
         with pytest.raises(type(want)) as got:
             s.load(forced)
@@ -434,10 +441,67 @@ def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, 
         assert s._page_pa == page_pa
         assert s._free_pa == end
         touched = max(touched, end)
-        assert writes == Counter(range(1, touched >> dv.PAGE_SHIFT))  # each page once
+        # each non-zero page, and each page that may have held bytes, once
+        assert writes == Counter(image.keys() | range(1, stale))
         assert dev.mem_read(0, touched) == ref_dev.mem_read(0, touched)
         assert dev.take_dirty_pages() == ref_dev.take_dirty_pages() == set()
     del dev.mem_write
+    s.cleanup()
+
+
+@pytest.mark.parametrize("name", sorted(builtin_graphs()))
+def test_a_load_onto_a_fresh_device_writes_only_its_non_zero_pages(graphs, recorded, name):
+    g, rec = graphs[name], recorded[name]
+    ref_dev = Device()
+    image, _, end = reference_layout(ref_dev, rec)
+    assert len(image) < (end >> dv.PAGE_SHIFT) - 1  # some session pages are zero
+    dev = Device()
+    s = init(dev)
+    writes = count_writes(dev)
+    s.load(rec)
+    del dev.mem_write
+    assert s._image == image
+    assert writes == Counter(image.keys())
+    assert dev.mem_read(0, end) == ref_dev.mem_read(0, end)
+    inp = random_input(g, 2)
+    assert s.replay(inp).outputs == [g.evaluate(inp)]
+    s.cleanup()
+
+
+@pytest.mark.parametrize("replayed", [False, True])
+def test_a_load_scrubs_what_an_earlier_load_or_replay_left_past_it(vecadd, replayed):
+    # The earlier recording maps 64 more pages before its output range, so
+    # the output lands past the later footprint and past every page the
+    # earlier load wrote. Loaded only, those pages hold a dump; replayed,
+    # they are zero, and only the flush writes past the load's pages.
+    g, small = vecadd
+    pad_va, pad = 0x0200_0000, 64 * dv.PAGE_SIZE
+    out_map = next(a for a in small.actions
+                   if isinstance(a, MapGpuMem) and a.gpu_va == small.outputs()[0].gpu_va)
+    actions = [a for a in small.actions if a is not out_map]
+    at = 1 + max(i for i, a in enumerate(actions) if isinstance(a, MapGpuMem))
+    actions[at:at] = [MapGpuMem(0, 0, pad_va, pad, 0b0011), out_map]
+    dumps = small.dumps
+    if not replayed:
+        dumps += (MemDump(max(d.dump_id for d in dumps) + 1, pad_va, pad,
+                          deflate(b"\x5A" * pad), DumpOrigin.MAPPED_FALLBACK),)
+    prior = dataclasses.replace(small, actions=tuple(actions), dumps=dumps)
+    dev = Device()
+    s = init(dev, ReplayConfig(force=True))
+    s.load(prior)
+    loaded = dev.written_end
+    if replayed:
+        assert s.replay(i32s(range(8))).ok
+        assert dev.written_end > loaded
+    touched = s._free_pa
+    ref_dev = Device()
+    image, _, end = reference_layout(ref_dev, small)
+    assert dev.written_end > end
+    s.load(small)
+    assert s._image == image
+    assert dev.mem_read(0, touched) == ref_dev.mem_read(0, touched)
+    inp = i32s(range(8, 16))
+    assert s.replay(inp).outputs == [g.evaluate(inp)]
     s.cleanup()
 
 
