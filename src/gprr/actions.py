@@ -6,12 +6,17 @@ against its own register map. Every action carries two interval fields:
 previous action completing and this one starting, and ``min_interval_ns``
 is the pacing floor after idle-skip classification (zero when the GPU was
 provably idle for the whole gap, so a replayer may fast-forward).
+
+The action types and MemDump are frozen dataclasses with slots: values
+that hash and compare by field, keep no ``__dict__``, and read their
+attributes as fast as a plain object does. The decoder builds them
+through their slots (``slot_factory``), not through ``__init__``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 
@@ -41,19 +46,19 @@ class Granularity(enum.Enum):
     PER_LAYER = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Action:
     raw_interval_ns: int = 0
     min_interval_ns: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegWrite(_Action):
     reg_name: str = ""
     value: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegRead(_Action):
     reg_name: str = ""
     expect_value: int = 0  # meaningful only for STATE reads
@@ -64,7 +69,7 @@ class RegRead(_Action):
         return self.state_class is ActionClass.NONDET
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegReadWait(_Action):
     reg_name: str = ""
     mask: int = 0
@@ -72,26 +77,26 @@ class RegReadWait(_Action):
     max_polls: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaitIrq(_Action):
     expect_rawstat: int = 0
     residency_ns: int = 0  # how long the wait took at record time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapGpuMem(_Action):
     gpu_va: int = 0
     len_bytes: int = 0
     perm_flags_encoded: int = 0  # in the recording SKU's PTE bit layout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnmapGpuMem(_Action):
     gpu_va: int = 0
     len_bytes: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LoadMemDump(_Action):
     dump_id: int = 0
     gpu_va: int = 0
@@ -101,7 +106,7 @@ ReplayAction = (RegWrite | RegRead | RegReadWait | WaitIrq
                 | MapGpuMem | UnmapGpuMem | LoadMemDump)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemDump:
     dump_id: int
     gpu_va: int
@@ -171,10 +176,31 @@ class Recording:
 _READ_CLASSES = (ActionClass.STATE, ActionClass.NONDET)
 
 
+def slot_factory(cls: type) -> Callable[..., Any]:
+    """A function that makes a ``cls`` from all its field values, in field
+    order, without ``__init__``: it stores each value straight into its
+    slot. For a decoder, whose values need no default or conversion.
+
+    The names come from ``dataclasses.fields``, and each slot from the
+    class itself: on Python 3.10 a slotted subclass re-declares its base's
+    slots, and only the subclass's own descriptors are the ones it reads.
+    """
+    names = [f.name for f in fields(cls)]
+    env: dict[str, Any] = {"new": object.__new__, "cls": cls}
+    env.update((f"set_{n}", getattr(cls, n).__set__) for n in names)
+    exec(f"def build({', '.join(names)}):\n    obj = new(cls)\n"
+         + "".join(f"    set_{n}(obj, {n})\n" for n in names)
+         + "    return obj\n", env)
+    return env["build"]
+
+
+_new_reg_read = slot_factory(RegRead)
+
+
 def _reg_read(raw: int, floor: int, name: str, expect: int, cls: int) -> RegRead:
     if cls >= len(_READ_CLASSES):
         raise ValueError(f"bad read class {cls}")
-    return RegRead(raw, floor, name, expect, _READ_CLASSES[cls])
+    return _new_reg_read(raw, floor, name, expect, _READ_CLASSES[cls])
 
 
 @dataclass(frozen=True)
@@ -185,9 +211,10 @@ class ActionSchema:
     On the wire an action is its ``tag`` byte and the two u64 interval
     fields, then the str16 register name when ``named``, then the
     attributes in ``fields`` packed with the little-endian struct codes
-    in ``fmt``. ``build`` makes the action from the decoded values in
-    wire order (the class itself unless a field needs converting) and
-    raises ValueError for an out-of-range final byte.
+    in ``fmt``. ``build``, set where a field needs converting, makes the
+    action from the decoded values in wire order and raises ValueError
+    for an out-of-range final byte; the decoder builds any other type
+    with its ``slot_factory``.
     """
 
     cls: type

@@ -46,10 +46,16 @@ def _sku(name: str):
     return SKUS[name.upper()]
 
 
+# the longest stack sleep: a gap made of a few of them stays far inside the
+# u64 interval fields of a .gpr
+_DELAY_MAX_NS = 10 ** 12
+
+
 def _parse_delays(text: str) -> DelayPolicy:
     parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("--delays wants jit,mgmt,jitter in ns")
+    if len(parts) != 3 or not all(0 <= p <= _DELAY_MAX_NS for p in parts):
+        raise argparse.ArgumentTypeError(
+            f"--delays wants jit,mgmt,jitter in ns, each 0..{_DELAY_MAX_NS}")
     return DelayPolicy(*parts)
 
 

@@ -18,7 +18,7 @@ import zlib
 
 from .actions import (ACTION_SCHEMAS, ActionSchema, DumpOrigin, Granularity,
                       IoDescriptor, IoMode, IoRole, LoadMemDump, MemDump,
-                      Recording, RecordingHeader)
+                      Recording, RecordingHeader, slot_factory)
 from .device import MEM_BYTES
 
 MAGIC = b"GPRR"
@@ -126,13 +126,16 @@ class _Reader:
 def _compile(spec: ActionSchema):
     """A named type packs tag, intervals and name length in ``head`` and
     its fixed fields in ``tail``; any other type packs all in ``head``."""
+    build = spec.build or slot_factory(spec.cls)
     if spec.named:
-        return (spec, struct.Struct("<BQQH"), struct.Struct("<" + spec.fmt),
-                spec.build or spec.cls)
-    return (spec, struct.Struct("<BQQ" + spec.fmt), None, spec.build or spec.cls)
+        return (spec, struct.Struct("<BQQH"), struct.Struct("<" + spec.fmt), build)
+    return (spec, struct.Struct("<BQQ" + spec.fmt), None, build)
 
 
 _ORIGINS = {o.value: o for o in DumpOrigin}
+# a dump entry's fixed head: id, VA, raw length, origin, payload length
+_DUMP_HEAD = struct.Struct("<IIIBI")
+_new_dump = slot_factory(MemDump)
 _CODECS = [_compile(s) for s in ACTION_SCHEMAS]
 _CODEC_BY_TAG = {c[0].tag: c for c in _CODECS}
 _CODEC_BY_CLASS = {c[0].cls: c for c in _CODECS}
@@ -225,6 +228,32 @@ def _read_actions(r: _Reader, count: int) -> list:
     return out
 
 
+def _read_dump_entry(r: _Reader) -> tuple:
+    """The dump entry at ``r.pos``: its id, VA, raw length, origin and
+    payload. One unpack reads the fixed head. An entry that is cut short
+    or out of range is read again field by field, which raises the error
+    it finds."""
+    data, p = r.data, r.pos
+    q = p + _DUMP_HEAD.size
+    if q <= len(data):
+        dump_id, gpu_va, raw_len, origin_b, n = _DUMP_HEAD.unpack_from(data, p)
+        origin = _ORIGINS.get(origin_b)
+        if raw_len <= MEM_BYTES and origin is not None and q + n <= len(data):
+            r.pos = q + n
+            return dump_id, gpu_va, raw_len, origin, data[q:q + n]
+    dump_id, gpu_va, raw_len = r.u32(), r.u32(), r.u32()
+    if raw_len > MEM_BYTES:
+        # checked before inflating: DEFLATE expands zeros ~1000:1
+        raise Malformed(r.pos - 4, f"dump {dump_id} raw length {raw_len} "
+                        f"exceeds device memory {MEM_BYTES}")
+    at = r.pos
+    origin_b = r.u8()
+    origin = _ORIGINS.get(origin_b)
+    if origin is None:
+        raise Malformed(at, f"bad dump origin {origin_b}")
+    return dump_id, gpu_va, raw_len, origin, r.blob32()
+
+
 def encode(rec: Recording) -> bytes:
     w = _Writer()
     h = rec.header
@@ -297,17 +326,7 @@ def decode(data: bytes) -> Recording:
     raws: dict[tuple[bytes, int], bytes | None] = {}
     kept = 0  # raw bytes of the distinct dumps inflated so far
     for _ in range(n_dumps):
-        dump_id, gpu_va, raw_len = r.u32(), r.u32(), r.u32()
-        if raw_len > MEM_BYTES:
-            # checked before inflating: DEFLATE expands zeros ~1000:1
-            raise Malformed(r.pos - 4, f"dump {dump_id} raw length {raw_len} "
-                            f"exceeds device memory {MEM_BYTES}")
-        at = r.pos
-        origin_b = r.u8()
-        origin = _ORIGINS.get(origin_b)
-        if origin is None:
-            raise Malformed(at, f"bad dump origin {origin_b}")
-        payload = r.blob32()
+        dump_id, gpu_va, raw_len, origin, payload = _read_dump_entry(r)
         key = (payload, raw_len)
         if key in raws:
             raw = raws[key]
@@ -320,10 +339,7 @@ def decode(data: bytes) -> Recording:
             if kept > MEM_BYTES:  # a file keeps no more than one maximal dump
                 raw = None
             raws[key] = raw
-        d = MemDump(dump_id, gpu_va, raw_len, payload, origin)
-        if raw is not None:
-            object.__setattr__(d, "raw", raw)
-        dumps.append(d)
+        dumps.append(_new_dump(dump_id, gpu_va, raw_len, payload, origin, raw))
 
     n_io = r.u32()
     io_table = []

@@ -154,6 +154,8 @@ def make_layer(op: str, params: tuple[int, ...], in_elems: int) -> Layer:
         return Layer(op, (), in_elems, in_elems)
     if op == "matmul":
         m, n, k = params
+        if min(m, n, k) < 1:
+            raise ValueError(f"matmul({m},{n},{k}) needs every dimension at least 1")
         if in_elems != m * k + k * n:
             raise ValueError(f"matmul({m},{n},{k}) needs {m * k + k * n} input elems")
         size = 4 * matmul_shader_words(m, n, k)

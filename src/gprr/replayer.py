@@ -779,9 +779,16 @@ class ReplaySession:
     # -- lifecycle -------------------------------------------------------------------
 
     def cleanup(self) -> None:
-        """Reset the device and scrub every page this session touched."""
-        for pa in range(dv.PAGE_SIZE, self._free_pa, dv.PAGE_SIZE):
-            self.dev.mem_write(pa, _ZERO_PAGE)
+        """Reset the device and scrub every page this session may have
+        written since its first load laid out RAM. Outside the device's
+        dirty-page log RAM equals ``_cp_base``, the image overlaid with its
+        pages, so those three sets hold every page that may be non-zero."""
+        if self._cp_base is not None:
+            pages = self.dev.take_dirty_pages()
+            pages.update(self._image, self._cp_base.pages)
+            for ppn in pages:
+                self.dev.mem_write(ppn << dv.PAGE_SHIFT, _ZERO_PAGE)
+            self._cp_base = None
         self.loaded = None
         self._image = {}
         self._dumps = {}

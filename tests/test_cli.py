@@ -233,3 +233,30 @@ def test_a_harness_naming_an_input_the_workload_lacks_exits_2(ws, capsys, index)
     err = capsys.readouterr().err
     assert err.startswith("gprr: ") and f"input {index}," in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["record", "bench"])
+@pytest.mark.parametrize("delays", ["0,0,-5", "-1,0,0", f"{1 << 64},0,0"])
+def test_delays_outside_0_to_the_longest_sleep_exit_2(ws, capsys, command, delays):
+    # a negative jitter once reached random.randint, and a 2**64 ns sleep
+    # overflowed an interval field of the .gpr
+    tmp_path, wl = ws
+    out = tmp_path / "x.gpr"
+    argv = [command, str(wl), f"--delays={delays}",
+            *(["-o", str(out)] if command == "record" else [])]
+    assert dispatch(argv) == 2
+    assert "--delays wants" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["input 16\nlayer matmul 0 4 4\n",
+                                  "input 16\nlayer matmul 4 0 4\n",
+                                  "input 12\nlayer matmul -2 -2 -3\n"])
+def test_a_matmul_dimension_below_1_exits_2(tmp_path, capsys, text):
+    # each input count fits its dimensions, which once passed the parser and
+    # failed I/O discovery as ambiguous (exit 1)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert dispatch(["record", str(bad), "-o", str(tmp_path / "x.gpr")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gprr: ") and "at least 1" in err and err.count("\n") == 1

@@ -1,7 +1,9 @@
 """Binary codec: round trips, structured failures, fuzz totality."""
 
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 import tracemalloc
 import zlib
@@ -252,3 +254,52 @@ def test_zero_heavy_payload_compresses_below_half():
     for i in range(0, len(raw), 128):
         raw[i] = i % 251
     assert len(deflate(bytes(raw))) < len(raw) // 2
+
+
+def test_decoded_actions_and_dumps_are_the_values_they_were_encoded_from(recorded):
+    for name, rec in recorded.items():
+        got = decode(encode(rec))
+        assert got == rec, name
+        for a in got.actions + got.dumps:
+            built = type(a)(*(getattr(a, f.name) for f in dataclasses.fields(a) if f.init))
+            assert built == a and hash(built) == hash(a)
+            assert not hasattr(a, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, dataclasses.fields(a)[-1].name, 1)
+            # a frozen slotted dataclass raises TypeError, not
+            # FrozenInstanceError, for a name that is not a field
+            with pytest.raises((TypeError, AttributeError)):
+                a.extra = 1
+            for twin in (dataclasses.replace(a), pickle.loads(pickle.dumps(a)),
+                         copy.deepcopy(a)):
+                assert type(twin) is type(a) and twin == a and hash(twin) == hash(a)
+
+
+def _decode_outcome(data: bytes) -> str:
+    try:
+        decode(data)
+    except DecodeError as e:
+        return f"{type(e).__name__} {e.offset} {e}"
+    return "ok"
+
+
+# SHA-256 of the outcomes below, one line each
+DECODE_OUTCOMES_SHA256 = "b528d603936f8236e4d45eeb20517b7b1e56d06ddb7d96c69a1496977546ee67"
+
+
+def test_decode_errors_keep_their_class_offset_and_message(recorded):
+    """Every truncation of mixed3's file, and 3,000 seeded one-byte
+    mutations with the checksum fixed up, end as pinned: the same
+    DecodeError subclass at the same offset with the same message, or a
+    decode that succeeds. A faster decoder must fail the same way."""
+    blob = encode(recorded["mixed3"])
+    outcomes = [_decode_outcome(blob[:n]) for n in range(len(blob))]
+    rng = random.Random(20)
+    for _ in range(3000):
+        body = bytearray(blob[:-32])
+        body[rng.randrange(len(body))] ^= rng.randrange(1, 256)
+        outcomes.append(_decode_outcome(bytes(body) + hashlib.sha256(body).digest()))
+    assert {o.split()[0] for o in outcomes} == {
+        "ok", "BadMagic", "Truncated", "Malformed", "UnknownTag"}
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == DECODE_OUTCOMES_SHA256

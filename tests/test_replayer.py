@@ -77,6 +77,30 @@ def test_cleanup_scrubs_session_pages(vecadd):
     assert s.dev.mem_read(pa, 16) == bytes(16)
 
 
+@pytest.mark.parametrize("stage", ["load", "replay", "restore"])
+def test_cleanup_scrubs_only_the_pages_the_session_may_have_written(mixed, stage):
+    g, rec = mixed
+    s = session_for(rec, config=ReplayConfig(checkpoint_every_jobs=int(stage == "restore")))
+    if stage != "load":
+        assert s.replay(random_input(g, 1)).ok
+    if stage == "restore":
+        s.restore(s.last_checkpoint)
+        while s.cursor < len(rec.actions):
+            assert s.step() is None
+        assert s._cp_base.pages
+    dirty = set(s.dev._dirty_pages)
+    assert bool(dirty) == (stage != "load")
+    # the image, the checkpoint base's pages and the dirty-page log
+    touched = s._image.keys() | s._cp_base.pages.keys() | dirty
+    free = s._free_pa
+    assert len(touched) < (free >> dv.PAGE_SHIFT) - 1  # some session pages stay zero
+    writes = count_writes(s.dev)
+    s.cleanup()
+    del s.dev.mem_write
+    assert writes == Counter(touched)
+    assert s.dev.mem_read(0, free) == bytes(free)
+
+
 # -- load -----------------------------------------------------------------------
 
 def test_load_restores_exec_pages_bit_identical(vecadd):
