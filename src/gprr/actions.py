@@ -46,8 +46,11 @@ class Granularity(enum.Enum):
     PER_LAYER = 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class _Action:
+    # no slots of its own: each slotted action declares these two fields
+    # itself, where a slotted base would have Python 3.10 declare them twice
+    __slots__ = ()
     raw_interval_ns: int = 0
     min_interval_ns: int = 0
 
@@ -182,8 +185,7 @@ def slot_factory(cls: type) -> Callable[..., Any]:
     slot. For a decoder, whose values need no default or conversion.
 
     The names come from ``dataclasses.fields``, and each slot from the
-    class itself: on Python 3.10 a slotted subclass re-declares its base's
-    slots, and only the subclass's own descriptors are the ones it reads.
+    class itself, whose own descriptors are the ones it reads.
     """
     names = [f.name for f in fields(cls)]
     env: dict[str, Any] = {"new": object.__new__, "cls": cls}

@@ -4,9 +4,9 @@ Attaches to the refstack driver's accessor stream and
   * summarizes register traffic into replay actions (poll loops collapse
     into a single RegReadWait),
   * dumps GPU-mapped memory right before each job kick, filtered by page
-    role (executable pages always kept, internal scratch dropped,
-    by-address input regions never captured) and deduplicated against
-    the bytes last dumped at the same address,
+    role (executable pages always kept; internal scratch, buffers never
+    CPU-mapped and by-address input regions never captured) and
+    deduplicated against the bytes last dumped at the same address,
   * classifies the gap before each action as skippable iff the GPU was
     provably idle throughout it,
   * discovers input/output GPU addresses by injecting high-entropy magic
@@ -54,12 +54,7 @@ class RecordHarness:
     magic_seed: int = 1
     max_trials: int = 5
     granularity: Granularity = Granularity.MONOLITHIC
-    created_unix: int = 0
-    include_scratch: bool = False  # turn the scratch/internal dump filter off
     pre_scan_hook: object = None  # test hook: callable(stack) before the final scan
-
-    def mode_for(self, index: int) -> IoMode:
-        return self.input_modes.get(index, IoMode.BY_ADDRESS)
 
 
 _HARNESS_FORMS = {
@@ -162,9 +157,8 @@ class _Entry:
     ev: PortEvent
     t0: int
     t1: int
-    # pre_kick entries: every live region, and the ones mapped or rewritten
-    # since the previous kick, both in VA order
-    kick_regions: list[_Region] | None = None
+    # pre_kick entries: the regions mapped or rewritten since the previous
+    # kick, in VA order
     changed: list[_Region] | None = None
 
 
@@ -172,9 +166,8 @@ class _RunTrace(StackListener):
     """Listener that captures everything one build pass needs. A snapshot
     re-reads only the regions on pages the device logged as written."""
 
-    def __init__(self, stack: GpuStack, charge_dump_time: bool = True):
+    def __init__(self, stack: GpuStack):
         self.stack = stack
-        self.charge_dump_time = charge_dump_time
         self.entries: list[_Entry] = []
         self.allocations: list[Allocation] = []
         self.layer_marks: dict[int, int] = {}        # layer -> first entry index
@@ -186,11 +179,6 @@ class _RunTrace(StackListener):
         self._unread: set[int] = set()               # VAs mapped, not yet read
         self._changed: dict[int, _Region] = {}       # mapped or rewritten since the last kick
         self._live_bytes = 0
-        self.output: bytes | None = None
-        self.t_start = stack.dev.vclock_ns
-
-    def on_run_start(self, graph, input_len):
-        self.t_start = self.stack.dev.vclock_ns
 
     def on_alloc(self, alloc):
         self.allocations.append(alloc)
@@ -200,9 +188,6 @@ class _RunTrace(StackListener):
             self.layer_marks[index] = len(self.entries)
             self._refresh()
             self.layer_regions[index] = list(self._regions)
-
-    def on_run_end(self, output):
-        self.output = output
 
     def on_port_event(self, ev: PortEvent):
         entry = _Entry(ev, ev.t0, ev.t1)
@@ -228,12 +213,10 @@ class _RunTrace(StackListener):
             self._live_bytes -= r.len_bytes
         elif ev.kind == "pre_kick":
             self._refresh()
-            entry.kick_regions = list(self._regions)
             entry.changed = [self._changed[va] for va in sorted(self._changed)]
             self._changed = {}
-            if self.charge_dump_time:
-                self.stack.sleep(round(self._live_bytes * DUMP_BYTE_NS))
-                entry.t1 = self.stack.dev.vclock_ns
+            self.stack.sleep(round(self._live_bytes * DUMP_BYTE_NS))
+            entry.t1 = self.stack.dev.vclock_ns
         self.entries.append(entry)
 
     def _refresh(self) -> None:
@@ -268,7 +251,7 @@ def magic_bytes(seed: int, trial: int, n: int) -> bytes:
 @dataclass
 class TrialInfo:
     trial: int
-    input_candidates: dict[int, set[int]]
+    input_candidates: set[int]
     output_candidates: set[int]
 
 
@@ -305,17 +288,16 @@ def record(stack: GpuStack, graph: WorkloadGraph,
     runs with fresh magic while input/output addresses stay ambiguous."""
     harness = harness or RecordHarness()
     in_len = graph.input_elems * 4
-    input_indices = [0]  # this stack packs all operands into one buffer
-    unknown = sorted(harness.input_modes.keys() - set(input_indices))
+    # this stack packs all operands into one buffer, input 0
+    unknown = sorted(harness.input_modes.keys() - {0})
     if unknown:
         raise HarnessError(f"harness names input {unknown[0]}, but the workload "
                            f"packs all its operands into input 0")
 
-    in_cands: dict[int, set[int]] = {}
-    in_cands_dumps: dict[int, set[int]] = {}
+    in_cands: set[int] = set()
+    in_cands_dumps: set[int] = set()
     out_cands: set[int] | None = None
     trials: list[TrialInfo] = []
-    trace = None
 
     for trial in range(1, harness.max_trials + 1):
         magic = magic_bytes(harness.magic_seed, trial, in_len)
@@ -333,55 +315,45 @@ def record(stack: GpuStack, graph: WorkloadGraph,
         kick_cpuvis = [r for e in trace.entries if e.changed
                        for r in e.changed if r.flags & _CPU_VISIBLE]
 
-        run_in: dict[int, set[int]] = {}
-        run_in_dumps: dict[int, set[int]] = {}
-        for idx in input_indices:
-            dump_hits = _scan_regions(kick_cpuvis, magic)
-            all_hits = dump_hits | _scan_regions(final_regions, magic)
-            if not all_hits:
-                raise DiscoveryError(
-                    f"input {idx}: magic never reached GPU memory intact")
-            run_in[idx] = all_hits
-            run_in_dumps[idx] = dump_hits
-        for idx in input_indices:
-            in_cands[idx] = (in_cands.get(idx) or run_in[idx]) & run_in[idx]
-            in_cands_dumps[idx] = ((in_cands_dumps.get(idx) or run_in_dumps[idx])
-                                   & run_in_dumps[idx])
-            # structural aliases (e.g. pure copies) show up only after the
-            # data flowed; matches inside the dumps take precedence
-            if len(in_cands[idx]) > 1 and len(in_cands_dumps[idx]) == 1:
-                in_cands[idx] = set(in_cands_dumps[idx])
+        dump_hits = _scan_regions(kick_cpuvis, magic)
+        all_hits = dump_hits | _scan_regions(final_regions, magic)
+        if not all_hits:
+            raise DiscoveryError("input 0: magic never reached GPU memory intact")
+        # candidates are the hits of every trial so far; when they run out,
+        # the next trial starts over from its own hits
+        in_cands = (in_cands or all_hits) & all_hits
+        in_cands_dumps = (in_cands_dumps or dump_hits) & dump_hits
+        # structural aliases (e.g. pure copies) show up only after the
+        # data flowed; matches inside the dumps take precedence
+        if len(in_cands) > 1 and len(in_cands_dumps) == 1:
+            in_cands = in_cands_dumps
 
-        claimed = [c for idx in input_indices for c in in_cands[idx]]
         run_out = {va for va in _scan_regions(final_regions, output)
                    if not any(c < va + len(output) and va < c + in_len
-                              for c in claimed)}
+                              for c in in_cands)}
         if not run_out:
             raise DiscoveryError("output bytes not found in GPU memory")
         out_cands = run_out if out_cands is None else (out_cands & run_out)
 
-        trials.append(TrialInfo(trial, {i: set(s) for i, s in in_cands.items()},
-                                set(out_cands)))
-        if all(len(s) == 1 for s in in_cands.values()) and len(out_cands) == 1:
+        trials.append(TrialInfo(trial, in_cands, out_cands))
+        if len(in_cands) == 1 and len(out_cands) == 1:
             break
     else:
-        which = [f"input {i} ~ {sorted(map(hex, s))}"
-                 for i, s in in_cands.items() if len(s) != 1]
+        which = []
+        if trials and len(in_cands) != 1:
+            which.append(f"input 0 ~ {sorted(map(hex, in_cands))}")
         if out_cands is None or len(out_cands) != 1:
             shown = sorted(map(hex, out_cands or []))[:8]
             which.append(f"output ~ {shown}")
         raise DiscoveryError(
             f"ambiguous after {harness.max_trials} trials: {'; '.join(which)}")
 
-    out_va = next(iter(out_cands))
     io_table = []
-    for idx in input_indices:
-        mode = harness.mode_for(idx)
-        if mode in (IoMode.BY_ADDRESS, IoMode.BOTH):
-            io_table.append(IoDescriptor(IoRole.INPUT, next(iter(in_cands[idx])),
-                                         in_len, mode))
-    io_table.append(IoDescriptor(IoRole.OUTPUT, out_va,
-                                 len(trace.output), IoMode.BY_ADDRESS))
+    mode = harness.input_modes.get(0, IoMode.BY_ADDRESS)
+    if mode in (IoMode.BY_ADDRESS, IoMode.BOTH):
+        io_table.append(IoDescriptor(IoRole.INPUT, next(iter(in_cands)), in_len, mode))
+    io_table.append(IoDescriptor(IoRole.OUTPUT, next(iter(out_cands)),
+                                 len(output), IoMode.BY_ADDRESS))
     io_table = tuple(io_table)
 
     builder = _Builder(stack, graph, harness, trace, io_table)
@@ -397,6 +369,24 @@ def record(stack: GpuStack, graph: WorkloadGraph,
 # Recording assembly
 # ---------------------------------------------------------------------------
 
+def _by_address_inputs(io_table) -> list[IoDescriptor]:
+    return [d for d in io_table
+            if d.role is IoRole.INPUT and d.mode is IoMode.BY_ADDRESS]
+
+
+def _dumped(r: _Region, addr_inputs) -> bool:
+    """The dump rule. Job binaries are always dumped. Scratch is never
+    dumped, nor a buffer never CPU-mapped: a GPU-internal buffer passes
+    data between jobs, and loading it back would clobber replayed data
+    flow. Nor a by-address input, which the replay's caller supplies."""
+    if r.flags & _GPU_EXEC:
+        return True
+    if r.flags & _SCRATCH or not r.flags & _CPU_VISIBLE:
+        return False
+    return not any(r.gpu_va < d.gpu_va + d.len_bytes and d.gpu_va < r.gpu_va + r.page_len
+                   for d in addr_inputs)
+
+
 class _Builder:
     def __init__(self, stack, graph, harness, trace: _RunTrace, io_table):
         self.stack = stack
@@ -409,52 +399,35 @@ class _Builder:
         self.skipped = 0
         self.kept = 0
         self.raw_dump_bytes = 0
-        self.include_scratch = harness.include_scratch
-        self.addr_only_inputs = [
-            d for d in io_table
-            if d.role is IoRole.INPUT and d.mode is IoMode.BY_ADDRESS]
+        self.addr_inputs = _by_address_inputs(io_table)
 
     def _header(self, label: str) -> RecordingHeader:
         return RecordingHeader(
             sku_id=self.sku.sku_id,
             register_map_hash=self.map_hash,
-            created_unix=self.harness.created_unix,
+            created_unix=0,
             granularity=self.harness.granularity,
             workload_label=label[:64],
         )
 
-    def _skip_region(self, r: _Region) -> bool:
-        if r.flags & _GPU_EXEC:
-            return False  # job binaries, always captured
-        if r.flags & _SCRATCH and not self.include_scratch:
-            return True
-        if not r.flags & _CPU_VISIBLE and not self.include_scratch:
-            # never CPU-mapped: a GPU-internal buffer passing data between
-            # jobs; loading it back would clobber replayed data flow
-            return True
-        for d in self.addr_only_inputs:
-            if r.gpu_va < d.gpu_va + d.len_bytes and d.gpu_va < r.gpu_va + r.page_len:
-                return True
-        return False
-
-    def _emit_dumps(self, regions, dumps, next_id, last, raw, floor):
-        """Returns LoadMemDump actions for regions that survive filtering
-        and differ from the bytes last dumped at their VA (``last``, VA ->
-        bytes), the first with the intervals ``raw`` and ``floor``;
-        appends the MemDump payloads."""
+    def _emit_dumps(self, regions, addr_inputs, dumps, last, raw, floor):
+        """Returns LoadMemDump actions for the regions that ``_dumped``
+        keeps and whose bytes differ from those last dumped at their VA
+        (``last``, VA -> bytes), the first with the intervals ``raw`` and
+        ``floor``; appends the MemDump payloads, each with its index in
+        ``dumps`` as id."""
         loads = []
         for r in regions:
-            if self._skip_region(r) or last.get(r.gpu_va) == r.content:
+            if not _dumped(r, addr_inputs) or last.get(r.gpu_va) == r.content:
                 continue  # an unchanged snapshot is the very bytes object last dumped
             last[r.gpu_va] = r.content
             origin = (DumpOrigin.EXEC_PAGE if r.flags & _GPU_EXEC
                       else DumpOrigin.MAPPED_FALLBACK)
-            dumps.append(MemDump(next_id[0], r.gpu_va, len(r.content),
+            loads.append(LoadMemDump(raw, floor, len(dumps), r.gpu_va))
+            dumps.append(MemDump(len(dumps), r.gpu_va, len(r.content),
                                  deflate(r.content), origin))
-            loads.append(LoadMemDump(raw, floor, next_id[0], r.gpu_va))
             raw = floor = 0
             self.raw_dump_bytes += len(r.content)
-            next_id[0] += 1
         return loads
 
     def _entry_actions(self, entry: _Entry, raw: int, floor: int):
@@ -477,29 +450,23 @@ class _Builder:
             return [UnmapGpuMem(raw, floor, ev.gpu_va, ev.len_bytes)]
         raise RecordError(f"unknown event kind {ev.kind}")
 
-    def _build(self, entries, prologue=(), prologue_dumps=(),
-               dumps=None, next_id=None, last=None):
-        dumps = [] if dumps is None else dumps
-        next_id = [0] if next_id is None else next_id
-        last = {} if last is None else last
-        actions: list[ReplayAction] = list(prologue)
-        dumps.extend(prologue_dumps)
+    def _build(self, entries, actions, dumps, last) -> None:
+        """Appends the actions of ``entries`` to ``actions`` and their
+        dumps to ``dumps``; ``last`` is as in ``_emit_dumps``."""
         prev_end = entries[0].t0 if entries else 0
         dev = self.stack.dev
-        kicked = False
         for entry in entries:
             # the gap before the entry goes to its first action
             decision = classify_interval(prev_end, entry.t0, dev.was_idle_between)
             raw = max(0, entry.t0 - prev_end)
-            if entry.kick_regions is None:
+            if entry.changed is None:
                 new = self._entry_actions(entry, raw, decision.floor_ns)
             else:
-                # a build's first kick checks every live region (a per-layer
-                # slice starts mid-run); a later one only those changed
-                # since the kick before: every other is as it was then
-                new = self._emit_dumps(entry.changed if kicked else entry.kick_regions,
-                                       dumps, next_id, last, raw, decision.floor_ns)
-                kicked = True
+                # every region a kick leaves out is as the kick before saw
+                # it: at the run's first kick, every live region changed;
+                # at a slice's first kick, the rest is what its prologue dumped
+                new = self._emit_dumps(entry.changed, self.addr_inputs, dumps, last,
+                                       raw, decision.floor_ns)
             if not new:
                 continue  # fully filtered; its time folds into the next gap
             if decision.skip:
@@ -508,10 +475,11 @@ class _Builder:
                 self.kept += 1
             actions.extend(new)
             prev_end = entry.t1
-        return actions, dumps
 
     def monolithic(self) -> Recording:
-        actions, dumps = self._build(self.trace.entries)
+        actions: list[ReplayAction] = []
+        dumps: list[MemDump] = []
+        self._build(self.trace.entries, actions, dumps, {})
         return Recording(self._header(self.graph.label()), tuple(actions),
                          tuple(dumps), self.io_table)
 
@@ -525,18 +493,12 @@ class _Builder:
         recs = []
         init_values = self._init_values()
         for k in order:
-            start, end = bounds[k], bounds[k + 1]
-            entries = self.trace.entries[start:end]
+            actions: list[ReplayAction] = []
             dumps: list[MemDump] = []
-            next_id = [0]
             last: dict[int, bytes] = {}
-            if k == 0:
-                prologue, prologue_dumps = (), ()
-            else:
-                prologue, prologue_dumps = self._prologue(
-                    k, layer_out[k], init_values, next_id, last)
-            actions, dumps = self._build(entries, prologue, prologue_dumps,
-                                         dumps, next_id, last)
+            if k:
+                self._prologue(k, layer_out[k], init_values, actions, dumps, last)
+            self._build(self.trace.entries[bounds[k]:bounds[k + 1]], actions, dumps, last)
             label = f"{self.graph.label()[:56]}[L{k}]"
             recs.append(Recording(self._header(label), tuple(actions),
                                   tuple(dumps), layer_out[k]))
@@ -575,9 +537,11 @@ class _Builder:
             out[k] = tuple(table)
         return out
 
-    def _prologue(self, k: int, slice_io, init_values, next_id, last):
+    def _prologue(self, k: int, slice_io, init_values, actions, dumps, last) -> None:
+        """Appends slice ``k``'s set-up: the init writes, a map of each
+        region live at its layer's start and the dumps of those regions."""
         regions = self.trace.layer_regions[k]
-        actions: list[ReplayAction] = [
+        actions += [
             RegRead(reg_name="GPU_ID", expect_value=self.sku.gpu_id_value,
                     state_class=ActionClass.STATE),
             RegWrite(reg_name="MMU_CONFIG",
@@ -585,16 +549,8 @@ class _Builder:
             RegWrite(reg_name="GPU_IRQ_MASK",
                      value=init_values.get("GPU_IRQ_MASK", dv.IRQ_ALL)),
         ]
-        addr_inputs = [d for d in slice_io
-                       if d.role is IoRole.INPUT and d.mode is IoMode.BY_ADDRESS]
-        dumps: list[MemDump] = []
         for r in regions:
             actions.append(MapGpuMem(gpu_va=r.gpu_va, len_bytes=r.len_bytes,
                                      perm_flags_encoded=r.perm_bits))
-        saved = self.addr_only_inputs
-        self.addr_only_inputs = addr_inputs
-        try:
-            actions.extend(self._emit_dumps(regions, dumps, next_id, last, 0, 0))
-        finally:
-            self.addr_only_inputs = saved
-        return actions, dumps
+        actions += self._emit_dumps(regions, _by_address_inputs(slice_io),
+                                    dumps, last, 0, 0)

@@ -330,7 +330,7 @@ def test_c9_checkpoint_economics_and_preemption(fifty_job):
 
 def test_c10_format_robustness(recorded, graphs):
     """Codec round trips on everything produced; 10,000 hostile decodes
-    never crash; zero-heavy scratch compresses below half."""
+    never crash; every dump of at least 8 KiB compresses below half."""
     produced = list(recorded.values())
     produced += record_graph(graphs["mixed3"], harness=RecordHarness(
         granularity=Granularity.PER_LAYER)).recordings
@@ -358,15 +358,13 @@ def test_c10_format_robustness(recorded, graphs):
         survived += 1
     assert survived == 10_000
 
-    scratchy = record_graph(graphs["scale"],
-                            harness=RecordHarness(include_scratch=True))
-    rec = scratchy.recordings[0]
-    scratch_dumps = [d for d in rec.dumps if d.raw_len >= 8192]
-    assert scratch_dumps
-    for d in scratch_dumps:
+    large_dumps = [d for rec in produced for d in rec.dumps if d.raw_len >= 8192]
+    assert large_dumps
+    for d in large_dumps:
         assert len(d.payload) < d.raw_len / 2
-    note("C10", "round trips exact; 10,000 hostile decodes clean; scratch "
-                f"compressed to {min(len(d.payload) / d.raw_len for d in scratch_dumps):.0%}")
+    note("C10", "round trips exact; 10,000 hostile decodes clean; dumps of 8 KiB "
+                f"or more compressed to at most "
+                f"{max(len(d.payload) / d.raw_len for d in large_dumps):.0%}")
 
 
 def test_c11_granularity(graphs):

@@ -93,22 +93,17 @@ def test_builtin_workloads_match_golden(name, graphs, recorded, tmp_path,
     assert got == GOLDEN[name]
 
 
-# mixed3 recorded per layer at the conftest defaults, with the scratch
-# filter on and off: each slice's .gpr bytes. A slice starts mid-run, so
-# its first kick must still dump every region its prologue left out.
-PER_LAYER_GOLDEN = {
-    False: ("886ebd3c3625b9ac058d13fa8321d3c08f30603032e09824143c2adb97fe693a",
-            "323fdeebf0a4b6b106ad792d42efc43ed2000baf5d97faaed6b3fe44c77f6623",
-            "6227948d43884865e7201967dd50918d5496f9a584478e86ae1f96cf52c2f91f"),
-    True: ("5385992e6897a3bca29149c466ee759a49274f2fedcae34ecda0c4fea466e532",
-           "60791302e87fb7cf04dfc3f873f735930266aa93638b45f6fd84d4a33180a2cd",
-           "146d8744a1b4b03441217d7955fbf31c7919b41deb9cb4d9a327a8fb426d6dfa"),
-}
+# mixed3 recorded per layer at the conftest defaults: each slice's .gpr
+# bytes. A slice starts mid-run, so its first kick must still dump every
+# region its prologue left out.
+PER_LAYER_GOLDEN = (
+    "886ebd3c3625b9ac058d13fa8321d3c08f30603032e09824143c2adb97fe693a",
+    "323fdeebf0a4b6b106ad792d42efc43ed2000baf5d97faaed6b3fe44c77f6623",
+    "6227948d43884865e7201967dd50918d5496f9a584478e86ae1f96cf52c2f91f",
+)
 
 
-@pytest.mark.parametrize("include_scratch", sorted(PER_LAYER_GOLDEN))
-def test_per_layer_recordings_match_golden(graphs, include_scratch):
-    harness = RecordHarness(granularity=Granularity.PER_LAYER,
-                            include_scratch=include_scratch)
+def test_per_layer_recordings_match_golden(graphs):
+    harness = RecordHarness(granularity=Granularity.PER_LAYER)
     res = record_graph(graphs["mixed3"], harness=harness)
-    assert tuple(_sha(encode(r)) for r in res.recordings) == PER_LAYER_GOLDEN[include_scratch]
+    assert tuple(_sha(encode(r)) for r in res.recordings) == PER_LAYER_GOLDEN

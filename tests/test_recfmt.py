@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gprr import recfmt
-from gprr.actions import (ActionClass, DumpOrigin, Granularity, IoDescriptor,
-                          IoMode, IoRole, LoadMemDump, MapGpuMem, MemDump,
-                          Recording, RecordingHeader, RegRead, RegReadWait,
-                          RegWrite, UnmapGpuMem, WaitIrq)
+from gprr.actions import (ACTION_SCHEMAS, ActionClass, DumpOrigin, Granularity,
+                          IoDescriptor, IoMode, IoRole, LoadMemDump, MapGpuMem,
+                          MemDump, Recording, RecordingHeader, RegRead,
+                          RegReadWait, RegWrite, UnmapGpuMem, WaitIrq)
 from gprr.device import DEFAULT_REGISTER_MAP
 from gprr.recfmt import (BadChecksum, BadMagic, DecodeError, Malformed,
                          Truncated, UnknownTag, UnsupportedVersion, decode,
@@ -303,3 +303,13 @@ def test_decode_errors_keep_their_class_offset_and_message(recorded):
         "ok", "BadMagic", "Truncated", "Malformed", "UnknownTag"}
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == DECODE_OUTCOMES_SHA256
+
+
+@pytest.mark.parametrize("cls", [s.cls for s in ACTION_SCHEMAS] + [MemDump],
+                         ids=lambda c: c.__name__)
+def test_every_slot_is_declared_once_along_the_mro(cls):
+    # a name declared by a class and its base is a second, dead slot in
+    # every instance (Python 3.10's dataclass(slots=True) re-declares a
+    # slotted base's fields)
+    declared = [n for c in cls.__mro__ for n in c.__dict__.get("__slots__", ())]
+    assert len(declared) == len(set(declared)), declared

@@ -140,17 +140,18 @@ def test_kick_snapshot_sees_host_write_since_the_last_kick():
                     self.stack.mem_write_va(VA_BASE + 8, poke)
             super().on_port_event(ev)
 
-    trace = PokeBeforeSecondKick(stack, charge_dump_time=False)
+    trace = PokeBeforeSecondKick(stack)
     stack.listener = trace
     stack.run_workload(g, i32s(range(16)))
     stack.listener = None
-    first, second = [{r.gpu_va: r.content for r in e.kick_regions}
-                     for e in trace.entries if e.kick_regions][:2]
+    first, second = [{r.gpu_va: r.content for r in e.changed}
+                     for e in trace.entries if e.changed is not None][:2]
     assert first[VA_BASE][8:16] == i32s([2, 3])
     assert second[VA_BASE][8:16] == poke
-    # layer 0's shader was not written between the kicks: its bytes are shared
+    # layer 0's shader was not written between the kicks: only the first
+    # kick lists it
     shader = stack.find_alloc("L0.shader").gpu_va
-    assert second[shader] is first[shader]
+    assert shader in first and shader not in second
 
 
 def test_record_time_grows_linearly_with_the_job_count():
@@ -172,19 +173,6 @@ def test_record_time_grows_linearly_with_the_job_count():
             record(stack, graph)
             best[jobs] = min(best[jobs], time.perf_counter() - t0)
     assert best[256] <= 5 * best[64], best
-
-
-def test_scratch_forced_dump_compresses_below_half():
-    g = build_graph([("relu",)], 4)
-    res = record_graph(g, harness=RecordHarness(include_scratch=True))
-    rec = res.recordings[0]
-    dev = Device(env_seed=7)
-    stack = GpuStack(dev)
-    stack.run_workload(g, bytes(16))
-    scratch_va = stack.find_alloc("L0.scratch").gpu_va
-    dump = regions_of(rec).get(scratch_va)
-    assert dump is not None, "scratch not captured with the filter off"
-    assert len(dump.payload) < dump.raw_len * 0.5
 
 
 def test_dumps_reconstruct_byte_identical_exec_pages():
