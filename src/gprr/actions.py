@@ -9,8 +9,9 @@ provably idle for the whole gap, so a replayer may fast-forward).
 
 The action types and MemDump are frozen dataclasses with slots: values
 that hash and compare by field, keep no ``__dict__``, and read their
-attributes as fast as a plain object does. The decoder builds them
-through their slots (``slot_factory``), not through ``__init__``.
+attributes as fast as a plain object does. The decoder, and the recorder
+for its dumps, build them through their slots (``slot_factory``), not
+through ``__init__``.
 """
 
 from __future__ import annotations
@@ -116,9 +117,10 @@ class MemDump:
     raw_len: int
     payload: bytes  # DEFLATE-compressed
     origin_filter: DumpOrigin
-    # The payload inflated, when the decoder that checked it kept it; not
-    # part of the value: equality, hashing, repr and encoding ignore it,
-    # and dataclasses.replace drops it.
+    # The payload inflated, as the recorder deflated it or as the decoder
+    # that checked it kept it; None otherwise, and a reader inflates the
+    # payload itself. Not part of the value: equality, hashing, repr and
+    # encoding ignore it, and dataclasses.replace drops it.
     raw: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -153,16 +155,6 @@ class Recording:
     actions: tuple[ReplayAction, ...]
     dumps: tuple[MemDump, ...]
     io_table: tuple[IoDescriptor, ...]
-
-    def dump_by_id(self, dump_id: int) -> MemDump | None:
-        """The first dump with this id, or None."""
-        idx = self.__dict__.get("_dump_idx")
-        if idx is None:
-            idx = {}
-            for d in self.dumps:
-                idx.setdefault(d.dump_id, d)
-            object.__setattr__(self, "_dump_idx", idx)
-        return idx.get(dump_id)
 
     def inputs(self) -> list[IoDescriptor]:
         return [d for d in self.io_table if d.role is IoRole.INPUT]

@@ -412,12 +412,6 @@ def _shown(pages: PageBuffer, pa: int, val: int) -> int:
     return val
 
 
-def _has_partial_word(mask: bytearray) -> bool:
-    """Whether a page mask buffers some but not all bytes of an aligned word."""
-    first = mask[::4]
-    return first != mask[1::4] or first != mask[2::4] or first != mask[3::4]
-
-
 def va_chunks(va: int, n: int, to_pa) -> Iterator[tuple[int, int, int]]:
     """Split the VA span [va, va + n) at VA page edges. Yields
     ``(offset into the span, pa, length)`` per chunk, where ``pa`` is
@@ -740,6 +734,9 @@ class Device:
         buffered = set(writeback)
         read_fast: dict[int, int] = {}
         fast_vpns: dict[int, list[int]] = {}
+        # whether stores may buffer part of an aligned word: only an
+        # unaligned store makes one, as aligned and bulk stores fill words
+        partial = False
         total_instr = 0
         va = head_va
 
@@ -771,6 +768,7 @@ class Device:
             return _u32_at(mem, pa)[0]
 
         def store_word(a, val):
+            nonlocal partial
             a &= U32
             base = write_pages.get(a >> PAGE_SHIFT)
             if base is None:
@@ -785,9 +783,12 @@ class Device:
             if lo <= PAGE_SIZE - 4:
                 _put_u32(data, lo, val & U32)
                 mask[lo:lo + 4] = _FF[:4]
-                if not a & 3 and a >> PAGE_SHIFT not in write_fast:
+                if a & 3:
+                    partial = True
+                elif a >> PAGE_SHIFT not in write_fast:
                     write_fast[a >> PAGE_SHIFT] = data, memoryview(mask).cast("I")
             else:  # a word across the page edge: its last bytes start the next page
+                partial = True
                 raw, k = (val & U32).to_bytes(4, "little"), PAGE_SIZE - lo
                 data[lo:], mask[lo:] = raw[:k], _FF[:k]
                 data, mask = page_of((pa >> PAGE_SHIFT) + 1)
@@ -800,11 +801,11 @@ class Device:
             in their order, faulting where they would. Then the loop runs in
             bulk only if no load reads a buffered byte and no two ops touch
             the same word, except a load and a later store of the same
-            iteration. Unaligned accesses and words the chain stored only
-            in part fall back."""
+            iteration. Unaligned accesses, and any run after an unaligned
+            store of the chain, which may have left a word stored in part,
+            fall back."""
             ops, body = plan
-            if any(regs[r] & 3 or regs[r] + 4 * n > 1 << 32 for _, r in ops) or any(
-                    _has_partial_word(mask) for _, mask in stores.values()):
+            if partial or any(regs[r] & 3 or regs[r] + 4 * n > 1 << 32 for _, r in ops):
                 return False
             # one [first iteration, op, VA, words, pa] per op and VA page; as
             # every address is aligned, each page holds at least one word

@@ -25,13 +25,15 @@ from . import device as dv
 from .actions import (ActionClass, DumpOrigin, Granularity, IoDescriptor,
                       IoMode, IoRole, LoadMemDump, MapGpuMem, MemDump,
                       Recording, RecordingHeader, RegRead, RegReadWait,
-                      RegWrite, ReplayAction, UnmapGpuMem, WaitIrq)
+                      RegWrite, ReplayAction, UnmapGpuMem, WaitIrq,
+                      slot_factory)
 from .device import StateClass
 from .recfmt import deflate
 from .refstack import (Allocation, AllocFlags, GpuStack, PortEvent,
                        StackListener, WorkloadGraph)
 
 DUMP_BYTE_NS = 0.2  # recording overhead charged while dumping (GPU idle)
+_new_dump = slot_factory(MemDump)
 
 
 class DiscoveryError(Exception):
@@ -114,19 +116,12 @@ def parse_harness(text: str) -> RecordHarness:
 # Interval classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntervalDecision:
-    skip: bool
-    floor_ns: int  # 0 when skipped, the observed gap otherwise
-
-
-def classify_interval(t0: int, t1: int, was_idle) -> IntervalDecision:
-    """SKIP iff the device was provably idle for the entire [t0, t1];
-    ``was_idle`` is a predicate like Device.was_idle_between."""
+def classify_interval(t0: int, t1: int, was_idle) -> int:
+    """The pacing floor of the gap [t0, t1]: 0, a skip, iff the device was
+    provably idle for all of it, else the observed gap. ``was_idle`` is a
+    predicate like Device.was_idle_between."""
     gap = max(0, t1 - t0)
-    if gap == 0 or was_idle(t0, t1):
-        return IntervalDecision(True, 0)
-    return IntervalDecision(False, gap)
+    return 0 if gap == 0 or was_idle(t0, t1) else gap
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +409,8 @@ class _Builder:
         """Returns LoadMemDump actions for the regions that ``_dumped``
         keeps and whose bytes differ from those last dumped at their VA
         (``last``, VA -> bytes), the first with the intervals ``raw`` and
-        ``floor``; appends the MemDump payloads, each with its index in
-        ``dumps`` as id."""
+        ``floor``; appends the MemDumps, each with its index in ``dumps``
+        as id and the snapshot it deflated as ``raw``."""
         loads = []
         for r in regions:
             if not _dumped(r, addr_inputs) or last.get(r.gpu_va) == r.content:
@@ -424,8 +419,8 @@ class _Builder:
             origin = (DumpOrigin.EXEC_PAGE if r.flags & _GPU_EXEC
                       else DumpOrigin.MAPPED_FALLBACK)
             loads.append(LoadMemDump(raw, floor, len(dumps), r.gpu_va))
-            dumps.append(MemDump(len(dumps), r.gpu_va, len(r.content),
-                                 deflate(r.content), origin))
+            dumps.append(_new_dump(len(dumps), r.gpu_va, len(r.content),
+                                   deflate(r.content), origin, r.content))
             raw = floor = 0
             self.raw_dump_bytes += len(r.content)
         return loads
@@ -457,22 +452,22 @@ class _Builder:
         dev = self.stack.dev
         for entry in entries:
             # the gap before the entry goes to its first action
-            decision = classify_interval(prev_end, entry.t0, dev.was_idle_between)
+            floor = classify_interval(prev_end, entry.t0, dev.was_idle_between)
             raw = max(0, entry.t0 - prev_end)
             if entry.changed is None:
-                new = self._entry_actions(entry, raw, decision.floor_ns)
+                new = self._entry_actions(entry, raw, floor)
             else:
                 # every region a kick leaves out is as the kick before saw
                 # it: at the run's first kick, every live region changed;
                 # at a slice's first kick, the rest is what its prologue dumped
                 new = self._emit_dumps(entry.changed, self.addr_inputs, dumps, last,
-                                       raw, decision.floor_ns)
+                                       raw, floor)
             if not new:
                 continue  # fully filtered; its time folds into the next gap
-            if decision.skip:
-                self.skipped += 1
-            else:
+            if floor:
                 self.kept += 1
+            else:
+                self.skipped += 1
             actions.extend(new)
             prev_end = entry.t1
 

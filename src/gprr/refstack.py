@@ -249,7 +249,6 @@ class PortEvent:
     len_bytes: int = 0
     perm_bits: int = 0
     flags: AllocFlags = AllocFlags.NONE
-    chain_va: int = 0
 
 
 class StackListener:
@@ -258,8 +257,6 @@ class StackListener:
     def on_port_event(self, ev: PortEvent) -> None: ...
     def on_alloc(self, alloc: Allocation) -> None: ...
     def on_layer_start(self, index: int) -> None: ...
-    def on_run_start(self, graph: WorkloadGraph, input_len: int) -> None: ...
-    def on_run_end(self, output: bytes) -> None: ...
 
 
 class _Driver:
@@ -421,8 +418,8 @@ class _Driver:
         try:
             lst = self.stack.listener
             if lst is not None:
-                lst.on_port_event(PortEvent(kind="pre_kick", chain_va=chain_va,
-                                            t0=self.dev.vclock_ns, t1=self.dev.vclock_ns))
+                lst.on_port_event(PortEvent(kind="pre_kick", t0=self.dev.vclock_ns,
+                                            t1=self.dev.vclock_ns))
             self.write("JOB_HEAD_LO", chain_va & 0xFFFFFFFF)
             self.write("JOB_HEAD_HI", 0)
             full = self.sku.full_core_mask
@@ -533,8 +530,6 @@ class GpuStack:
             raise ValueError("input length does not match graph")
         self._reset_allocators()
         drv = self.driver
-        if self.listener is not None:
-            self.listener.on_run_start(graph, len(input_bytes))
 
         # context init: reset, identify, configure MMU and interrupts
         drv.write("GPU_CMD", dv.CMD_SOFT_RESET)
@@ -581,10 +576,7 @@ class GpuStack:
                 raise WorkloadError(len(graph.layers) - 1, str(e)) from e
             out_alloc = stage
 
-        output = self.mem_read_va(out_alloc.gpu_va, graph.output_elems * 4)
-        if self.listener is not None:
-            self.listener.on_run_end(output)
-        return output
+        return self.mem_read_va(out_alloc.gpu_va, graph.output_elems * 4)
 
     def _run_job(self, tag: str, layer: Layer, src_va: int, out_va: int) -> None:
         scratch = self.alloc_map(f"{tag}.scratch", 2 * dv.PAGE_SIZE,

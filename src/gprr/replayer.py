@@ -27,8 +27,8 @@ import threading
 from dataclasses import dataclass, field, replace
 
 from . import device as dv
-from .actions import (IoMode, LoadMemDump, MapGpuMem, Recording, RegRead,
-                      RegReadWait, RegWrite, ReplayAction, UnmapGpuMem, WaitIrq,
+from .actions import (IoMode, LoadMemDump, MapGpuMem, MemDump, Recording,
+                      RegRead, RegReadWait, RegWrite, UnmapGpuMem, WaitIrq,
                       canonical_actions)
 from .device import Device, DeviceSnapshot, Perm, SKUS_BY_ID
 from .recfmt import inflate
@@ -185,17 +185,15 @@ class ReplaySession:
         # log.
         self._image: dict[int, bytearray] = {}
         self._cp_base: Checkpoint | None = None
-        # dump_id -> inflated bytes of each dump load found room for
-        self._dumps: dict[int, bytes | None] = {}
+        self._dumps: dict[int, MemDump] = {}  # dump_id -> its first dump
         # (gpu_va, bytes) of each input the caller supplied to this replay
         self._inputs: list[tuple[int, bytes]] = []
 
     # -- nano driver -----------------------------------------------------------
 
-    def _tick(self, ns: int):
-        evs = self.dev.tick(ns)
+    def _tick(self, ns: int) -> None:
+        self.dev.tick(ns)
         self.vclock_consumed += ns
-        return evs
 
     def _offset(self, name: str) -> int:
         reg = self.reg_map.by_name(name)
@@ -282,7 +280,6 @@ class ReplaySession:
         self.loaded = None  # a load that fails at any step leaves none
         self.last_checkpoint = None
         self._inputs = []
-        self._dumps = {}
         self._window = (0, 1, False)
         self._ranges = {}
         self._l2_pages = {}
@@ -316,20 +313,21 @@ class ReplaySession:
                 end += dv.PAGE_SIZE
             if end > dv.MEM_BYTES:
                 raise LoadError("out of physical pages")
-        self._plan_dumps(rec, end)
+        self._dumps = self._plan_dumps(rec)
         self._image = self._lay_out(rec, end)
         self._cp_base = self._image_checkpoint()
         self._put_back(self._cp_base)
         self.loaded = rec
 
-    def _plan_dumps(self, rec: Recording, room: int):
-        """Refuse, even when forced, an unmap or a dump load that names
-        nothing, which the handlers trust, and a poll allowed more than
-        ``POLL_MAX_READS`` reads, whose budget could hang replay. Then
-        choose the dumps replay keeps inflated: in first-use order, while
-        they total no more raw bytes than ``room``, the session's own
-        pages, so the file cannot grow the cache past the memory it
-        already lays out."""
+    def _plan_dumps(self, rec: Recording) -> dict[int, MemDump]:
+        """The first dump of each id, which ``LoadMemDump`` loads. Refuses,
+        even when forced, an unmap or a dump load that names nothing, which
+        the handlers trust, and a poll allowed more than
+        ``POLL_MAX_READS`` reads, whose budget could hang replay. Keeps no
+        bytes: a dump's are its ``raw``, or inflated at each use."""
+        dumps: dict[int, MemDump] = {}
+        for d in rec.dumps:
+            dumps.setdefault(d.dump_id, d)
         for a in rec.actions:
             kind = type(a)
             if kind is RegReadWait and a.max_polls > dv.POLL_MAX_READS:
@@ -337,22 +335,17 @@ class ReplaySession:
                                 f"{dv.POLL_MAX_READS}")
             if kind is UnmapGpuMem and a.gpu_va not in self._ranges:
                 raise LoadError(f"unmap of {a.gpu_va:#x}, which no MapGpuMem maps")
-            if kind is LoadMemDump and a.dump_id not in self._dumps:
-                d = rec.dump_by_id(a.dump_id)
-                if d is None:
-                    raise LoadError(f"LoadMemDump names dump {a.dump_id}, which does not exist")
-                if d.raw_len <= room:
-                    room -= d.raw_len
-                    self._dumps[a.dump_id] = None
+            if kind is LoadMemDump and a.dump_id not in dumps:
+                raise LoadError(f"LoadMemDump names dump {a.dump_id}, which does not exist")
+        return dumps
 
     def _lay_out(self, rec: Recording, end: int) -> dict[int, bytearray]:
         """Build the session's pages in memory: the L1 entries, the L2
-        entries and every dump, in that order, a later write winning. Keep
-        the bytes of the dumps ``_plan_dumps`` chose. Then write, exactly
-        once, each non-zero page and each other page below ``end`` or of
-        the previous load past it that lies below the device's
-        ``written_end``: RAM past that bound is still zero. Returns the
-        non-zero pages (ppn -> bytes), as built."""
+        entries and every dump, in that order, a later write winning. Then
+        write, exactly once, each non-zero page and each other page below
+        ``end`` or of the previous load past it that lies below the
+        device's ``written_end``: RAM past that bound is still zero.
+        Returns the non-zero pages (ppn -> bytes), as built."""
         page, shift = dv.PAGE_SIZE, dv.PAGE_SHIFT
         built = {pa >> shift: bytearray(page) for pa in (self._l1_pa, *self._l2_pages.values())}
         l1 = built[self._l1_pa >> shift]
@@ -365,11 +358,8 @@ class ReplaySession:
             for i, pa in enumerate(pas):
                 page_va = va + i * page
                 _put_u32(l2[(page_va >> 22) & 0x3FF], ((page_va >> 12) & 0x3FF) * 4, pa | bits)
-        dumps = self._dumps
         for d in rec.dumps:
             data = d.raw if d.raw is not None else inflate(d.payload, d.raw_len)
-            if dumps.get(d.dump_id, b"") is None:  # chosen, and its first dump
-                dumps[d.dump_id] = data
             view = memoryview(data)
             for off, pa, n in dv.va_chunks(d.gpu_va, len(data), self._va_to_pa):
                 buf = built.get(pa >> shift)
@@ -462,11 +452,6 @@ class ReplaySession:
             self._at_job_boundary = False
         return None
 
-    def _dispatch(self, a: ReplayAction, mult: int) -> DivergenceReport | None:
-        """Execute ``a`` at pacing multiplier ``mult``, outside step()'s
-        cursor and job bookkeeping."""
-        return _HANDLERS.get(type(a), _unknown_action)(self, a, mult)
-
     # One handler per action type, keyed by type in _HANDLERS: each
     # executes its action and returns a report on divergence, else None.
 
@@ -522,11 +507,9 @@ class ReplaySession:
             idle = self.dev.next_event_ns() is None
 
     def _step_loaddump(self, a: LoadMemDump, mult: int) -> None:
-        data = self._dumps.get(a.dump_id)  # kept as recorded: the inputs differ per replay
-        if data is None:
-            d = self.loaded.dump_by_id(a.dump_id)
-            data = d.raw if d.raw is not None else inflate(d.payload, d.raw_len)
-        data = self._over_inputs(a.gpu_va, data)
+        d = self._dumps[a.dump_id]
+        data = self._over_inputs(a.gpu_va, d.raw if d.raw is not None
+                                 else inflate(d.payload, d.raw_len))
         self._write_va(a.gpu_va, data)
         self._tick(round(len(data) * LOAD_BYTE_NS))
 

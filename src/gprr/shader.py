@@ -138,9 +138,6 @@ class Asm:
             words[at] = (words[at] & 0xFFFF0000) | (off & 0xFFFF)
         return words
 
-    def to_bytes(self) -> bytes:
-        return b"".join(w.to_bytes(4, "little") for w in self.assemble())
-
 
 def disassemble(words: list[int]) -> list[str]:
     out = []

@@ -23,19 +23,17 @@ from conftest import builtin_graphs, i32s, record_graph
 
 def test_idle_interval_skips():
     always_idle = lambda a, b: True
-    d = classify_interval(0, 50_000, always_idle)
-    assert d.skip and d.floor_ns == 0
+    assert classify_interval(0, 50_000, always_idle) == 0
 
 
 def test_busy_interval_keeps_observed_gap():
     never_idle = lambda a, b: False
-    d = classify_interval(100, 700, never_idle)
-    assert not d.skip and d.floor_ns == 600
+    assert classify_interval(100, 700, never_idle) == 600
 
 
 def test_zero_gap_is_trivially_skippable():
     never_idle = lambda a, b: False
-    assert classify_interval(5, 5, never_idle).skip
+    assert classify_interval(5, 5, never_idle) == 0
 
 
 # -- recorded action shape ------------------------------------------------------------

@@ -600,13 +600,14 @@ def test_output_follows_the_input_mode(mode):
     s.cleanup()
 
 
-# -- dump cache ----------------------------------------------------------------------
+# -- dump bytes ----------------------------------------------------------------------
 
 def test_each_dump_is_inflated_once_per_load(mixed, monkeypatch):
-    # decode, load and three replays inflate each dump of a decoded
-    # recording once in all; a recording built in memory is inflated by
-    # load, once per dump, and never by a replay of the kept dumps
+    # decode inflates each distinct dump of a file once, and load and
+    # replays use the bytes it kept; a recording built by the recorder
+    # keeps each snapshot it deflated and is never inflated
     g, built = mixed
+    assert all(d.raw == inflate(d.payload, d.raw_len) for d in built.dumps)
     calls = []
 
     def counting(payload, raw_len=None):
@@ -621,33 +622,35 @@ def test_each_dump_is_inflated_once_per_load(mixed, monkeypatch):
     for seed in range(3):
         inp = random_input(g, seed)
         assert s.replay(inp).outputs == [g.evaluate(inp)]
-    assert len(calls) == len(rec.dumps)
+    assert len(calls) == len({(d.payload, d.raw_len) for d in rec.dumps})
     calls.clear()
-    s.load(built)  # a new load starts a new cache
-    assert len(calls) == len(built.dumps)
+    s.load(built)
     for seed in range(3, 6):
         inp = random_input(g, seed)
         assert s.replay(inp).outputs == [g.evaluate(inp)]
-    assert len(calls) == len(built.dumps)
+    assert calls == []
     s.cleanup()
 
 
-def test_dump_cache_holds_no_more_than_the_session_footprint(vecadd):
-    # 256 distinct one-page dumps loaded in turn into one one-page range:
-    # 1 MiB of raw bytes from a few KiB of file, far past the session's pages
-    g, rec = vecadd
-    va, page, n = 0x0200_0000, dv.PAGE_SIZE, 256
+def many_dumps_into_one_page(rec, n):
+    """``rec`` with ``n`` distinct one-page dumps, each built with no
+    ``raw``, loaded in turn into one new one-page range; that range's VA,
+    and the bytes of the last dump."""
+    va, page = 0x0200_0000, dv.PAGE_SIZE
     first_id = max(d.dump_id for d in rec.dumps) + 1
-    raws = [bytes([i]) * page for i in range(n)]
-    dumps = tuple(MemDump(first_id + i, va, page, deflate(raw), DumpOrigin.MAPPED_FALLBACK)
-                  for i, raw in enumerate(raws))
+    dumps = tuple(MemDump(first_id + i, va, page, deflate(i.to_bytes(4, "little") * (page // 4)),
+                          DumpOrigin.MAPPED_FALLBACK) for i in range(n))
     many = dataclasses.replace(rec, dumps=rec.dumps + dumps, actions=rec.actions + (
         MapGpuMem(0, 0, va, page, 0b0011),
         *(LoadMemDump(0, 0, d.dump_id, va) for d in dumps)))
     assert verify(many).ok
-    s = session_for(many)
-    footprint = s._free_pa
-    assert n * page > 16 * footprint
+    return many, va, (n - 1).to_bytes(4, "little") * (page // 4)
+
+
+def check_replays_within_footprint(g, s, va, last):
+    """Two replays of ``s`` return ``evaluate``'s output and leave ``last``
+    at ``va``; the second allocates no more than the session's pages."""
+    footprint, page = s._free_pa, dv.PAGE_SIZE
     tracemalloc.start()
     try:
         for k in range(2):
@@ -656,12 +659,36 @@ def test_dump_cache_holds_no_more_than_the_session_footprint(vecadd):
             inp = i32s(range(k, k + 8))
             r = s.replay(inp)
             assert r.outputs == [g.evaluate(inp)]
-            assert s._read_va(va, page) == raws[-1]
+            assert s._read_va(va, page) == last
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the allowance covers zlib's 32 KiB window while one dump inflates
     assert peak < footprint + page + 96 * 1024, (peak, footprint)
+
+
+def test_dump_cache_holds_no_more_than_the_session_footprint(vecadd):
+    # 256 distinct one-page dumps loaded in turn into one one-page range:
+    # 1 MiB of raw bytes from a few KiB of file, far past the session's pages
+    g, rec = vecadd
+    many, va, last = many_dumps_into_one_page(rec, 256)
+    s = session_for(many)
+    assert 256 * dv.PAGE_SIZE > 16 * s._free_pa
+    check_replays_within_footprint(g, s, va, last)
+    s.cleanup()
+
+
+def test_a_decoded_file_past_the_decoder_cap_replays_within_the_footprint(vecadd):
+    # more distinct one-page dumps than the 16 MiB decode keeps: the last
+    # ones come back with no raw bytes, and replay inflates them at each use
+    g, rec = vecadd
+    n = dv.MEM_BYTES // dv.PAGE_SIZE + 16
+    many, va, last = many_dumps_into_one_page(rec, n)
+    decoded = recfmt.decode(recfmt.encode(many))
+    assert decoded.dumps[len(rec.dumps)].raw is not None
+    assert decoded.dumps[-1].raw is None
+    s = session_for(decoded)
+    check_replays_within_footprint(g, s, va, last)
     s.cleanup()
 
 
@@ -1082,10 +1109,10 @@ def test_incremental_checkpoints_and_restores_match_full_ones(mixed, ops):
             s._write_va(va + op[2] % (span - len(op[3]) + 1), op[3])
         elif op[0] == "unmap":
             va = ranges[op[1] % len(ranges)]
-            s._dispatch(UnmapGpuMem(0, 0, va, page), 1)
+            s._step_unmap(UnmapGpuMem(0, 0, va, page), 1)
         elif op[0] == "remap":
             va = ranges[op[1] % len(ranges)]
-            s._dispatch(MapGpuMem(0, 0, va, page, s._ranges[va][2]), 1)
+            s._step_map(MapGpuMem(0, 0, va, page, s._ranges[va][2]), 1)
         elif op[0] == "corrupt":
             s.dev.corrupt_pte(ranges[op[1] % len(ranges)])
         elif op[0] == "checkpoint" and s._at_job_boundary:
@@ -1133,10 +1160,10 @@ def test_checkpoint_byte_count_matches_a_recount(mixed):
     va, other = list(s._ranges)[:2]
 
     def unmap(at):
-        s._dispatch(UnmapGpuMem(0, 0, at, page), 1)
+        s._step_unmap(UnmapGpuMem(0, 0, at, page), 1)
 
     def remap(at):
-        s._dispatch(MapGpuMem(0, 0, at, page, s._ranges[at][2]), 1)
+        s._step_map(MapGpuMem(0, 0, at, page, s._ranges[at][2]), 1)
 
     def checked(cp):
         assert held(s, cp)[1:] == full_copy(s)[1:]
@@ -1237,8 +1264,9 @@ def test_every_action_type_has_exactly_one_handler(vecadd):
         pass
 
     s = session_for(vecadd[1])
+    s.loaded = dataclasses.replace(s.loaded, actions=(Unlisted(0, 0, "GPU_IRQ_MASK", 0),))
     with pytest.raises(ReplayError, match="unknown action"):
-        s._dispatch(Unlisted(0, 0, "GPU_IRQ_MASK", 0), 1)
+        s.step()
     s.cleanup()
 
 
