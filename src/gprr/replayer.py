@@ -180,9 +180,8 @@ class ReplaySession:
         self._window: tuple[int, int, bool] = (0, 1, False)
         self._at_job_boundary = True
         self._free_pa = dv.PAGE_SIZE  # end of the pages load wrote; page 0 stays reserved
-        # The session's non-zero pages as load laid them out (ppn -> bytes),
-        # and the checkpoint that RAM equals outside the device's dirty-page
-        # log.
+        # The session's table pages as load wrote them (ppn -> bytes), and
+        # the checkpoint that RAM equals outside the device's dirty-page log.
         self._image: dict[int, bytearray] = {}
         self._cp_base: Checkpoint | None = None
         self._dumps: dict[int, MemDump] = {}  # dump_id -> its first dump
@@ -257,12 +256,16 @@ class ReplaySession:
     # -- load -----------------------------------------------------------------------
 
     def load(self, rec: Recording):
-        """Assign fresh pages for the recording's ranges, build them in
-        memory, write each page whose bytes RAM may not already hold, once,
-        and keep that image for every replay.
+        """Check the recording, assign fresh pages for its ranges (as the
+        verifier's report sizes them), write their L1 and L2 tables once and
+        keep those table pages as the image every replay starts from. A
+        dump reaches RAM only through its ``LoadMemDump``. Even when forced,
+        a load refuses a recording that breaks rule R4, R5, R8 or R9: the
+        action handlers trust what those rules check.
         A second load fully supersedes the first. A load that fails leaves
         no recording loaded and RAM as it was; the next load or
         ``cleanup`` scrubs it."""
+        self.loaded = None  # a load that fails at any step leaves none
         cfg = self.config
         if rec.header.register_map_hash != self.reg_map.digest() and not cfg.force:
             raise LoadError("recording register map hash does not match replayer map")
@@ -274,26 +277,19 @@ class ReplaySession:
         if not report.ok and not cfg.force:
             raise LoadError(
                 f"recording failed verification: {len(report.violations)} violations")
+        for v in report.violations:
+            if v.rule in ("R4", "R5", "R8", "R9"):
+                raise LoadError(f"{v.rule} action {v.action_index}: {v.message}")
         sku = self.dev.sku
         pte_bits = dv.perm_table(SKUS_BY_ID.get(rec.header.sku_id, sku), sku, Perm.VALID)
 
-        self.loaded = None  # a load that fails at any step leaves none
         self.last_checkpoint = None
         self._inputs = []
         self._window = (0, 1, False)
-        self._ranges = {}
+        # each range takes the permissions of its first map
+        self._ranges = {va: (pages, [], pte_bits[rec.actions[i].perm_flags_encoded & 0xF])
+                        for va, (pages, i) in report.ranges.items()}
         self._l2_pages = {}
-        for a in rec.actions:
-            if isinstance(a, MapGpuMem):
-                if a.gpu_va & dv.PAGE_MASK:
-                    raise LoadError(f"range {a.gpu_va:#x} is not page-aligned")
-                # a range is as long as its largest map, as the verifier sizes it
-                pages = max(1, -(-a.len_bytes // dv.PAGE_SIZE))
-                first = self._ranges.get(a.gpu_va)
-                if first is None:
-                    self._ranges[a.gpu_va] = (pages, [], pte_bits[a.perm_flags_encoded & 0xF])
-                elif pages > first[0]:
-                    self._ranges[a.gpu_va] = (pages, [], first[2])
         # bump allocation: page 0 stays reserved, the L1 table comes first;
         # the first range inserted wins where ranges overlap
         self._l1_pa = dv.PAGE_SIZE
@@ -313,61 +309,30 @@ class ReplaySession:
                 end += dv.PAGE_SIZE
             if end > dv.MEM_BYTES:
                 raise LoadError("out of physical pages")
-        self._dumps = self._plan_dumps(rec)
-        self._image = self._lay_out(rec, end)
+        self._dumps = {d.dump_id: d for d in reversed(rec.dumps)}  # the first of each id
+        self._image = self._lay_out(end)
         self._cp_base = self._image_checkpoint()
         self._put_back(self._cp_base)
         self.loaded = rec
 
-    def _plan_dumps(self, rec: Recording) -> dict[int, MemDump]:
-        """The first dump of each id, which ``LoadMemDump`` loads. Refuses,
-        even when forced, an unmap or a dump load that names nothing, which
-        the handlers trust, and a poll allowed more than
-        ``POLL_MAX_READS`` reads, whose budget could hang replay. Keeps no
-        bytes: a dump's are its ``raw``, or inflated at each use."""
-        dumps: dict[int, MemDump] = {}
-        for d in rec.dumps:
-            dumps.setdefault(d.dump_id, d)
-        for a in rec.actions:
-            kind = type(a)
-            if kind is RegReadWait and a.max_polls > dv.POLL_MAX_READS:
-                raise LoadError(f"poll of up to {a.max_polls} reads, over "
-                                f"{dv.POLL_MAX_READS}")
-            if kind is UnmapGpuMem and a.gpu_va not in self._ranges:
-                raise LoadError(f"unmap of {a.gpu_va:#x}, which no MapGpuMem maps")
-            if kind is LoadMemDump and a.dump_id not in dumps:
-                raise LoadError(f"LoadMemDump names dump {a.dump_id}, which does not exist")
-        return dumps
-
-    def _lay_out(self, rec: Recording, end: int) -> dict[int, bytearray]:
-        """Build the session's pages in memory: the L1 entries, the L2
-        entries and every dump, in that order, a later write winning. Then
-        write, exactly once, each non-zero page and each other page below
-        ``end`` or of the previous load past it that lies below the
-        device's ``written_end``: RAM past that bound is still zero.
-        Returns the non-zero pages (ppn -> bytes), as built."""
+    def _lay_out(self, end: int) -> dict[int, bytearray]:
+        """Build the L1 and L2 tables in memory. Then write, exactly once,
+        each table page and each other page below ``end`` or of the
+        previous load past it that lies below the device's
+        ``written_end``: RAM past that bound is still zero. Returns the
+        table pages (ppn -> bytes), as built."""
         page, shift = dv.PAGE_SIZE, dv.PAGE_SHIFT
-        built = {pa >> shift: bytearray(page) for pa in (self._l1_pa, *self._l2_pages.values())}
-        l1 = built[self._l1_pa >> shift]
+        image = {pa >> shift: bytearray(page) for pa in (self._l1_pa, *self._l2_pages.values())}
+        l1 = image[self._l1_pa >> shift]
         l1_bits = self.dev.sku.encode_perms(Perm.VALID | Perm.READ)
         l2 = {}
         for l1_idx, l2_pa in self._l2_pages.items():
             _put_u32(l1, l1_idx * 4, l2_pa | l1_bits)
-            l2[l1_idx] = built[l2_pa >> shift]
+            l2[l1_idx] = image[l2_pa >> shift]
         for va, (_, pas, bits) in self._ranges.items():
             for i, pa in enumerate(pas):
                 page_va = va + i * page
                 _put_u32(l2[(page_va >> 22) & 0x3FF], ((page_va >> 12) & 0x3FF) * 4, pa | bits)
-        for d in rec.dumps:
-            data = d.raw if d.raw is not None else inflate(d.payload, d.raw_len)
-            view = memoryview(data)
-            for off, pa, n in dv.va_chunks(d.gpu_va, len(data), self._va_to_pa):
-                buf = built.get(pa >> shift)
-                if buf is None:
-                    buf = built[pa >> shift] = bytearray(page)
-                at = pa & dv.PAGE_MASK
-                buf[at:at + n] = view[off:off + n]
-        image = {ppn: buf for ppn, buf in built.items() if buf != _ZERO_PAGE}
         write = self.dev.mem_write
         stale = -(-self.dev.written_end >> shift)  # from this page on RAM is zero
         for ppn in range(1, max(end, self._free_pa) >> shift):

@@ -18,8 +18,9 @@ Pure function over the decoded structure. Rules:
   R9  a poll allowed more reads than a driver's poll makes
       (``device.POLL_MAX_READS``): replay's poll budget grows with it
 
-A range is as long as the largest MapGpuMem of its base, here and in the
-replayer's layout; R4 checks each LoadMemDump against the map live at it.
+A range is as long as the largest MapGpuMem of its base; R4 checks each
+LoadMemDump against the map live at it, and the first dump of its id,
+the one replay loads. The report's ``ranges`` are the replayer's layout.
 
 Violations are data, not failures; the report's ``ok`` is just
 "no violations".
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import device as dv
 from .actions import (IoDescriptor, LoadMemDump, MapGpuMem, Recording,
@@ -51,6 +52,10 @@ class VerificationReport:
     ok: bool
     peak_gpu_mem_bytes: int
     violations: tuple[Violation, ...]
+    # base -> (pages of its largest map, index of its first MapGpuMem), in
+    # first-map order; not part of the report's value, text or JSON
+    ranges: dict[int, tuple[int, int]] = field(default_factory=dict, compare=False,
+                                               repr=False)
 
     def to_text(self) -> str:
         lines = [f"peak_gpu_mem_bytes {self.peak_gpu_mem_bytes}"]
@@ -108,7 +113,7 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
     by_name = reg_map.by_name
     violations: list[Violation] = []
     flag = violations.append
-    dump_ids = {d.dump_id: d for d in rec.dumps}
+    dump_ids = {d.dump_id: d for d in reversed(rec.dumps)}  # the first of each id
 
     live: dict[int, int] = {}
     live_bases: list[int] = []  # the keys of ``live``, sorted
@@ -210,4 +215,6 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
                 "outside any mapped range"))
 
     return VerificationReport(ok=not violations, peak_gpu_mem_bytes=peak,
-                              violations=tuple(violations))
+                              violations=tuple(violations),
+                              ranges={va: (pages, first_map[va])
+                                      for va, pages in ever_mapped.items()})

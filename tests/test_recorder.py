@@ -3,6 +3,7 @@ I/O discovery."""
 
 import hashlib
 import time
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,8 @@ import gprr.device as dv
 from gprr.actions import (ActionClass, Granularity, IoMode, IoRole,
                           LoadMemDump, MapGpuMem, RegRead, RegReadWait,
                           RegWrite, UnmapGpuMem, WaitIrq, canonical_actions)
-from gprr.device import Device
+from gprr.device import Device, SKU_A, SKU_B
+from gprr.patcher import patch
 from gprr.recfmt import inflate
 from gprr.recorder import (DiscoveryError, RecordHarness, _RunTrace,
                            classify_interval, magic_bytes, parse_harness, record)
@@ -171,6 +173,21 @@ def test_record_time_grows_linearly_with_the_job_count():
             record(stack, graph)
             best[jobs] = min(best[jobs], time.perf_counter() - t0)
     assert best[256] <= 5 * best[64], best
+
+
+@pytest.mark.parametrize("granularity", list(Granularity))
+@pytest.mark.parametrize("name", [*sorted(builtin_graphs()), "chain15"])
+def test_each_dump_is_loaded_by_exactly_one_load_mem_dump(name, granularity):
+    # replay writes a dump only at its LoadMemDump: a dump no action names
+    # would never reach RAM, and one named twice would be held twice
+    g = builtin_graphs().get(name) or build_graph(
+        [("scale", 3) if i % 2 == 0 else ("copy",) for i in range(15)], 16)
+    recs = record_graph(g, harness=RecordHarness(granularity=granularity)).recordings
+    for rec in recs + [patch(r, SKU_A, SKU_B) for r in recs]:
+        loads = [a for a in rec.actions if isinstance(a, LoadMemDump)]
+        assert len({d.dump_id for d in rec.dumps}) == len(rec.dumps)
+        assert Counter(a.dump_id for a in loads) == Counter(d.dump_id for d in rec.dumps)
+        assert {a.dump_id: a.gpu_va for a in loads} == {d.dump_id: d.gpu_va for d in rec.dumps}
 
 
 def test_dumps_reconstruct_byte_identical_exec_pages():

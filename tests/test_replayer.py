@@ -104,11 +104,19 @@ def test_cleanup_scrubs_only_the_pages_the_session_may_have_written(mixed, stage
 # -- load -----------------------------------------------------------------------
 
 def test_load_restores_exec_pages_bit_identical(vecadd):
+    # a load writes no dump byte; each dump's bytes are at its VA once its
+    # LoadMemDump has run
     _, rec = vecadd
     s = session_for(rec)
+    dumps = {d.dump_id: d for d in rec.dumps}
     for d in rec.dumps:
-        raw = inflate(d.payload, d.raw_len)
-        assert s._read_va(d.gpu_va, d.raw_len) == raw
+        assert s._read_va(d.gpu_va, d.raw_len) == bytes(d.raw_len)
+    while s.cursor < len(rec.actions):
+        a = rec.actions[s.cursor]
+        assert s.step() is None
+        if isinstance(a, LoadMemDump):
+            d = dumps[a.dump_id]
+            assert s._read_va(a.gpu_va, d.raw_len) == inflate(d.payload, d.raw_len)
     s.cleanup()
 
 
@@ -175,6 +183,33 @@ def test_load_out_of_pages_leaves_nothing_loaded(vecadd):
     s.cleanup()
 
 
+# refusal -> (the edit of a recording an unforced load refuses, its words);
+# the tests of forced refusals and of running out of pages check the same
+_REFUSALS = {
+    "map-hash": (lambda rec: dataclasses.replace(rec, header=dataclasses.replace(
+        rec.header, register_map_hash=bytes(32))), "register map hash"),
+    "sku": (lambda rec: patch(rec, dv.SKU_A, SKU_B), "patch it first"),
+    "verification": (lambda rec: dataclasses.replace(
+        rec, actions=rec.actions + (RegWrite(0, 0, "NOT_A_REG", 1),)), "failed verification"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_REFUSALS))
+def test_a_refused_load_leaves_no_recording_loaded(vecadd, kind):
+    # a refusal of the map hash, the SKU or verification used to leave the
+    # recording loaded before it, which replayed with ok=True
+    edit, why = _REFUSALS[kind]
+    g, rec = vecadd
+    s = session_for(rec)
+    assert s.replay(i32s(range(8))).ok
+    with pytest.raises(LoadError, match=why):
+        s.load(edit(rec))
+    for call in (s.replay, s.step):
+        with pytest.raises(ReplayError, match="no recording loaded"):
+            call()
+    s.cleanup()
+
+
 def test_forced_load_refuses_an_unaligned_range(vecadd):
     g, rec = vecadd
     unaligned = dataclasses.replace(rec, actions=rec.actions + (
@@ -188,12 +223,13 @@ def test_forced_load_refuses_an_unaligned_range(vecadd):
 
 
 @pytest.mark.parametrize("stray, why", [
-    (UnmapGpuMem(0, 0, 0x0700_0000, dv.PAGE_SIZE), "no MapGpuMem"),
-    (LoadMemDump(0, 0, 0xDEAD, 0x0700_0000), "does not exist"),
+    (UnmapGpuMem(0, 0, 0x0700_0000, dv.PAGE_SIZE), "R5 action 0: unmap of never-mapped"),
+    (LoadMemDump(0, 0, 0xDEAD, 0x0700_0000), "R4 action 0: references missing dump"),
 ], ids=["unmap-of-no-range", "dump-id-of-no-dump"])
 def test_forced_load_refuses_what_names_nothing(vecadd, stray, why):
-    # the verifier reports both (R5, R4); forced past it, replay used to
-    # raise a builtin KeyError / AttributeError from the action's handler
+    # the verifier reports both (R5, R4), and a forced load refuses them
+    # in its words; forced past them, replay used to raise a builtin
+    # KeyError / AttributeError from the action's handler
     g, rec = vecadd
     forced = dataclasses.replace(rec, actions=(stray,) + rec.actions)
     assert not verify(forced).ok
@@ -305,33 +341,67 @@ def test_range_is_as_long_as_its_largest_map(vecadd):
     s.cleanup()
 
 
+def test_r4_checks_the_dump_replay_loads_the_first_of_its_id(vecadd):
+    # Two dumps share an id: R4 used to check the last and replay loads the
+    # first, so an 8 KiB first dump into a one-page range verified clean as
+    # the 16-byte second and spilled, on replay, into the next range.
+    g, rec = vecadd
+    va, big, small = 0x0700_0000, b"\xAA" * (2 * dv.PAGE_SIZE), bytes(16)
+
+    def with_dumps(*datas):
+        return dataclasses.replace(rec, dumps=rec.dumps + tuple(
+            MemDump(999, va, len(d), deflate(d), DumpOrigin.MAPPED_FALLBACK) for d in datas),
+            actions=rec.actions + (MapGpuMem(0, 0, va, dv.PAGE_SIZE, 0b0011),
+                                   MapGpuMem(0, 0, va + dv.PAGE_SIZE, dv.PAGE_SIZE, 0b0011),
+                                   LoadMemDump(0, 0, 999, va)))
+    spill = recfmt.decode(recfmt.encode(with_dumps(big, small)))
+    why = f"R4 action {len(rec.actions) + 2}: dump load at 0x7000000+0x2000 outside mapping"
+    assert [f"{v.rule} action {v.action_index}: {v.message}"
+            for v in verify(spill).violations] == [why]
+    s = session_for(rec, config=ReplayConfig(force=True))
+    with pytest.raises(LoadError) as refused:
+        s.load(spill)
+    assert str(refused.value) == why
+    s.load(with_dumps(small, big))
+    inp = i32s(range(8))
+    assert s.replay(inp).outputs == [g.evaluate(inp)]
+    assert s._read_va(va, 2 * dv.PAGE_SIZE) == bytes(2 * dv.PAGE_SIZE)
+    s.cleanup()
+
+
 def test_load_that_fails_to_lay_out_leaves_nothing_loaded(vecadd):
-    # forced past R4: the dump lies outside every range
+    # a dump loaded outside every range (R4) is refused even when forced,
+    # before a page is written; it used to be refused mid-layout
     g, rec = vecadd
     dump = MemDump(max(d.dump_id for d in rec.dumps) + 1, 0x0300_0000, 16,
                    deflate(bytes(16)), DumpOrigin.MAPPED_FALLBACK)
-    stray = dataclasses.replace(rec, dumps=rec.dumps + (dump,))
+    stray = dataclasses.replace(rec, dumps=rec.dumps + (dump,), actions=rec.actions + (
+        LoadMemDump(0, 0, dump.dump_id, dump.gpu_va),))
     s = session_for(rec, config=ReplayConfig(force=True))
-    with pytest.raises(ReplayError, match="not assigned"):
+    writes = count_writes(s.dev)
+    with pytest.raises(LoadError, match=f"R4 action {len(rec.actions)}: dump load at 0x3000000"):
         s.load(stray)
+    del s.dev.mem_write
+    assert not writes
     with pytest.raises(ReplayError, match="no recording loaded"):
         s.replay(i32s(range(8)))
+    s.load(rec)
+    inp = i32s(range(8, 16))
+    assert s.replay(inp).outputs == [g.evaluate(inp)]
     s.cleanup()
 
 
 def reference_layout(dev, rec):
     """The layout as load once wrote it, straight onto ``dev``: zero every
     session page, write each L1 and then each L2 entry on its own, with
-    the permissions translated through ``Perm``, write every dump through
-    the session's VA map, then read back each page the device logged.
-    Returns the non-zero pages, the VA page map and the footprint's end."""
+    the permissions translated through ``Perm``, then read back each page
+    the device logged. Returns the non-zero pages, the VA page map and the
+    footprint's end."""
     page, zero = dv.PAGE_SIZE, bytes(dv.PAGE_SIZE)
     from_sku = dv.SKUS_BY_ID.get(rec.header.sku_id, dev.sku)
     ranges = {}
     for a in rec.actions:
         if isinstance(a, MapGpuMem):
-            if a.gpu_va & dv.PAGE_MASK:
-                raise LoadError(f"range {a.gpu_va:#x} is not page-aligned")
             pages = max(1, -(-a.len_bytes // page))
             first = ranges.get(a.gpu_va)
             if first is None:
@@ -358,13 +428,6 @@ def reference_layout(dev, rec):
     for va, (_, pas, _) in ranges.items():
         for i, pa in enumerate(pas):
             page_pa.setdefault((va >> dv.PAGE_SHIFT) + i, pa)
-
-    def to_pa(va):
-        pa = page_pa.get(va >> dv.PAGE_SHIFT)
-        if pa is None:
-            raise ReplayError(f"VA {va:#x} not assigned by this session")
-        return pa + (va & dv.PAGE_MASK)
-
     for pa in [pa for _, pas, _ in ranges.values() for pa in pas] + [*l2_pages.values(), l1_pa]:
         dev.mem_write(pa, zero)
     dev.take_dirty_pages()
@@ -378,10 +441,6 @@ def reference_layout(dev, rec):
             l2_pa = l2_pages[(page_va >> 22) & 0x3FF]
             dev.mem_write(l2_pa + ((page_va >> 12) & 0x3FF) * 4,
                           (pa | pte_bits).to_bytes(4, "little"))
-    for d in rec.dumps:
-        data = inflate(d.payload, d.raw_len)
-        for off, pa, n in dv.va_chunks(d.gpu_va, len(data), to_pa):
-            dev.mem_write(pa, data[off:off + n])
     image = {}
     for ppn in dev.take_dirty_pages():
         data = dev.mem_read(ppn << dv.PAGE_SHIFT, page)
@@ -400,39 +459,25 @@ def count_writes(dev):
     return writes
 
 
-# Extra ranges and dumps near a recorded range, near a fresh base and
-# across the 4 MiB edge of an L2 table; forced past R4 and R7, they overlap
-# each other and the recorded ones.
+# Extra ranges near a recorded range, near a fresh base and across the
+# 4 MiB edge of an L2 table; forced past R7, they overlap each other and
+# the recorded ones. Dumps do not shape a layout: load writes none.
 _BASES = (None, 0x0100_0000, 0x003F_E000)
 extra_maps = st.lists(st.tuples(st.sampled_from(_BASES), st.integers(-3, 3),
                                 st.integers(1, 3 * dv.PAGE_SIZE), st.integers(0, 255)),
                       max_size=6)
-extra_dumps = st.lists(st.tuples(st.sampled_from(_BASES), st.integers(-3 * dv.PAGE_SIZE, 3 * dv.PAGE_SIZE),
-                                 st.integers(1, 2 * dv.PAGE_SIZE), st.integers(0, 255),
-                                 st.booleans(), st.booleans()),
-                       max_size=6)
 
 
 @settings(max_examples=150, deadline=None)
 @given(name=st.sampled_from(sorted(builtin_graphs())), sku=st.sampled_from([dv.SKU_A, SKU_B]),
-       maps=extra_maps, dumps=extra_dumps, reload=st.booleans())
-def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, maps, dumps,
-                                                   reload):
+       maps=extra_maps, reload=st.booleans())
+def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, maps, reload):
     rec = recorded[name]
     first = next(a for a in rec.actions if isinstance(a, MapGpuMem)).gpu_va
     page = dv.PAGE_SIZE
-    actions, extra = list(rec.actions), []
-    next_id = max(d.dump_id for d in rec.dumps) + 1
-    for base, shift, length, perm in maps:
-        actions.append(MapGpuMem(0, 0, (base or first) + shift * page, length, perm))
-    for base, offset, length, fill, reuse_id, named in dumps:
-        va = max(0, (base or first) + offset)
-        dump_id = rec.dumps[0].dump_id if reuse_id else next_id + len(extra)
-        data = bytes((fill + i) & 0xFF for i in range(length))
-        extra.append(MemDump(dump_id, va, length, deflate(data), DumpOrigin.MAPPED_FALLBACK))
-        if named:
-            actions.append(LoadMemDump(0, 0, dump_id, va))
-    forced = dataclasses.replace(rec, actions=tuple(actions), dumps=rec.dumps + tuple(extra))
+    extra = tuple(MapGpuMem(0, 0, (base or first) + shift * page, length, perm)
+                  for base, shift, length, perm in maps)
+    forced = dataclasses.replace(rec, actions=rec.actions + extra)
 
     ref_dev = Device(sku=sku)
     try:
@@ -473,19 +518,34 @@ def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, 
     s.cleanup()
 
 
-@pytest.mark.parametrize("name", sorted(builtin_graphs()))
+def table_pages(s):
+    """The physical page numbers of a session's L1 and L2 tables."""
+    return {pa >> dv.PAGE_SHIFT for pa in (s._l1_pa, *s._l2_pages.values())}
+
+
+# a large-buffer and a many-job workload, beside the built-in ones
+_LARGE = {
+    "vecadd-16k": build_graph([("vec_add",)], 16384),
+    "chain-64": build_graph([("scale", 3) if i % 2 == 0 else ("copy",) for i in range(63)], 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(builtin_graphs()) + list(_LARGE))
 def test_a_load_onto_a_fresh_device_writes_only_its_non_zero_pages(graphs, recorded, name):
-    g, rec = graphs[name], recorded[name]
+    # the non-zero pages of a load are its table pages, no dump among them:
+    # an L1 table and one L2 table, as every range here lies in one 4 MiB
+    g = graphs.get(name) or _LARGE[name]
+    rec = recorded.get(name) or record_graph(g).recordings[0]
     ref_dev = Device()
     image, _, end = reference_layout(ref_dev, rec)
-    assert len(image) < (end >> dv.PAGE_SHIFT) - 1  # some session pages are zero
     dev = Device()
     s = init(dev)
     writes = count_writes(dev)
     s.load(rec)
     del dev.mem_write
     assert s._image == image
-    assert writes == Counter(image.keys())
+    assert s._image.keys() == table_pages(s) and len(s._image) == 2
+    assert writes == Counter(table_pages(s))
     assert dev.mem_read(0, end) == ref_dev.mem_read(0, end)
     inp = random_input(g, 2)
     assert s.replay(inp).outputs == [g.evaluate(inp)]
@@ -494,33 +554,32 @@ def test_a_load_onto_a_fresh_device_writes_only_its_non_zero_pages(graphs, recor
 
 @pytest.mark.parametrize("replayed", [False, True])
 def test_a_load_scrubs_what_an_earlier_load_or_replay_left_past_it(vecadd, replayed):
-    # The earlier recording maps 64 more pages before its output range, so
-    # the output lands past the later footprint and past every page the
-    # earlier load wrote. Loaded only, those pages hold a dump; replayed,
-    # they are zero, and only the flush writes past the load's pages.
+    # The earlier recording maps 64 more pages, and loads a dump there,
+    # before its output range, so that dump and the output land past the
+    # later footprint. Loaded only, the earlier session wrote its table
+    # pages alone, below that footprint; replayed, it wrote the dump and
+    # the output past it, and the later load scrubs them.
     g, small = vecadd
     pad_va, pad = 0x0200_0000, 64 * dv.PAGE_SIZE
     out_map = next(a for a in small.actions
                    if isinstance(a, MapGpuMem) and a.gpu_va == small.outputs()[0].gpu_va)
     actions = [a for a in small.actions if a is not out_map]
     at = 1 + max(i for i, a in enumerate(actions) if isinstance(a, MapGpuMem))
-    actions[at:at] = [MapGpuMem(0, 0, pad_va, pad, 0b0011), out_map]
-    dumps = small.dumps
-    if not replayed:
-        dumps += (MemDump(max(d.dump_id for d in dumps) + 1, pad_va, pad,
-                          deflate(b"\x5A" * pad), DumpOrigin.MAPPED_FALLBACK),)
-    prior = dataclasses.replace(small, actions=tuple(actions), dumps=dumps)
+    dump = MemDump(max(d.dump_id for d in small.dumps) + 1, pad_va, pad,
+                   deflate(b"\x5A" * pad), DumpOrigin.MAPPED_FALLBACK)
+    actions[at:at] = [MapGpuMem(0, 0, pad_va, pad, 0b0011),
+                      LoadMemDump(0, 0, dump.dump_id, pad_va), out_map]
+    prior = dataclasses.replace(small, actions=tuple(actions), dumps=small.dumps + (dump,))
     dev = Device()
     s = init(dev, ReplayConfig(force=True))
     s.load(prior)
-    loaded = dev.written_end
+    assert dev.written_end == (max(table_pages(s)) + 1) << dv.PAGE_SHIFT
     if replayed:
         assert s.replay(i32s(range(8))).ok
-        assert dev.written_end > loaded
     touched = s._free_pa
     ref_dev = Device()
     image, _, end = reference_layout(ref_dev, small)
-    assert dev.written_end > end
+    assert (dev.written_end > end) == replayed
     s.load(small)
     assert s._image == image
     assert dev.mem_read(0, touched) == ref_dev.mem_read(0, touched)

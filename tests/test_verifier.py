@@ -86,6 +86,20 @@ def test_missing_dump_id_is_r4():
     assert rules_of(verify(rec)) == ["R4"]
 
 
+def test_ranges_are_each_base_at_its_largest_map_in_first_map_order():
+    rec = make_rec([
+        MapGpuMem(0, 0, 0x500000, 4096, 0b0011),
+        MapGpuMem(0, 0, 0x400000, 3 * 4096, 0b0011),
+        UnmapGpuMem(0, 0, 0x500000, 4096),
+        MapGpuMem(0, 0, 0x500000, 2 * 4096 + 1, 0b0011),
+    ])
+    report = verify(rec)
+    assert list(report.ranges.items()) == [(0x500000, (3, 0)), (0x400000, (3, 1))]
+    # not part of the report's value or its JSON
+    assert report == dataclasses.replace(report, ranges={})
+    assert "ranges" not in json.loads(report.to_json())
+
+
 def test_io_outside_any_mapping_is_r4():
     rec = make_rec([MapGpuMem(0, 0, 0x400000, 4096, 0b0011)],
                    io=[IoDescriptor(IoRole.INPUT, 0x900000, 64, IoMode.BY_ADDRESS)])
