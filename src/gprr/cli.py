@@ -7,6 +7,7 @@ stderr), 2 usage error, including a path that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from pathlib import Path
 
@@ -63,23 +64,32 @@ def _layer_path(base: Path, index: int) -> Path:
     return base.with_name(f"{base.stem}.layer{index}{base.suffix or '.gpr'}")
 
 
+def _record(args, graph, harness: RecordHarness):
+    """Record ``graph`` on a fresh device and stack built from the
+    command's --sku, --seed and --delays. Returns None once it has said
+    why the stack failed."""
+    dev = Device(sku=_sku(args.sku), env_seed=args.seed)
+    stack = GpuStack(dev, delays=args.delays or DelayPolicy(), rng_seed=args.seed)
+    try:
+        return record(stack, graph, harness)
+    except (WorkloadError, DiscoveryError, DriverError) as e:
+        _err(f"record failed: {e}")
+        return None
+
+
 def cmd_record(args) -> int:
     graph = _parse_file(parse_workload, args.workload)
     if args.harness:
         harness = _parse_file(parse_harness, args.harness)
     else:
-        harness = RecordHarness()
-        harness.magic_seed = args.seed * 131 + 7
+        harness = RecordHarness(magic_seed=args.seed * 131 + 7)
     if args.granularity:
         harness.granularity = Granularity[args.granularity.upper()]
-    dev = Device(sku=_sku(args.sku), env_seed=args.seed)
-    stack = GpuStack(dev, delays=args.delays or DelayPolicy(), rng_seed=args.seed)
     try:
-        result = record(stack, graph, harness)
+        result = _record(args, graph, harness)
     except HarnessError as e:
         raise UsageError(f"{args.harness}: {e}") from None
-    except (WorkloadError, DiscoveryError, DriverError) as e:
-        _err(f"record failed: {e}")
+    if result is None:
         return 1
     out = Path(args.output)
     if harness.granularity is Granularity.PER_LAYER:
@@ -122,85 +132,64 @@ def _wire_fault(session, rec, kind, mode, arg):
             if mode == "persist" or attempt == 0:
                 dev.corrupt_pte(va)
         session.attempt_hook = hook
-    elif kind == "offline_cores":
-        # applied after the replayed reset, or the reset would heal it
-        # before any power check reads the core mask
+        return
+    # the other faults strike after a matching register write, once or on
+    # every match
+    if kind == "offline_cores":
+        # after the replayed reset, or the reset would heal it before any
+        # power check reads the core mask
         mask = arg if arg is not None else session.dev.sku.full_core_mask
-        state = {"armed": True}
-
-        def post(sess, idx, action):
-            if (isinstance(action, RegWrite) and action.reg_name == "GPU_CMD"
-                    and action.value == dv.CMD_SOFT_RESET and state["armed"]):
-                sess.dev.offline_cores(mask)
-                if mode != "persist":
-                    state["armed"] = False
-        session.post_action_hook = post
+        reg, value, strike = "GPU_CMD", dv.CMD_SOFT_RESET, lambda d: d.offline_cores(mask)
     else:  # stall
         ns = arg if arg is not None else 20_000_000
-        state = {"armed": True}
+        reg, value, strike = "JOB_START", None, lambda d: d.stall(ns)
+    armed = [True]
 
-        def post(sess, idx, action):
-            if (isinstance(action, RegWrite) and action.reg_name == "JOB_START"
-                    and state["armed"]):
-                sess.dev.stall(ns)
-                if mode != "persist":
-                    state["armed"] = False
-        session.post_action_hook = post
+    def post(sess, idx, action):
+        if (armed[0] and isinstance(action, RegWrite) and action.reg_name == reg
+                and (value is None or action.value == value)):
+            strike(sess.dev)
+            armed[0] = mode == "persist"
+    session.post_action_hook = post
 
 
 def cmd_replay(args) -> int:
+    """Replay one recording or a sequence; one recording is a sequence of one."""
     recs = [recfmt.read_file(p) for p in args.recordings]
+    if args.inject_fault and len(recs) > 1:
+        _err("--inject-fault applies to single-recording replays")
+        return 2
     dev = Device(sku=_sku(args.sku), env_seed=args.seed)
     dev.clock_div = args.clock_div
     cfg = ReplayConfig(honor_skips=not args.no_skip,
                        checkpoint_every_jobs=args.checkpoint_every,
                        force=args.force)
     session = init(dev, cfg)
-    inputs = Path(args.input).read_bytes() if args.input else None
-    fault = args.inject_fault
     try:
-        if len(recs) == 1:
-            session.load(recs[0])
-            if fault:
-                _wire_fault(session, recs[0], *fault)
-            result = session.replay(inputs)
-            outputs = result.outputs
-            vclock = result.vclock_ns
-            ok = result.ok
-            if ok and result.recovery_attempts:
-                print(f"recovered after {result.recovery_attempts} attempt(s)",
-                      file=sys.stderr)
-            if not ok and result.divergence:
-                _err(f"replay diverged: {result.divergence}")
-        else:
-            if fault:
-                _err("--inject-fault applies to single-recording replays")
-                return 2
-            seq = replay_sequence(session, recs, inputs)
-            outputs, vclock, ok = seq.outputs, seq.vclock_ns, seq.ok
-            if not ok:
-                bad = next(r for r in seq.results if not r.ok)
-                _err(f"sequence replay diverged: {bad.divergence}")
+        inputs = Path(args.input).read_bytes() if args.input else None
+        if args.inject_fault:
+            _wire_fault(session, recs[0], *args.inject_fault)  # hooks outlive load
+        seq = replay_sequence(session, recs, inputs)
     except (LoadError, ReplayError) as e:
         _err(str(e))
         return 1
     finally:
         session.cleanup()
-    if not ok:
+    for r in seq.results:
+        if r.ok and r.recovery_attempts:
+            print(f"recovered after {r.recovery_attempts} attempt(s)", file=sys.stderr)
+    if not seq.ok:
+        _err(f"replay diverged: {seq.results[-1].divergence}")
         return 1
-    if args.output and outputs:
-        Path(args.output).write_bytes(outputs[-1])
-        print(f"wrote {args.output} ({len(outputs[-1])} bytes)")
-    print(f"replay ok, vclock {vclock} ns")
+    if args.output and seq.outputs:
+        Path(args.output).write_bytes(seq.outputs[-1])
+        print(f"wrote {args.output} ({len(seq.outputs[-1])} bytes)")
+    print(f"replay ok, vclock {seq.vclock_ns} ns")
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        rec = recfmt.read_file(args.recording)
-    except recfmt.DecodeError as e:
-        _err(f"decode failed: {e}")
-        return 1
+    rec = recfmt.read_file(args.recording)
     reg_map = (_parse_file(parse_register_map, args.map)
                if args.map else dv.DEFAULT_REGISTER_MAP)
     report = verify(rec, reg_map, args.mem_budget)
@@ -209,11 +198,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        rec = recfmt.read_file(args.recording)
-    except recfmt.DecodeError as e:
-        _err(f"decode failed: {e}")
-        return 1
+    rec = recfmt.read_file(args.recording)
     h = rec.header
     print(f"recording {args.recording}")
     print(f"  sku_id        {h.sku_id:#06x}")
@@ -238,10 +223,10 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_patch(args) -> int:
+    rec = recfmt.read_file(args.recording)
     try:
-        rec = recfmt.read_file(args.recording)
         result = patch_recording(rec, _sku(args.from_sku), _sku(args.to_sku))
-    except (recfmt.DecodeError, PatchError) as e:
+    except PatchError as e:
         _err(str(e))
         return 1
     n = recfmt.write_file(args.output, result.recording)
@@ -254,14 +239,8 @@ def cmd_patch(args) -> int:
 
 def cmd_bench(args) -> int:
     graph = _parse_file(parse_workload, args.workload)
-    harness = RecordHarness()
-    harness.magic_seed = args.seed * 131 + 7
-    dev = Device(sku=_sku(args.sku), env_seed=args.seed)
-    stack = GpuStack(dev, delays=args.delays, rng_seed=args.seed)
-    try:
-        result = record(stack, graph, harness)
-    except (WorkloadError, DiscoveryError, DriverError) as e:
-        _err(f"record failed: {e}")
+    result = _record(args, graph, RecordHarness(magic_seed=args.seed * 131 + 7))
+    if result is None:
         return 1
     rec = result.recordings[0]
     blob = recfmt.encode(rec)
@@ -271,8 +250,7 @@ def cmd_bench(args) -> int:
         d = Device(sku=_sku(args.sku), env_seed=args.seed + 1)
         s = init(d, ReplayConfig(**cfg_kw))
         s.load(rec)
-        import random as _random
-        inp = _random.Random(args.seed).randbytes(graph.input_elems * 4)
+        inp = random.Random(args.seed).randbytes(graph.input_elems * 4)
         res = s.replay(inp)
         s.cleanup()
         if not res.ok:

@@ -643,20 +643,6 @@ class Device:
             raise MmuFault(va, Perm(need))
         return pa
 
-    def translate(self, va: int, access: Perm) -> int:
-        """Walk the page tables for ``va``. On failure the fault is latched
-        device-wide: MMU_FAULT raised, VA stored, a running job faults."""
-        try:
-            return self._walk(va, access.value)
-        except MmuFault:
-            self.fault_addr = va & U32
-            self.irq_rawstat |= IRQ_MMU_FAULT
-            if self.job_state == JOB_RUNNING:
-                self._pending_job = None
-                self.job_state = JOB_MMU_FAULT
-                self._update_busy()
-            raise
-
     # -- host-visible shared memory ------------------------------------------
 
     def mem_read(self, pa: int, n: int) -> bytes:

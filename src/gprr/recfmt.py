@@ -23,7 +23,6 @@ from .device import MEM_BYTES
 
 MAGIC = b"GPRR"
 VERSION = 1
-FILE_EXTENSION = ".gpr"
 
 
 def deflate(data: bytes) -> bytes:

@@ -29,7 +29,7 @@ from .actions import (ActionClass, DumpOrigin, Granularity, IoDescriptor,
                       slot_factory)
 from .device import StateClass
 from .recfmt import deflate
-from .refstack import (Allocation, AllocFlags, GpuStack, PortEvent,
+from .refstack import (AllocFlags, GpuStack, PortEvent,
                        StackListener, WorkloadGraph)
 
 DUMP_BYTE_NS = 0.2  # recording overhead charged while dumping (GPU idle)
@@ -37,10 +37,6 @@ _new_dump = slot_factory(MemDump)
 
 
 class DiscoveryError(Exception):
-    pass
-
-
-class RecordError(Exception):
     pass
 
 
@@ -164,7 +160,6 @@ class _RunTrace(StackListener):
     def __init__(self, stack: GpuStack):
         self.stack = stack
         self.entries: list[_Entry] = []
-        self.allocations: list[Allocation] = []
         self.layer_marks: dict[int, int] = {}        # layer -> first entry index
         self.layer_regions: dict[int, list[_Region]] = {}
         # the live regions' latest snapshots in VA order, their VAs alongside
@@ -174,9 +169,6 @@ class _RunTrace(StackListener):
         self._unread: set[int] = set()               # VAs mapped, not yet read
         self._changed: dict[int, _Region] = {}       # mapped or rewritten since the last kick
         self._live_bytes = 0
-
-    def on_alloc(self, alloc):
-        self.allocations.append(alloc)
 
     def on_layer_start(self, index):
         if index not in self.layer_marks:
@@ -443,7 +435,7 @@ class _Builder:
             return [MapGpuMem(raw, floor, ev.gpu_va, ev.len_bytes, ev.perm_bits)]
         if ev.kind == "unmap":
             return [UnmapGpuMem(raw, floor, ev.gpu_va, ev.len_bytes)]
-        raise RecordError(f"unknown event kind {ev.kind}")
+        raise ValueError(f"unknown event kind {ev.kind}")
 
     def _build(self, entries, actions, dumps, last) -> None:
         """Appends the actions of ``entries`` to ``actions`` and their
@@ -508,9 +500,9 @@ class _Builder:
 
     def _layer_io(self) -> dict[int, tuple[IoDescriptor, ...]]:
         """Per-slice I/O: the workload endpoints come from discovery, the
-        stitching points between layers from the driver's allocation
-        records (the driver legitimately sees every allocation call)."""
-        allocs = {a.tag: a for a in self.trace.allocations}
+        stitching points between layers from the stack's allocations in
+        the final run (the driver legitimately sees every allocation call)."""
+        find = self.stack.find_alloc
         n = len(self.graph.layers)
         out: dict[int, tuple[IoDescriptor, ...]] = {}
         workload_in = [d for d in self.io_table if d.role is IoRole.INPUT]
@@ -520,13 +512,13 @@ class _Builder:
             if k == 0:
                 table.extend(workload_in)
             else:
-                prev = allocs[f"L{k - 1}.out"]
+                prev = find(f"L{k - 1}.out")
                 table.append(IoDescriptor(IoRole.INPUT, prev.gpu_va,
                                           prev.len_bytes, IoMode.BY_ADDRESS))
             if k == n - 1:
                 table.extend(workload_out)
             else:
-                cur = allocs[f"L{k}.out"]
+                cur = find(f"L{k}.out")
                 table.append(IoDescriptor(IoRole.OUTPUT, cur.gpu_va,
                                           cur.len_bytes, IoMode.BY_ADDRESS))
             out[k] = tuple(table)

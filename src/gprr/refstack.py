@@ -255,7 +255,6 @@ class StackListener:
     """Override any subset; the stack calls these as the run unfolds."""
 
     def on_port_event(self, ev: PortEvent) -> None: ...
-    def on_alloc(self, alloc: Allocation) -> None: ...
     def on_layer_start(self, index: int) -> None: ...
 
 
@@ -503,8 +502,6 @@ class GpuStack:
         self.driver.map_pages(va, len_bytes, perms, flags, pages)
         alloc = Allocation(tag, va, len_bytes, n_pages, flags, perms)
         self.allocations.append(alloc)
-        if self.listener is not None:
-            self.listener.on_alloc(alloc)
         return alloc
 
     def mem_write_va(self, va: int, data: bytes) -> None:

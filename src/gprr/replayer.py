@@ -6,16 +6,17 @@ registers, edit page tables, copy memory and wait for interrupts. There
 is no dynamic policy: every register touched during replay is named by
 an action or belongs to the fixed reset/preempt sequences.
 
-Divergence handling follows a bounded ladder: reset + reload + re-run,
-then re-runs that widen the pacing floors and wait budgets from the
-eighth action before the failure to the end of the recording. Each
-widening at least doubles the last; a retried wait or poll that times
-out waits on, up to a cap, to measure how many times slower than
-recorded the device ran (the report's ``slowdown``), and the next
-attempt starts at the power of two at or above that. Four attempts,
-then a final report naming the failing action and its origin. When
-checkpointing is on, retries resume from the latest checkpoint instead
-of the start.
+``replay()`` is one loop of up to five runs: the first run, then four
+retries on divergence. Each retry resumes from the latest checkpoint
+when checkpointing is on, else resets and reloads. The first retry
+re-runs as recorded; later ones widen the pacing floors and wait
+budgets from the eighth action before the failure to the end of the
+recording. Each widening at least doubles the last; a retried wait or
+poll that times out waits on, up to a cap, to measure how many times
+slower than recorded the device ran (the report's ``slowdown``), and
+the next retry starts at the power of two at or above that. A fifth
+divergence ends the replay with a report naming the failing action and
+its origin.
 """
 
 from __future__ import annotations
@@ -596,75 +597,56 @@ class ReplaySession:
         return None
 
     def replay(self, inputs=None) -> ReplayResult:
-        """Execute the loaded recording on new inputs; recover on
-        divergence. Returns outputs extracted from the OUTPUT regions."""
+        """Execute the loaded recording on new inputs; retry on divergence
+        as the module docstring says. Returns outputs extracted from the
+        OUTPUT regions. ``vclock_ns`` counts every retry's reload but not
+        the reload before attempt 0, which only undoes an earlier replay."""
         if self.loaded is None:
             raise ReplayError("no recording loaded")
         supplied = self._normalize_inputs(inputs)
         self.preempted = False
-        self.event_log = []
         self.divergence_log = []
         self.last_checkpoint = None  # recovery never resumes an earlier replay
         if self.cursor != 0:
             self._reload()  # a session replays its recording any number of times
         start = self.vclock_consumed
-        if self.attempt_hook is not None:
-            self.attempt_hook(self.dev, 0)
-        outcome = self._run_once(supplied, None)
-        attempts = 0
-        if isinstance(outcome, DivergenceReport):
-            outcome, attempts = self._recover_loop(outcome, supplied)
-        return self._result(outcome, attempts, self.vclock_consumed - start)
-
-    def recover(self, report: DivergenceReport, inputs=None) -> ReplayResult:
-        """Public entry for the recovery ladder after a manual step() run."""
-        start = self.vclock_consumed
-        outcome, attempts = self._recover_loop(report, self._normalize_inputs(inputs))
-        return self._result(outcome, attempts, self.vclock_consumed - start)
-
-    def _result(self, outcome: DivergenceReport | str | None, attempts: int,
-                vclock_ns: int) -> ReplayResult:
-        """What replay() and recover() return for a run that ended in
-        ``outcome``."""
-        result = ReplayResult(ok=outcome is None, recovery_attempts=attempts,
-                              vclock_ns=vclock_ns, event_log=list(self.event_log))
+        lo, mult = 0, 1
+        try:
+            for attempt in range(MAX_ATTEMPTS + 1):
+                cp = None
+                if attempt:
+                    if attempt > 1:
+                        # from the window on to the end: the jobs after the
+                        # failure run as slowly as the one that failed
+                        lo = max(0, outcome.action_index - DELAY_WINDOW + 1)
+                        mult = min(MAX_PACING_MULT,
+                                   max(2 * mult, _pow2_at_least(outcome.slowdown)))
+                    # a timed-out wait measures only when a next attempt can use it
+                    self._window = (lo, mult, attempt < MAX_ATTEMPTS)
+                    cp = self.last_checkpoint if self.config.checkpoint_every_jobs else None
+                    if cp is None:
+                        self._reload()
+                self.event_log = []
+                if self.attempt_hook is not None:
+                    self.attempt_hook(self.dev, attempt)
+                outcome = self._run_once(supplied, cp)
+                if not isinstance(outcome, DivergenceReport):
+                    break
+        finally:
+            self._window = (0, 1, False)
+        result = ReplayResult(ok=outcome is None, recovery_attempts=attempt,
+                              vclock_ns=self.vclock_consumed - start,
+                              event_log=list(self.event_log))
         if outcome == "preempted":
             result.preempted = True
             result.preempt_ack = self.last_preempt_ack
         elif outcome is not None:
-            result.divergence = outcome
+            label = self.loaded.header.workload_label
+            result.divergence = replace(outcome, origin=f"{label}#action{outcome.action_index}")
         else:
             result.outputs = [self._read_va(d.gpu_va, d.len_bytes)
                               for d in self.loaded.outputs()]
         return result
-
-    def _recover_loop(self, report: DivergenceReport, inputs: dict[int, bytes]):
-        mult = 1
-        try:
-            for attempt in range(1, MAX_ATTEMPTS + 1):
-                measure = attempt < MAX_ATTEMPTS  # only a next attempt uses it
-                if attempt == 1:
-                    self._window = (0, 1, measure)
-                else:
-                    # from the window on to the end: the jobs after the
-                    # failure run as slowly as the one that failed
-                    lo = max(0, report.action_index - DELAY_WINDOW + 1)
-                    mult = min(MAX_PACING_MULT, max(2 * mult, _pow2_at_least(report.slowdown)))
-                    self._window = (lo, mult, measure)
-                cp = self.last_checkpoint if self.config.checkpoint_every_jobs else None
-                if cp is None:
-                    self._reload()
-                self.event_log = []
-                if self.attempt_hook is not None:
-                    self.attempt_hook(self.dev, attempt)
-                outcome = self._run_once(inputs, cp)
-                if outcome is None or outcome == "preempted":
-                    return outcome, attempt
-                report = outcome
-        finally:
-            self._window = (0, 1, False)
-        label = self.loaded.header.workload_label
-        return replace(report, origin=f"{label}#action{report.action_index}"), MAX_ATTEMPTS
 
     # -- checkpoint / restore ---------------------------------------------------------
 

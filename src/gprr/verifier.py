@@ -6,7 +6,8 @@ Pure function over the decoded structure. Rules:
   R2  access direction violated (write to read-only, read of write-only)
   R3  peak simultaneously-mapped GPU memory exceeds the budget
   R4  LoadMemDump or I/O descriptor targets a range not mapped at that
-      point in action order (or a dump id that does not exist)
+      point in action order (or a dump id that does not exist, or a dump
+      whose own gpu_va differs from its LoadMemDump's)
   R5  unmap of a range that was never mapped
   R6  interrupt wait with no plausible cause (JOB_DONE with no pending
       kick, RESET_DONE with no prior soft reset)
@@ -179,6 +180,9 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
         d = dump_ids.get(a.dump_id)
         if d is None:
             flag(Violation(i, "R4", f"references missing dump {a.dump_id}"))
+        elif d.gpu_va != a.gpu_va:
+            flag(Violation(i, "R4", f"dump {a.dump_id} is for {d.gpu_va:#x}, "
+                                    f"loaded at {a.gpu_va:#x}"))
         elif not _covered(live_bases, live, a.gpu_va, d.raw_len):
             flag(Violation(i, "R4", f"dump load at {a.gpu_va:#x}+{d.raw_len:#x} outside mapping"))
 

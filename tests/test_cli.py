@@ -76,8 +76,12 @@ def test_corrupted_file_fails_cleanly(ws, capsys):
     blob[-1] ^= 1
     bad = tmp / "bad.gpr"
     bad.write_bytes(bytes(blob))
-    assert dispatch(["verify", str(bad)]) == 1
-    assert "checksum" in capsys.readouterr().err.lower()
+    for argv in (["verify"], ["inspect"], ["replay"],
+                 ["patch", "--from", "A", "--to", "B", "-o", str(tmp / "x.gpr")]):
+        capsys.readouterr()
+        assert dispatch([argv[0], str(bad), *argv[1:]]) == 1
+        err = capsys.readouterr().err.lower()
+        assert err.startswith("gprr: decode failed:") and "checksum" in err
 
 
 def test_usage_errors_exit_2(ws, capsys):
@@ -156,6 +160,12 @@ def test_per_layer_record_and_sequence_replay(tmp_path, capsys):
     outp = tmp_path / "out.bin"
     assert dispatch(["replay", *map(str, layer_files), "--input", str(inp),
                      "--output", str(outp)]) == 0
+    assert outp.read_bytes() == g.evaluate(raw)
+    # each recording of a sequence recovers on its own, and says so
+    capsys.readouterr()
+    assert dispatch(["replay", *map(str, layer_files), "--input", str(inp),
+                     "--output", str(outp), "--clock-div", "8"]) == 0
+    assert capsys.readouterr().err.count("recovered after") == 3
     assert outp.read_bytes() == g.evaluate(raw)
 
 

@@ -164,17 +164,18 @@ def test_translate_walk_arithmetic():
     l2 = (0x2A << 12) | SKU_A.encode_perms(Perm.VALID | Perm.READ)
     dev.mem_write(0x2000 + 1 * 4, l2.to_bytes(4, "little"))
     wr(dev, "MMU_TABLE_BASE_LO", 0x1000)
-    assert dev.translate(0x0040_1004, Perm.READ) == 0x2A004
+    assert dev._walk(0x0040_1004, Perm.READ.value) == 0x2A004
 
 
 def test_translate_missing_exec_bit_faults():
     dev = Device()
     rig = _Rig(dev)
-    va, _ = rig.map_page(Perm.READ | Perm.WRITE)
+    va, pa = rig.map_page(Perm.READ | Perm.WRITE)
     with pytest.raises(MmuFault):
-        dev.translate(va, Perm.EXEC)
-    assert rd(dev, "GPU_IRQ_RAWSTAT") & dv.IRQ_MMU_FAULT
-    assert rd(dev, "MMU_FAULT_ADDR") == va
+        dev._walk(va, Perm.EXEC.value)
+    assert dev._walk(va, Perm.READ.value) == pa
+    # the walk latches nothing: a job's fault does
+    assert not rd(dev, "GPU_IRQ_RAWSTAT") & dv.IRQ_MMU_FAULT
 
 
 def test_perm_bits_interpret_differently_per_sku():
@@ -189,13 +190,13 @@ def test_tlb_caches_until_invalidated():
     dev = Device()
     rig = _Rig(dev)
     va, pa = rig.map_page(Perm.READ)
-    assert dev.translate(va, Perm.READ) == pa
+    assert dev._walk(va, Perm.READ.value) == pa
     # clearing the PTE behind the walk cache leaves the stale entry live
     dev.mem_write(rig.L2_PA + ((va >> 12) & 0x3FF) * 4, b"\x00" * 4)
-    assert dev.translate(va, Perm.READ) == pa
+    assert dev._walk(va, Perm.READ.value) == pa
     wr(dev, "GPU_CMD", dv.CMD_TLB_INVALIDATE)
     with pytest.raises(MmuFault):
-        dev.translate(va, Perm.READ)
+        dev._walk(va, Perm.READ.value)
 
 
 # -- jobs, time, flush ---------------------------------------------------------------

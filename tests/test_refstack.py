@@ -128,13 +128,9 @@ def test_input_length_checked():
 class Recorder(StackListener):
     def __init__(self):
         self.events = []
-        self.allocs = []
 
     def on_port_event(self, ev):
         self.events.append(ev)
-
-    def on_alloc(self, alloc):
-        self.allocs.append(alloc)
 
 
 def run_traced(graph, inp, **kw):
@@ -182,9 +178,9 @@ def test_page_tables_populated_lazily_but_before_kick():
 
 def test_scratch_unmapped_after_each_job():
     g = build_graph([("relu",)], 4)
-    _, tr, _ = run_traced(g, i32s([0, 1, 2, 3]))
+    stack, tr, _ = run_traced(g, i32s([0, 1, 2, 3]))
     unmaps = [e for e in tr.events if e.kind == "unmap"]
-    scratch = [a for a in tr.allocs if AllocFlags.INTERNAL_SCRATCH in a.flags]
+    scratch = [a for a in stack.allocations if AllocFlags.INTERNAL_SCRATCH in a.flags]
     assert len(unmaps) == len(scratch) == 1
     assert unmaps[0].gpu_va == scratch[0].gpu_va
 

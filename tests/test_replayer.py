@@ -244,6 +244,17 @@ def test_forced_load_refuses_what_names_nothing(vecadd, stray, why):
     s.cleanup()
 
 
+def test_forced_load_refuses_a_dump_whose_own_address_differs(vecadd):
+    g, rec = vecadd
+    moved = recfmt.decode(recfmt.encode(dataclasses.replace(rec, dumps=tuple(
+        dataclasses.replace(d, gpu_va=0xDEAD123) for d in rec.dumps))))
+    s = session_for(rec, config=ReplayConfig(force=True))
+    with pytest.raises(LoadError, match=r"R4 action \d+: dump \d+ is for 0xdead123"):
+        s.load(moved)
+    assert s.loaded is None
+    s.cleanup()
+
+
 def test_a_poll_over_the_drivers_limit_is_refused_even_when_forced(graphs, recorded):
     # a poll that never matches (its value has bits outside its mask) reads
     # 2 x max_polls times per attempt: at 2^32 - 1 replay hung, and a forced
@@ -885,40 +896,48 @@ def test_bad_register_in_shader_dump_diverges(vecadd):
     s.cleanup()
 
 
+def stall_at_kick(session, kick, ns=50_000_000):
+    """Stall the device once, right after the ``kick``-th JOB_START write
+    (counting from 0) of the session's next replay."""
+    state = {"kicks": 0, "armed": True}
+
+    def post(sess, idx, action):
+        if state["armed"] and isinstance(action, RegWrite) and action.reg_name == "JOB_START":
+            if state["kicks"] == kick:
+                sess.dev.stall(ns)
+                state["armed"] = False
+            state["kicks"] += 1
+    session.post_action_hook = post
+
+
 def test_timeout_divergence_from_stall(vecadd):
     g, rec = vecadd
     s = session_for(rec)
-    s.write_inputs(i32s([5, 5, 5, 5, 1, 1, 1, 1]))
-    report = None
-    while s.cursor < len(rec.actions):
-        a = rec.actions[s.cursor]
-        report = s.step()
-        if isinstance(a, RegWrite) and a.reg_name == "JOB_START":
-            s.dev.stall(50_000_000)  # blow through the 1 ms watchdog floor
-        if report is not None:
-            break
-    assert report is not None and report.kind is DivergenceKind.TIMEOUT
-    result = s.recover(report, i32s([5, 5, 5, 5, 1, 1, 1, 1]))
+    stall_at_kick(s, 0)  # blow through the 1 ms watchdog floor
+    result = s.replay(i32s([5, 5, 5, 5, 1, 1, 1, 1]))
+    assert [d.kind for d in s.divergence_log] == [DivergenceKind.TIMEOUT]
     assert result.ok and result.recovery_attempts == 1
     assert unpack32(result.outputs[0]) == [6, 6, 6, 6]
     s.cleanup()
 
 
 def test_recover_reports_the_virtual_time_its_attempts_took(vecadd):
+    # vclock_ns counts the reload its retry runs, but not the reload before
+    # a second replay, which only undoes the first
     g, rec = vecadd
     s = session_for(rec)
     inp = i32s([5, 5, 5, 5, 1, 1, 1, 1])
-    s.write_inputs(inp)
-    report = None
-    while report is None:
-        a = rec.actions[s.cursor]
-        report = s.step()
-        if isinstance(a, RegWrite) and a.reg_name == "JOB_START":
-            s.dev.stall(50_000_000)
+    stall_at_kick(s, 0)
     start = s.vclock_consumed
-    result = s.recover(report, inp)
+    result = s.replay(inp)
     assert result.ok and result.recovery_attempts == 1
     assert result.vclock_ns == s.vclock_consumed - start > 0
+    s.post_action_hook = None
+    start = s.vclock_consumed
+    again = s.replay(inp)
+    assert again.ok and again.recovery_attempts == 0
+    reload_ns = 3 * replayer.NANO_ACCESS_NS  # the reset sequence's three accesses
+    assert again.vclock_ns == s.vclock_consumed - start - reload_ns > 0
     s.cleanup()
 
 
@@ -1369,23 +1388,18 @@ def test_recovery_resumes_from_checkpoint(mixed):
     g, rec = mixed
     inp = random_input(g, 8)
     s = session_for(rec, config=ReplayConfig(checkpoint_every_jobs=1))
-    s.write_inputs(inp)
-    report = None
-    while s.cursor < len(rec.actions):
-        a = rec.actions[s.cursor]
-        report = s.step()
-        if (isinstance(a, RegWrite) and a.reg_name == "JOB_START"
-                and s.jobs_done == 2):
-            s.dev.stall(50_000_000)
-        if report is not None:
-            break
-    assert report is not None
-    cp_at = s.last_checkpoint.action_index
-    r = s.recover(report, inp)
-    assert r.ok
-    assert s.last_checkpoint.action_index >= cp_at
-    out = s._read_va(rec.outputs()[0].gpu_va, rec.outputs()[0].len_bytes)
-    assert out == g.evaluate(inp)
+    stall_at_kick(s, 2)  # the third job
+    with mock.patch.object(ReplaySession, "restore", autospec=True,
+                           side_effect=ReplaySession.restore) as restore, \
+            mock.patch.object(ReplaySession, "_reload", autospec=True,
+                              side_effect=ReplaySession._reload) as reload:
+        r = s.replay(inp)
+    assert r.ok and r.recovery_attempts == 1
+    assert r.outputs == [g.evaluate(inp)]
+    # the retry resumed after the second job instead of reloading
+    [(_, cp)] = [c.args for c in restore.call_args_list]
+    assert cp.jobs_done == 2 and cp.action_index > 0
+    assert reload.call_count == 0
     s.cleanup()
 
 

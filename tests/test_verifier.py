@@ -13,7 +13,7 @@ from gprr.actions import (Granularity, IoDescriptor, IoMode, IoRole,
                           RecordingHeader, RegRead, RegWrite, UnmapGpuMem,
                           WaitIrq, DumpOrigin, ActionClass)
 from gprr.device import DEFAULT_REGISTER_MAP
-from gprr.recfmt import deflate
+from gprr.recfmt import decode, deflate, encode
 from gprr.recorder import RecordHarness
 from gprr.refstack import build_graph
 from gprr.verifier import verify
@@ -77,6 +77,20 @@ def test_dump_outside_mapping_is_r4():
     # properly mapped first: clean
     rec = make_rec([MapGpuMem(0, 0, 0x600000, 4096, 0b0011),
                     LoadMemDump(0, 0, 0, 0x600000)], dumps=[dump])
+    assert verify(rec).ok
+
+
+def test_a_dump_loaded_away_from_its_own_address_is_r4():
+    # a vec_add recording whose dumps all claim another address: before,
+    # nothing read a dump's own gpu_va, and it verified clean
+    rec = record_graph(build_graph([("vec_add",)], 16)).recordings[0]
+    moved = decode(encode(dataclasses.replace(rec, dumps=tuple(
+        dataclasses.replace(d, gpu_va=0xDEAD123) for d in rec.dumps))))
+    report = verify(moved)
+    loads = [i for i, a in enumerate(moved.actions) if isinstance(a, LoadMemDump)]
+    assert len(loads) == len(rec.dumps) == 3
+    assert [(v.rule, v.action_index) for v in report.violations] == [("R4", i) for i in loads]
+    assert "is for 0xdead123" in report.violations[0].message
     assert verify(rec).ok
 
 
@@ -165,13 +179,15 @@ def test_dump_checks_scale_with_a_bisect():
     # ranges per load took 4-8 s at N = 8,000
     n = 8_000
     rec = record_graph(build_graph([("vec_add",)], 16)).recordings[0]
-    dump = MemDump(max(d.dump_id for d in rec.dumps) + 1, 0x4000_0000, 4096,
-                   deflate(bytes(4096)), DumpOrigin.MAPPED_FALLBACK)
+    first_id = max(d.dump_id for d in rec.dumps) + 1
+    payload = deflate(bytes(4096))
     vas = [0x4000_0000 + 2 * i * 4096 for i in range(n)]
+    dumps = tuple(MemDump(first_id + i, va, 4096, payload, DumpOrigin.MAPPED_FALLBACK)
+                  for i, va in enumerate(vas))
     rec = dataclasses.replace(
-        rec, dumps=rec.dumps + (dump,),
+        rec, dumps=rec.dumps + dumps,
         actions=rec.actions + tuple(MapGpuMem(0, 0, va, 4096, 0b0011) for va in vas)
-        + tuple(LoadMemDump(0, 0, dump.dump_id, va) for va in vas))
+        + tuple(LoadMemDump(0, 0, d.dump_id, d.gpu_va) for d in dumps))
     t0 = time.perf_counter()
     report = verify(rec, mem_budget_bytes=dv.MEM_BYTES + n * 4096)
     assert time.perf_counter() - t0 <= 1
@@ -192,8 +208,9 @@ def scanned_r4(rec):
             ever[a.gpu_va] = max(ever.get(a.gpu_va, 0), live[a.gpu_va])
         elif isinstance(a, UnmapGpuMem):
             live.pop(a.gpu_va, None)
-        elif isinstance(a, LoadMemDump) and not covered(live, a.gpu_va,
-                                                        dumps[a.dump_id].raw_len):
+        elif isinstance(a, LoadMemDump) and (
+                dumps[a.dump_id].gpu_va != a.gpu_va
+                or not covered(live, a.gpu_va, dumps[a.dump_id].raw_len)):
             found.append(i)
     return found + [-1 for io in rec.io_table
                     if not covered(ever, io.gpu_va, io.len_bytes)]
@@ -214,7 +231,13 @@ range_ops = st.lists(st.one_of(
 @given(actions=range_ops, io_at=st.lists(st.tuples(slot_va, st.sampled_from((4, 4096, 6000))),
                                          max_size=3))
 def test_dump_checks_match_a_scan_wherever_r7_passes(actions, io_at):
-    dumps = [MemDump(k, 0, n, deflate(bytes(n)), DumpOrigin.MAPPED_FALLBACK)
+    # each dump is for where its first load puts it; a later load of it
+    # elsewhere is R4
+    dump_va = {}
+    for a in actions:
+        if isinstance(a, LoadMemDump):
+            dump_va.setdefault(a.dump_id, a.gpu_va)
+    dumps = [MemDump(k, dump_va.get(k, 0), n, deflate(bytes(n)), DumpOrigin.MAPPED_FALLBACK)
              for k, n in enumerate((4, 4096, 5000))]
     io = [IoDescriptor(IoRole.INPUT, va, n, IoMode.BY_ADDRESS) for va, n in io_at]
     rec = make_rec(actions, dumps, io)
