@@ -506,7 +506,7 @@ class Device:
         self.tlb: dict[int, tuple[int, int]] = {}  # vpn -> (ppn, perm bits raw)
         self._pending_job: _PendingJob | None = None
         self._pending_flush: _PendingFlush | None = None
-        self._set_busy(False)
+        self._update_busy()
 
     def _soft_reset(self):
         # The clock divider survives: it models the SoC clock tree, which is
@@ -535,40 +535,35 @@ class Device:
             raise BusError(offset, "unknown register")
         if reg.access is Access.WO:
             raise BusError(offset, f"{reg.name} is write-only")
-        return self._read_named(reg) & U32
-
-    def _read_named(self, reg: RegDef) -> int:
         name = reg.name
         if name == "GPU_ID":
-            return self.sku.gpu_id_value
-        if name == "GPU_STATUS":
-            v = 0
+            v = self.sku.gpu_id_value
+        elif name == "GPU_STATUS":
+            v = (self.cores_on & 0xFF) << STATUS_CORES_SHIFT
             if self.job_state == JOB_RUNNING:
                 v |= STATUS_BUSY
             if self.writeback or self._pending_flush:
                 v |= STATUS_DIRTY
-            v |= (self.cores_on & 0xFF) << STATUS_CORES_SHIFT
-            return v
-        if name == "GPU_IRQ_RAWSTAT":
-            return self.irq_rawstat
-        if name == "GPU_IRQ_MASK":
-            return self._stored["GPU_IRQ_MASK"]
-        if name == "JOB_STATUS":
-            return self.job_state
-        if name == "JOB_AFFINITY":
+        elif name == "GPU_IRQ_RAWSTAT":
+            v = self.irq_rawstat
+        elif name == "JOB_STATUS":
+            v = self.job_state
+        elif name == "JOB_AFFINITY":
             # reads report the effective affinity: requested cores that are
             # actually powered
-            return self._stored["JOB_AFFINITY"] & self.cores_on
-        if name == "JOB_PROGRESS":
+            v = self._stored["JOB_AFFINITY"] & self.cores_on
+        elif name == "JOB_PROGRESS":
             self._rng_drawn += 1
-            return self.rng.getrandbits(32)
-        if name == "CLOCK_DIV":
-            return self.clock_div
-        if name == "PWR_CORES_ON":
-            return self.cores_on
-        if name == "MMU_FAULT_ADDR":
-            return self.fault_addr
-        return self._stored[name]
+            v = self.rng.getrandbits(32)
+        elif name == "CLOCK_DIV":
+            v = self.clock_div
+        elif name == "PWR_CORES_ON":
+            v = self.cores_on
+        elif name == "MMU_FAULT_ADDR":
+            v = self.fault_addr
+        else:
+            v = self._stored[name]
+        return v & U32
 
     def reg_write(self, offset: int, value: int) -> None:
         reg = self.reg_map.by_offset(offset)
@@ -581,7 +576,13 @@ class Device:
         if name == "GPU_IRQ_CLEAR":
             self.irq_rawstat &= ~value
         elif name == "GPU_CMD":
-            self._command(value)
+            # unknown commands are ignored, as real hardware tends to
+            if value == CMD_SOFT_RESET:
+                self._soft_reset()
+            elif value == CMD_CACHE_FLUSH:
+                self._start_flush()
+            elif value == CMD_TLB_INVALIDATE:
+                self.tlb.clear()
         elif name == "JOB_START":
             if value & 1:
                 self._kick()
@@ -590,23 +591,11 @@ class Device:
         else:
             self._stored[name] = value
 
-    def _command(self, cmd: int):
-        if cmd == CMD_SOFT_RESET:
-            self._soft_reset()
-        elif cmd == CMD_CACHE_FLUSH:
-            self._start_flush()
-        elif cmd == CMD_TLB_INVALIDATE:
-            self.tlb.clear()
-        # unknown commands are ignored, as real hardware tends to
-
     # -- MMU ----------------------------------------------------------------
 
     @property
     def mmu_base(self) -> int:
         return (self._stored["MMU_TABLE_BASE_HI"] << 32) | self._stored["MMU_TABLE_BASE_LO"]
-
-    def _mem_u32(self, pa: int) -> int:
-        return _u32_at(self.mem, pa)[0]
 
     def _walk(self, va: int, need: int) -> int:
         """Pure two-level walk for an access needing the Perm bits ``need``
@@ -619,18 +608,17 @@ class Device:
         if cached is not None:
             ppn, raw_bits = cached
         else:
-            base = self.mmu_base
+            stored, mem = self._stored, self.mem
+            base = (stored["MMU_TABLE_BASE_HI"] << 32) | stored["MMU_TABLE_BASE_LO"]
             if base == 0 or base + PAGE_SIZE > MEM_BYTES:
                 raise MmuFault(va, Perm(need))
-            l1_idx = (va >> 22) & 0x3FF
-            l1_entry = self._mem_u32(base + l1_idx * 4)
+            l1_entry = _u32_at(mem, base + ((va >> 22) & 0x3FF) * 4)[0]
             if not masks[l1_entry & 0xF] & _VALID:
                 raise MmuFault(va, Perm(need))
             l2_base = l1_entry & ~(PAGE_SIZE - 1)
             if l2_base + PAGE_SIZE > MEM_BYTES:
                 raise MmuFault(va, Perm(need))
-            l2_idx = (va >> 12) & 0x3FF
-            l2_entry = self._mem_u32(l2_base + l2_idx * 4)
+            l2_entry = _u32_at(mem, l2_base + ((va >> 12) & 0x3FF) * 4)[0]
             raw_bits = l2_entry & 0xF
             if not masks[raw_bits] & _VALID:
                 raise MmuFault(va, Perm(need))
@@ -928,16 +916,27 @@ class Device:
         return t
 
     def tick(self, dt_ns: int) -> list[InterruptEvent]:
+        """Advance the clock by ``dt_ns``, completing in time order the
+        job and flush that fall due; returns the interrupts they deliver.
+        The replayer calls this once per time it charges: a step's pacing
+        pad, each register access (after ``reg_write`` or ``reg_read``) and
+        each wait, so ``tick`` calls count those.
+
+        ``_next_ns`` caches ``next_event_ns()``, so a tick with nothing due
+        costs no call. Every site that starts, finishes, resets, restores
+        or stalls a pending job or flush refreshes it: ``_update_busy``
+        (kicks, flush starts, completions, power-on state), ``restore`` and
+        ``stall``; a new such site must refresh it too."""
         if dt_ns < 0:
             raise ValueError("dt_ns must be >= 0")
         end = self.vclock_ns + dt_ns
         events: list[InterruptEvent] = []
-        while True:
-            t = self.next_event_ns()
-            if t is None or t > end:
-                break
-            self.vclock_ns = max(self.vclock_ns, t)
-            events.extend(self._complete_due(t))
+        t = self._next_ns
+        while t is not None and t <= end:
+            if t > self.vclock_ns:
+                self.vclock_ns = t
+            events += self._complete_due(t)
+            t = self._next_ns
         self.vclock_ns = end
         return events
 
@@ -995,6 +994,9 @@ class Device:
     # -- busy/idle trace -------------------------------------------------------
 
     def _update_busy(self):
+        """Open or close the busy period, and refresh the cached next
+        event time, after a pending job or flush changed."""
+        self._next_ns = self.next_event_ns()
         self._set_busy(self.job_state == JOB_RUNNING or self._pending_flush is not None)
 
     def _set_busy(self, busy: bool):
@@ -1056,6 +1058,7 @@ class Device:
         self.tlb = dict(snap.tlb)
         self._pending_job = _copy_job(snap.pending_job)
         self._pending_flush = snap.pending_flush
+        self._next_ns = self.next_event_ns()
         self._rng_base, self._rng_drawn = snap.rng_state
         self.rng.setstate(self._rng_base)
         self.rng.getrandbits(32 * self._rng_drawn)  # skip the words drawn
@@ -1073,13 +1076,13 @@ class Device:
         base = self.mmu_base
         if base == 0 or base + PAGE_SIZE > MEM_BYTES:
             raise ValueError("no page tables live")
-        l1_entry = self._mem_u32(base + ((gpu_va >> 22) & 0x3FF) * 4)
+        l1_entry = _u32_at(self.mem, base + ((gpu_va >> 22) & 0x3FF) * 4)[0]
         l2_base = l1_entry & ~(PAGE_SIZE - 1)
         if Perm.VALID not in self.sku.decode_perms(l1_entry & 0xF) \
                 or l2_base + PAGE_SIZE > MEM_BYTES:
             raise ValueError(f"VA {gpu_va:#x} has no live mapping to corrupt")
         pte_pa = l2_base + ((gpu_va >> 12) & 0x3FF) * 4
-        entry = self._mem_u32(pte_pa)
+        entry = _u32_at(self.mem, pte_pa)[0]
         valid_bit = self.sku.encode_perms(Perm.VALID)
         self.mem_write(pte_pa, ((entry ^ valid_bit) & U32).to_bytes(4, "little"))
 
@@ -1087,3 +1090,4 @@ class Device:
         job = self._pending_job
         if job is not None and job.finish_ns is not None:
             job.finish_ns += extra_ns
+            self._next_ns = self.next_event_ns()

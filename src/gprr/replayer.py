@@ -24,11 +24,10 @@ from __future__ import annotations
 import enum
 import math
 import struct
-import threading
 from dataclasses import dataclass, field, replace
 
 from . import device as dv
-from .actions import (IoMode, LoadMemDump, MapGpuMem, MemDump, Recording,
+from .actions import (ActionClass, IoMode, LoadMemDump, MapGpuMem, MemDump, Recording,
                       RegRead, RegReadWait, RegWrite, UnmapGpuMem, WaitIrq,
                       canonical_actions)
 from .device import Device, DeviceSnapshot, Perm, SKUS_BY_ID
@@ -166,7 +165,7 @@ class ReplaySession:
         self.last_preempt_ack: PreemptAck | None = None
         self.attempt_hook = None      # callable(device, attempt_index)
         self.post_action_hook = None  # callable(session, index, action)
-        self._preempt_request = threading.Event()
+        self._preempt_request = False  # set by request_preempt, from any thread
         self._preempt_request_t = 0
         # va -> (pages, pas, PTE permission bits of its first map in the
         # device's layout, VALID included)
@@ -201,19 +200,32 @@ class ReplaySession:
             raise ReplayError(f"recording names unknown register {name!r}")
         return reg.offset
 
+    # _write and _read are the only frame between an action's handler and
+    # the device: they resolve the name, access it and charge the access
+
     def _write(self, name: str, value: int):
+        reg = self.reg_map.by_name(name)
+        if reg is None:
+            raise ReplayError(f"recording names unknown register {name!r}")
+        dev = self.dev
         try:
-            self.dev.reg_write(self._offset(name), value)
+            dev.reg_write(reg.offset, value)
         except dv.BusError as e:
             raise ReplayError(f"register write rejected: {e}") from e
-        self._tick(NANO_ACCESS_NS)
+        dev.tick(NANO_ACCESS_NS)
+        self.vclock_consumed += NANO_ACCESS_NS
 
     def _read(self, name: str) -> int:
+        reg = self.reg_map.by_name(name)
+        if reg is None:
+            raise ReplayError(f"recording names unknown register {name!r}")
+        dev = self.dev
         try:
-            v = self.dev.reg_read(self._offset(name))
+            v = dev.reg_read(reg.offset)
         except dv.BusError as e:
             raise ReplayError(f"register read rejected: {e}") from e
-        self._tick(NANO_ACCESS_NS)
+        dev.tick(NANO_ACCESS_NS)
+        self.vclock_consumed += NANO_ACCESS_NS
         return v
 
     def _reset_sequence(self):
@@ -318,10 +330,11 @@ class ReplaySession:
 
     def _lay_out(self, end: int) -> dict[int, bytearray]:
         """Build the L1 and L2 tables in memory. Then write, exactly once,
-        each table page and each other page below ``end`` or of the
-        previous load past it that lies below the device's
-        ``written_end``: RAM past that bound is still zero. Returns the
-        table pages (ppn -> bytes), as built."""
+        each table page and each other page that may hold bytes: outside
+        the device's dirty-page log RAM equals ``_cp_base`` below the
+        previous footprint (the pages ``cleanup`` scrubs), and past it RAM
+        is zero from the device's ``written_end`` on. Returns the table
+        pages (ppn -> bytes), as built."""
         page, shift = dv.PAGE_SIZE, dv.PAGE_SHIFT
         image = {pa >> shift: bytearray(page) for pa in (self._l1_pa, *self._l2_pages.values())}
         l1 = image[self._l1_pa >> shift]
@@ -334,12 +347,13 @@ class ReplaySession:
             for i, pa in enumerate(pas):
                 page_va = va + i * page
                 _put_u32(l2[(page_va >> 22) & 0x3FF], ((page_va >> 12) & 0x3FF) * 4, pa | bits)
-        write = self.dev.mem_write
-        stale = -(-self.dev.written_end >> shift)  # from this page on RAM is zero
-        for ppn in range(1, max(end, self._free_pa) >> shift):
-            data = image.get(ppn)
-            if data is not None or ppn < stale:
-                write(ppn << shift, data or _ZERO_PAGE)
+        stale = self.dev.take_dirty_pages()
+        if self._cp_base is not None:
+            stale.update(self._image, self._cp_base.pages)
+        stale.update(range(self._free_pa >> shift, -(-self.dev.written_end >> shift)), image)
+        stale.discard(0)  # page 0 stays reserved
+        for ppn in stale:
+            self.dev.mem_write(ppn << shift, image.get(ppn) or _ZERO_PAGE)
         self.dev.take_dirty_pages()
         self._free_pa = end
         return image
@@ -388,26 +402,38 @@ class ReplaySession:
 
     def step(self) -> DivergenceReport | None:
         """Execute the action at the cursor. Returns a report on
-        divergence (cursor stays on the failing action), else None."""
-        if self.loaded is None:
+        divergence (cursor stays on the failing action), else None.
+
+        Every action runs here, in the call shape the benchmark's tracer
+        counts: ``Device.tick`` for a non-zero pacing pad, then the
+        action's handler, whose register accesses are each
+        ``Device.reg_write`` or ``reg_read`` then ``Device.tick``, one
+        frame (``_write`` or ``_read``) below it. A tick with nothing due
+        makes no further call: the device caches its next event time and
+        refreshes it wherever a pending job or flush changes."""
+        rec = self.loaded
+        if rec is None:
             raise ReplayError("no recording loaded")
-        if self.cursor >= len(self.loaded.actions):
+        i = self.cursor
+        if i >= len(rec.actions):
             raise ReplayError("cursor past end of recording")
-        a = self.loaded.actions[self.cursor]
+        a = rec.actions[i]
         kind = type(a)
         lo, mult, _ = self._window
-        if self.cursor < lo:
+        if i < lo:
             mult = 1
-        pad = (a.min_interval_ns if self.config.honor_skips else a.raw_interval_ns)
+        pad = a.min_interval_ns if self.config.honor_skips else a.raw_interval_ns
         if pad:
-            self._tick(pad * mult)
+            pad *= mult
+            self.dev.tick(pad)
+            self.vclock_consumed += pad
         report = _HANDLERS.get(kind, _unknown_action)(self, a, mult)
         if report is not None:
             self.divergence_log.append(report)
             return report
         if self.post_action_hook is not None:
-            self.post_action_hook(self, self.cursor, a)
-        self.cursor += 1
+            self.post_action_hook(self, i, a)
+        self.cursor = i + 1
         if kind is WaitIrq and a.expect_rawstat & dv.IRQ_JOB_DONE:
             self.jobs_done += 1
             self._at_job_boundary = True
@@ -432,7 +458,7 @@ class ReplaySession:
 
     def _step_read(self, a: RegRead, mult: int) -> DivergenceReport | None:
         v = self._read(a.reg_name)
-        if a.nondet:
+        if a.state_class is ActionClass.NONDET:
             return None  # read and discard
         if v != a.expect_value:
             return DivergenceReport(self.cursor, DivergenceKind.VALUE_MISMATCH,
@@ -587,8 +613,8 @@ class ReplaySession:
         self.write_inputs(inputs)
         actions = self.loaded.actions
         while self.cursor < len(actions):
-            if self._preempt_request.is_set():
-                self._preempt_request.clear()
+            if self._preempt_request:
+                self._preempt_request = False
                 self._do_preempt(self._preempt_request_t)
                 return "preempted"
             report = self.step()
@@ -685,7 +711,7 @@ class ReplaySession:
         """Thread-safe: ask the running replay loop to yield the GPU at the
         next action boundary."""
         self._preempt_request_t = self.dev.vclock_ns
-        self._preempt_request.set()
+        self._preempt_request = True
 
     def preempt(self) -> PreemptAck:
         """Immediate handoff; legal between steps."""

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
 import struct
+import sys
 
 import pytest
 
+import gprr
 from gprr.device import Device, SKU_A, SKU_B
 from gprr.recorder import RecordHarness, record
 from gprr.refstack import GpuStack, DelayPolicy, build_graph
@@ -54,6 +57,29 @@ def record_graph(graph, *, env_seed=7, delays=DelayPolicy(), harness=None,
 def recorded(graphs):
     """One monolithic recording per built-in workload."""
     return {name: record_graph(g).recordings[0] for name, g in graphs.items()}
+
+
+def gprr_calls(fn, *args):
+    """``fn(*args)`` and the count of Python calls it made into gprr code:
+    the package's modules and the code they compile at run time
+    (``<string>``), as ``sys.setprofile`` reports them."""
+    pkg = os.path.dirname(gprr.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            name = frame.f_code.co_filename
+            if name.startswith(pkg) or name == "<string>":
+                calls += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(outer)
+    return result, calls
 
 
 def replay_once(rec, inputs, *, sku=SKU_A, env_seed=1, config=None):

@@ -1231,6 +1231,79 @@ def test_next_event_is_the_earlier_of_job_and_flush():
     assert dev.next_event_ns() == job
 
 
+def reference_tick(dev, dt):
+    """``Device.tick`` as a loop over ``next_event_ns()``, with no cached
+    time."""
+    end = dev.vclock_ns + dt
+    events = []
+    while True:
+        t = dev.next_event_ns()
+        if t is None or t > end:
+            break
+        dev.vclock_ns = max(dev.vclock_ns, t)
+        events.extend(dev._complete_due(t))
+    dev.vclock_ns = end
+    return events
+
+
+device_ops = st.lists(st.one_of(
+    st.tuples(st.just("kick"), st.integers(0, 2)),  # a store, a long loop, a fault
+    st.tuples(st.just("tick"), st.integers(0, 3000)),
+    st.tuples(st.just("stall"), st.integers(0, 2000)),
+    st.sampled_from([("flush",), ("snapshot",), ("restore",), ("reset",), ("offline",)])),
+    max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=device_ops, seed=st.integers(0, 3))
+def test_the_cached_next_event_time_follows_every_operation(ops, seed):
+    # tick tests one cached time: after every operation it equals
+    # next_event_ns(), and a twin device ticked by the reference loop sees
+    # the same interrupts at the same times
+    twins = []
+    for dev in (Device(env_seed=seed), Device(env_seed=seed)):
+        rig = _Rig(dev)
+        out_va, _ = rig.map_page(Perm.READ | Perm.WRITE)
+        a = Asm()
+        a.ldi(0, 500)
+        a.label("loop")
+        a.addi(0, 0, -1)
+        a.bnz(0, "loop")
+        a.halt()
+        jobs = [rig.job(store_const_shader(out_va, 7), []), rig.job(a.assemble(), []),
+                rig.job(store_const_shader(rig.next_va + 64 * dv.PAGE_SIZE, 7), [])]
+        wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
+        twins.append([dev, rig, jobs, dev.snapshot()])
+    for op in ops:
+        got = []
+        for twin in twins:
+            dev, rig, jobs, snap = twin
+            if op[0] == "kick":
+                rig.kick(jobs[op[1]])
+            elif op[0] == "tick":
+                got.append(dev.tick(op[1]) if twin is twins[0] else reference_tick(dev, op[1]))
+            elif op[0] == "stall":
+                dev.stall(op[1])
+            elif op[0] == "flush":
+                wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
+            elif op[0] == "snapshot":
+                twin[3] = dev.snapshot()
+            elif op[0] == "restore":
+                dev.restore(snap)
+            elif op[0] == "reset":  # and re-arm the MMU and the mask, as a driver does
+                wr(dev, "GPU_CMD", dv.CMD_SOFT_RESET)
+                wr(dev, "MMU_TABLE_BASE_LO", rig.L1_PA)
+                wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
+            else:
+                dev.offline_cores(dev.sku.full_core_mask)
+        dev, ref = twins[0][0], twins[1][0]
+        assert dev._next_ns == dev.next_event_ns() == ref.next_event_ns(), op
+        assert (dev.vclock_ns, dev.job_state, dev.irq_rawstat) == (
+            ref.vclock_ns, ref.job_state, ref.irq_rawstat), op
+        if got:
+            assert got[0] == got[1], op
+
+
 def test_register_map_invariants():
     from gprr.device import Access, RegDef, RegisterMap, StateClass
     with pytest.raises(ValueError):

@@ -30,7 +30,8 @@ from gprr.replayer import (MAX_ATTEMPTS, DivergenceKind, LoadError, ReplayConfig
 from gprr.shader import OP_LDI
 from gprr.verifier import verify
 
-from conftest import builtin_graphs, i32s, random_input, record_graph, replay_once, unpack32
+from conftest import (builtin_graphs, gprr_calls, i32s, random_input, record_graph,
+                      replay_once, unpack32)
 
 
 @pytest.fixture(scope="module")
@@ -497,6 +498,7 @@ def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, 
         want = e
     dev = Device(sku=sku)
     s = init(dev, ReplayConfig(force=True))
+    earlier = count_writes(dev)  # the pages this session wrote before the load
     if reload:  # over a replayed load of a recording with a larger footprint
         g, small = vecadd
         va, fill = 0x0200_0000, b"\x5A" * (64 * page)
@@ -506,6 +508,7 @@ def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, 
             MapGpuMem(0, 0, va, len(fill), 0b0011), LoadMemDump(0, 0, big.dump_id, va)))
         s.load(patch(prior, dv.SKU_A, sku))
         assert s.replay(i32s(range(8))).ok
+    del dev.mem_write
     touched = s._free_pa  # no page past this or the new footprint was written
     stale = -(-dev.written_end // page)  # pages that may hold bytes before the load
     writes = count_writes(dev)
@@ -521,8 +524,10 @@ def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, 
         assert s._page_pa == page_pa
         assert s._free_pa == end
         touched = max(touched, end)
-        # each non-zero page, and each page that may have held bytes, once
-        assert writes == Counter(image.keys() | range(1, stale))
+        # each non-zero page, and each page that may have held bytes, once:
+        # those the session wrote, and past its footprint those below the
+        # device's bound
+        assert writes == Counter(image.keys() | {*earlier, *range(touched >> dv.PAGE_SHIFT, stale)})
         assert dev.mem_read(0, touched) == ref_dev.mem_read(0, touched)
         assert dev.take_dirty_pages() == ref_dev.take_dirty_pages() == set()
     del dev.mem_write
@@ -596,6 +601,61 @@ def test_a_load_scrubs_what_an_earlier_load_or_replay_left_past_it(vecadd, repla
     assert dev.mem_read(0, touched) == ref_dev.mem_read(0, touched)
     inp = i32s(range(8, 16))
     assert s.replay(inp).outputs == [g.evaluate(inp)]
+    s.cleanup()
+
+
+@pytest.fixture(scope="module")
+def chain64():
+    g = _LARGE["chain-64"]
+    return g, record_graph(g).recordings[0]
+
+
+@pytest.mark.parametrize("every", [0, 1])
+def test_a_reload_writes_only_the_pages_that_may_hold_bytes(chain64, every):
+    # After a replay, RAM may hold bytes only in the pages the session
+    # wrote or its flushes committed: a second load of the same recording
+    # rewrites those and its table pages, not every page below the
+    # footprint as it once did
+    g, rec = chain64
+    page = dv.PAGE_SIZE
+    dev = Device()
+    s = init(dev, ReplayConfig(checkpoint_every_jobs=every))
+    written = count_writes(dev)
+    s.load(rec)
+    inp = random_input(g, 3)
+    assert s.replay(inp).ok
+    del dev.mem_write
+    footprint = s._free_pa >> dv.PAGE_SHIFT
+    assert -(-dev.written_end >> dv.PAGE_SHIFT) == footprint
+    held = {p for p in range(footprint) if dev.mem_read(p * page, page) != bytes(page)}
+    writes = count_writes(dev)
+    s.load(rec)
+    del dev.mem_write
+    assert writes == Counter(held | written.keys() | table_pages(s))
+    assert len(writes) < 0.65 * footprint  # chain-64: 195 of 323 pages
+    fresh = init(Device())
+    fresh.load(rec)
+    assert dev.mem_read(0, s._free_pa) == fresh.dev.mem_read(0, s._free_pa)
+    inp = random_input(g, 4)
+    assert s.replay(inp).outputs == [g.evaluate(inp)]
+    s.cleanup()
+    fresh.cleanup()
+
+
+def test_a_replayed_action_costs_few_calls_into_gprr(chain64):
+    # Per action: step and its handler, then per register access one frame
+    # to Device.reg_write or reg_read and Device.tick, which makes no call
+    # when nothing is due. A chain-64 replay made 12.4 calls into gprr code
+    # per action (its compiled shader loops included) before that; now
+    # about 8.2
+    g, rec = chain64
+    s = init(Device(env_seed=1))
+    s.load(rec)
+    inp = random_input(g, 1)
+    assert s.replay(inp).ok
+    result, calls = gprr_calls(s.replay, inp)
+    assert result.outputs == [g.evaluate(inp)]
+    assert calls <= 9 * len(rec.actions), calls / len(rec.actions)
     s.cleanup()
 
 
