@@ -172,6 +172,8 @@ class SkuProfile:
     # decode_perms of every 4-bit PTE field, as an int mask of Perm values:
     # the MMU tests these instead of building a Perm on every access
     perm_masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # encode_perms by Perm value, the inverse table
+    perm_codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.core_count <= 32:
@@ -180,17 +182,16 @@ class SkuProfile:
             raise ValueError("perm_bit_layout must be a permutation of V,R,W,X")
         object.__setattr__(self, "perm_masks",
                            tuple(self.decode_perms(bits).value for bits in range(16)))
+        object.__setattr__(self, "perm_codes", tuple(
+            sum(1 << pos for pos, p in enumerate(self.perm_bit_layout) if p.value & value)
+            for value in range(16)))
 
     @property
     def full_core_mask(self) -> int:
         return (1 << self.core_count) - 1
 
     def encode_perms(self, perms: Perm) -> int:
-        bits = 0
-        for pos, p in enumerate(self.perm_bit_layout):
-            if p in perms:
-                bits |= 1 << pos
-        return bits
+        return self.perm_codes[perms.value]
 
     def decode_perms(self, bits: int) -> Perm:
         perms = Perm(0)

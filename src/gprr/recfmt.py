@@ -7,7 +7,7 @@ it. See docs/format.md for the byte-level layout; action payloads follow
 gprr.actions.ACTION_SCHEMAS.
 
 decode() never raises anything but DecodeError subclasses on arbitrary
-input; every error carries the byte offset it was detected at.
+bytes-like input; every error carries the byte offset it was detected at.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
+from operator import attrgetter
 
 from .actions import (ACTION_SCHEMAS, ActionSchema, DumpOrigin, Granularity,
                       IoDescriptor, IoMode, IoRole, LoadMemDump, MemDump,
@@ -80,10 +81,6 @@ class _Writer:
     def raw(self, b: bytes):
         self.parts.append(b)
 
-    def blob32(self, b: bytes):
-        self.u32(len(b))
-        self.raw(b)
-
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
 
@@ -137,22 +134,27 @@ _DUMP_HEAD = struct.Struct("<IIIBI")
 _new_dump = slot_factory(MemDump)
 _CODECS = [_compile(s) for s in ACTION_SCHEMAS]
 _CODEC_BY_TAG = {c[0].tag: c for c in _CODECS}
-_CODEC_BY_CLASS = {c[0].cls: c for c in _CODECS}
 
 
-def _write_action(w: _Writer, a) -> None:
-    codec = _CODEC_BY_CLASS.get(type(a))
-    if codec is None:
-        raise TypeError(f"not a replay action: {a!r}")
-    spec, head, tail, _ = codec
-    values = [getattr(a, f) for f in spec.fields]
+def _packer(spec: ActionSchema, head: struct.Struct, tail):
+    """A function that packs one ``spec.cls`` action into its wire bytes:
+    one ``pack`` of all its fields, or for a named type its head, its
+    name and its tail."""
+    tag, pack = spec.tag, head.pack
+    get = attrgetter("raw_interval_ns", "min_interval_ns", *spec.fields)
     if tail is None:
-        w.raw(head.pack(spec.tag, a.raw_interval_ns, a.min_interval_ns, *values))
-        return
-    name = a.reg_name.encode("utf-8")
-    w.raw(head.pack(spec.tag, a.raw_interval_ns, a.min_interval_ns, len(name)))
-    w.raw(name)
-    w.raw(tail.pack(*values))
+        return lambda a: pack(tag, *get(a))
+    pack_tail = tail.pack
+
+    def pack_named(a):
+        raw_iv, min_iv, *values = get(a)
+        name = a.reg_name.encode("utf-8")
+        return pack(tag, raw_iv, min_iv, len(name)) + name + pack_tail(*values)
+    return pack_named
+
+
+_PACK_BY_CLASS = {spec.cls: _packer(spec, head, tail)
+                  for spec, head, tail, _ in _CODECS}
 
 
 def _cut(pos: int, codes: str, end: int) -> Truncated:
@@ -200,10 +202,11 @@ def _read_action(r: _Reader):
 
 
 def _read_actions(r: _Reader, count: int) -> list:
-    """``count`` actions from ``r.pos`` on. An action that does not fit,
-    or does not build, is read again by ``_read_action``, which raises
-    the error it finds."""
+    """``count`` actions from ``r.pos`` on, each distinct register name
+    decoded once. An action that does not fit, or does not build, is read
+    again by ``_read_action``, which raises the error it finds."""
     data, codecs, out = r.data, _CODEC_BY_TAG, []
+    names: dict[bytes, str] = {}
     p = r.pos
     for _ in range(count):
         try:
@@ -214,7 +217,9 @@ def _read_actions(r: _Reader, count: int) -> list:
             else:
                 _, raw_iv, min_iv, n = head.unpack_from(data, p)
                 q = p + head.size + n
-                name = data[q - n:q].decode("utf-8")
+                name = names.get(b := data[q - n:q])
+                if name is None:
+                    name = names[b] = b.decode("utf-8")
                 a = build(raw_iv, min_iv, name, *tail.unpack_from(data, q))
                 q += tail.size
         except (LookupError, ValueError, struct.error):
@@ -267,16 +272,18 @@ def encode(rec: Recording) -> bytes:
     w.raw(label)
 
     w.u32(len(rec.actions))
+    parts, packers = w.parts, _PACK_BY_CLASS
     for a in rec.actions:
-        _write_action(w, a)
+        pack = packers.get(type(a))
+        if pack is None:
+            raise TypeError(f"not a replay action: {a!r}")
+        parts.append(pack(a))
 
     w.u32(len(rec.dumps))
     for d in rec.dumps:
-        w.u32(d.dump_id)
-        w.u32(d.gpu_va)
-        w.u32(d.raw_len)
-        w.u8(d.origin_filter.value)
-        w.blob32(d.payload)
+        parts.append(_DUMP_HEAD.pack(d.dump_id, d.gpu_va, d.raw_len,
+                                     d.origin_filter.value, len(d.payload)))
+        parts.append(d.payload)
 
     w.u32(len(rec.io_table))
     for io in rec.io_table:
@@ -290,6 +297,7 @@ def encode(rec: Recording) -> bytes:
 
 
 def decode(data: bytes) -> Recording:
+    data = bytes(data)  # any bytes-like input; a bytes argument is not copied
     r = _Reader(data)
     if len(data) < 4 or data[:4] != MAGIC:
         raise BadMagic(0, "bad file magic")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import device as dv
 from .actions import (ActionClass, DumpOrigin, Granularity, IoDescriptor,
@@ -34,6 +34,8 @@ from .refstack import (AllocFlags, GpuStack, PortEvent,
 
 DUMP_BYTE_NS = 0.2  # recording overhead charged while dumping (GPU idle)
 _new_dump = slot_factory(MemDump)
+_new_write, _new_read, _new_poll, _new_wait, _new_map, _new_unmap = map(
+    slot_factory, (RegWrite, RegRead, RegReadWait, WaitIrq, MapGpuMem, UnmapGpuMem))
 
 
 class DiscoveryError(Exception):
@@ -219,11 +221,13 @@ class _RunTrace(StackListener):
             r = self._regions[i]
             content = self.stack.mem_read_va(va, r.page_len)
             if content != r.content:
-                r = self._regions[i] = replace(r, content=content)
+                r = self._regions[i] = _Region(r.gpu_va, r.len_bytes, r.page_len,
+                                               r.perm_bits, r.flags, r.pages, content)
                 self._changed[va] = r
 
     def final_cpu_visible(self) -> list[_Region]:
-        return [replace(r, content=self.stack.mem_read_va(r.gpu_va, r.page_len))
+        return [_Region(r.gpu_va, r.len_bytes, r.page_len, r.perm_bits, r.flags, r.pages,
+                        self.stack.mem_read_va(r.gpu_va, r.page_len))
                 for r in self._regions if r.flags & _CPU_VISIBLE]
 
 
@@ -387,6 +391,9 @@ class _Builder:
         self.kept = 0
         self.raw_dump_bytes = 0
         self.addr_inputs = _by_address_inputs(io_table)
+        # snapshot bytes -> their DEFLATE payload: DEFLATE is deterministic,
+        # so each distinct snapshot is deflated once for every recording
+        self._payloads: dict[bytes, bytes] = {}
 
     def _header(self, label: str) -> RecordingHeader:
         return RecordingHeader(
@@ -404,37 +411,43 @@ class _Builder:
         ``floor``; appends the MemDumps, each with its index in ``dumps``
         as id and the snapshot it deflated as ``raw``."""
         loads = []
+        payloads = self._payloads
         for r in regions:
-            if not _dumped(r, addr_inputs) or last.get(r.gpu_va) == r.content:
+            content = r.content
+            if not _dumped(r, addr_inputs) or last.get(r.gpu_va) == content:
                 continue  # an unchanged snapshot is the very bytes object last dumped
-            last[r.gpu_va] = r.content
+            last[r.gpu_va] = content
             origin = (DumpOrigin.EXEC_PAGE if r.flags & _GPU_EXEC
                       else DumpOrigin.MAPPED_FALLBACK)
+            payload = payloads.get(content)
+            if payload is None:
+                payload = payloads[content] = deflate(content)
             loads.append(LoadMemDump(raw, floor, len(dumps), r.gpu_va))
-            dumps.append(_new_dump(len(dumps), r.gpu_va, len(r.content),
-                                   deflate(r.content), origin, r.content))
+            dumps.append(_new_dump(len(dumps), r.gpu_va, len(content), payload, origin,
+                                   content))
             raw = floor = 0
-            self.raw_dump_bytes += len(r.content)
+            self.raw_dump_bytes += len(content)
         return loads
 
     def _entry_actions(self, entry: _Entry, raw: int, floor: int):
         """The action of a non-kick entry, with the intervals ``raw`` and
         ``floor`` (the fields after them are positional)."""
         ev = entry.ev
-        if ev.kind == "write":
-            return [RegWrite(raw, floor, ev.reg, ev.value)]
-        if ev.kind == "read":
+        kind = ev.kind
+        if kind == "write":
+            return [_new_write(raw, floor, ev.reg, ev.value)]
+        if kind == "read":
             if ev.state_class is StateClass.NONDET_READ:
-                return [RegRead(raw, floor, ev.reg, 0, ActionClass.NONDET)]
-            return [RegRead(raw, floor, ev.reg, ev.value, ActionClass.STATE)]
-        if ev.kind == "poll":
-            return [RegReadWait(raw, floor, ev.reg, ev.mask, ev.expect, ev.n_reads)]
-        if ev.kind == "wait_irq":
-            return [WaitIrq(raw, floor, ev.bits, entry.t1 - entry.t0)]
-        if ev.kind == "map":
-            return [MapGpuMem(raw, floor, ev.gpu_va, ev.len_bytes, ev.perm_bits)]
-        if ev.kind == "unmap":
-            return [UnmapGpuMem(raw, floor, ev.gpu_va, ev.len_bytes)]
+                return [_new_read(raw, floor, ev.reg, 0, ActionClass.NONDET)]
+            return [_new_read(raw, floor, ev.reg, ev.value, ActionClass.STATE)]
+        if kind == "poll":
+            return [_new_poll(raw, floor, ev.reg, ev.mask, ev.expect, ev.n_reads)]
+        if kind == "wait_irq":
+            return [_new_wait(raw, floor, ev.bits, entry.t1 - entry.t0)]
+        if kind == "map":
+            return [_new_map(raw, floor, ev.gpu_va, ev.len_bytes, ev.perm_bits)]
+        if kind == "unmap":
+            return [_new_unmap(raw, floor, ev.gpu_va, ev.len_bytes)]
         raise ValueError(f"unknown event kind {ev.kind}")
 
     def _build(self, entries, actions, dumps, last) -> None:

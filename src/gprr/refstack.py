@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import random
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import device as dv
@@ -32,6 +33,7 @@ ZERO_BYTE_NS = 0.05
 VA_BASE = 0x0040_0000  # keeps the first buffer out of L1 slot 0
 
 INT32 = struct.Struct("<i")
+_ZERO_PAGE = bytes(dv.PAGE_SIZE)
 
 
 class WorkloadError(Exception):
@@ -233,8 +235,13 @@ class Allocation:
 # stream; everything the runtime does through raw memory stays invisible.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PortEvent:
+    """One accessor call, as a listener sees it. Not frozen: a frozen
+    ``__init__`` sets each of the 14 fields through ``object.__setattr__``,
+    about four times the cost of a plain one, and the driver builds one
+    per call. Only listeners read events; nothing hashes or mutates them."""
+
     kind: str            # write | read | poll | wait_irq | map | unmap | pre_kick
     t0: int
     t1: int
@@ -458,7 +465,7 @@ class GpuStack:
         self.driver = _Driver(self)
         self.allocations: list[Allocation] = []
         self._rng = random.Random(rng_seed)
-        self._free_pages: list[int] = []
+        self._free_pages: deque[int] = deque()
         self._next_va = VA_BASE
 
     # -- time & memory plumbing -------------------------------------------------
@@ -473,7 +480,7 @@ class GpuStack:
 
     def _reset_allocators(self):
         # page 0 stays reserved so a null PTE never aliases real data
-        self._free_pages = list(range(dv.PAGE_SIZE, dv.MEM_BYTES, dv.PAGE_SIZE))
+        self._free_pages = deque(range(dv.PAGE_SIZE, dv.MEM_BYTES, dv.PAGE_SIZE))
         self._next_va = VA_BASE
         self.allocations = []
         self.driver = _Driver(self)
@@ -482,13 +489,13 @@ class GpuStack:
     def _alloc_phys_page(self) -> int:
         if not self._free_pages:
             raise DriverError("out of physical pages")
-        pa = self._free_pages.pop(0)
-        self.dev.mem_write(pa, b"\x00" * dv.PAGE_SIZE)  # scrubbed on alloc
+        pa = self._free_pages.popleft()
+        self.dev.mem_write(pa, _ZERO_PAGE)  # scrubbed on alloc
         self.sleep(round(dv.PAGE_SIZE * ZERO_BYTE_NS))
         return pa
 
     def _free_phys_pages(self, pages: list[int]):
-        self._free_pages = pages + self._free_pages
+        self._free_pages.extendleft(reversed(pages))  # reused first, in their order
 
     def alloc_map(self, tag: str, len_bytes: int, flags: AllocFlags,
                   perms: Perm) -> Allocation:

@@ -147,8 +147,8 @@ class ReplaySession:
         "preempted", "last_preempt_ack", "attempt_hook", "post_action_hook",
         "_preempt_request", "_preempt_request_t", "_ranges", "_page_pa",
         "_unmapped", "_live_bytes", "_l1_pa", "_l2_pages", "_window",
-        "_at_job_boundary", "_free_pa", "_image", "_cp_base", "_dumps",
-        "_inputs")
+        "_at_job_boundary", "_free_pa", "_image", "_image_cp", "_cp_base",
+        "_dumps", "_inputs")
 
     def __init__(self, dev: Device, config: ReplayConfig | None = None):
         self.dev = dev
@@ -180,9 +180,11 @@ class ReplaySession:
         self._window: tuple[int, int, bool] = (0, 1, False)
         self._at_job_boundary = True
         self._free_pa = dv.PAGE_SIZE  # end of the pages load wrote; page 0 stays reserved
-        # The session's table pages as load wrote them (ppn -> bytes), and
-        # the checkpoint that RAM equals outside the device's dirty-page log.
+        # The session's table pages as load wrote them (ppn -> bytes), the
+        # load-time image as a checkpoint, and the checkpoint that RAM
+        # equals outside the device's dirty-page log.
         self._image: dict[int, bytearray] = {}
+        self._image_cp: Checkpoint | None = None
         self._cp_base: Checkpoint | None = None
         self._dumps: dict[int, MemDump] = {}  # dump_id -> its first dump
         # (gpu_va, bytes) of each input the caller supplied to this replay
@@ -324,7 +326,11 @@ class ReplaySession:
                 raise LoadError("out of physical pages")
         self._dumps = {d.dump_id: d for d in reversed(rec.dumps)}  # the first of each id
         self._image = self._lay_out(end)
-        self._cp_base = self._image_checkpoint()
+        # the image as a checkpoint: no page written since it, every range mapped
+        npages = sum(r[0] for r in self._ranges.values()) + 1 + len(self._l2_pages)
+        self._cp_base = self._image_cp = Checkpoint(
+            token=None, action_index=0, jobs_done=0, snapshot=None, pages={},
+            byte_count=dv.PAGE_SIZE * npages, unmapped=frozenset())
         self._put_back(self._cp_base)
         self.loaded = rec
 
@@ -362,13 +368,6 @@ class ReplaySession:
         self.dev.reg_write(self._offset("MMU_TABLE_BASE_LO"), self._l1_pa & 0xFFFFFFFF)
         self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"), self._l1_pa >> 32)
 
-    def _image_checkpoint(self) -> Checkpoint:
-        """The load-time image as a checkpoint: no page written since it,
-        every range mapped."""
-        npages = sum(r[0] for r in self._ranges.values()) + 1 + len(self._l2_pages)
-        return Checkpoint(token=None, action_index=0, jobs_done=0, snapshot=None,
-                          pages={}, byte_count=dv.PAGE_SIZE * npages, unmapped=frozenset())
-
     def _put_back(self, cp: Checkpoint):
         """Make RAM and the device as of ``cp``, and move the cursor to
         where it was taken. RAM equals ``_cp_base`` outside the device's
@@ -396,7 +395,7 @@ class ReplaySession:
     def _reload(self):
         """Fresh start for a new replay or a recovery attempt."""
         self._reset_sequence()
-        self._put_back(self._image_checkpoint())
+        self._put_back(self._image_cp)
 
     # -- stepping -------------------------------------------------------------------
 

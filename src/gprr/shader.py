@@ -53,12 +53,6 @@ OP_MAX = 0x07
 OP_ADDI = 0x08
 OP_BNZ = 0x09
 
-_OP_NAMES = {
-    OP_HALT: "halt", OP_LDI: "ldi", OP_LD: "ld", OP_ST: "st", OP_ADD: "add",
-    OP_SUB: "sub", OP_MUL: "mul", OP_MAX: "max", OP_ADDI: "addi", OP_BNZ: "bnz",
-}
-
-
 class ShaderFault(Exception):
     """Undecodable instruction stream (unknown opcode, register above r7,
     truncated LDI, branch out of range)."""
@@ -137,32 +131,6 @@ class Asm:
                 raise ValueError("branch offset out of range")
             words[at] = (words[at] & 0xFFFF0000) | (off & 0xFFFF)
         return words
-
-
-def disassemble(words: list[int]) -> list[str]:
-    out = []
-    pc = 0
-    while pc < len(words):
-        w = words[pc]
-        op = w >> 24
-        rd, ra, rb = (w >> 20) & 0xF, (w >> 16) & 0xF, (w >> 12) & 0xF
-        name = _OP_NAMES.get(op, f"op{op:#x}?")
-        if op == OP_LDI and pc + 1 < len(words):
-            out.append(f"{pc:4d}: ldi r{rd}, {words[pc + 1]:#x}")
-            pc += 2
-            continue
-        if op in (OP_ADDI, OP_BNZ):
-            out.append(f"{pc:4d}: {name} r{rd if op == OP_ADDI else ra}, {_signed16(w)}")
-        elif op == OP_ST:
-            out.append(f"{pc:4d}: st [r{ra}], r{rd}")
-        elif op == OP_LD:
-            out.append(f"{pc:4d}: ld r{rd}, [r{ra}]")
-        elif op == OP_HALT:
-            out.append(f"{pc:4d}: halt")
-        else:
-            out.append(f"{pc:4d}: {name} r{rd}, r{ra}, r{rb}")
-        pc += 1
-    return out
 
 
 # Only r0..r7 exist: per opcode, the top bit of each 4-bit register field
@@ -494,9 +462,10 @@ def execute(words: list[int], params: list[int], load_word, store_word,
             if regs[a] != 0:
                 if b <= pc:  # a back-edge: whole iterations run compiled
                     key = (path, pc)
-                    if key not in loops:
-                        loops[key] = _compile_loop(decoded, b, pc, path)
-                    loop = loops[key]
+                    try:
+                        loop = loops[key]
+                    except KeyError:
+                        loop = loops[key] = _compile_loop(decoded, b, pc, path)
                     if loop is not None and budget - count >= loop[1]:
                         fn, steps, bulk = loop
                         iterations = (budget - count) // steps

@@ -14,7 +14,7 @@ from gprr.replayer import expected_event_log
 
 from gprr.recorder import RecordHarness
 
-from conftest import random_input, record_graph, replay_once
+from conftest import random_input, record_chain64, record_graph, replay_once
 
 INPUT_SEED = 2024
 
@@ -107,3 +107,12 @@ def test_per_layer_recordings_match_golden(graphs):
     harness = RecordHarness(granularity=Granularity.PER_LAYER)
     res = record_graph(graphs["mixed3"], harness=harness)
     assert tuple(_sha(encode(r)) for r in res.recordings) == PER_LAYER_GOLDEN
+
+
+# The benchmark's chain-64 at seed 1: 64 jobs whose 129 dumps repeat 67
+# distinct snapshots, where the builder's one deflate per snapshot acts.
+CHAIN64_GOLDEN = "4430db127e5b61b5ed8c036bd00838dd6746699ed3dab4ede9def8708e2dd56e"
+
+
+def test_chain64_recording_matches_golden():
+    assert _sha(encode(record_chain64().recordings[0])) == CHAIN64_GOLDEN

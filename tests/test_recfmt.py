@@ -143,6 +143,29 @@ def test_register_name_that_is_not_utf8():
     assert err.value.offset == at - 2  # the name's length field
 
 
+def test_a_repeated_name_decodes_once_and_a_bad_one_still_fails_at_its_offset():
+    acts = (RegWrite(0, 0, "GPU_CMD", 1), RegWrite(0, 0, "GPU_CMD", 2),
+            RegWrite(0, 0, "GPU_CMD", 3))
+    blob = bytearray(encode(Recording(header(), acts, (), ())))
+    got = decode(bytes(blob)).actions
+    assert got == acts and got[0].reg_name is got[2].reg_name
+    at = bytes(blob).rindex(b"GPU_CMD")
+    blob[at + 3] = 0xC0
+    body = bytes(blob[:-32])
+    with pytest.raises(Malformed, match="not valid UTF-8") as err:
+        decode(body + hashlib.sha256(body).digest())
+    assert err.value.offset == at - 2
+
+
+def test_bytes_like_input_decodes_as_bytes():
+    blob = encode(record_graph(build_graph([("vec_add",), ("relu",)], 8)).recordings[0])
+    want = decode(blob)
+    for data in (bytearray(blob), memoryview(blob)):
+        assert decode(data) == want
+    with pytest.raises(BadChecksum):
+        decode(bytearray(blob[:-1] + bytes([blob[-1] ^ 1])))
+
+
 def test_dangling_dump_reference():
     rec = Recording(header(), (LoadMemDump(0, 0, 9, 0x400000),), (), ())
     import hashlib

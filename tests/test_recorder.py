@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import gprr.device as dv
+from gprr import recorder
 from gprr.actions import (ActionClass, Granularity, IoMode, IoRole,
                           LoadMemDump, MapGpuMem, RegRead, RegReadWait,
                           RegWrite, UnmapGpuMem, WaitIrq, canonical_actions)
@@ -17,7 +18,7 @@ from gprr.recorder import (DiscoveryError, RecordHarness, _RunTrace,
                            classify_interval, magic_bytes, parse_harness, record)
 from gprr.refstack import VA_BASE, AllocFlags, DelayPolicy, GpuStack, build_graph
 
-from conftest import builtin_graphs, gprr_calls, i32s, record_graph
+from conftest import builtin_graphs, gprr_calls, i32s, record_chain64, record_graph
 
 
 # -- classify_interval ------------------------------------------------------------
@@ -166,6 +167,40 @@ def test_record_work_grows_linearly_with_the_job_count():
 
     small, large = per_job(64), per_job(256)
     assert large <= 1.1 * small, (small, large)
+
+
+def _counting_deflate(monkeypatch) -> list:
+    """Wraps ``recorder.deflate``; returns the list its calls' inputs go to."""
+    calls = []
+    real = recorder.deflate
+
+    def counted(data):
+        calls.append(data)
+        return real(data)
+    monkeypatch.setattr(recorder, "deflate", counted)
+    return calls
+
+
+def test_each_distinct_snapshot_is_deflated_once(monkeypatch):
+    # DEFLATE is deterministic, so a snapshot dumped again shares the
+    # payload of its first dump; raw_dump_bytes still counts every dump
+    calls = _counting_deflate(monkeypatch)
+    res = record_chain64()
+    dumps = res.recordings[0].dumps
+    assert (len(calls), len(dumps)) == (67, 129)
+    assert len(set(calls)) == len(calls) == len({d.payload for d in dumps})
+    assert res.raw_dump_bytes == sum(d.raw_len for d in dumps)
+    for d in dumps:
+        assert inflate(d.payload, d.raw_len) == d.raw
+
+
+def test_per_layer_slices_share_one_deflate_per_snapshot(monkeypatch):
+    calls = _counting_deflate(monkeypatch)
+    harness = RecordHarness(granularity=Granularity.PER_LAYER)
+    recs = record_graph(builtin_graphs()["mixed3"], harness=harness).recordings
+    payloads = {d.payload for r in recs for d in r.dumps}
+    assert len(calls) == len(set(calls)) <= len(payloads)
+    assert sum(len(r.dumps) for r in recs) > len(calls)  # some slice repeats a snapshot
 
 
 @pytest.mark.parametrize("granularity", list(Granularity))

@@ -117,6 +117,33 @@ def test_driver_va_to_pa_follows_map_and_unmap():
     assert stack.driver.va_to_pa(b.gpu_va + 4) == stack.driver.mappings[b.gpu_va][4][0] + 4
 
 
+def test_freed_pages_are_reused_first_in_their_order():
+    # the order of a list allocator that pops its head and puts freed
+    # pages back at the head, in their order
+    stack = fresh_stack()
+    stack._reset_allocators()
+    model = list(range(dv.PAGE_SIZE, dv.MEM_BYTES, dv.PAGE_SIZE))
+
+    def alloc(n):
+        got = [stack._alloc_phys_page() for _ in range(n)]
+        assert got == model[:n]
+        del model[:n]
+        return got
+
+    def free(pages):
+        stack._free_phys_pages(pages)
+        model[:0] = pages
+
+    a, b = alloc(3), alloc(2)
+    stack.dev.mem_write(a[1], b"\xff" * dv.PAGE_SIZE)
+    free(a)
+    c = alloc(4)
+    assert c[:3] == a and stack.dev.mem_read(a[1], dv.PAGE_SIZE) == bytes(dv.PAGE_SIZE)
+    free([b[1], c[3]])
+    free([c[0]])
+    alloc(5)
+
+
 def test_input_length_checked():
     g = build_graph([("relu",)], 4)
     with pytest.raises(ValueError):
