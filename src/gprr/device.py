@@ -90,6 +90,9 @@ JITTER_HI = 1.3
 # random() and so per uniform().
 _RNG_REBASE_WORDS = 4096
 
+# The most shader instructions one kick runs, over its whole chain: a chain
+# of self-linked jobs cannot multiply it. Every chain the reference stack
+# kicks holds one job, so its recordings run as under a per-job budget.
 SHADER_STEP_BUDGET = 1 << 24
 CHAIN_MAX_JOBS = 4096
 # The most reads a driver's poll makes before it gives up. Replay polls a
@@ -872,7 +875,8 @@ class Device:
                     words += struct.unpack_from(f"<{n >> 2}I", mem, walk(a, _EXEC))
                     off += n
                 n, halted = execute(words, list(params), load_word, store_word,
-                                    SHADER_STEP_BUDGET, _MEM_PATH, bound, run_bulk)
+                                    SHADER_STEP_BUDGET - total_instr, _MEM_PATH, bound,
+                                    run_bulk)
                 total_instr += n
                 if not halted:
                     return _PendingJob(None, {}, total_instr, None, JOB_BAD_STATE)

@@ -168,43 +168,45 @@ def _cut(pos: int, codes: str, end: int) -> Truncated:
     raise AssertionError("fields fit")
 
 
-def _read_action(r: _Reader):
-    data, at, end = r.data, r.pos, len(r.data)
+def _action_error(data: bytes, at: int) -> DecodeError:
+    """The error in the action at ``at``, which does not fit or build:
+    the first field that runs past the end or holds a bad value."""
+    end = len(data)
     if at + 17 > end:  # every type starts with its tag and both intervals
-        raise _cut(at, "BQQ", end)
+        return _cut(at, "BQQ", end)
     codec = _CODEC_BY_TAG.get(data[at])
     if codec is None:
-        raise UnknownTag(at, f"unknown action tag {data[at]:#x}")
+        return UnknownTag(at, f"unknown action tag {data[at]:#x}")
     spec, head, tail, build = codec
     p = at + head.size
     if p > end:
-        raise _cut(at, head.format[1:], end)
+        return _cut(at, head.format[1:], end)
     if tail is None:
         values = head.unpack_from(data, at)[1:]
     else:
         _, raw_iv, min_iv, n = head.unpack_from(data, at)
         if p + n > end:
-            raise Truncated(p, f"needed {n} more bytes")
+            return Truncated(p, f"needed {n} more bytes")
         try:
             name = data[p:p + n].decode("utf-8")
         except UnicodeDecodeError:
-            raise Malformed(p - 2, "string is not valid UTF-8") from None
+            return Malformed(p - 2, "string is not valid UTF-8")
         p += n
         if p + tail.size > end:
-            raise _cut(p, spec.fmt, end)
+            return _cut(p, spec.fmt, end)
         values = (raw_iv, min_iv, name, *tail.unpack_from(data, p))
         p += tail.size
-    r.pos = p
     try:
-        return build(*values)
+        build(*values)
     except ValueError as e:  # only a payload's final byte is range-checked
-        raise Malformed(p - 1, str(e)) from None
+        return Malformed(p - 1, str(e))
+    raise AssertionError("the action decodes")
 
 
 def _read_actions(r: _Reader, count: int) -> list:
     """``count`` actions from ``r.pos`` on, each distinct register name
-    decoded once. An action that does not fit, or does not build, is read
-    again by ``_read_action``, which raises the error it finds."""
+    decoded once. An action that does not fit, or does not build, raises
+    the error ``_action_error`` finds in it."""
     data, codecs, out = r.data, _CODEC_BY_TAG, []
     names: dict[bytes, str] = {}
     p = r.pos
@@ -223,9 +225,7 @@ def _read_actions(r: _Reader, count: int) -> list:
                 a = build(raw_iv, min_iv, name, *tail.unpack_from(data, q))
                 q += tail.size
         except (LookupError, ValueError, struct.error):
-            r.pos = p
-            a = _read_action(r)
-            q = r.pos
+            raise _action_error(data, p) from None
         out.append(a)
         p = q
     r.pos = p

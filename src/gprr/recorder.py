@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import enum
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import device as dv
 from .actions import (ActionClass, DumpOrigin, Granularity, IoDescriptor,
@@ -164,9 +164,7 @@ class _RunTrace(StackListener):
         self.entries: list[_Entry] = []
         self.layer_marks: dict[int, int] = {}        # layer -> first entry index
         self.layer_regions: dict[int, list[_Region]] = {}
-        # the live regions' latest snapshots in VA order, their VAs alongside
-        self._vas: list[int] = []
-        self._regions: list[_Region] = []
+        self._regions: dict[int, _Region] = {}       # live VA -> its latest snapshot
         self._page_va: dict[int, int] = {}           # physical page -> live VA
         self._unread: set[int] = set()               # VAs mapped, not yet read
         self._changed: dict[int, _Region] = {}       # mapped or rewritten since the last kick
@@ -176,7 +174,8 @@ class _RunTrace(StackListener):
         if index not in self.layer_marks:
             self.layer_marks[index] = len(self.entries)
             self._refresh()
-            self.layer_regions[index] = list(self._regions)
+            self.layer_regions[index] = sorted(self._regions.values(),
+                                               key=attrgetter("gpu_va"))
 
     def on_port_event(self, ev: PortEvent):
         entry = _Entry(ev, ev.t0, ev.t1)
@@ -184,17 +183,13 @@ class _RunTrace(StackListener):
         if ev.kind == "map":
             page_len = max(1, -(-ev.len_bytes // dv.PAGE_SIZE)) * dv.PAGE_SIZE
             pages = dv.span_pages(va, page_len, self.stack.driver.va_to_pa)
-            i = bisect_left(self._vas, va)
-            self._vas.insert(i, va)
-            self._regions.insert(i, _Region(va, ev.len_bytes, page_len, ev.perm_bits,
-                                            ev.flags.value, pages))
+            self._regions[va] = _Region(va, ev.len_bytes, page_len, ev.perm_bits,
+                                        ev.flags.value, pages)
             self._page_va.update(dict.fromkeys(pages, va))
             self._unread.add(va)
             self._live_bytes += ev.len_bytes
         elif ev.kind == "unmap":
-            i = bisect_left(self._vas, va)
-            del self._vas[i]
-            r = self._regions.pop(i)
+            r = self._regions.pop(va)
             for p in r.pages:
                 del self._page_va[p]
             self._unread.discard(va)
@@ -216,19 +211,19 @@ class _RunTrace(StackListener):
         stale = {page_va[p] for p in self.stack.dev.take_dirty_pages() if p in page_va}
         stale |= self._unread
         self._unread = set()
+        regions = self._regions
         for va in stale:
-            i = bisect_left(self._vas, va)
-            r = self._regions[i]
+            r = regions[va]
             content = self.stack.mem_read_va(va, r.page_len)
             if content != r.content:
-                r = self._regions[i] = _Region(r.gpu_va, r.len_bytes, r.page_len,
-                                               r.perm_bits, r.flags, r.pages, content)
+                r = regions[va] = _Region(r.gpu_va, r.len_bytes, r.page_len,
+                                          r.perm_bits, r.flags, r.pages, content)
                 self._changed[va] = r
 
     def final_cpu_visible(self) -> list[_Region]:
         return [_Region(r.gpu_va, r.len_bytes, r.page_len, r.perm_bits, r.flags, r.pages,
                         self.stack.mem_read_va(r.gpu_va, r.page_len))
-                for r in self._regions if r.flags & _CPU_VISIBLE]
+                for r in self._regions.values() if r.flags & _CPU_VISIBLE]
 
 
 # ---------------------------------------------------------------------------

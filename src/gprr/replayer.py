@@ -48,6 +48,7 @@ MAX_ATTEMPTS = 4
 DELAY_WINDOW = 8
 MEASURE_CAP = 64  # a timed-out retry waits on for up to this many budgets
 MAX_PACING_MULT = 256
+_L1_PA = dv.PAGE_SIZE  # page 0 stays reserved; load puts the L1 table next
 _ZERO_PAGE = bytes(dv.PAGE_SIZE)
 _put_u32 = struct.Struct("<I").pack_into
 
@@ -143,10 +144,10 @@ class ReplaySession:
     # slower at 30), and slots have no such edge.
     __slots__ = (
         "dev", "config", "reg_map", "loaded", "cursor", "jobs_done",
-        "vclock_consumed", "event_log", "divergence_log", "last_checkpoint",
+        "_rewound", "event_log", "divergence_log", "last_checkpoint",
         "preempted", "last_preempt_ack", "attempt_hook", "post_action_hook",
         "_preempt_request", "_preempt_request_t", "_ranges", "_page_pa",
-        "_unmapped", "_live_bytes", "_l1_pa", "_l2_pages", "_window",
+        "_unmapped", "_live_bytes", "_l2_pages", "_window",
         "_at_job_boundary", "_free_pa", "_image", "_image_cp", "_cp_base",
         "_dumps", "_inputs")
 
@@ -157,7 +158,7 @@ class ReplaySession:
         self.loaded: Recording | None = None
         self.cursor = 0
         self.jobs_done = 0
-        self.vclock_consumed = 0
+        self._rewound = 0  # the ns that restores set the device clock back
         self.event_log: list[tuple] = []
         self.divergence_log: list[DivergenceReport] = []
         self.last_checkpoint: Checkpoint | None = None
@@ -173,8 +174,7 @@ class ReplaySession:
         self._page_pa: dict[int, int] = {}  # vpn -> pa of that VA page
         self._unmapped: set[int] = set()
         self._live_bytes = 0  # byte_count of a checkpoint taken now
-        self._l1_pa = 0
-        self._l2_pages: dict[int, int] = {}
+        self._l2_pages: dict[int, int] = {}  # L1 index -> pa of its L2 table
         # (first action, multiplier, measure): the recovery ladder's pacing
         # window, and whether a wait that times out waits on to measure
         self._window: tuple[int, int, bool] = (0, 1, False)
@@ -190,11 +190,13 @@ class ReplaySession:
         # (gpu_va, bytes) of each input the caller supplied to this replay
         self._inputs: list[tuple[int, bytes]] = []
 
-    # -- nano driver -----------------------------------------------------------
+    @property
+    def vclock_consumed(self) -> int:
+        """The device clock plus what restores set it back by: it grows by
+        every ns a replay charges, so only its differences mean anything."""
+        return self.dev.vclock_ns + self._rewound
 
-    def _tick(self, ns: int) -> None:
-        self.dev.tick(ns)
-        self.vclock_consumed += ns
+    # -- nano driver -----------------------------------------------------------
 
     def _offset(self, name: str) -> int:
         reg = self.reg_map.by_name(name)
@@ -215,7 +217,6 @@ class ReplaySession:
         except dv.BusError as e:
             raise ReplayError(f"register write rejected: {e}") from e
         dev.tick(NANO_ACCESS_NS)
-        self.vclock_consumed += NANO_ACCESS_NS
 
     def _read(self, name: str) -> int:
         reg = self.reg_map.by_name(name)
@@ -227,7 +228,6 @@ class ReplaySession:
         except dv.BusError as e:
             raise ReplayError(f"register read rejected: {e}") from e
         dev.tick(NANO_ACCESS_NS)
-        self.vclock_consumed += NANO_ACCESS_NS
         return v
 
     def _reset_sequence(self):
@@ -253,30 +253,24 @@ class ReplaySession:
         return b"".join(self.dev.mem_read(pa, chunk)
                         for _, pa, chunk in dv.va_chunks(va, n, self._va_to_pa))
 
-    def _install_range(self, va: int):
+    def _set_ptes(self, va: int, mapped: bool):
+        """Point the range's PTEs at its pages, or clear them."""
         _, pas, bits = self._ranges[va]
-        for i, pa in enumerate(pas):
-            page_va = va + i * dv.PAGE_SIZE
-            l2_pa = self._l2_pages[(page_va >> 22) & 0x3FF]
-            self.dev.mem_write(l2_pa + ((page_va >> 12) & 0x3FF) * 4,
-                               (pa | bits).to_bytes(4, "little"))
-
-    def _clear_range(self, va: int):
-        pages = self._ranges[va][0]
-        for i in range(pages):
-            page_va = va + i * dv.PAGE_SIZE
-            l2_pa = self._l2_pages[(page_va >> 22) & 0x3FF]
-            self.dev.mem_write(l2_pa + ((page_va >> 12) & 0x3FF) * 4, b"\x00" * 4)
+        l2_pages, write = self._l2_pages, self.dev.mem_write
+        for vpn, pa in enumerate(pas, va >> dv.PAGE_SHIFT):
+            write(l2_pages[(vpn >> 10) & 0x3FF] + (vpn & 0x3FF) * 4,
+                  (pa | bits if mapped else 0).to_bytes(4, "little"))
 
     # -- load -----------------------------------------------------------------------
 
     def load(self, rec: Recording):
-        """Check the recording, assign fresh pages for its ranges (as the
-        verifier's report sizes them), write their L1 and L2 tables once and
-        keep those table pages as the image every replay starts from. A
-        dump reaches RAM only through its ``LoadMemDump``. Even when forced,
-        a load refuses a recording that breaks rule R4, R5, R8 or R9: the
-        action handlers trust what those rules check.
+        """Check the recording, then in one pass over the pages of its
+        ranges (as the verifier's report sizes them) assign each a fresh
+        page and write its L1 and L2 entries, and keep those table pages as
+        the image every replay starts from. A dump reaches RAM only through
+        its ``LoadMemDump``. Even when forced, a load refuses a recording
+        that breaks rule R4, R5, R8 or R9: the action handlers trust what
+        those rules check.
         A second load fully supersedes the first. A load that fails leaves
         no recording loaded and RAM as it was; the next load or
         ``cleanup`` scrubs it."""
@@ -297,76 +291,75 @@ class ReplaySession:
                 raise LoadError(f"{v.rule} action {v.action_index}: {v.message}")
         sku = self.dev.sku
         pte_bits = dv.perm_table(SKUS_BY_ID.get(rec.header.sku_id, sku), sku, Perm.VALID)
+        l1_bits = sku.encode_perms(Perm.VALID | Perm.READ)
 
         self.last_checkpoint = None
         self._inputs = []
         self._window = (0, 1, False)
-        # each range takes the permissions of its first map
-        self._ranges = {va: (pages, [], pte_bits[rec.actions[i].perm_flags_encoded & 0xF])
-                        for va, (pages, i) in report.ranges.items()}
-        self._l2_pages = {}
-        # bump allocation: page 0 stays reserved, the L1 table comes first;
-        # the first range inserted wins where ranges overlap
-        self._l1_pa = dv.PAGE_SIZE
-        end = 2 * dv.PAGE_SIZE
-        self._page_pa = {}
-        for va, (pages, pas, _) in self._ranges.items():
-            if end + pages * dv.PAGE_SIZE > dv.MEM_BYTES:
+
+        page, shift = dv.PAGE_SIZE, dv.PAGE_SHIFT
+        l1 = bytearray(page)
+        image = {_L1_PA >> shift: l1}  # the table pages, ppn -> bytes
+        tables: dict[int, bytearray] = {}  # L1 index -> its L2 table
+        ranges, l2_pages, page_pa = {}, {}, {}
+        # bump allocation after the L1 table: an L1 index's L2 table on its
+        # first use, then the page; the first range wins where ranges overlap
+        end = _L1_PA + page
+        for va, (pages, i) in report.ranges.items():
+            if end + pages * page > dv.MEM_BYTES:
                 raise LoadError("out of physical pages")
-            vpn = va >> dv.PAGE_SHIFT
-            for i in range(pages):
-                l1_idx = ((va + i * dv.PAGE_SIZE) >> 22) & 0x3FF
-                if l1_idx not in self._l2_pages:
-                    self._l2_pages[l1_idx] = end
-                    end += dv.PAGE_SIZE
+            # each range takes the permissions of its first map
+            bits = pte_bits[rec.actions[i].perm_flags_encoded & 0xF]
+            pas = []
+            for vpn in range(va >> shift, (va >> shift) + pages):
+                l1_idx = (vpn >> 10) & 0x3FF
+                l2 = tables.get(l1_idx)
+                if l2 is None:
+                    l2 = tables[l1_idx] = image[end >> shift] = bytearray(page)
+                    l2_pages[l1_idx] = end
+                    _put_u32(l1, l1_idx * 4, end | l1_bits)
+                    end += page
+                _put_u32(l2, (vpn & 0x3FF) * 4, end | bits)
                 pas.append(end)
-                self._page_pa.setdefault(vpn + i, end)
-                end += dv.PAGE_SIZE
+                page_pa.setdefault(vpn, end)
+                end += page
+            ranges[va] = (pages, pas, bits)
             if end > dv.MEM_BYTES:
                 raise LoadError("out of physical pages")
-        self._dumps = {d.dump_id: d for d in reversed(rec.dumps)}  # the first of each id
-        self._image = self._lay_out(end)
-        # the image as a checkpoint: no page written since it, every range mapped
-        npages = sum(r[0] for r in self._ranges.values()) + 1 + len(self._l2_pages)
-        self._cp_base = self._image_cp = Checkpoint(
-            token=None, action_index=0, jobs_done=0, snapshot=None, pages={},
-            byte_count=dv.PAGE_SIZE * npages, unmapped=frozenset())
-        self._put_back(self._cp_base)
-        self.loaded = rec
 
-    def _lay_out(self, end: int) -> dict[int, bytearray]:
-        """Build the L1 and L2 tables in memory. Then write, exactly once,
-        each table page and each other page that may hold bytes: outside
-        the device's dirty-page log RAM equals ``_cp_base`` below the
-        previous footprint (the pages ``cleanup`` scrubs), and past it RAM
-        is zero from the device's ``written_end`` on. Returns the table
-        pages (ppn -> bytes), as built."""
-        page, shift = dv.PAGE_SIZE, dv.PAGE_SHIFT
-        image = {pa >> shift: bytearray(page) for pa in (self._l1_pa, *self._l2_pages.values())}
-        l1 = image[self._l1_pa >> shift]
-        l1_bits = self.dev.sku.encode_perms(Perm.VALID | Perm.READ)
-        l2 = {}
-        for l1_idx, l2_pa in self._l2_pages.items():
-            _put_u32(l1, l1_idx * 4, l2_pa | l1_bits)
-            l2[l1_idx] = image[l2_pa >> shift]
-        for va, (_, pas, bits) in self._ranges.items():
-            for i, pa in enumerate(pas):
-                page_va = va + i * page
-                _put_u32(l2[(page_va >> 22) & 0x3FF], ((page_va >> 12) & 0x3FF) * 4, pa | bits)
+        # Write, exactly once, each table page and each other page that may
+        # hold bytes: outside the device's dirty-page log RAM equals
+        # ``_cp_base`` below the previous footprint (the pages ``cleanup``
+        # scrubs), and past it RAM is zero from the device's ``written_end`` on.
         stale = self.dev.take_dirty_pages()
         if self._cp_base is not None:
             stale.update(self._image, self._cp_base.pages)
         stale.update(range(self._free_pa >> shift, -(-self.dev.written_end >> shift)), image)
         stale.discard(0)  # page 0 stays reserved
-        for ppn in stale:
-            self.dev.mem_write(ppn << shift, image.get(ppn) or _ZERO_PAGE)
-        self.dev.take_dirty_pages()
+        self._image = image
+        self._rewrite(stale, {})
         self._free_pa = end
-        return image
+        self._ranges, self._l2_pages, self._page_pa = ranges, l2_pages, page_pa
+        self._dumps = report.dumps
+        # the image as a checkpoint: no page written since it, every range
+        # mapped; every page from the L1 table on is a table or range page
+        self._cp_base = self._image_cp = Checkpoint(
+            token=None, action_index=0, jobs_done=0, snapshot=None, pages={},
+            byte_count=end - _L1_PA, unmapped=frozenset())
+        self._put_back(self._cp_base)
+        self.loaded = rec
+
+    def _rewrite(self, stale: set[int], pages: dict[int, bytes]) -> None:
+        """Write each page of ``stale`` as ``pages`` holds it, else as the
+        image does, else zero; then start a new dirty-page log."""
+        image, write = self._image, self.dev.mem_write
+        for ppn in stale:
+            write(ppn << dv.PAGE_SHIFT, pages.get(ppn) or image.get(ppn, _ZERO_PAGE))
+        self.dev.take_dirty_pages()
 
     def _set_mmu_base(self):
-        self.dev.reg_write(self._offset("MMU_TABLE_BASE_LO"), self._l1_pa & 0xFFFFFFFF)
-        self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"), self._l1_pa >> 32)
+        self.dev.reg_write(self._offset("MMU_TABLE_BASE_LO"), _L1_PA & 0xFFFFFFFF)
+        self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"), _L1_PA >> 32)
 
     def _put_back(self, cp: Checkpoint):
         """Make RAM and the device as of ``cp``, and move the cursor to
@@ -376,15 +369,12 @@ class ReplaySession:
         stale = self.dev.take_dirty_pages()
         if cp is not self._cp_base:
             stale.update(self._cp_base.pages, cp.pages)
-        image, pages = self._image, cp.pages
-        for ppn in stale:
-            self.dev.mem_write(ppn << dv.PAGE_SHIFT,
-                               pages.get(ppn) or image.get(ppn, _ZERO_PAGE))
-        self.dev.take_dirty_pages()
+        self._rewrite(stale, cp.pages)
         if cp.snapshot is None:  # the image: program the MMU afresh
             self._set_mmu_base()
             self.dev.reg_write(self._offset("GPU_CMD"), dv.CMD_TLB_INVALIDATE)
         else:
+            self._rewound += self.dev.vclock_ns - cp.snapshot.vclock_ns
             self.dev.restore(cp.snapshot)
         self._unmapped = set(cp.unmapped)
         self._live_bytes = cp.byte_count
@@ -423,9 +413,7 @@ class ReplaySession:
             mult = 1
         pad = a.min_interval_ns if self.config.honor_skips else a.raw_interval_ns
         if pad:
-            pad *= mult
-            self.dev.tick(pad)
-            self.vclock_consumed += pad
+            self.dev.tick(pad * mult)
         report = _HANDLERS.get(kind, _unknown_action)(self, a, mult)
         if report is not None:
             self.divergence_log.append(report)
@@ -494,7 +482,7 @@ class ReplaySession:
             if report is not None and (n >= MEASURE_CAP * budget
                                        or self.dev.next_event_ns() is None):
                 return report
-            self._tick(POLL_PERIOD_NS)
+            self.dev.tick(POLL_PERIOD_NS)
             idle = self.dev.next_event_ns() is None
 
     def _step_loaddump(self, a: LoadMemDump, mult: int) -> None:
@@ -502,17 +490,17 @@ class ReplaySession:
         data = self._over_inputs(a.gpu_va, d.raw if d.raw is not None
                                  else inflate(d.payload, d.raw_len))
         self._write_va(a.gpu_va, data)
-        self._tick(round(len(data) * LOAD_BYTE_NS))
+        self.dev.tick(round(len(data) * LOAD_BYTE_NS))
 
     def _step_map(self, a: MapGpuMem, mult: int) -> None:
         if a.gpu_va in self._unmapped:
             self._unmapped.discard(a.gpu_va)
             self._live_bytes += dv.PAGE_SIZE * self._ranges[a.gpu_va][0]
-            self._install_range(a.gpu_va)
+            self._set_ptes(a.gpu_va, True)
         self._write("GPU_CMD", dv.CMD_TLB_INVALIDATE)
 
     def _step_unmap(self, a: UnmapGpuMem, mult: int) -> None:
-        self._clear_range(a.gpu_va)
+        self._set_ptes(a.gpu_va, False)
         if a.gpu_va not in self._unmapped:
             self._unmapped.add(a.gpu_va)
             self._live_bytes -= dv.PAGE_SIZE * self._ranges[a.gpu_va][0]
@@ -544,11 +532,8 @@ class ReplaySession:
                 return None
             nxt = self.dev.next_event_ns()
             if report is None and (nxt is None or nxt > deadline):
-                self._tick(max(0, deadline - self.dev.vclock_ns))
-                raw = self.dev.irq_rawstat
-                if raw & a.expect_rawstat == a.expect_rawstat:
-                    self.event_log.append(("irq", a.expect_rawstat))
-                    return None
+                # nothing falls due by the deadline, so ``raw`` stays
+                self.dev.tick(max(0, deadline - self.dev.vclock_ns))
                 report = DivergenceReport(
                     self.cursor, DivergenceKind.TIMEOUT,
                     expected=a.expect_rawstat, got=raw,
@@ -558,7 +543,7 @@ class ReplaySession:
             elif nxt is None or nxt > start + MEASURE_CAP * watchdog:
                 return report
             else:
-                self._tick(nxt - self.dev.vclock_ns)
+                self.dev.tick(nxt - self.dev.vclock_ns)
 
     # -- replay / recovery -------------------------------------------------------------
 
@@ -595,7 +580,7 @@ class ReplaySession:
             if buf is not None:
                 self._inputs.append((d.gpu_va, buf))
                 self._write_va(d.gpu_va, buf)
-                self._tick(round(len(buf) * INPUT_BYTE_NS))
+                self.dev.tick(round(len(buf) * INPUT_BYTE_NS))
 
     def _over_inputs(self, va: int, data: bytes) -> bytes:
         """``data`` bound for ``va`` with the supplied inputs laid over it."""
@@ -693,7 +678,7 @@ class ReplaySession:
                         jobs_done=self.jobs_done, snapshot=self.dev.snapshot(),
                         pages=pages, byte_count=nbytes,
                         unmapped=frozenset(self._unmapped))
-        self._tick(round(nbytes * CHECKPOINT_BYTE_COST_NS))
+        self.dev.tick(round(nbytes * CHECKPOINT_BYTE_COST_NS))
         self.last_checkpoint = self._cp_base = cp
         return cp
 
@@ -723,7 +708,7 @@ class ReplaySession:
             nxt = self.dev.next_event_ns()
             if nxt is None or nxt > deadline:
                 break
-            self._tick(nxt - self.dev.vclock_ns)
+            self.dev.tick(nxt - self.dev.vclock_ns)
         self._write("GPU_CMD", dv.CMD_TLB_INVALIDATE)
         self._reset_sequence()
         ack = PreemptAck(delay_ns=self.dev.vclock_ns - t_request)
@@ -738,14 +723,13 @@ class ReplaySession:
         written since its first load laid out RAM. Outside the device's
         dirty-page log RAM equals ``_cp_base``, the image overlaid with its
         pages, so those three sets hold every page that may be non-zero."""
+        image, self._image = self._image, {}
         if self._cp_base is not None:
-            pages = self.dev.take_dirty_pages()
-            pages.update(self._image, self._cp_base.pages)
-            for ppn in pages:
-                self.dev.mem_write(ppn << dv.PAGE_SHIFT, _ZERO_PAGE)
+            stale = self.dev.take_dirty_pages()
+            stale.update(image, self._cp_base.pages)
+            self._rewrite(stale, {})  # with no image, every page zero
             self._cp_base = None
         self.loaded = None
-        self._image = {}
         self._dumps = {}
         self._reset_sequence()
         self.dev.release(self)

@@ -21,7 +21,8 @@ Pure function over the decoded structure. Rules:
 
 A range is as long as the largest MapGpuMem of its base; R4 checks each
 LoadMemDump against the map live at it, and the first dump of its id,
-the one replay loads. The report's ``ranges`` are the replayer's layout.
+the one replay loads. The report's ``ranges`` are the replayer's layout
+and its ``dumps`` (dump id -> that first dump) are what replay loads.
 
 Violations are data, not failures; the report's ``ok`` is just
 "no violations".
@@ -34,8 +35,8 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
 from . import device as dv
-from .actions import (IoDescriptor, LoadMemDump, MapGpuMem, Recording,
-                      RegRead, RegReadWait, RegWrite, UnmapGpuMem, WaitIrq)
+from .actions import (LoadMemDump, MapGpuMem, MemDump, Recording, RegRead,
+                      RegReadWait, RegWrite, UnmapGpuMem, WaitIrq)
 from .device import Access, RegisterMap
 
 DEFAULT_MEM_BUDGET = dv.MEM_BYTES
@@ -53,10 +54,13 @@ class VerificationReport:
     ok: bool
     peak_gpu_mem_bytes: int
     violations: tuple[Violation, ...]
+    # Not part of the report's value, text or JSON:
     # base -> (pages of its largest map, index of its first MapGpuMem), in
-    # first-map order; not part of the report's value, text or JSON
+    # first-map order
     ranges: dict[int, tuple[int, int]] = field(default_factory=dict, compare=False,
                                                repr=False)
+    # dump_id -> the first dump of that id
+    dumps: dict[int, MemDump] = field(default_factory=dict, compare=False, repr=False)
 
     def to_text(self) -> str:
         lines = [f"peak_gpu_mem_bytes {self.peak_gpu_mem_bytes}"]
@@ -203,11 +207,8 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
              UnmapGpuMem: unmap, LoadMemDump: load_dump, WaitIrq: wait_irq}
     for i, a in enumerate(rec.actions):
         rule = rules.get(type(a))
-        if rule is None:  # a subclass takes its base's rule; anything else none
-            rule = next((rules[c] for c in type(a).__mro__ if c in rules), None)
-            if rule is None:
-                continue
-        rule(i, a)
+        if rule is not None:  # replay refuses any other type
+            rule(i, a)
 
     ever_bases = sorted(ever_mapped)
     violations.extend(_overlaps(ever_bases, ever_mapped, first_map))
@@ -221,4 +222,5 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
     return VerificationReport(ok=not violations, peak_gpu_mem_bytes=peak,
                               violations=tuple(violations),
                               ranges={va: (pages, first_map[va])
-                                      for va, pages in ever_mapped.items()})
+                                      for va, pages in ever_mapped.items()},
+                              dumps=dump_ids)

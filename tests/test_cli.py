@@ -145,6 +145,35 @@ def test_inject_fault_recovers(ws, capsys):
     assert "recovered" not in err  # failed recovery is not reported as one
 
 
+def test_inject_offline_cores_and_stall(ws, capsys):
+    tmp, wl = ws
+    rec = tmp / "rec.gpr"
+    dispatch(["record", str(wl), "-o", str(rec)])
+    inp = tmp / "in.bin"
+    inp.write_bytes(i32s([1, 1, 1, 1, 2, 2, 2, 2]))
+    capsys.readouterr()
+    assert dispatch(["replay", str(rec), "--input", str(inp),
+                     "--inject-fault", "offline_cores"]) == 0
+    assert "recovered after 1 attempt(s)" in capsys.readouterr().err
+    assert dispatch(["replay", str(rec), "--input", str(inp),
+                     "--inject-fault", "offline_cores:persist"]) == 1
+    err = capsys.readouterr().err
+    assert "VALUE_MISMATCH" in err and "JOB_AFFINITY" in err
+    assert dispatch(["replay", str(rec), "--input", str(inp),
+                     "--inject-fault", "stall"]) == 0
+    assert "replay ok" in capsys.readouterr().out
+
+
+def test_inject_fault_refuses_a_sequence_before_reading_input(ws, capsys):
+    tmp, wl = ws
+    rec = tmp / "rec.gpr"
+    dispatch(["record", str(wl), "-o", str(rec)])
+    missing = tmp / "no-such-input.bin"
+    assert dispatch(["replay", str(rec), str(rec), "--input", str(missing),
+                     "--inject-fault", "stall"]) == 2
+    assert "single-recording" in capsys.readouterr().err
+
+
 def test_per_layer_record_and_sequence_replay(tmp_path, capsys):
     wl = tmp_path / "mixed.txt"
     wl.write_text(MIXED_TXT)

@@ -315,6 +315,63 @@ def test_chain_of_two_descriptors():
     assert dev.mem_read(pa2, 4) == (22).to_bytes(4, "little")
 
 
+def run_chain(rig, desc_va):
+    """Kick the chain at ``desc_va`` and run it out: its JOB_STATUS,
+    MMU_FAULT_ADDR and shader instruction count."""
+    rig.kick(desc_va)
+    count = rig.dev._pending_job.instr_count
+    rig.dev.tick(10_000_000)
+    return rd(rig.dev, "JOB_STATUS"), rd(rig.dev, "MMU_FAULT_ADDR"), count
+
+
+def halt_shader():
+    a = Asm()
+    a.halt()
+    return a.assemble()
+
+
+def test_an_unaligned_descriptor_faults_at_its_va():
+    rig = _Rig(Device())
+    desc = rig.job(halt_shader(), [])
+    status, fault, _ = run_chain(rig, desc + 2)
+    assert (status, fault) == (dv.JOB_MMU_FAULT, desc + 2)
+
+
+def test_a_shader_over_the_size_limit_faults_at_its_va():
+    rig = _Rig(Device())
+    desc = rig.job(halt_shader(), [])
+    shader_va = desc - dv.PAGE_SIZE  # job() maps the shader's page, then the descriptor's
+    rig.put(desc + 8, (dv.SHADER_MAX_BYTES + 4).to_bytes(4, "little"))  # shader_len
+    status, fault, _ = run_chain(rig, desc)
+    assert (status, fault) == (dv.JOB_MMU_FAULT, shader_va)
+
+
+def test_a_self_linked_chain_stops_past_the_job_limit():
+    rig = _Rig(Device())
+    desc = rig.job(halt_shader(), [])
+    rig.put(desc, desc.to_bytes(4, "little"))  # next_va: itself
+    status, _, count = run_chain(rig, desc)
+    assert (status, count) == (dv.JOB_BAD_STATE, dv.CHAIN_MAX_JOBS)
+
+
+def test_the_step_budget_covers_a_whole_chain():
+    # one job of 202 instructions fits a budget of 300; a chain of two
+    # runs out of it in its second job
+    a = Asm()
+    a.ldi(1, 100)
+    a.label("loop")
+    a.addi(1, 1, -1)
+    a.bnz(1, "loop")
+    a.halt()
+    rig = _Rig(Device())
+    alone = rig.job(a.assemble(), [])
+    second = rig.job(a.assemble(), [])
+    first = rig.job(a.assemble(), [], next_va=second)
+    with mock.patch.object(dv, "SHADER_STEP_BUDGET", 300):
+        assert run_chain(rig, alone)[::2] == (dv.JOB_DONE, 202)
+        assert run_chain(rig, first)[::2] == (dv.JOB_BAD_STATE, 300)
+
+
 def store_params_shader(out_va):
     """Stores r1..r7, descriptor words 5..11, to seven words at out_va."""
     a = Asm()

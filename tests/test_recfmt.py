@@ -107,6 +107,13 @@ def test_flipped_checksum_byte():
     assert ei.value.offset == len(blob) - 32
 
 
+def test_a_body_byte_past_the_io_table_is_malformed():
+    body = encode(small_recording())[:-32] + b"\x00"
+    with pytest.raises(Malformed, match="1 trailing bytes before checksum") as ei:
+        decode(body + hashlib.sha256(body).digest())
+    assert ei.value.offset == len(body) - 1
+
+
 def test_truncated_mid_action():
     rec = small_recording()
     blob = encode(rec)

@@ -27,7 +27,7 @@ from gprr.refstack import DelayPolicy, GpuStack, build_graph
 from gprr.replayer import (MAX_ATTEMPTS, DivergenceKind, LoadError, ReplayConfig,
                            ReplayError, ReplaySession, expected_event_log,
                            init, replay_sequence)
-from gprr.shader import OP_LDI
+from gprr.shader import OP_LDI, Asm
 from gprr.verifier import verify
 
 from conftest import (builtin_graphs, gprr_calls, i32s, random_input, record_graph,
@@ -536,7 +536,7 @@ def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, 
 
 def table_pages(s):
     """The physical page numbers of a session's L1 and L2 tables."""
-    return {pa >> dv.PAGE_SHIFT for pa in (s._l1_pa, *s._l2_pages.values())}
+    return {pa >> dv.PAGE_SHIFT for pa in (replayer._L1_PA, *s._l2_pages.values())}
 
 
 # a large-buffer and a many-job workload, beside the built-in ones
@@ -954,6 +954,70 @@ def test_bad_register_in_shader_dump_diverges(vecadd):
     assert s.dev.reg_read(dv.DEFAULT_REGISTER_MAP.by_name("JOB_STATUS").offset) \
         == dv.JOB_BAD_STATE
     s.cleanup()
+
+
+def dump_bytes(rec, va, n):
+    """``n`` bytes at ``va`` in the first dump of ``rec`` that holds it."""
+    d = next(d for d in rec.dumps if d.gpu_va <= va < d.gpu_va + d.raw_len)
+    return inflate(d.payload, d.raw_len)[va - d.gpu_va:][:n]
+
+
+def overwrite(rec, va, data):
+    """``rec`` with ``data`` written at ``va`` in its first dump that holds it."""
+    d = next(d for d in rec.dumps if d.gpu_va <= va < d.gpu_va + d.raw_len)
+    raw = bytearray(inflate(d.payload, d.raw_len))
+    raw[va - d.gpu_va:va - d.gpu_va + len(data)] = data
+    new = dataclasses.replace(d, payload=deflate(bytes(raw)))
+    return dataclasses.replace(rec, dumps=tuple(new if x is d else x for x in rec.dumps))
+
+
+def test_a_self_linked_job_chain_runs_out_of_one_step_budget():
+    # a job of 63,002 instructions whose descriptor links to itself: each
+    # pass fits a budget of 65,536, so only a budget over the whole chain
+    # ends the kick before CHAIN_MAX_JOBS passes
+    g = build_graph([("vec_add",)], 32)
+    rec = record_graph(g).recordings[0]
+    head = next(a.value for a in rec.actions
+                if isinstance(a, RegWrite) and a.reg_name == "JOB_HEAD_LO")
+    shader_va = int.from_bytes(dump_bytes(rec, head + 4, 4), "little")
+    a = Asm()
+    a.ldi(1, 21000)
+    a.label("loop")
+    a.add(2, 2, 1)  # reads the counter: the loop runs compiled, not in bulk
+    a.addi(1, 1, -1)
+    a.bnz(1, "loop")
+    a.halt()
+    code = b"".join(w.to_bytes(4, "little") for w in a.assemble())
+    rec = overwrite(overwrite(rec, shader_va, code), head, head.to_bytes(4, "little"))
+    assert verify(rec).ok
+
+    def timeout(*_):
+        raise TimeoutError("replay still running the chain")
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        with mock.patch.object(dv, "SHADER_STEP_BUDGET", 1 << 16):
+            result = replay_once(rec, random_input(g, 1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert not result.ok and result.divergence.kind is DivergenceKind.TIMEOUT
+
+
+def test_an_interrupt_left_raised_is_an_irq_mismatch():
+    # without the clear after the reset, RESET_DONE is still raised at the
+    # first interrupt wait, which expects JOB_DONE alone
+    g = build_graph([("vec_add",)], 16)
+    rec = record_graph(g).recordings[0]
+    i = next(i for i, a in enumerate(rec.actions)
+             if isinstance(a, RegWrite) and a.reg_name == "GPU_IRQ_CLEAR")
+    rec = dataclasses.replace(rec, actions=rec.actions[:i] + rec.actions[i + 1:])
+    assert verify(rec).ok
+    result = replay_once(rec, random_input(g, 1))
+    wait = next(i for i, a in enumerate(rec.actions) if isinstance(a, WaitIrq))
+    report = result.divergence
+    assert (report.kind, report.action_index, report.expected, report.got) == (
+        DivergenceKind.IRQ_MISMATCH, wait, dv.IRQ_JOB_DONE, dv.IRQ_RESET_DONE)
 
 
 def stall_at_kick(session, kick, ns=50_000_000):
