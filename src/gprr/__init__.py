@@ -13,8 +13,7 @@ from .device import (SKU_A, SKU_B, SKUS, Device, DeviceSnapshot, Perm,
                      RegisterMap, SkuProfile, default_register_map)
 from .patcher import PatchError, PatchResult, patch, patch_recording
 from .recfmt import DecodeError, decode, encode, read_file, write_file
-from .recorder import (DiscoveryError, RecordHarness, RecordResult,
-                       classify_interval, record)
+from .recorder import DiscoveryError, RecordHarness, RecordResult, record
 from .refstack import (AllocFlags, DelayPolicy, GpuStack, WorkloadGraph,
                        build_graph, parse_workload)
 from .replayer import (Checkpoint, DivergenceKind, DivergenceReport,

@@ -4,8 +4,11 @@ Actions name registers rather than addresses; the replayer resolves names
 against its own register map. Every action carries two interval fields:
 ``raw_interval_ns`` is the gap observed at record time between the
 previous action completing and this one starting, and ``min_interval_ns``
-is the pacing floor after idle-skip classification (zero when the GPU was
-provably idle for the whole gap, so a replayer may fast-forward).
+is the pacing floor after idle-skip classification: zero when the GPU was
+idle for the whole gap, so a replayer may fast-forward, else the gap. Only
+a driver access starts device work, so within a gap the device can only
+go from busy to idle, and the recorder reads the gap as idle iff the
+device was idle as the previous action ended.
 
 The action types and MemDump are frozen dataclasses with slots: values
 that hash and compare by field, keep no ``__dict__``, and read their

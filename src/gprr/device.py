@@ -36,8 +36,8 @@ import functools
 import mmap
 import random
 import struct
-from bisect import bisect_left
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
@@ -299,18 +299,30 @@ def default_register_map() -> RegisterMap:
 DEFAULT_REGISTER_MAP = default_register_map()
 
 
+@contextmanager
+def naming_line(kind: str, lineno: int, raw: str):
+    """Re-raise a ValueError with the line of a ``kind`` text file (a
+    workload, harness or register map) that it is about."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{kind} line {lineno}: {raw!r}: {e}") from None
+
+
 def parse_register_map(text: str) -> RegisterMap:
-    """Line format: ``NAME OFFSET ro|wo|rw [pure_read|nondet_read]``."""
+    """Line format: ``NAME OFFSET ro|wo|rw [pure_read|nondet_read]``. A bad
+    line is a ValueError that names the line and says what is wrong."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if len(parts) not in (3, 4):
-            raise ValueError(f"register map line {lineno}: {raw!r}")
-        name, offset, access = parts[0], int(parts[1], 0), Access(parts[2].lower())
-        cls = StateClass(parts[3].lower()) if len(parts) == 4 else StateClass.PURE_READ
+        with naming_line("register map", lineno, raw):
+            if len(parts) not in (3, 4):
+                raise ValueError("want 'NAME OFFSET ro|wo|rw [pure_read|nondet_read]'")
+            name, offset, access = parts[0], int(parts[1], 0), Access(parts[2].lower())
+            cls = StateClass(parts[3].lower()) if len(parts) == 4 else StateClass.PURE_READ
         entries.append(RegDef(name, offset, access, cls))
     return RegisterMap(tuple(entries))
 
@@ -374,7 +386,6 @@ class DeviceSnapshot:
     pending_job: _PendingJob | None
     pending_flush: _PendingFlush | None
     rng_state: tuple[tuple, int]  # (base state, words drawn since)
-    busy_since: int | None
 
 
 def _copy_pages(pages: PageBuffer) -> PageBuffer:
@@ -481,8 +492,6 @@ class Device:
         self._dirty_pages: set[int] = set()
         # a bound on RAM ever written: every byte at or past it is still zero
         self.written_end = 0
-        # busy periods as [start, end] pairs; end None while open
-        self._busy_periods: list[list[int | None]] = []
         self._stored: dict[str, int] = {}
         self._power_on_state()
 
@@ -510,17 +519,13 @@ class Device:
         self.tlb: dict[int, tuple[int, int]] = {}  # vpn -> (ppn, perm bits raw)
         self._pending_job: _PendingJob | None = None
         self._pending_flush: _PendingFlush | None = None
-        self._update_busy()
+        self._next_ns = None  # nothing pending
 
     def _soft_reset(self):
         # The clock divider survives: it models the SoC clock tree, which is
         # outside the GPU reset domain. RAM is likewise untouched.
         self._power_on_state()
         self.irq_rawstat = IRQ_RESET_DONE
-        # every busy period has ended, so none can make a later gap busy: a
-        # run that starts with a reset, as every stack run and replay does,
-        # keeps only its own
-        self._busy_periods.clear()
 
     def claim(self, owner: object):
         if self.owner is not None:
@@ -671,7 +676,7 @@ class Device:
             # protocol violation: kicking a busy GPU wedges the job unit
             self._pending_job = None
             self.job_state = JOB_BAD_STATE
-            self._update_busy()
+            self._next_ns = self.next_event_ns()
             return
         head = ((self._stored["JOB_HEAD_HI"] << 32) | self._stored["JOB_HEAD_LO"]) & U32
         affinity = self._stored["JOB_AFFINITY"]
@@ -679,7 +684,7 @@ class Device:
             # no powered core may take the job: it stalls indefinitely
             self.job_state = JOB_RUNNING
             self._pending_job = _PendingJob(None, {}, 0, None, JOB_DONE)
-            self._update_busy()
+            self._next_ns = self.next_event_ns()
             return
         pending = self._run_chain(head)
         jitter = self.rng.uniform(JITTER_LO, JITTER_HI)
@@ -688,7 +693,7 @@ class Device:
         pending.finish_ns = self.vclock_ns + round(cost * self.clock_div * jitter)
         self.job_state = JOB_RUNNING
         self._pending_job = pending
-        self._update_busy()
+        self._next_ns = self.next_event_ns()
 
     def _run_chain(self, head_va: int) -> _PendingJob:
         """Execute a whole descriptor chain against current memory. Effects
@@ -899,7 +904,7 @@ class Device:
         cost = FLUSH_BASE_COST_NS + FLUSH_BYTE_COST_NS * nbytes
         self._pending_flush = _PendingFlush(
             self.vclock_ns + round(cost * self.clock_div * jitter))
-        self._update_busy()
+        self._next_ns = self.next_event_ns()
 
     def _writeback_runs(self) -> list[tuple[int, int, bytearray, int, int]]:
         """(pa, end pa, page data, start, end in the page) of each run of
@@ -912,6 +917,13 @@ class Device:
         return runs
 
     # -- virtual time ---------------------------------------------------------
+
+    @property
+    def busy(self) -> bool:
+        """A job is running or a flush is in flight. Unlike GPU_STATUS, an
+        unflushed writeback alone is not busy: nothing of it will finish
+        until the driver asks for the flush."""
+        return self.job_state == JOB_RUNNING or self._pending_flush is not None
 
     def next_event_ns(self) -> int | None:
         job, flush = self._pending_job, self._pending_flush
@@ -929,9 +941,9 @@ class Device:
 
         ``_next_ns`` caches ``next_event_ns()``, so a tick with nothing due
         costs no call. Every site that starts, finishes, resets, restores
-        or stalls a pending job or flush refreshes it: ``_update_busy``
-        (kicks, flush starts, completions, power-on state), ``restore`` and
-        ``stall``; a new such site must refresh it too."""
+        or stalls a pending job or flush refreshes it: kicks, flush starts,
+        completions, the power-on state, ``restore`` and ``stall``; a new
+        such site must refresh it too."""
         if dt_ns < 0:
             raise ValueError("dt_ns must be >= 0")
         end = self.vclock_ns + dt_ns
@@ -977,7 +989,7 @@ class Device:
                 delivered = raised & self._stored["GPU_IRQ_MASK"]
                 if delivered:
                     events.append(InterruptEvent(t, delivered))
-            self._update_busy()
+            self._next_ns = self.next_event_ns()
         flush = self._pending_flush
         if flush is not None and flush.finish_ns <= t:
             self._pending_flush = None
@@ -993,37 +1005,8 @@ class Device:
             self._dirty_pages.update(self.writeback)
             self.writeback = {}
             self._flush_runs = None
-            self._update_busy()
+            self._next_ns = self.next_event_ns()
         return events
-
-    # -- busy/idle trace -------------------------------------------------------
-
-    def _update_busy(self):
-        """Open or close the busy period, and refresh the cached next
-        event time, after a pending job or flush changed."""
-        self._next_ns = self.next_event_ns()
-        self._set_busy(self.job_state == JOB_RUNNING or self._pending_flush is not None)
-
-    def _set_busy(self, busy: bool):
-        periods = self._busy_periods
-        open_period = bool(periods) and periods[-1][1] is None
-        if busy and not open_period:
-            periods.append([self.vclock_ns, None])
-        elif not busy and open_period:
-            periods[-1][1] = self.vclock_ns
-
-    def was_idle_between(self, t0: int, t1: int) -> bool:
-        """True iff the device was provably idle for all of [t0, t1]."""
-        if t1 <= t0:
-            return True
-        # periods are disjoint and ordered by start, so their ends are
-        # ordered too: the last period starting before t1 ends latest
-        periods = self._busy_periods
-        i = bisect_left(periods, t1, key=itemgetter(0)) - 1
-        if i < 0:
-            return True
-        end = periods[i][1]
-        return (self.vclock_ns if end is None else end) <= t0
 
     # -- snapshot / restore ------------------------------------------------------
 
@@ -1044,8 +1027,6 @@ class Device:
             pending_job=_copy_job(self._pending_job),
             pending_flush=self._pending_flush,
             rng_state=(self._rng_base, self._rng_drawn),
-            busy_since=self._busy_periods[-1][0]
-            if self._busy_periods and self._busy_periods[-1][1] is None else None,
         )
 
     def restore(self, snap: DeviceSnapshot) -> None:
@@ -1067,9 +1048,6 @@ class Device:
         self._rng_base, self._rng_drawn = snap.rng_state
         self.rng.setstate(self._rng_base)
         self.rng.getrandbits(32 * self._rng_drawn)  # skip the words drawn
-        self._busy_periods = []
-        if snap.busy_since is not None:
-            self._busy_periods.append([snap.busy_since, None])
 
     # -- fault injection (test harness only) ---------------------------------------
 

@@ -8,7 +8,10 @@ Attaches to the refstack driver's accessor stream and
     CPU-mapped and by-address input regions never captured) and
     deduplicated against the bytes last dumped at the same address,
   * classifies the gap before each action as skippable iff the GPU was
-    provably idle throughout it,
+    idle throughout it. Only a driver access starts device work, so in a
+    gap the device can only go from busy to idle: it was idle for all of
+    the gap iff it was idle as the action before the gap ended, which the
+    trace samples (``Device.busy``) as it sees each access,
   * discovers input/output GPU addresses by injecting high-entropy magic
     input and matching it in the dumps, re-running with fresh magic until
     output matches are unambiguous.
@@ -89,7 +92,7 @@ def parse_harness(text: str) -> RecordHarness:
         if not line:
             continue
         key, *args = line.split()
-        try:
+        with dv.naming_line("harness", lineno, raw):
             form = _HARNESS_FORMS.get(key)
             if form is None:
                 raise ValueError(f"unknown directive {key!r}")
@@ -105,21 +108,7 @@ def parse_harness(text: str) -> RecordHarness:
                     raise ValueError("trials must be at least 1")
             else:
                 h.granularity = _member(args[0], Granularity)
-        except ValueError as e:
-            raise ValueError(f"harness line {lineno}: {raw!r}: {e}") from None
     return h
-
-
-# ---------------------------------------------------------------------------
-# Interval classification
-# ---------------------------------------------------------------------------
-
-def classify_interval(t0: int, t1: int, was_idle) -> int:
-    """The pacing floor of the gap [t0, t1]: 0, a skip, iff the device was
-    provably idle for all of it, else the observed gap. ``was_idle`` is a
-    predicate like Device.was_idle_between."""
-    gap = max(0, t1 - t0)
-    return 0 if gap == 0 or was_idle(t0, t1) else gap
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +142,7 @@ class _Entry:
     # pre_kick entries: the regions mapped or rewritten since the previous
     # kick, in VA order
     changed: list[_Region] | None = None
+    idle: bool = True  # the device was idle at t1 (a kick's: after its dump charge)
 
 
 class _RunTrace(StackListener):
@@ -201,6 +191,7 @@ class _RunTrace(StackListener):
             self._changed = {}
             self.stack.sleep(round(self._live_bytes * DUMP_BYTE_NS))
             entry.t1 = self.stack.dev.vclock_ns
+        entry.idle = not self.stack.dev.busy
         self.entries.append(entry)
 
     def _refresh(self) -> None:
@@ -449,11 +440,12 @@ class _Builder:
         """Appends the actions of ``entries`` to ``actions`` and their
         dumps to ``dumps``; ``last`` is as in ``_emit_dumps``."""
         prev_end = entries[0].t0 if entries else 0
-        dev = self.stack.dev
+        prev_idle = True
         for entry in entries:
-            # the gap before the entry goes to its first action
-            floor = classify_interval(prev_end, entry.t0, dev.was_idle_between)
+            # the gap before the entry goes to its first action; it is a
+            # skip iff the device was idle when the gap began (module doc)
             raw = max(0, entry.t0 - prev_end)
+            floor = 0 if prev_idle else raw
             if entry.changed is None:
                 new = self._entry_actions(entry, raw, floor)
             else:
@@ -469,7 +461,7 @@ class _Builder:
             else:
                 self.skipped += 1
             actions.extend(new)
-            prev_end = entry.t1
+            prev_end, prev_idle = entry.t1, entry.idle
 
     def monolithic(self) -> Recording:
         actions: list[ReplayAction] = []

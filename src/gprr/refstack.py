@@ -143,6 +143,14 @@ def _eval_layer(layer: Layer, vals: list[int]) -> list[int]:
     raise ValueError(f"unknown op {layer.op}")
 
 
+def _matmul_input_elems(params: tuple[int, ...]) -> int:
+    """The elements of both operands of a matmul of ``(m, n, k)``."""
+    if len(params) != 3:
+        raise ValueError("matmul takes three dimensions, m n k")
+    m, n, k = params
+    return m * k + k * n
+
+
 def make_layer(op: str, params: tuple[int, ...], in_elems: int) -> Layer:
     if op == "vec_add":
         if in_elems % 2:
@@ -155,11 +163,12 @@ def make_layer(op: str, params: tuple[int, ...], in_elems: int) -> Layer:
     if op in ("relu", "copy"):
         return Layer(op, (), in_elems, in_elems)
     if op == "matmul":
+        need = _matmul_input_elems(params)
         m, n, k = params
         if min(m, n, k) < 1:
             raise ValueError(f"matmul({m},{n},{k}) needs every dimension at least 1")
-        if in_elems != m * k + k * n:
-            raise ValueError(f"matmul({m},{n},{k}) needs {m * k + k * n} input elems")
+        if in_elems != need:
+            raise ValueError(f"matmul({m},{n},{k}) needs {need} input elems")
         size = 4 * matmul_shader_words(m, n, k)
         if size > dv.SHADER_MAX_BYTES:
             raise ValueError(f"matmul({m},{n},{k}) unrolls to a {size}-byte shader, "
@@ -181,39 +190,56 @@ def build_graph(specs: list[tuple], input_elems: int) -> WorkloadGraph:
 
 
 def parse_workload(text: str) -> WorkloadGraph:
-    """Line format: ``input <elems>`` once, then ``layer <op> [params...]``."""
-    input_elems = None
-    specs: list[tuple] = []
+    """Line format: ``input <elems>`` once, then ``layer <op> [params...]``.
+    A workload whose first layer is a matmul may leave out ``input``: its
+    operands are the input. A bad line is a ValueError that names the line
+    and says what is wrong with it."""
+    input_elems = input_at = None  # the count and the (lineno, line) that set it
+    specs: list[tuple[int, str, str, tuple[int, ...]]] = []  # lineno, line, op, params
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "input":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: input takes one count")
-            input_elems = int(parts[1], 0)
-        elif parts[0] == "layer":
-            if len(parts) < 2:
-                raise ValueError(f"line {lineno}: layer needs an op")
-            specs.append((parts[1], *[int(p, 0) for p in parts[2:]]))
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
-    if input_elems is None:
-        if specs and specs[0][0] == "matmul":
-            m, n, k = specs[0][1:4]
-            input_elems = m * k + k * n
-        else:
-            raise ValueError("workload needs an 'input <elems>' line")
-    if not 1 <= input_elems <= dv.MEM_BYTES // 4:
-        raise ValueError(f"input count {input_elems} is outside 1..{dv.MEM_BYTES // 4}, "
-                         f"the words device memory holds")
-    return build_graph(specs, input_elems)
+        with dv.naming_line("workload", lineno, raw):
+            if parts[0] == "input":
+                if len(parts) != 2:
+                    raise ValueError("input takes one count")
+                input_elems, input_at = int(parts[1], 0), (lineno, raw)
+            elif parts[0] == "layer":
+                if len(parts) < 2:
+                    raise ValueError("layer needs an op")
+                specs.append((lineno, raw, parts[1], tuple(int(p, 0) for p in parts[2:])))
+            else:
+                raise ValueError(f"unknown directive {parts[0]!r}")
+    if input_at is not None:
+        with dv.naming_line("workload", *input_at):
+            if not 1 <= input_elems <= dv.MEM_BYTES // 4:
+                raise ValueError(f"input count {input_elems} is outside "
+                                 f"1..{dv.MEM_BYTES // 4}, the words device memory holds")
+    elif specs and specs[0][2] == "matmul":
+        # make_layer bounds the matmul, and so its operands
+        with dv.naming_line("workload", *specs[0][:2]):
+            input_elems = _matmul_input_elems(specs[0][3])
+    else:
+        raise ValueError("workload needs an 'input <elems>' line")
+    layers = []
+    elems = input_elems
+    for lineno, raw, op, params in specs:
+        with dv.naming_line("workload", lineno, raw):
+            layer = make_layer(op, params, elems)
+        layers.append(layer)
+        elems = layer.out_elems
+    return WorkloadGraph(tuple(layers), input_elems)
 
 
 @dataclass(frozen=True)
 class DelayPolicy:
-    """Virtual-time sleeps injected around stack phases; GPU stays idle."""
+    """Virtual-time sleeps injected around stack phases. The JIT and
+    management sleeps fall between jobs, while the GPU is idle. The OS
+    jitter sleeps before every driver access, so some of it falls inside
+    device work: the sleep before the JOB_PROGRESS read, right after the
+    kick, is inside a running job, and the recorder keeps that gap."""
 
     jit_ns: int = 0
     mgmt_ns: int = 0

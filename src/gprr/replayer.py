@@ -534,10 +534,13 @@ class ReplaySession:
             if report is None and (nxt is None or nxt > deadline):
                 # nothing falls due by the deadline, so ``raw`` stays
                 self.dev.tick(max(0, deadline - self.dev.vclock_ns))
+                detail = f"no interrupt within {watchdog} ns"
+                if self.dev.job_state == dv.JOB_BAD_STATE:
+                    # a job that latches it raises nothing
+                    detail += f"; job status {dv.JOB_BAD_STATE} (bad state)"
                 report = DivergenceReport(
                     self.cursor, DivergenceKind.TIMEOUT,
-                    expected=a.expect_rawstat, got=raw,
-                    detail=f"no interrupt within {watchdog} ns")
+                    expected=a.expect_rawstat, got=raw, detail=detail)
                 if not self._window[2]:
                     return report
             elif nxt is None or nxt > start + MEASURE_CAP * watchdog:

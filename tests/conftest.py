@@ -53,14 +53,19 @@ def record_graph(graph, *, env_seed=7, delays=DelayPolicy(), harness=None,
     return record(stack, graph, harness or RecordHarness())
 
 
+def chain_graph(layers):
+    """``layers`` alternating scale-by-3 and copy layers over 16 elements;
+    a multi-layer graph stages its output with one more copy job."""
+    return build_graph([("scale", 3) if i % 2 == 0 else ("copy",) for i in range(layers)], 16)
+
+
 def record_chain64(seed=1):
     """The benchmark's chain-64, recorded as its set-up records it: 63
     layers plus the staging copy make 64 jobs, on SKU-A with the stack
     delays ``gprr bench`` uses by default."""
-    specs = [("scale", 3) if i % 2 == 0 else ("copy",) for i in range(63)]
     stack = GpuStack(Device(sku=SKU_A, env_seed=seed),
                      delays=DelayPolicy(50_000, 20_000, 5_000), rng_seed=seed)
-    return record(stack, build_graph(specs, 16), RecordHarness(magic_seed=seed * 131 + 7))
+    return record(stack, chain_graph(63), RecordHarness(magic_seed=seed * 131 + 7))
 
 
 @pytest.fixture(scope="session")

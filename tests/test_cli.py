@@ -111,6 +111,30 @@ def test_usage_errors_exit_2(ws, capsys):
                      "-o", str(tmp_path / "z.gpr")]) == 2
 
 
+@pytest.mark.parametrize("kind, text, lineno", [
+    ("map", "GPU_ID 0x0 ro\nGPU_STATUS zz ro\n", 2),
+    ("map", "GPU_ID 0x0 ro\nGPU_STATUS 0x04 rx\n", 2),
+    ("workload", "input 8\nlayer scale x\n", 2),
+    ("workload", "input 12\nlayer matmul 2 2\n", 2),
+    ("workload", "# no input line\nlayer matmul 2\n", 2),
+    ("workload", "input 8\nlayer copy\nlayer frob\n", 3),
+])
+def test_a_bad_map_or_workload_line_is_named_and_exits_2(ws, capsys, kind, text, lineno):
+    tmp_path, wl = ws
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    if kind == "map":
+        rec = tmp_path / "rec.gpr"
+        assert dispatch(["record", str(wl), "-o", str(rec)]) == 0
+        capsys.readouterr()
+        argv = ["verify", str(rec), "--map", str(bad)]
+    else:
+        argv = ["record", str(bad), "-o", str(tmp_path / "x.gpr")]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gprr: ") and f" line {lineno}: " in err and err.count("\n") == 1
+
+
 def test_patch_subcommand_and_replay_on_b(ws, capsys):
     tmp, wl = ws
     rec = tmp / "a.gpr"

@@ -1112,44 +1112,6 @@ def test_flush_commits_what_a_merge_or_a_restore_left_buffered():
     assert dev.mem_read(out_pa + 0x40, 4) == (0x22222222).to_bytes(4, "little")
 
 
-# Busy periods as a list of (time step, busy?) moves plus restores to an
-# earlier snapshot; was_idle_between must agree with a scan of every period.
-busy_moves = st.lists(st.one_of(
-    st.tuples(st.integers(0, 50), st.booleans()),
-    st.just("snapshot"), st.just("restore")), max_size=20)
-
-
-def idle_by_scan(periods, now, t0, t1):
-    if t1 <= t0:
-        return True
-    return not any(start < t1 and (now if end is None else end) > t0
-                   for start, end in periods)
-
-
-@settings(max_examples=100, deadline=None)
-@given(moves=busy_moves)
-def test_was_idle_between_matches_scan(moves):
-    dev = Device()
-    snap = dev.snapshot()
-    for move in moves:
-        if move == "snapshot":
-            snap = dev.snapshot()
-        elif move == "restore":
-            dev.restore(snap)
-        else:
-            dt, busy = move
-            dev.tick(dt)  # nothing is pending: only the clock moves
-            dev._set_busy(busy)  # zero-length periods when dt is 0
-    periods = [tuple(p) for p in dev._busy_periods]
-    # every pair of instants on or next to a period's start or end
-    edges = {0, dev.vclock_ns, *(t for p in periods for t in p if t is not None)}
-    probes = sorted({t + d for t in edges for d in (-1, 0, 1)})
-    for t0 in probes:
-        for t1 in probes:
-            assert dev.was_idle_between(t0, t1) == idle_by_scan(
-                periods, dev.vclock_ns, t0, t1), (periods, t0, t1)
-
-
 # -- snapshot / restore ----------------------------------------------------------------
 
 def test_snapshot_roundtrip_preserves_status():

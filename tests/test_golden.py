@@ -10,11 +10,11 @@ import pytest
 from gprr.actions import Granularity, canonical_actions
 from gprr.cli import dispatch
 from gprr.recfmt import encode, write_file
+from gprr.recorder import RecordHarness
+from gprr.refstack import DelayPolicy
 from gprr.replayer import expected_event_log
 
-from gprr.recorder import RecordHarness
-
-from conftest import random_input, record_chain64, record_graph, replay_once
+from conftest import chain_graph, random_input, record_chain64, record_graph, replay_once
 
 INPUT_SEED = 2024
 
@@ -116,3 +116,34 @@ CHAIN64_GOLDEN = "4430db127e5b61b5ed8c036bd00838dd6746699ed3dab4ede9def8708e2dd5
 
 def test_chain64_recording_matches_golden():
     assert _sha(encode(record_chain64().recordings[0])) == CHAIN64_GOLDEN
+
+
+# Recordings under stack delays: JIT and management sleeps between jobs,
+# and OS jitter before every driver access, some of it inside a running
+# job, so some gaps are kept with their observed length. The .gpr bytes
+# pin every gap's pacing floor. Digests are over the recordings' encodings
+# joined, one per slice when per layer.
+DELAYED = {"jit": DelayPolicy(50_000, 20_000, 5_000), "jitter": DelayPolicy(0, 0, 3_000)}
+DELAYED_GOLDEN = {
+    ("jit", "mixed3", "monolithic"):
+        "e314704d2091e313c9a364b1117c59da330ce772896181b84006006a9131b540",
+    ("jit", "mixed3", "per_layer"):
+        "75eab8f4117090636167876f8449315abeab00850b536e961118ce9493970035",
+    ("jit", "chain9", "monolithic"):
+        "7065c9dfea6f416dbb2d3736ea365e2b937f9c2f009cc34add3ab52d67852459",
+    ("jitter", "mixed3", "monolithic"):
+        "60d8c97458f3f5a6470d410de107fde53b996b71d32f3e0c2290e5043e30e87f",
+    ("jitter", "mixed3", "per_layer"):
+        "94f362e6fc610f7f8e50812f45e97ebeda52392345dc6d9d5fd162311591ef2e",
+    ("jitter", "chain9", "monolithic"):
+        "af3a75dd801a1a9ea39994244b5cef244b2481f50547eb920b976f3b8dfb3c0d",
+}
+
+
+@pytest.mark.parametrize("delays, name, granularity", sorted(DELAYED_GOLDEN))
+def test_delayed_recordings_match_golden(delays, name, granularity, graphs):
+    graph = chain_graph(9) if name == "chain9" else graphs[name]
+    harness = RecordHarness(granularity=Granularity[granularity.upper()])
+    res = record_graph(graph, delays=DELAYED[delays], harness=harness)
+    digest = _sha(b"".join(encode(r) for r in res.recordings))
+    assert digest == DELAYED_GOLDEN[delays, name, granularity]

@@ -14,28 +14,11 @@ from gprr.actions import (ActionClass, Granularity, IoMode, IoRole,
 from gprr.device import Device, SKU_A, SKU_B
 from gprr.patcher import patch
 from gprr.recfmt import inflate
-from gprr.recorder import (DiscoveryError, RecordHarness, _RunTrace,
-                           classify_interval, magic_bytes, parse_harness, record)
+from gprr.recorder import (DiscoveryError, RecordHarness, _RunTrace, magic_bytes,
+                           parse_harness, record)
 from gprr.refstack import VA_BASE, AllocFlags, DelayPolicy, GpuStack, build_graph
 
 from conftest import builtin_graphs, gprr_calls, i32s, record_chain64, record_graph
-
-
-# -- classify_interval ------------------------------------------------------------
-
-def test_idle_interval_skips():
-    always_idle = lambda a, b: True
-    assert classify_interval(0, 50_000, always_idle) == 0
-
-
-def test_busy_interval_keeps_observed_gap():
-    never_idle = lambda a, b: False
-    assert classify_interval(100, 700, never_idle) == 600
-
-
-def test_zero_gap_is_trivially_skippable():
-    never_idle = lambda a, b: False
-    assert classify_interval(5, 5, never_idle) == 0
 
 
 # -- recorded action shape ------------------------------------------------------------

@@ -11,7 +11,7 @@ from gprr.refstack import (AllocFlags, DelayPolicy, DriverError, GpuStack,
                            Perm, StackListener, WorkloadError, build_graph,
                            emit_shader, matmul_shader_words, parse_workload)
 
-from conftest import (builtin_graphs, i32s, random_input, record_graph,
+from conftest import (builtin_graphs, chain_graph, i32s, random_input, record_graph,
                       replay_once, unpack32)
 
 
@@ -262,15 +262,56 @@ def test_zero_delays_keep_gpu_gaps_device_bound():
     assert max(gaps) < 50_000
 
 
+class BusyAtEdges(StackListener):
+    """``dev.busy`` at each event's t0 and t1, as (event, busy at t0, busy
+    at t1). A listener sees an event at its t1; an access's t0 is when the
+    stack's OS-jitter sleep before it returns, and a kick's t0 is its t1."""
+
+    def __init__(self, stack):
+        self.dev = dev = stack.dev
+        self.edges = []
+        self._t0 = None
+        jitter = stack._os_jitter
+
+        def sampled():
+            jitter()
+            self._t0 = (dev.vclock_ns, dev.busy)
+        stack._os_jitter = sampled
+
+    def on_port_event(self, ev):
+        t0, busy0 = (ev.t0, self.dev.busy) if ev.kind == "pre_kick" else self._t0
+        assert t0 == ev.t0
+        self.edges.append((ev, busy0, self.dev.busy))
+
+
+def run_sampled(graph, inp, **kw):
+    stack = fresh_stack(**kw)
+    tr = stack.listener = BusyAtEdges(stack)
+    stack.run_workload(graph, inp)
+    stack.listener = None
+    return tr.edges
+
+
+@pytest.mark.parametrize("delays", [DelayPolicy(50_000, 20_000, 5_000),
+                                    DelayPolicy(0, 0, 3_000)])
+@pytest.mark.parametrize("name", [*sorted(builtin_graphs()), "chain9"])
+def test_no_gap_starts_idle_and_ends_busy(name, delays):
+    # the recorder's rule: only a driver access starts device work, so a
+    # gap that starts idle stays idle, and idleness at the start of a gap
+    # decides its floor
+    g = chain_graph(9) if name == "chain9" else builtin_graphs()[name]
+    edges = run_sampled(g, random_input(g, 5), env_seed=3, delays=delays, rng_seed=3)
+    gaps = [(a[2], b[1]) for a, b in zip(edges, edges[1:])]
+    assert (False, True) not in gaps
+    # both kinds of gap occur: some end a job, or a flush, in their sleeps
+    assert (True, False) in gaps and (False, False) in gaps
+
+
 def test_injected_jit_delay_visible_as_idle_gaps():
     g = build_graph([("vec_add",), ("scale", 3), ("relu",)], 8)
-    stack, tr, _ = run_traced(g, i32s(range(8)),
-                              delays=DelayPolicy(jit_ns=50_000))
-    dev = stack.dev
-    big_idle = 0
-    for a, b in zip(tr.events, tr.events[1:]):
-        if b.t0 - a.t1 >= 50_000 and dev.was_idle_between(a.t1, b.t0):
-            big_idle += 1
+    edges = run_sampled(g, i32s(range(8)), delays=DelayPolicy(jit_ns=50_000))
+    big_idle = sum(1 for (a, _, busy), (b, _, _) in zip(edges, edges[1:])
+                   if b.t0 - a.t1 >= 50_000 and not busy)
     assert big_idle >= 3  # one per JIT phase, 4 jobs total
 
 
