@@ -12,9 +12,11 @@ device was idle as the previous action ended.
 
 The action types and MemDump are frozen dataclasses with slots: values
 that hash and compare by field, keep no ``__dict__``, and read their
-attributes as fast as a plain object does. The decoder, and the recorder
-for its dumps, build them through their slots (``slot_factory``), not
-through ``__init__``.
+attributes as fast as a plain object does. Nothing on the record or load
+path builds them through ``__init__``: the recorder, and the decoder for
+its dumps, store each value straight into its slot (``slot_factory``),
+and the decoder's one action reader, generated from ``ACTION_SCHEMAS``,
+stores each action's fields into its slots inline.
 """
 
 from __future__ import annotations
@@ -177,7 +179,8 @@ _READ_CLASSES = (ActionClass.STATE, ActionClass.NONDET)
 def slot_factory(cls: type) -> Callable[..., Any]:
     """A function that makes a ``cls`` from all its field values, in field
     order, without ``__init__``: it stores each value straight into its
-    slot. For a decoder, whose values need no default or conversion.
+    slot. For values that need no default or conversion, such as the
+    recorder's and the decoder's dumps.
 
     The names come from ``dataclasses.fields``, and each slot from the
     class itself, whose own descriptors are the ones it reads.
@@ -191,15 +194,6 @@ def slot_factory(cls: type) -> Callable[..., Any]:
     return env["build"]
 
 
-_new_reg_read = slot_factory(RegRead)
-
-
-def _reg_read(raw: int, floor: int, name: str, expect: int, cls: int) -> RegRead:
-    if cls >= len(_READ_CLASSES):
-        raise ValueError(f"bad read class {cls}")
-    return _new_reg_read(raw, floor, name, expect, _READ_CLASSES[cls])
-
-
 @dataclass(frozen=True)
 class ActionSchema:
     """One action type, defined once for the codec, ``gprr inspect`` and
@@ -208,10 +202,11 @@ class ActionSchema:
     On the wire an action is its ``tag`` byte and the two u64 interval
     fields, then the str16 register name when ``named``, then the
     attributes in ``fields`` packed with the little-endian struct codes
-    in ``fmt``. ``build``, set where a field needs converting, makes the
-    action from the decoded values in wire order and raises ValueError
-    for an out-of-range final byte; the decoder builds any other type
-    with its ``slot_factory``.
+    in ``fmt``. The wire order is the class's field order, so the decoder
+    stores the values it reads into the slots in turn. ``indexes``, set
+    where the final field is an index on the wire, names what it indexes
+    and holds the values it stands for, and the decoder stores the value
+    instead; a byte past their end is malformed (``bad read class 2``).
     """
 
     cls: type
@@ -221,7 +216,7 @@ class ActionSchema:
     fmt: str
     canon: Callable[[Any], tuple]  # the projection canonical_actions keeps
     text: Callable[[Any], str]     # the ``gprr inspect`` listing
-    build: Callable[..., Any] | None = None
+    indexes: tuple[str, tuple] | None = None
 
 
 ACTION_SCHEMAS = (
@@ -233,7 +228,7 @@ ACTION_SCHEMAS = (
                                   else ("r", a.reg_name, a.expect_value)),
                  text=lambda a: (f"read    {a.reg_name} (nondet)" if a.nondet
                                  else f"read    {a.reg_name} expect {a.expect_value:#x}"),
-                 build=_reg_read),
+                 indexes=("read class", _READ_CLASSES)),
     ActionSchema(RegReadWait, 3, True, ("mask", "expect_value", "max_polls"), "III",
                  canon=lambda a: ("rw", a.reg_name, a.mask, a.expect_value),
                  text=lambda a: (f"poll    {a.reg_name} mask {a.mask:#x} until "

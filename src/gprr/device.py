@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import hashlib
 import mmap
 import random
 import struct
@@ -251,6 +252,7 @@ class RegisterMap:
     # map: every register access resolves through one of them
     by_name: Callable[[str], RegDef | None] = field(init=False, repr=False, compare=False)
     by_offset: Callable[[int], RegDef | None] = field(init=False, repr=False, compare=False)
+    _digest: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [e.name for e in self.entries]
@@ -262,14 +264,15 @@ class RegisterMap:
                 raise ValueError(f"NONDET_READ register {e.name} must be read-only")
         object.__setattr__(self, "by_name", {e.name: e for e in self.entries}.get)
         object.__setattr__(self, "by_offset", {e.offset: e for e in self.entries}.get)
-
-    def digest(self) -> bytes:
-        import hashlib
-
         h = hashlib.sha256()
         for e in sorted(self.entries, key=lambda e: e.offset):
             h.update(f"{e.name}:{e.offset}:{e.access.value}:{e.state_class.value}\n".encode())
-        return h.digest()
+        object.__setattr__(self, "_digest", h.digest())
+
+    def digest(self) -> bytes:
+        """SHA-256 over the entries in offset order, the hash a recording's
+        header carries; computed once, with the map."""
+        return self._digest
 
 
 def default_register_map() -> RegisterMap:
@@ -309,6 +312,14 @@ def naming_line(kind: str, lineno: int, raw: str):
         raise ValueError(f"{kind} line {lineno}: {raw!r}: {e}") from None
 
 
+def number(word: str) -> int:
+    """An integer literal of a text file, in any base Python writes one."""
+    try:
+        return int(word, 0)
+    except ValueError:
+        raise ValueError(f"{word!r} is not a number") from None
+
+
 def parse_register_map(text: str) -> RegisterMap:
     """Line format: ``NAME OFFSET ro|wo|rw [pure_read|nondet_read]``. A bad
     line is a ValueError that names the line and says what is wrong."""
@@ -321,7 +332,7 @@ def parse_register_map(text: str) -> RegisterMap:
         with naming_line("register map", lineno, raw):
             if len(parts) not in (3, 4):
                 raise ValueError("want 'NAME OFFSET ro|wo|rw [pure_read|nondet_read]'")
-            name, offset, access = parts[0], int(parts[1], 0), Access(parts[2].lower())
+            name, offset, access = parts[0], number(parts[1]), Access(parts[2].lower())
             cls = StateClass(parts[3].lower()) if len(parts) == 4 else StateClass.PURE_READ
         entries.append(RegDef(name, offset, access, cls))
     return RegisterMap(tuple(entries))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
+from dataclasses import fields
 from operator import attrgetter
 
 from .actions import (ACTION_SCHEMAS, ActionSchema, DumpOrigin, Granularity,
@@ -119,21 +120,19 @@ class _Reader:
         return self._take(n)
 
 
-def _compile(spec: ActionSchema):
-    """A named type packs tag, intervals and name length in ``head`` and
-    its fixed fields in ``tail``; any other type packs all in ``head``."""
-    build = spec.build or slot_factory(spec.cls)
+def _layout(spec: ActionSchema) -> tuple[struct.Struct, struct.Struct | None]:
+    """A named type packs tag, intervals and name length in its head and
+    its fixed fields in its tail; any other type packs all in its head."""
     if spec.named:
-        return (spec, struct.Struct("<BQQH"), struct.Struct("<" + spec.fmt), build)
-    return (spec, struct.Struct("<BQQ" + spec.fmt), None, build)
+        return struct.Struct("<BQQH"), struct.Struct("<" + spec.fmt)
+    return struct.Struct("<BQQ" + spec.fmt), None
 
 
 _ORIGINS = {o.value: o for o in DumpOrigin}
 # a dump entry's fixed head: id, VA, raw length, origin, payload length
 _DUMP_HEAD = struct.Struct("<IIIBI")
 _new_dump = slot_factory(MemDump)
-_CODECS = [_compile(s) for s in ACTION_SCHEMAS]
-_CODEC_BY_TAG = {c[0].tag: c for c in _CODECS}
+_LAYOUT_BY_TAG = {s.tag: (s, *_layout(s)) for s in ACTION_SCHEMAS}
 
 
 def _packer(spec: ActionSchema, head: struct.Struct, tail):
@@ -154,7 +153,7 @@ def _packer(spec: ActionSchema, head: struct.Struct, tail):
 
 
 _PACK_BY_CLASS = {spec.cls: _packer(spec, head, tail)
-                  for spec, head, tail, _ in _CODECS}
+                  for spec, head, tail in _LAYOUT_BY_TAG.values()}
 
 
 def _cut(pos: int, codes: str, end: int) -> Truncated:
@@ -169,67 +168,104 @@ def _cut(pos: int, codes: str, end: int) -> Truncated:
 
 
 def _action_error(data: bytes, at: int) -> DecodeError:
-    """The error in the action at ``at``, which does not fit or build:
-    the first field that runs past the end or holds a bad value."""
+    """The error in the action at ``at``, which does not fit or holds a
+    bad value: the first field that runs past the end or is out of range.
+    The slow path of ``_read_actions``: it reads the action again, field
+    by field."""
     end = len(data)
     if at + 17 > end:  # every type starts with its tag and both intervals
         return _cut(at, "BQQ", end)
-    codec = _CODEC_BY_TAG.get(data[at])
-    if codec is None:
+    layout = _LAYOUT_BY_TAG.get(data[at])
+    if layout is None:
         return UnknownTag(at, f"unknown action tag {data[at]:#x}")
-    spec, head, tail, build = codec
+    spec, head, tail = layout
     p = at + head.size
     if p > end:
         return _cut(at, head.format[1:], end)
     if tail is None:
-        values = head.unpack_from(data, at)[1:]
+        last = head.unpack_from(data, at)[-1]
     else:
-        _, raw_iv, min_iv, n = head.unpack_from(data, at)
+        n = head.unpack_from(data, at)[-1]
         if p + n > end:
             return Truncated(p, f"needed {n} more bytes")
         try:
-            name = data[p:p + n].decode("utf-8")
+            data[p:p + n].decode("utf-8")
         except UnicodeDecodeError:
             return Malformed(p - 2, "string is not valid UTF-8")
         p += n
         if p + tail.size > end:
             return _cut(p, spec.fmt, end)
-        values = (raw_iv, min_iv, name, *tail.unpack_from(data, p))
+        last = tail.unpack_from(data, p)[-1]
         p += tail.size
-    try:
-        build(*values)
-    except ValueError as e:  # only a payload's final byte is range-checked
-        return Malformed(p - 1, str(e))
+    if spec.indexes is not None and last >= len(spec.indexes[1]):
+        # only a payload's final byte is range-checked
+        return Malformed(p - 1, f"bad {spec.indexes[0]} {last}")
     raise AssertionError("the action decodes")
 
 
-def _read_actions(r: _Reader, count: int) -> list:
-    """``count`` actions from ``r.pos`` on, each distinct register name
-    decoded once. An action that does not fit, or does not build, raises
-    the error ``_action_error`` finds in it."""
-    data, codecs, out = r.data, _CODEC_BY_TAG, []
-    names: dict[bytes, str] = {}
-    p = r.pos
-    for _ in range(count):
-        try:
-            _, head, tail, build = codecs[data[p]]
-            if tail is None:
-                a = build(*head.unpack_from(data, p)[1:])
-                q = p + head.size
-            else:
-                _, raw_iv, min_iv, n = head.unpack_from(data, p)
-                q = p + head.size + n
-                name = names.get(b := data[q - n:q])
-                if name is None:
-                    name = names[b] = b.decode("utf-8")
-                a = build(raw_iv, min_iv, name, *tail.unpack_from(data, q))
-                q += tail.size
-        except (LookupError, ValueError, struct.error):
-            raise _action_error(data, p) from None
-        out.append(a)
-        p = q
-    r.pos = p
-    return out
+def _make_reader():
+    """``_read_actions(data, p, count, refs)``: the ``count`` actions from
+    byte ``p`` on, and the offset after them. It sets ``refs[dump_id]`` to
+    the index of the first LoadMemDump of each id. An action that does not
+    fit, or holds a bad value, raises the error ``_action_error`` finds in
+    it.
+
+    Compiled once, at import: one branch per tag, each unpacking its
+    action's fields with its ``Struct`` and storing them straight into the
+    slots of a new object, with no call per action into Python code."""
+    env: dict = {"new": object.__new__, "error": _action_error, "struct": struct}
+    lines = ["def _read_actions(data, p, count, refs):",
+             "    out, names = [], {}",
+             "    append = out.append",
+             "    try:",
+             "        for i in range(count):",
+             "            tag = data[p]"]
+    branch = "if"
+    for spec, head, tail in _LAYOUT_BY_TAG.values():
+        t = spec.tag
+        slots = [f.name for f in fields(spec.cls)]
+        assert len(slots) == 2 + spec.named + len(spec.fields), spec.cls
+        env[f"cls{t}"], env[f"head{t}"] = spec.cls, head.unpack_from
+        env.update((f"set{t}_{j}", getattr(spec.cls, n).__set__)
+                   for j, n in enumerate(slots))
+        vs = [f"v{j}" for j in range(len(slots))]
+        if tail is None:
+            body = [f"_, {', '.join(vs)} = head{t}(data, p)"]
+            advance = f"p += {head.size}"
+        else:
+            env[f"tail{t}"] = tail.unpack_from
+            # each distinct register name is decoded once
+            body = [f"_, v0, v1, n = head{t}(data, p)",
+                    f"q = p + {head.size} + n",
+                    "b = data[q - n:q]",
+                    "v2 = names.get(b)",
+                    "if v2 is None:",
+                    "    v2 = names[b] = b.decode('utf-8')",
+                    f"{', '.join(vs[3:])}, = tail{t}(data, q)"]
+            advance = f"p = q + {tail.size}"
+        if spec.indexes is not None:
+            env[f"values{t}"] = spec.indexes[1]
+            body.append(f"{vs[-1]} = values{t}[{vs[-1]}]")
+        if spec.cls is LoadMemDump:
+            d = vs[slots.index("dump_id")]
+            body += [f"if {d} not in refs:", f"    refs[{d}] = i"]
+        body.append(f"a = new(cls{t})")
+        body += [f"set{t}_{j}(a, {v})" for j, v in enumerate(vs)]
+        body.append(advance)
+        lines.append(f"            {branch} tag == {t}:")
+        lines += ["                " + line for line in body]
+        branch = "elif"
+    lines += ["            else:",
+              "                raise error(data, p)",
+              "            append(a)",
+              "    except (LookupError, ValueError, struct.error):",
+              "        raise error(data, p) from None",
+              "    return out, p"]
+    exec("\n".join(lines) + "\n", env)
+    return env["_read_actions"]
+
+
+_read_actions = _make_reader()
 
 
 def _read_dump_entry(r: _Reader) -> tuple:
@@ -324,7 +360,9 @@ def decode(data: bytes) -> Recording:
         raise Malformed(at, "label is not valid UTF-8") from None
     header = RecordingHeader(sku_id, map_hash, created, gran, label)
 
-    actions = _read_actions(r, r.u32())
+    count = r.u32()
+    refs: dict[int, int] = {}  # dump id -> index of its first LoadMemDump
+    actions, r.pos = _read_actions(data, r.pos, count, refs)
 
     n_dumps = r.u32()
     dumps = []
@@ -368,9 +406,9 @@ def decode(data: bytes) -> Recording:
         raise BadChecksum(len(data) - 32, "trailing checksum does not match")
 
     dump_ids = {d.dump_id for d in dumps}
-    for i, a in enumerate(actions):
-        if isinstance(a, LoadMemDump) and a.dump_id not in dump_ids:
-            raise Malformed(r.pos, f"action {i} references missing dump {a.dump_id}")
+    for dump_id, i in refs.items():  # in action order
+        if dump_id not in dump_ids:
+            raise Malformed(r.pos, f"action {i} references missing dump {dump_id}")
 
     return Recording(header, tuple(actions), tuple(dumps), tuple(io_table))
 

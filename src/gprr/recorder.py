@@ -68,13 +68,6 @@ _HARNESS_FORMS = {
 }
 
 
-def _number(word: str) -> int:
-    try:
-        return int(word, 0)
-    except ValueError:
-        raise ValueError(f"{word!r} is not a number") from None
-
-
 def _member(word: str, kind: type[enum.Enum]):
     try:
         return kind[word.upper()]
@@ -99,11 +92,11 @@ def parse_harness(text: str) -> RecordHarness:
             if len(args) != form.count(" "):
                 raise ValueError(f"want {form!r}")
             if key == "input":
-                h.input_modes[_number(args[0])] = _member(args[1], IoMode)
+                h.input_modes[dv.number(args[0])] = _member(args[1], IoMode)
             elif key == "magic_seed":
-                h.magic_seed = _number(args[0])
+                h.magic_seed = dv.number(args[0])
             elif key == "trials":
-                h.max_trials = _number(args[0])
+                h.max_trials = dv.number(args[0])
                 if h.max_trials < 1:
                     raise ValueError("trials must be at least 1")
             else:

@@ -84,8 +84,7 @@ class WorkloadGraph:
             raise ValueError("graph needs at least one layer")
         elems = self.input_elems
         for i, layer in enumerate(self.layers):
-            if layer.op in MULTI_OPERAND and i != 0:
-                raise ValueError(f"{layer.op} only allowed as the first layer")
+            _check_place(layer.op, i)
             if layer.in_elems != elems:
                 raise ValueError(
                     f"layer {i} expects {layer.in_elems} elems, gets {elems}")
@@ -141,6 +140,13 @@ def _eval_layer(layer: Layer, vals: list[int]) -> list[int]:
                 out.append(acc)
         return out
     raise ValueError(f"unknown op {layer.op}")
+
+
+def _check_place(op: str, index: int) -> None:
+    """Refuse a multi-operand op past the first layer: it reads its
+    operands packed in the graph's input."""
+    if op in MULTI_OPERAND and index != 0:
+        raise ValueError(f"{op} only allowed as the first layer")
 
 
 def _matmul_input_elems(params: tuple[int, ...]) -> int:
@@ -205,11 +211,11 @@ def parse_workload(text: str) -> WorkloadGraph:
             if parts[0] == "input":
                 if len(parts) != 2:
                     raise ValueError("input takes one count")
-                input_elems, input_at = int(parts[1], 0), (lineno, raw)
+                input_elems, input_at = dv.number(parts[1]), (lineno, raw)
             elif parts[0] == "layer":
                 if len(parts) < 2:
                     raise ValueError("layer needs an op")
-                specs.append((lineno, raw, parts[1], tuple(int(p, 0) for p in parts[2:])))
+                specs.append((lineno, raw, parts[1], tuple(map(dv.number, parts[2:]))))
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
     if input_at is not None:
@@ -228,6 +234,7 @@ def parse_workload(text: str) -> WorkloadGraph:
     for lineno, raw, op, params in specs:
         with dv.naming_line("workload", lineno, raw):
             layer = make_layer(op, params, elems)
+            _check_place(op, len(layers))
         layers.append(layer)
         elems = layer.out_elems
     return WorkloadGraph(tuple(layers), input_elems)

@@ -81,10 +81,6 @@ class VerificationReport:
         }, indent=2)
 
 
-def _pages(len_bytes: int) -> int:
-    return max(1, -(-len_bytes // dv.PAGE_SIZE))
-
-
 def _covered(bases: list[int], spans: dict[int, int], va: int, n: int) -> bool:
     """Whole [va, va+n) inside the range (``spans``: base -> pages,
     page-rounded) with the nearest of the sorted ``bases`` at or below
@@ -126,89 +122,74 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
     first_map: dict[int, int] = {}  # base -> index of its first MapGpuMem
     current = peak = pending_kicks = pending_resets = 0
 
-    # One rule per action type, keyed by type below; each checks action
-    # ``a`` at index ``i`` and appends what it finds.
+    # read once: each read of a member through its enum class is a slow
+    # attribute lookup
+    ro, wo = Access.RO, Access.WO
 
-    def write(i, a):
-        nonlocal pending_kicks, pending_resets
-        reg = by_name(a.reg_name)
-        if reg is None:
-            flag(Violation(i, "R1", f"register {a.reg_name!r} not in map"))
-        elif reg.access is Access.RO:
-            flag(Violation(i, "R2", f"write to read-only {a.reg_name}"))
-        elif a.reg_name == "JOB_START" and a.value & 1:
-            pending_kicks += 1
-        elif a.reg_name == "GPU_CMD" and a.value == dv.CMD_SOFT_RESET:
-            pending_resets += 1
-
-    def read(i, a):
-        reg = by_name(a.reg_name)
-        if reg is None:
-            flag(Violation(i, "R1", f"register {a.reg_name!r} not in map"))
-        elif reg.access is Access.WO:
-            flag(Violation(i, "R2", f"read of write-only {a.reg_name}"))
-
-    def poll(i, a):
-        read(i, a)
-        if a.max_polls > dv.POLL_MAX_READS:
-            flag(Violation(i, "R9", f"poll of up to {a.max_polls} reads exceeds "
-                                    f"{dv.POLL_MAX_READS}"))
-
-    def map_(i, a):
-        nonlocal current, peak
-        va = a.gpu_va
-        if va & dv.PAGE_MASK:
-            flag(Violation(i, "R8", f"range {va:#x} is not page-aligned"))
-        pages = _pages(a.len_bytes)
-        if va not in live:
-            insort(live_bases, va)
-        live[va] = pages
-        if pages > ever_mapped.get(va, 0):
-            ever_mapped[va] = pages
-        first_map.setdefault(va, i)
-        current += pages * dv.PAGE_SIZE
-        peak = max(peak, current)
-        if current > mem_budget_bytes:
-            flag(Violation(i, "R3", f"mapped {current} bytes exceeds budget {mem_budget_bytes}"))
-
-    def unmap(i, a):
-        nonlocal current
-        pages = live.pop(a.gpu_va, None)
-        if pages is None:
-            flag(Violation(i, "R5", f"unmap of never-mapped {a.gpu_va:#x}"))
-        else:
-            live_bases.pop(bisect_right(live_bases, a.gpu_va) - 1)
-            current -= pages * dv.PAGE_SIZE
-
-    def load_dump(i, a):
-        d = dump_ids.get(a.dump_id)
-        if d is None:
-            flag(Violation(i, "R4", f"references missing dump {a.dump_id}"))
-        elif d.gpu_va != a.gpu_va:
-            flag(Violation(i, "R4", f"dump {a.dump_id} is for {d.gpu_va:#x}, "
-                                    f"loaded at {a.gpu_va:#x}"))
-        elif not _covered(live_bases, live, a.gpu_va, d.raw_len):
-            flag(Violation(i, "R4", f"dump load at {a.gpu_va:#x}+{d.raw_len:#x} outside mapping"))
-
-    def wait_irq(i, a):
-        nonlocal pending_kicks, pending_resets
-        if a.expect_rawstat & dv.IRQ_JOB_DONE:
-            if pending_kicks <= 0:
-                flag(Violation(i, "R6", "JOB_DONE wait without a pending job kick"))
-            else:
-                pending_kicks -= 1
-        if a.expect_rawstat & dv.IRQ_RESET_DONE:
-            if pending_resets <= 0:
-                flag(Violation(i, "R6", "RESET_DONE wait without a prior soft reset"))
-            else:
-                pending_resets -= 1
-
-    rules = {RegWrite: write, RegRead: read, RegReadWait: poll, MapGpuMem: map_,
-             UnmapGpuMem: unmap, LoadMemDump: load_dump, WaitIrq: wait_irq}
+    # One branch per action type; replay refuses any other type.
     for i, a in enumerate(rec.actions):
-        rule = rules.get(type(a))
-        if rule is not None:  # replay refuses any other type
-            rule(i, a)
+        t = type(a)
+        if t is RegWrite:
+            reg = by_name(a.reg_name)
+            if reg is None:
+                flag(Violation(i, "R1", f"register {a.reg_name!r} not in map"))
+            elif reg.access is ro:
+                flag(Violation(i, "R2", f"write to read-only {a.reg_name}"))
+            elif a.reg_name == "JOB_START" and a.value & 1:
+                pending_kicks += 1
+            elif a.reg_name == "GPU_CMD" and a.value == dv.CMD_SOFT_RESET:
+                pending_resets += 1
+        elif t is RegRead or t is RegReadWait:
+            reg = by_name(a.reg_name)
+            if reg is None:
+                flag(Violation(i, "R1", f"register {a.reg_name!r} not in map"))
+            elif reg.access is wo:
+                flag(Violation(i, "R2", f"read of write-only {a.reg_name}"))
+            if t is RegReadWait and a.max_polls > dv.POLL_MAX_READS:
+                flag(Violation(i, "R9", f"poll of up to {a.max_polls} reads exceeds "
+                                        f"{dv.POLL_MAX_READS}"))
+        elif t is MapGpuMem:
+            va = a.gpu_va
+            if va & dv.PAGE_MASK:
+                flag(Violation(i, "R8", f"range {va:#x} is not page-aligned"))
+            pages = max(1, -(-a.len_bytes // dv.PAGE_SIZE))
+            if va not in live:
+                insort(live_bases, va)
+            live[va] = pages
+            if pages > ever_mapped.get(va, 0):
+                ever_mapped[va] = pages
+            first_map.setdefault(va, i)
+            current += pages * dv.PAGE_SIZE
+            peak = max(peak, current)
+            if current > mem_budget_bytes:
+                flag(Violation(i, "R3", f"mapped {current} bytes exceeds budget {mem_budget_bytes}"))
+        elif t is LoadMemDump:
+            d = dump_ids.get(a.dump_id)
+            if d is None:
+                flag(Violation(i, "R4", f"references missing dump {a.dump_id}"))
+            elif d.gpu_va != a.gpu_va:
+                flag(Violation(i, "R4", f"dump {a.dump_id} is for {d.gpu_va:#x}, "
+                                        f"loaded at {a.gpu_va:#x}"))
+            elif not _covered(live_bases, live, a.gpu_va, d.raw_len):
+                flag(Violation(i, "R4", f"dump load at {a.gpu_va:#x}+{d.raw_len:#x} outside mapping"))
+        elif t is UnmapGpuMem:
+            pages = live.pop(a.gpu_va, None)
+            if pages is None:
+                flag(Violation(i, "R5", f"unmap of never-mapped {a.gpu_va:#x}"))
+            else:
+                live_bases.pop(bisect_right(live_bases, a.gpu_va) - 1)
+                current -= pages * dv.PAGE_SIZE
+        elif t is WaitIrq:
+            if a.expect_rawstat & dv.IRQ_JOB_DONE:
+                if pending_kicks <= 0:
+                    flag(Violation(i, "R6", "JOB_DONE wait without a pending job kick"))
+                else:
+                    pending_kicks -= 1
+            if a.expect_rawstat & dv.IRQ_RESET_DONE:
+                if pending_resets <= 0:
+                    flag(Violation(i, "R6", "RESET_DONE wait without a prior soft reset"))
+                else:
+                    pending_resets -= 1
 
     ever_bases = sorted(ever_mapped)
     violations.extend(_overlaps(ever_bases, ever_mapped, first_map))

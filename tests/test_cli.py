@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, file handling, determinism."""
 
+import hashlib
 import struct
 from pathlib import Path
 
@@ -84,6 +85,34 @@ def test_corrupted_file_fails_cleanly(ws, capsys):
         assert err.startswith("gprr: decode failed:") and "checksum" in err
 
 
+def test_a_bad_action_fails_cleanly_at_its_byte(ws, capsys):
+    """An unknown action tag (checksum fixed up) and a file cut inside an
+    action each exit 1 and name the byte the reader stopped at."""
+    tmp, wl = ws
+    out = tmp / "rec.gpr"
+    dispatch(["record", str(wl), "-o", str(out)])
+    blob = out.read_bytes()
+    # magic, version, SKU, map hash, created, granularity, then the label
+    # and the u32 action count
+    label_at = 4 + 2 + 4 + 32 + 8 + 1
+    first = label_at + 1 + blob[label_at] + 4
+    body = bytearray(blob[:-32])
+    body[first] = 0xEE
+    cases = {
+        "tag.gpr": (bytes(body) + hashlib.sha256(body).digest(),
+                    f"unknown action tag 0xee (at byte {first})"),
+        # the tag and raw interval fit, the pacing floor does not
+        "cut.gpr": (blob[:first + 10], f"needed 8 more bytes (at byte {first + 9})"),
+    }
+    for name, (data, message) in cases.items():
+        bad = tmp / name
+        bad.write_bytes(data)
+        for cmd in ("verify", "inspect", "replay"):
+            capsys.readouterr()
+            assert dispatch([cmd, str(bad)]) == 1
+            assert capsys.readouterr().err == f"gprr: decode failed: {message}\n"
+
+
 def test_usage_errors_exit_2(ws, capsys):
     tmp_path, wl = ws
     assert dispatch([]) == 2
@@ -111,6 +140,10 @@ def test_usage_errors_exit_2(ws, capsys):
                      "-o", str(tmp_path / "z.gpr")]) == 2
 
 
+NOT_A_NUMBER = {"GPU_ID 0x0 ro\nGPU_STATUS zz ro\n": "'zz' is not a number",
+                "input 8\nlayer scale x\n": "'x' is not a number"}
+
+
 @pytest.mark.parametrize("kind, text, lineno", [
     ("map", "GPU_ID 0x0 ro\nGPU_STATUS zz ro\n", 2),
     ("map", "GPU_ID 0x0 ro\nGPU_STATUS 0x04 rx\n", 2),
@@ -118,6 +151,7 @@ def test_usage_errors_exit_2(ws, capsys):
     ("workload", "input 12\nlayer matmul 2 2\n", 2),
     ("workload", "# no input line\nlayer matmul 2\n", 2),
     ("workload", "input 8\nlayer copy\nlayer frob\n", 3),
+    ("workload", "input 8\nlayer scale 3\nlayer vec_add\n", 3),
 ])
 def test_a_bad_map_or_workload_line_is_named_and_exits_2(ws, capsys, kind, text, lineno):
     tmp_path, wl = ws
@@ -133,6 +167,8 @@ def test_a_bad_map_or_workload_line_is_named_and_exits_2(ws, capsys, kind, text,
     assert dispatch(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("gprr: ") and f" line {lineno}: " in err and err.count("\n") == 1
+    # a bad number reads as a harness file's does
+    assert NOT_A_NUMBER.get(text, "") in err
 
 
 def test_patch_subcommand_and_replay_on_b(ws, capsys):
