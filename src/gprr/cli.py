@@ -60,6 +60,16 @@ def _parse_delays(text: str) -> DelayPolicy:
     return DelayPolicy(*parts)
 
 
+def _at_least(low: int):
+    """An argparse type: a decimal integer no lower than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
+
+
 def _layer_path(base: Path, index: int) -> Path:
     return base.with_name(f"{base.stem}.layer{index}{base.suffix or '.gpr'}")
 
@@ -300,15 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--no-skip", action="store_true",
                      help="honor raw recorded intervals instead of skips")
-    rep.add_argument("--checkpoint-every", type=int, default=0, metavar="K")
+    rep.add_argument("--checkpoint-every", type=_at_least(0), default=0, metavar="K")
     rep.add_argument("--inject-fault", type=_parse_fault, metavar="KIND[:MODE][:ARG]")
-    rep.add_argument("--clock-div", type=int, default=1)
+    rep.add_argument("--clock-div", type=_at_least(1), default=1)
     rep.add_argument("--force", action="store_true")
     rep.set_defaults(func=cmd_replay)
 
     ver = sub.add_parser("verify", help="statically verify a recording")
     ver.add_argument("recording")
-    ver.add_argument("--mem-budget", type=int, default=dv.MEM_BYTES)
+    ver.add_argument("--mem-budget", type=_at_least(0), default=dv.MEM_BYTES)
     ver.add_argument("--map", help="register map text file")
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=cmd_verify)

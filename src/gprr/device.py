@@ -4,8 +4,10 @@ chains, interrupts, and a virtual nanosecond clock.
 The device is the single source of time. Nothing here touches the wall
 clock: callers advance time explicitly with :meth:`Device.tick`, and all
 device-side work (job execution, cache flushes) completes at scheduled
-virtual instants. Interrupts are returned from ``tick`` as values; they
-are never delivered asynchronously.
+virtual instants. A completing job latches its interrupt in
+GPU_IRQ_RAWSTAT, and the interrupt line is RAWSTAT & GPU_IRQ_MASK
+(:attr:`Device.irq_line`), a level a driver samples after it advances
+time; nothing is delivered asynchronously.
 
 Nondeterminism is confined to one seeded RNG stream per device: job and
 flush durations carry a uniform jitter factor, and the JOB_PROGRESS
@@ -338,12 +340,6 @@ def parse_register_map(text: str) -> RegisterMap:
     return RegisterMap(tuple(entries))
 
 
-@dataclass(frozen=True)
-class InterruptEvent:
-    t_ns: int
-    bits: int  # raised bits that passed the mask
-
-
 # A buffer of stores maps a physical page number to the page's buffered
 # bytes and its mask, two bytearrays of PAGE_SIZE. A mask byte is 0xFF
 # where its byte is buffered and 0 elsewhere, where the data byte is 0 too;
@@ -361,23 +357,19 @@ class _PendingJob:
 
 
 @dataclass
-class _PendingFlush:  # never changed once made: snapshots share it
-    finish_ns: int
-
-
-@dataclass
 class DeviceSnapshot:
     """Copyable device state minus the RAM array.
 
-    Covers registers, protocol state, buffered writebacks, pending work and
-    the RNG stream position. The position is a base state of the stream
-    and the count of 32-bit words drawn since it: a device copies the
-    generator state at its first snapshot and then only once more than
-    ``_RNG_REBASE_WORDS`` (4096) words were drawn since its last copy, and
-    a restore sets the base and regenerates at most that many words. The
-    buffered pages, the writeback's and a pending job's, are copies: a
-    snapshot shares no bytearray with the device it came from or the
-    devices restored from it, so it can be restored any number of times.
+    Covers registers, protocol state, buffered writebacks, pending work (a
+    pending flush is its finish time) and the RNG stream position. The
+    position is a base state of the stream and the count of 32-bit words
+    drawn since it: a device copies the generator state at its first
+    snapshot and then only once more than ``_RNG_REBASE_WORDS`` (4096)
+    words were drawn since its last copy, and a restore sets the base and
+    regenerates at most that many words. The buffered pages, the
+    writeback's and a pending job's, are copies: a snapshot shares no
+    bytearray with the device it came from or the devices restored from
+    it, so it can be restored any number of times.
     RAM contents are restored separately by whoever owns the memory (the
     replayer's checkpoints copy the pages written since load); a restore
     therefore reproduces the original run exactly as long as RAM was not
@@ -395,7 +387,7 @@ class DeviceSnapshot:
     writeback: PageBuffer
     tlb: dict[int, tuple[int, int]]
     pending_job: _PendingJob | None
-    pending_flush: _PendingFlush | None
+    pending_flush: int | None
     rng_state: tuple[tuple, int]  # (base state, words drawn since)
 
 
@@ -529,7 +521,7 @@ class Device:
         self._flush_runs: list[tuple[int, int, bytearray, int, int]] | None = None
         self.tlb: dict[int, tuple[int, int]] = {}  # vpn -> (ppn, perm bits raw)
         self._pending_job: _PendingJob | None = None
-        self._pending_flush: _PendingFlush | None = None
+        self._pending_flush: int | None = None  # a flush in flight's finish time
         self._next_ns = None  # nothing pending
 
     def _soft_reset(self):
@@ -562,7 +554,7 @@ class Device:
             v = (self.cores_on & 0xFF) << STATUS_CORES_SHIFT
             if self.job_state == JOB_RUNNING:
                 v |= STATUS_BUSY
-            if self.writeback or self._pending_flush:
+            if self.writeback or self._pending_flush is not None:
                 v |= STATUS_DIRTY
         elif name == "GPU_IRQ_RAWSTAT":
             v = self.irq_rawstat
@@ -913,8 +905,7 @@ class Device:
         for pa, end, _, _, _ in runs:
             nbytes += end - pa
         cost = FLUSH_BASE_COST_NS + FLUSH_BYTE_COST_NS * nbytes
-        self._pending_flush = _PendingFlush(
-            self.vclock_ns + round(cost * self.clock_div * jitter))
+        self._pending_flush = self.vclock_ns + round(cost * self.clock_div * jitter)
         self._next_ns = self.next_event_ns()
 
     def _writeback_runs(self) -> list[tuple[int, int, bytearray, int, int]]:
@@ -936,19 +927,26 @@ class Device:
         until the driver asks for the flush."""
         return self.job_state == JOB_RUNNING or self._pending_flush is not None
 
+    @property
+    def irq_line(self) -> int:
+        """The interrupt line, a level: the raised GPU_IRQ_RAWSTAT bits
+        that GPU_IRQ_MASK enables."""
+        return self.irq_rawstat & self._stored["GPU_IRQ_MASK"]
+
     def next_event_ns(self) -> int | None:
         job, flush = self._pending_job, self._pending_flush
         t = None if job is None else job.finish_ns
-        if flush is not None and (t is None or flush.finish_ns < t):
-            t = flush.finish_ns
+        if flush is not None and (t is None or flush < t):
+            t = flush
         return t
 
-    def tick(self, dt_ns: int) -> list[InterruptEvent]:
+    def tick(self, dt_ns: int) -> None:
         """Advance the clock by ``dt_ns``, completing in time order the
-        job and flush that fall due; returns the interrupts they deliver.
-        The replayer calls this once per time it charges: a step's pacing
-        pad, each register access (after ``reg_write`` or ``reg_read``) and
-        each wait, so ``tick`` calls count those.
+        job and flush that fall due; a job that completes latches its
+        interrupt in ``irq_rawstat``. The replayer calls this once per time
+        it charges: a step's pacing pad, each register access (after
+        ``reg_write`` or ``reg_read``) and each wait, so ``tick`` calls
+        count those.
 
         ``_next_ns`` caches ``next_event_ns()``, so a tick with nothing due
         costs no call. Every site that starts, finishes, resets, restores
@@ -958,23 +956,19 @@ class Device:
         if dt_ns < 0:
             raise ValueError("dt_ns must be >= 0")
         end = self.vclock_ns + dt_ns
-        events: list[InterruptEvent] = []
         t = self._next_ns
         while t is not None and t <= end:
             if t > self.vclock_ns:
                 self.vclock_ns = t
-            events += self._complete_due(t)
+            self._complete_due(t)
             t = self._next_ns
         self.vclock_ns = end
-        return events
 
-    def _complete_due(self, t: int) -> list[InterruptEvent]:
-        events = []
+    def _complete_due(self, t: int) -> None:
         job = self._pending_job
         if job is not None and job.finish_ns is not None and job.finish_ns <= t:
             self._pending_job = None
             self.job_state = job.status
-            raised = 0
             if job.status == JOB_DONE:
                 # the writeback adopts the pages it lacks and takes the
                 # buffered runs of the others
@@ -990,19 +984,14 @@ class Device:
                     for i, j in _runs(mask):
                         have[0][i:j] = data[i:j]
                         have[1][i:j] = mask[i:j]
-                raised = IRQ_JOB_DONE
+                self.irq_rawstat |= IRQ_JOB_DONE
             elif job.status == JOB_MMU_FAULT:
                 self.fault_addr = (job.fault_va or 0) & U32
-                raised = IRQ_MMU_FAULT
+                self.irq_rawstat |= IRQ_MMU_FAULT
             # JOB_BAD_STATE raises nothing; the driver watchdog catches it
-            if raised:
-                self.irq_rawstat |= raised
-                delivered = raised & self._stored["GPU_IRQ_MASK"]
-                if delivered:
-                    events.append(InterruptEvent(t, delivered))
             self._next_ns = self.next_event_ns()
         flush = self._pending_flush
-        if flush is not None and flush.finish_ns <= t:
+        if flush is not None and flush <= t:
             self._pending_flush = None
             runs = self._flush_runs
             if runs is None:
@@ -1017,7 +1006,6 @@ class Device:
             self.writeback = {}
             self._flush_runs = None
             self._next_ns = self.next_event_ns()
-        return events
 
     # -- snapshot / restore ------------------------------------------------------
 

@@ -366,7 +366,8 @@ class _Driver:
         return n
 
     def wait_irq(self, expect_bits: int, watchdog_ns: int) -> int:
-        """Block (in virtual time) until an enabled interrupt fires."""
+        """Block (in virtual time) until the interrupt line rises or an MMU
+        fault is raised, masked or not."""
         self.stack._os_jitter()
         t0 = self.dev.vclock_ns
         deadline = t0 + watchdog_ns
@@ -376,10 +377,9 @@ class _Driver:
             if nxt is None or nxt > deadline:
                 self.dev.tick(max(0, deadline - self.dev.vclock_ns))
                 raise DriverError(f"watchdog: no interrupt within {watchdog_ns} ns")
-            evs = self.dev.tick(nxt - self.dev.vclock_ns)
-            for ev in evs:
-                bits |= ev.bits
-            bits |= self.dev.irq_rawstat & dv.IRQ_MMU_FAULT  # faults surface even if masked
+            self.dev.tick(nxt - self.dev.vclock_ns)
+            # a fault surfaces even if masked
+            bits = self.dev.irq_line | self.dev.irq_rawstat & dv.IRQ_MMU_FAULT
         self._emit(kind="wait_irq", bits=bits, expect=expect_bits,
                    t0=t0, t1=self.dev.vclock_ns)
         return bits

@@ -269,8 +269,8 @@ class ReplaySession:
         page and write its L1 and L2 entries, and keep those table pages as
         the image every replay starts from. A dump reaches RAM only through
         its ``LoadMemDump``. Even when forced, a load refuses a recording
-        that breaks rule R4, R5, R8 or R9: the action handlers trust what
-        those rules check.
+        that breaks rule R4, R5, R7, R8 or R9: the layout and the action
+        handlers trust what those rules check.
         A second load fully supersedes the first. A load that fails leaves
         no recording loaded and RAM as it was; the next load or
         ``cleanup`` scrubs it."""
@@ -287,7 +287,7 @@ class ReplaySession:
             raise LoadError(
                 f"recording failed verification: {len(report.violations)} violations")
         for v in report.violations:
-            if v.rule in ("R4", "R5", "R8", "R9"):
+            if v.rule in ("R4", "R5", "R7", "R8", "R9"):
                 raise LoadError(f"{v.rule} action {v.action_index}: {v.message}")
         sku = self.dev.sku
         pte_bits = dv.perm_table(SKUS_BY_ID.get(rec.header.sku_id, sku), sku, Perm.VALID)
@@ -303,7 +303,7 @@ class ReplaySession:
         tables: dict[int, bytearray] = {}  # L1 index -> its L2 table
         ranges, l2_pages, page_pa = {}, {}, {}
         # bump allocation after the L1 table: an L1 index's L2 table on its
-        # first use, then the page; the first range wins where ranges overlap
+        # first use, then the page
         end = _L1_PA + page
         for va, (pages, i) in report.ranges.items():
             if end + pages * page > dv.MEM_BYTES:
@@ -321,7 +321,7 @@ class ReplaySession:
                     end += page
                 _put_u32(l2, (vpn & 0x3FF) * 4, end | bits)
                 pas.append(end)
-                page_pa.setdefault(vpn, end)
+                page_pa[vpn] = end
                 end += page
             ranges[va] = (pages, pas, bits)
             if end > dv.MEM_BYTES:

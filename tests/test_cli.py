@@ -359,3 +359,33 @@ def test_a_matmul_dimension_below_1_exits_2(tmp_path, capsys, text):
     assert dispatch(["record", str(bad), "-o", str(tmp_path / "x.gpr")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gprr: ") and "at least 1" in err and err.count("\n") == 1
+
+
+@pytest.fixture
+def va_gpr(ws, capsys):
+    tmp_path, wl = ws
+    rec = tmp_path / "rec.gpr"
+    assert dispatch(["record", str(wl), "-o", str(rec)]) == 0
+    capsys.readouterr()
+    return rec
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_a_clock_div_below_1_exits_2(va_gpr, capsys, value):
+    # the flag once set the device's divider past the CLOCK_DIV register's
+    # floor of 1, and the replay ran ok in less virtual time than at 1
+    assert dispatch(["replay", str(va_gpr), f"--clock-div={value}"]) == 2
+    assert f"--clock-div: {value} is below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "-2"])
+def test_a_negative_checkpoint_interval_exits_2(va_gpr, capsys, value):
+    # -2 once took a checkpoint after every second job
+    assert dispatch(["replay", str(va_gpr), f"--checkpoint-every={value}"]) == 2
+    assert f"--checkpoint-every: {value} is below 0" in capsys.readouterr().err
+
+
+def test_a_negative_memory_budget_exits_2(va_gpr, capsys):
+    # -1 once flagged R3 at every map and exited 1
+    assert dispatch(["verify", str(va_gpr), "--mem-budget=-1"]) == 2
+    assert "--mem-budget: -1 is below 0" in capsys.readouterr().err

@@ -209,14 +209,27 @@ def run_store_job(dev, rig, value=0xDEAD):
     return out_va, out_pa
 
 
+def raised_at(dev, bit):
+    """Tick through the next device event and return its time, checking
+    that the interrupt line raises ``bit`` then and not a nanosecond
+    before."""
+    t = dev.next_event_ns()
+    dev.tick(t - 1 - dev.vclock_ns)
+    assert not dev.irq_line & bit
+    dev.tick(1)
+    assert dev.irq_line & bit
+    return t
+
+
 def test_job_completion_and_status():
     dev = Device()
     rig = _Rig(dev)
     run_store_job(dev, rig)
     assert rd(dev, "GPU_STATUS") & dv.STATUS_BUSY
     assert rd(dev, "JOB_STATUS") == dv.JOB_RUNNING
-    events = dev.tick(10_000_000)
-    assert any(e.bits & dv.IRQ_JOB_DONE for e in events)
+    assert not dev.irq_line
+    dev.tick(10_000_000)
+    assert dev.irq_line == dv.IRQ_JOB_DONE
     assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
     assert not rd(dev, "GPU_STATUS") & dv.STATUS_BUSY
 
@@ -225,9 +238,9 @@ def test_tick_zero_is_identity():
     dev = Device()
     rig = _Rig(dev)
     run_store_job(dev, rig)
-    before = (dev.vclock_ns, rd(dev, "JOB_STATUS"))
-    assert dev.tick(0) == []
-    assert (dev.vclock_ns, rd(dev, "JOB_STATUS")) == before
+    before = (dev.vclock_ns, rd(dev, "JOB_STATUS"), dev.irq_rawstat, dev.next_event_ns())
+    assert dev.tick(0) is None
+    assert (dev.vclock_ns, rd(dev, "JOB_STATUS"), dev.irq_rawstat, dev.next_event_ns()) == before
 
 
 def test_masked_interrupts_are_latched_but_not_delivered():
@@ -235,9 +248,11 @@ def test_masked_interrupts_are_latched_but_not_delivered():
     rig = _Rig(dev)
     run_store_job(dev, rig)
     wr(dev, "GPU_IRQ_MASK", 0)
-    events = dev.tick(10_000_000)
-    assert events == []
+    dev.tick(10_000_000)
+    assert dev.irq_line == 0
     assert rd(dev, "GPU_IRQ_RAWSTAT") & dv.IRQ_JOB_DONE
+    wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)  # a level: unmasking raises the line
+    assert dev.irq_line == dv.IRQ_JOB_DONE
 
 
 def test_job_cost_within_jitter_band():
@@ -248,9 +263,7 @@ def test_job_cost_within_jitter_band():
         rig = _Rig(dev)
         run_store_job(dev, rig)
         t0 = dev.vclock_ns
-        events = dev.tick(10_000_000)
-        done = next(e for e in events if e.bits & dv.IRQ_JOB_DONE)
-        took = done.t_ns - t0
+        took = raised_at(dev, dv.IRQ_JOB_DONE) - t0
         assert base * dv.JITTER_LO - 1 <= took <= base * dv.JITTER_HI + 1
 
 
@@ -274,8 +287,7 @@ def test_vec_add_1024_cost_band():
         wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
         t0 = dev.vclock_ns
         rig.kick(desc)
-        done = next(e for e in dev.tick(50_000_000) if e.bits & dv.IRQ_JOB_DONE)
-        assert 16770 <= done.t_ns - t0 <= 24225
+        assert 16770 <= raised_at(dev, dv.IRQ_JOB_DONE) - t0 <= 24225
 
 
 def test_kick_while_busy_is_bad_state():
@@ -444,10 +456,9 @@ def test_seed_changes_timing_but_not_data():
         dev = Device(env_seed=seed)
         rig = _Rig(dev)
         out_va, out_pa = run_store_job(dev, rig, value=77)
-        events = dev.tick(10_000_000)
+        finish.append(raised_at(dev, dv.IRQ_JOB_DONE))
         wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
         dev.tick(10_000_000)
-        finish.append(next(e.t_ns for e in events if e.bits & dv.IRQ_JOB_DONE))
         datas.append(dev.mem_read(out_pa, 4))
     assert len(set(datas)) == 1
     assert len(set(finish)) > 1
@@ -508,8 +519,8 @@ def test_access_past_end_of_memory_is_mmu_fault(store):
     dev = Device()
     rig = _Rig(dev)
     va = access_last_page_job(dev, rig, 0xFFD, store)
-    events = dev.tick(10_000_000)
-    assert any(e.bits & dv.IRQ_MMU_FAULT for e in events)
+    dev.tick(10_000_000)
+    assert dev.irq_line == dv.IRQ_MMU_FAULT
     assert rd(dev, "JOB_STATUS") == dv.JOB_MMU_FAULT
     assert rd(dev, "MMU_FAULT_ADDR") == va
     assert dev.writeback == {}
@@ -1092,7 +1103,7 @@ def test_flush_commits_what_a_merge_or_a_restore_left_buffered():
     dev.tick(10_000_000)
     wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
     rig.kick(second)
-    assert dev._pending_job.finish_ns < dev._pending_flush.finish_ns
+    assert dev._pending_job.finish_ns < dev._pending_flush
     dev.tick(10_000_000)
     assert dev.mem_read(out_pa, 4) == (0x11111111).to_bytes(4, "little")
     assert dev.mem_read(out_pa + 0x40, 4) == (0x22222222).to_bytes(4, "little")
@@ -1131,9 +1142,10 @@ def test_restore_mid_chain_replays_same_finish_time():
     run_store_job(dev, rig)
     dev.tick(50)  # partway into the job
     snap = dev.snapshot()
-    first = next(e.t_ns for e in dev.tick(10_000_000) if e.bits & dv.IRQ_JOB_DONE)
+    first = raised_at(dev, dv.IRQ_JOB_DONE)
     dev.restore(snap)
-    second = next(e.t_ns for e in dev.tick(10_000_000) if e.bits & dv.IRQ_JOB_DONE)
+    assert not dev.irq_line
+    second = raised_at(dev, dv.IRQ_JOB_DONE)
     assert first == second
 
 
@@ -1185,8 +1197,8 @@ def test_corrupt_pte_causes_mmu_fault_on_kick():
     dev.corrupt_pte(out_va)
     wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
     rig.kick(desc)
-    events = dev.tick(10_000_000)
-    assert any(e.bits & dv.IRQ_MMU_FAULT for e in events)
+    dev.tick(10_000_000)
+    assert dev.irq_line == dv.IRQ_MMU_FAULT
     assert rd(dev, "JOB_STATUS") == dv.JOB_MMU_FAULT
     assert rd(dev, "MMU_FAULT_ADDR") == out_va
 
@@ -1205,7 +1217,8 @@ def test_offline_all_cores_stalls_jobs():
     rig = _Rig(dev)
     dev.offline_cores(SKU_A.full_core_mask)
     run_store_job(dev, rig)
-    assert dev.tick(50_000_000) == []
+    dev.tick(50_000_000)
+    assert dev.irq_rawstat == 0 and dev.next_event_ns() is None
     assert rd(dev, "JOB_STATUS") == dv.JOB_RUNNING
 
 
@@ -1243,7 +1256,7 @@ def test_next_event_is_the_earlier_of_job_and_flush():
     a.halt()
     rig.kick(rig.job(a.assemble(), []))
     wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
-    flush, job = dev._pending_flush.finish_ns, dev._pending_job.finish_ns
+    flush, job = dev._pending_flush, dev._pending_job.finish_ns
     assert flush < job
     assert dev.next_event_ns() == flush
     dev.tick(flush - dev.vclock_ns)
@@ -1254,15 +1267,13 @@ def reference_tick(dev, dt):
     """``Device.tick`` as a loop over ``next_event_ns()``, with no cached
     time."""
     end = dev.vclock_ns + dt
-    events = []
     while True:
         t = dev.next_event_ns()
         if t is None or t > end:
             break
         dev.vclock_ns = max(dev.vclock_ns, t)
-        events.extend(dev._complete_due(t))
+        dev._complete_due(t)
     dev.vclock_ns = end
-    return events
 
 
 device_ops = st.lists(st.one_of(
@@ -1277,8 +1288,8 @@ device_ops = st.lists(st.one_of(
 @given(ops=device_ops, seed=st.integers(0, 3))
 def test_the_cached_next_event_time_follows_every_operation(ops, seed):
     # tick tests one cached time: after every operation it equals
-    # next_event_ns(), and a twin device ticked by the reference loop sees
-    # the same interrupts at the same times
+    # next_event_ns(), and a twin device ticked by the reference loop
+    # raises the same interrupts by the same times
     twins = []
     for dev in (Device(env_seed=seed), Device(env_seed=seed)):
         rig = _Rig(dev)
@@ -1294,13 +1305,15 @@ def test_the_cached_next_event_time_follows_every_operation(ops, seed):
         wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
         twins.append([dev, rig, jobs, dev.snapshot()])
     for op in ops:
-        got = []
         for twin in twins:
             dev, rig, jobs, snap = twin
             if op[0] == "kick":
                 rig.kick(jobs[op[1]])
             elif op[0] == "tick":
-                got.append(dev.tick(op[1]) if twin is twins[0] else reference_tick(dev, op[1]))
+                if twin is twins[0]:
+                    dev.tick(op[1])
+                else:
+                    reference_tick(dev, op[1])
             elif op[0] == "stall":
                 dev.stall(op[1])
             elif op[0] == "flush":
@@ -1317,10 +1330,8 @@ def test_the_cached_next_event_time_follows_every_operation(ops, seed):
                 dev.offline_cores(dev.sku.full_core_mask)
         dev, ref = twins[0][0], twins[1][0]
         assert dev._next_ns == dev.next_event_ns() == ref.next_event_ns(), op
-        assert (dev.vclock_ns, dev.job_state, dev.irq_rawstat) == (
-            ref.vclock_ns, ref.job_state, ref.irq_rawstat), op
-        if got:
-            assert got[0] == got[1], op
+        assert (dev.vclock_ns, dev.job_state, dev.irq_rawstat, dev.irq_line) == (
+            ref.vclock_ns, ref.job_state, ref.irq_rawstat, ref.irq_line), op
 
 
 def test_register_map_invariants():

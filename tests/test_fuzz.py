@@ -125,8 +125,20 @@ def _alarm(signum, frame):
     raise _Overrun(f"case ran past {CASE_SECONDS} s")
 
 
+def _address_space_in_use() -> int:
+    """The bytes of address space this process maps (its ``VmSize``)."""
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmSize:"):
+                return int(line.split()[1]) * 1024
+    raise RuntimeError("no VmSize in /proc/self/status")
+
+
 def _limit_child():
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+    # a worker forked from pytest starts with every device arena the earlier
+    # tests keep alive: the cap is that plus ADDRESS_SPACE for the cases
+    cap = _address_space_in_use() + ADDRESS_SPACE
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     signal.signal(signal.SIGALRM, _alarm)
 
 

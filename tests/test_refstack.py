@@ -234,6 +234,26 @@ def test_workload_error_carries_layer_index():
     assert str(ei.value) == "layer 0: MMU fault at 0x400000"  # one layer prefix
 
 
+def test_a_fault_the_irq_mask_hides_still_ends_the_wait():
+    # the fault is latched in GPU_IRQ_RAWSTAT but masked off the interrupt
+    # line; the driver must name it, not wait out its watchdog
+    g = build_graph([("scale", 2)], 4)
+    dev = Device()
+    stack = GpuStack(dev)
+    mask = dev.reg_map.by_name("GPU_IRQ_MASK").offset
+
+    class MaskAndSabotage(StackListener):
+        def on_port_event(self, ev):
+            if ev.kind == "pre_kick":
+                dev.reg_write(mask, dv.IRQ_JOB_DONE)
+                dev.corrupt_pte(0x400000)
+
+    stack.listener = MaskAndSabotage()
+    with pytest.raises(WorkloadError, match="MMU fault at 0x400000"):
+        stack.run_workload(g, i32s([1, 2, 3, 4]))
+    assert dev.irq_rawstat & ~dev.reg_read(mask) == dv.IRQ_MMU_FAULT
+
+
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (8, 8, 8)])
 def test_matmul_shader_size_formula(shape):
     m, n, k = shape

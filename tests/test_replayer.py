@@ -439,7 +439,7 @@ def reference_layout(dev, rec):
     page_pa = {}
     for va, (_, pas, _) in ranges.items():
         for i, pa in enumerate(pas):
-            page_pa.setdefault((va >> dv.PAGE_SHIFT) + i, pa)
+            page_pa[(va >> dv.PAGE_SHIFT) + i] = pa
     for pa in [pa for _, pas, _ in ranges.values() for pa in pas] + [*l2_pages.values(), l1_pa]:
         dev.mem_write(pa, zero)
     dev.take_dirty_pages()
@@ -472,8 +472,9 @@ def count_writes(dev):
 
 
 # Extra ranges near a recorded range, near a fresh base and across the
-# 4 MiB edge of an L2 table; forced past R7, they overlap each other and
-# the recorded ones. Dumps do not shape a layout: load writes none.
+# 4 MiB edge of an L2 table; each that would overlap another range (R7,
+# which a load refuses) is left out. Dumps do not shape a layout: load
+# writes none.
 _BASES = (None, 0x0100_0000, 0x003F_E000)
 extra_maps = st.lists(st.tuples(st.sampled_from(_BASES), st.integers(-3, 3),
                                 st.integers(1, 3 * dv.PAGE_SIZE), st.integers(0, 255)),
@@ -487,9 +488,12 @@ def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, 
     rec = recorded[name]
     first = next(a for a in rec.actions if isinstance(a, MapGpuMem)).gpu_va
     page = dv.PAGE_SIZE
-    extra = tuple(MapGpuMem(0, 0, (base or first) + shift * page, length, perm)
-                  for base, shift, length, perm in maps)
-    forced = dataclasses.replace(rec, actions=rec.actions + extra)
+    forced = rec
+    for base, shift, length, perm in maps:
+        more = dataclasses.replace(forced, actions=forced.actions + (
+            MapGpuMem(0, 0, (base or first) + shift * page, length, perm),))
+        if "R7" not in {v.rule for v in verify(more).violations}:
+            forced = more
 
     ref_dev = Device(sku=sku)
     try:
@@ -682,19 +686,17 @@ def test_a_load_costs_fewer_calls_into_gprr_than_the_file_has_actions():
 
 # -- replay basics -----------------------------------------------------------------
 
-def test_va_to_pa_matches_first_range_in_order(vecadd):
+def test_va_to_pa_matches_the_ranges_pages(vecadd):
     g, rec = vecadd
     page = dv.PAGE_SIZE
     first = next(a for a in rec.actions if isinstance(a, MapGpuMem))
     perm = first.perm_flags_encoded
-    extra = (
-        MapGpuMem(0, 0, first.gpu_va - page, 3 * page, perm),  # overlaps, loses
+    extra = (  # each edge to edge with a range before it
+        MapGpuMem(0, 0, first.gpu_va - page, page, perm),
         MapGpuMem(0, 0, 0x0100_0000, 2 * page, perm),
-        MapGpuMem(0, 0, 0x0100_1000, 2 * page, perm),  # overlaps the one above
+        MapGpuMem(0, 0, 0x0100_2000, 2 * page, perm),
     )
-    # overlapping ranges fail verification (R7): only a forced load takes them
-    s = session_for(dataclasses.replace(rec, actions=rec.actions + extra),
-                    config=ReplayConfig(force=True))
+    s = session_for(dataclasses.replace(rec, actions=rec.actions + extra))
 
     def scan(va):
         for base, (pages, pas, _) in s._ranges.items():
@@ -703,7 +705,7 @@ def test_va_to_pa_matches_first_range_in_order(vecadd):
         return None
 
     probes = [base + d for base in (first.gpu_va, 0x0100_0000)
-              for d in range(-2 * page, 4 * page, 0x3F0)]
+              for d in range(-2 * page, 6 * page, 0x3F0)]
     for va in probes:
         want = scan(va)
         if want is None:
@@ -711,6 +713,24 @@ def test_va_to_pa_matches_first_range_in_order(vecadd):
                 s._va_to_pa(va)
         else:
             assert s._va_to_pa(va) == want
+
+
+def test_a_forced_load_refuses_overlapping_ranges():
+    # a range one page below the output's, over its first page: load would
+    # point that page's PTE at the later range's page while the session
+    # reads and writes the earlier one's, so a replay would read back an
+    # output the job never wrote
+    g = builtin_graphs()["vec_add"]
+    rec = record_graph(g).recordings[0]
+    base = rec.outputs()[0].gpu_va
+    perm = next(a for a in rec.actions if isinstance(a, MapGpuMem)).perm_flags_encoded
+    bad = dataclasses.replace(rec, actions=rec.actions + (
+        MapGpuMem(0, 0, base - dv.PAGE_SIZE, 2 * dv.PAGE_SIZE, perm),))
+    assert {v.rule for v in verify(bad).violations} == {"R7"}
+    s = init(Device(), ReplayConfig(force=True))
+    with pytest.raises(LoadError, match="^R7 action"):
+        s.load(bad)
+    s.cleanup()
 
 
 def test_recording_with_an_overlapping_range_fails_to_load(mixed):
@@ -1291,15 +1311,15 @@ def test_incremental_checkpoints_and_restores_match_full_ones(mixed, ops):
     g, rec = mixed
     page = dv.PAGE_SIZE
     perm = next(a for a in rec.actions if isinstance(a, MapGpuMem)).perm_flags_encoded
-    extra = (  # the second reads its first page from the first's pages
+    extra = (  # two ranges no job touches, edge to edge
         MapGpuMem(0, 0, 0x0100_0000, 2 * page, perm),
-        MapGpuMem(0, 0, 0x0100_1000, 2 * page, perm),
+        MapGpuMem(0, 0, 0x0100_2000, 2 * page, perm),
     )
-    forced = dataclasses.replace(rec, actions=rec.actions + extra)
-    config = ReplayConfig(checkpoint_every_jobs=1, force=True)  # R7
-    s = session_for(forced, config=config)
+    extended = dataclasses.replace(rec, actions=rec.actions + extra)
+    config = ReplayConfig(checkpoint_every_jobs=1)
+    s = session_for(extended, config=config)
     # what every reload must put back: a fresh load on an identical device
-    loaded = session_ram(session_for(forced, config=config))
+    loaded = session_ram(session_for(extended, config=config))
     s.write_inputs(random_input(g, 3))
     # the extra ranges first, so that low indices pick them and ops collide
     ranges = sorted(s._ranges, key=lambda va: va < extra[0].gpu_va)
