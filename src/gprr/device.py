@@ -130,6 +130,11 @@ class Access(enum.Enum):
     RW = "rw"
 
 
+# read once: each read of a member through its enum class is a slow
+# attribute lookup, and every register access tests one
+_RO, _WO = Access.RO, Access.WO
+
+
 class StateClass(enum.Enum):
     PURE_READ = "pure_read"
     NONDET_READ = "nondet_read"
@@ -545,7 +550,7 @@ class Device:
         reg = self.reg_map.by_offset(offset)
         if reg is None:
             raise BusError(offset, "unknown register")
-        if reg.access is Access.WO:
+        if reg.access is _WO:
             raise BusError(offset, f"{reg.name} is write-only")
         name = reg.name
         if name == "GPU_ID":
@@ -581,7 +586,7 @@ class Device:
         reg = self.reg_map.by_offset(offset)
         if reg is None:
             raise BusError(offset, "unknown register")
-        if reg.access is Access.RO:
+        if reg.access is _RO:
             raise BusError(offset, f"{reg.name} is read-only")
         value &= U32
         name = reg.name

@@ -3,9 +3,10 @@
 Attaches to the refstack driver's accessor stream and
   * summarizes register traffic into replay actions (poll loops collapse
     into a single RegReadWait),
-  * dumps GPU-mapped memory right before each job kick, filtered by page
-    role (executable pages always kept; internal scratch, buffers never
-    CPU-mapped and by-address input regions never captured) and
+  * dumps GPU-mapped memory right before each job kick. A region's role
+    is decided when it is mapped: only job binaries and CPU-visible
+    buffers that are not scratch are ever read, so a kick reads those
+    alone; by-address input regions are read but never dumped. Dumps are
     deduplicated against the bytes last dumped at the same address,
   * classifies the gap before each action as skippable iff the GPU was
     idle throughout it. Only a driver access starts device work, so in a
@@ -116,14 +117,16 @@ _CPU_VISIBLE = AllocFlags.CPU_VISIBLE.value
 @dataclass
 class _Region:
     """One snapshot of a mapped region. Every kick shares it until one of
-    the region's pages is written."""
+    the region's pages is written. Only a job binary or a CPU-visible
+    buffer that is not scratch is ever read; any other region keeps no
+    pages and no content."""
 
     gpu_va: int
     len_bytes: int  # logical mapping length; dumps and scans cover whole pages
     page_len: int
     perm_bits: int
     flags: int  # AllocFlags bits
-    pages: set[int]  # physical page numbers, fixed while mapped
+    pages: set[int]  # physical page numbers of a read region, fixed while mapped
     content: bytes | None = None  # None until first read
 
 
@@ -139,8 +142,9 @@ class _Entry:
 
 
 class _RunTrace(StackListener):
-    """Listener that captures everything one build pass needs. A snapshot
-    re-reads only the regions on pages the device logged as written."""
+    """Listener that captures everything one build pass needs. A kick
+    reads only job binaries and CPU-visible buffers that are not scratch,
+    and of those only the ones on pages the device logged as written."""
 
     def __init__(self, stack: GpuStack):
         self.stack = stack
@@ -165,11 +169,16 @@ class _RunTrace(StackListener):
         va = ev.gpu_va
         if ev.kind == "map":
             page_len = max(1, -(-ev.len_bytes // dv.PAGE_SIZE)) * dv.PAGE_SIZE
-            pages = dv.span_pages(va, page_len, self.stack.driver.va_to_pa)
+            flags = ev.flags.value
+            pages = set()
+            # the dump rule's role test: a scratch buffer or one never
+            # CPU-mapped is never dumped, so it is never read
+            if flags & _GPU_EXEC or flags & (_CPU_VISIBLE | _SCRATCH) == _CPU_VISIBLE:
+                pages = dv.span_pages(va, page_len, self.stack.driver.va_to_pa)
+                self._page_va.update(dict.fromkeys(pages, va))
+                self._unread.add(va)
             self._regions[va] = _Region(va, ev.len_bytes, page_len, ev.perm_bits,
-                                        ev.flags.value, pages)
-            self._page_va.update(dict.fromkeys(pages, va))
-            self._unread.add(va)
+                                        flags, pages)
             self._live_bytes += ev.len_bytes
         elif ev.kind == "unmap":
             r = self._regions.pop(va)
@@ -205,9 +214,11 @@ class _RunTrace(StackListener):
                 self._changed[va] = r
 
     def final_cpu_visible(self) -> list[_Region]:
-        return [_Region(r.gpu_va, r.len_bytes, r.page_len, r.perm_bits, r.flags, r.pages,
-                        self.stack.mem_read_va(r.gpu_va, r.page_len))
-                for r in self._regions.values() if r.flags & _CPU_VISIBLE]
+        """The read CPU-visible regions as the run left them: the dirty-page
+        log holds every host write and flush commit since the last kick."""
+        self._refresh()
+        return [r for r in self._regions.values()
+                if r.flags & _CPU_VISIBLE and r.content is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +236,14 @@ class TrialInfo:
     output_candidates: set[int]
 
 
-def _find_all(hay: bytes, needle: bytes) -> list[int]:
-    out = []
-    i = hay.find(needle)
-    while i != -1:
-        out.append(i)
-        i = hay.find(needle, i + 1)
-    return out
-
-
 def _scan_regions(regions: list[_Region], needle: bytes) -> set[int]:
+    """The VA of every match of ``needle`` in the regions' snapshots."""
     vas = set()
     for r in regions:
-        for off in _find_all(r.content, needle):
-            vas.add(r.gpu_va + off)
+        i = r.content.find(needle)
+        while i != -1:
+            vas.add(r.gpu_va + i)
+            i = r.content.find(needle, i + 1)
     return vas
 
 
@@ -258,6 +263,12 @@ def record(stack: GpuStack, graph: WorkloadGraph,
     runs with fresh magic while input/output addresses stay ambiguous."""
     harness = harness or RecordHarness()
     in_len = graph.input_elems * 4
+    if not isinstance(harness.granularity, Granularity):
+        raise HarnessError(f"granularity {harness.granularity!r} is not a Granularity")
+    if not all(isinstance(m, IoMode) for m in harness.input_modes.values()):
+        raise HarnessError(f"input modes {harness.input_modes} are not all IoMode")
+    if harness.max_trials < 1:
+        raise HarnessError(f"max_trials is {harness.max_trials}, must be at least 1")
     # this stack packs all operands into one buffer, input 0
     unknown = sorted(harness.input_modes.keys() - {0})
     if unknown:
@@ -308,13 +319,10 @@ def record(stack: GpuStack, graph: WorkloadGraph,
         trials.append(TrialInfo(trial, in_cands, out_cands))
         if len(in_cands) == 1 and len(out_cands) == 1:
             break
-    else:
-        which = []
-        if trials and len(in_cands) != 1:
-            which.append(f"input 0 ~ {sorted(map(hex, in_cands))}")
-        if out_cands is None or len(out_cands) != 1:
-            shown = sorted(map(hex, out_cands or []))[:8]
-            which.append(f"output ~ {shown}")
+    else:  # every trial set both candidate sets
+        which = [f"input 0 ~ {sorted(map(hex, in_cands))}"] if len(in_cands) != 1 else []
+        if len(out_cands) != 1:
+            which.append(f"output ~ {sorted(map(hex, out_cands))[:8]}")
         raise DiscoveryError(
             f"ambiguous after {harness.max_trials} trials: {'; '.join(which)}")
 
@@ -345,16 +353,13 @@ def _by_address_inputs(io_table) -> list[IoDescriptor]:
 
 
 def _dumped(r: _Region, addr_inputs) -> bool:
-    """The dump rule. Job binaries are always dumped. Scratch is never
-    dumped, nor a buffer never CPU-mapped: a GPU-internal buffer passes
-    data between jobs, and loading it back would clobber replayed data
-    flow. Nor a by-address input, which the replay's caller supplies."""
-    if r.flags & _GPU_EXEC:
-        return True
-    if r.flags & _SCRATCH or not r.flags & _CPU_VISIBLE:
-        return False
-    return not any(r.gpu_va < d.gpu_va + d.len_bytes and d.gpu_va < r.gpu_va + r.page_len
-                   for d in addr_inputs)
+    """The dump rule. A region never read (scratch, or a buffer never
+    CPU-mapped: a GPU-internal buffer passes data between jobs, and loading
+    it back would clobber replayed data flow) is never dumped. Nor is a
+    by-address input, which the replay's caller supplies."""
+    return r.content is not None and not any(
+        r.gpu_va < d.gpu_va + d.len_bytes and d.gpu_va < r.gpu_va + r.page_len
+        for d in addr_inputs)
 
 
 class _Builder:
@@ -375,13 +380,9 @@ class _Builder:
         self._payloads: dict[bytes, bytes] = {}
 
     def _header(self, label: str) -> RecordingHeader:
-        return RecordingHeader(
-            sku_id=self.sku.sku_id,
-            register_map_hash=self.map_hash,
-            created_unix=0,
-            granularity=self.harness.granularity,
-            workload_label=label[:64],
-        )
+        return RecordingHeader(sku_id=self.sku.sku_id, register_map_hash=self.map_hash,
+                               created_unix=0, granularity=self.harness.granularity,
+                               workload_label=label[:64])
 
     def _emit_dumps(self, regions, addr_inputs, dumps, last, raw, floor):
         """Returns LoadMemDump actions for the regions that ``_dumped``
@@ -498,22 +499,18 @@ class _Builder:
         find = self.stack.find_alloc
         n = len(self.graph.layers)
         out: dict[int, tuple[IoDescriptor, ...]] = {}
-        workload_in = [d for d in self.io_table if d.role is IoRole.INPUT]
-        workload_out = [d for d in self.io_table if d.role is IoRole.OUTPUT]
         for k in range(n):
-            table: list[IoDescriptor] = []
             if k == 0:
-                table.extend(workload_in)
+                table = [d for d in self.io_table if d.role is IoRole.INPUT]
             else:
-                prev = find(f"L{k - 1}.out")
-                table.append(IoDescriptor(IoRole.INPUT, prev.gpu_va,
-                                          prev.len_bytes, IoMode.BY_ADDRESS))
+                a = find(f"L{k - 1}.out")
+                table = [IoDescriptor(IoRole.INPUT, a.gpu_va, a.len_bytes, IoMode.BY_ADDRESS)]
             if k == n - 1:
-                table.extend(workload_out)
+                table += [d for d in self.io_table if d.role is IoRole.OUTPUT]
             else:
-                cur = find(f"L{k}.out")
-                table.append(IoDescriptor(IoRole.OUTPUT, cur.gpu_va,
-                                          cur.len_bytes, IoMode.BY_ADDRESS))
+                a = find(f"L{k}.out")
+                table.append(IoDescriptor(IoRole.OUTPUT, a.gpu_va, a.len_bytes,
+                                          IoMode.BY_ADDRESS))
             out[k] = tuple(table)
         return out
 

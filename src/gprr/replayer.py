@@ -51,6 +51,7 @@ MAX_PACING_MULT = 256
 _L1_PA = dv.PAGE_SIZE  # page 0 stays reserved; load puts the L1 table next
 _ZERO_PAGE = bytes(dv.PAGE_SIZE)
 _put_u32 = struct.Struct("<I").pack_into
+_NONDET = ActionClass.NONDET  # read once: a member read through its class is slow
 
 
 class ReplayError(Exception):
@@ -445,7 +446,7 @@ class ReplaySession:
 
     def _step_read(self, a: RegRead, mult: int) -> DivergenceReport | None:
         v = self._read(a.reg_name)
-        if a.state_class is ActionClass.NONDET:
+        if a.state_class is _NONDET:
             return None  # read and discard
         if v != a.expect_value:
             return DivergenceReport(self.cursor, DivergenceKind.VALUE_MISMATCH,

@@ -14,8 +14,8 @@ from gprr.actions import (ActionClass, Granularity, IoMode, IoRole,
 from gprr.device import Device, SKU_A, SKU_B
 from gprr.patcher import patch
 from gprr.recfmt import inflate
-from gprr.recorder import (DiscoveryError, RecordHarness, _RunTrace, magic_bytes,
-                           parse_harness, record)
+from gprr.recorder import (DiscoveryError, HarnessError, RecordHarness, _RunTrace,
+                           magic_bytes, parse_harness, record)
 from gprr.refstack import VA_BASE, AllocFlags, DelayPolicy, GpuStack, build_graph
 
 from conftest import builtin_graphs, gprr_calls, i32s, record_chain64, record_graph
@@ -140,7 +140,7 @@ def test_kick_snapshot_sees_host_write_since_the_last_kick():
 def test_record_work_grows_linearly_with_the_job_count():
     # a kick re-reads and re-checks only the regions written since the
     # kick before, so the calls into gprr code per recorded job stay flat
-    # from 64 to 256 jobs (about 530 each); re-reading every live region at
+    # from 64 to 256 jobs (about 470 each); re-reading every live region at
     # every kick makes it about 1,840 at 64 and 5,870 at 256. A count, not
     # a clock: the host's load and the cyclic GC do not move it
     def per_job(jobs):  # built as the benchmark's chain-64
@@ -150,6 +150,29 @@ def test_record_work_grows_linearly_with_the_job_count():
 
     small, large = per_job(64), per_job(256)
     assert large <= 1.1 * small, (small, large)
+
+
+@pytest.mark.parametrize("granularity", list(Granularity))
+def test_record_reads_only_regions_a_recording_can_hold(granularity, monkeypatch):
+    # scratch and buffers never CPU-mapped are never dumped, so a kick
+    # does not read them either
+    reads = []
+    real = GpuStack.mem_read_va
+
+    def spy(self, va, n):
+        reads.append((va, n))
+        return real(self, va, n)
+    monkeypatch.setattr(GpuStack, "mem_read_va", spy)
+    stack = GpuStack(Device(env_seed=7))
+    record(stack, builtin_graphs()["mixed3"], RecordHarness(granularity=granularity))
+    unread = [a for a in stack.allocations if AllocFlags.INTERNAL_SCRATCH in a.flags
+              or not a.flags & (AllocFlags.CPU_VISIBLE | AllocFlags.GPU_EXEC)]
+    assert {a.tag for a in unread} >= {"L0.scratch", "L0.out", "L1.out"}
+    assert reads
+    for va, n in reads:
+        for a in unread:
+            assert not (va < a.gpu_va + a.n_pages * dv.PAGE_SIZE and a.gpu_va < va + n), \
+                (hex(va), n, a.tag)
 
 
 def _counting_deflate(monkeypatch) -> list:
@@ -322,6 +345,23 @@ def test_a_bad_harness_line_says_why(line, reason):
     with pytest.raises(ValueError) as e:
         parse_harness(f"magic_seed 3\n{raw}\n")
     assert str(e.value) == f"harness line 2: {raw!r}: {reason}"
+
+
+@pytest.mark.parametrize("harness", [
+    RecordHarness(granularity="per_layer"),
+    RecordHarness(input_modes={0: "both"}),
+    RecordHarness(max_trials=0),
+], ids=["granularity", "input_mode", "max_trials"])
+def test_a_harness_built_in_python_is_checked_before_any_run(harness):
+    # the fields parse_harness would have checked: a plain string is no
+    # Granularity or IoMode, and a recording takes at least one run
+    stack = GpuStack(Device())
+
+    def run_workload(graph, input_bytes):
+        raise AssertionError("the stack ran")
+    stack.run_workload = run_workload
+    with pytest.raises(HarnessError):
+        record(stack, build_graph([("relu",)], 4), harness)
 
 
 # -- per-layer slicing ------------------------------------------------------------------------

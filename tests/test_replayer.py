@@ -771,6 +771,34 @@ def test_output_follows_the_input_mode(mode):
     s.cleanup()
 
 
+def test_a_supplied_both_mode_input_beats_every_dump_over_it():
+    # two dumps loaded before the kick lie over the input: the first covers
+    # all of it, the second its second half and the bytes after it.
+    # Supplied bytes win over both; left out, the later dump wins where
+    # the two overlap
+    g = build_graph([("vec_add",)], 64)
+    rec = record_graph(g, harness=RecordHarness(input_modes={0: IoMode.BOTH})).recordings[0]
+    (inp,) = rec.inputs()
+    n, half = inp.len_bytes, inp.len_bytes // 2
+    whole, part = random_input(g, 7), random_input(g, 8)
+    k = len(rec.dumps)
+    extra = [MemDump(k, inp.gpu_va, n, deflate(whole), DumpOrigin.MAPPED_FALLBACK),
+             MemDump(k + 1, inp.gpu_va + half, n, deflate(part), DumpOrigin.MAPPED_FALLBACK)]
+    kick = next(i for i, a in enumerate(rec.actions)
+                if isinstance(a, RegWrite) and a.reg_name == "JOB_START")
+    loads = tuple(LoadMemDump(0, 0, d.dump_id, d.gpu_va) for d in extra)
+    rec = dataclasses.replace(rec, actions=rec.actions[:kick] + loads + rec.actions[kick:],
+                              dumps=rec.dumps + tuple(extra))
+    assert verify(rec).ok
+    fresh = random_input(g, 5)
+    s = session_for(rec)
+    for inputs, used in [([fresh], fresh), (None, whole[:half] + part[:n - half]),
+                         ({0: fresh}, fresh)]:
+        r = s.replay(inputs)
+        assert r.ok and r.outputs == [g.evaluate(used)]
+    s.cleanup()
+
+
 # -- dump bytes ----------------------------------------------------------------------
 
 def test_each_dump_is_inflated_once_per_load(mixed, monkeypatch):
