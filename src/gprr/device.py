@@ -359,6 +359,7 @@ class _PendingJob:
     instr_count: int
     fault_va: int | None
     status: int  # JOB_STATUS value to latch on completion
+    out_of_steps: bool = False  # the chain spent SHADER_STEP_BUDGET
 
 
 @dataclass
@@ -388,6 +389,7 @@ class DeviceSnapshot:
     cores_on: int
     clock_div: int
     job_state: int
+    out_of_steps: bool
     fault_addr: int
     writeback: PageBuffer
     tlb: dict[int, tuple[int, int]]
@@ -519,6 +521,10 @@ class Device:
         self.cores_on = self.sku.full_core_mask
         self.clock_div = getattr(self, "clock_div", 1)
         self.job_state = JOB_IDLE
+        # JOB_BAD_STATE latched by a chain that spent SHADER_STEP_BUDGET; a
+        # kick while busy latches it with this False. Not a register: only
+        # a driver that retries needs to tell the two apart
+        self.out_of_steps = False
         self.fault_addr = 0
         self.writeback: PageBuffer = {}  # the finished jobs' buffered stores
         # the writeback's runs as the flush found them when it started, for
@@ -680,6 +686,7 @@ class Device:
     # -- job chains ----------------------------------------------------------
 
     def _kick(self):
+        self.out_of_steps = False
         if self.job_state == JOB_RUNNING:
             # protocol violation: kicking a busy GPU wedges the job unit
             self._pending_job = None
@@ -891,8 +898,9 @@ class Device:
                                     SHADER_STEP_BUDGET - total_instr, _MEM_PATH, bound,
                                     run_bulk)
                 total_instr += n
-                if not halted:
-                    return _PendingJob(None, {}, total_instr, None, JOB_BAD_STATE)
+                if not halted:  # out of steps, or ran off its end
+                    return _PendingJob(None, {}, total_instr, None, JOB_BAD_STATE,
+                                       total_instr >= SHADER_STEP_BUDGET)
                 va = next_va
         except MmuFault as f:
             return _PendingJob(None, {}, total_instr, f.va, JOB_MMU_FAULT)
@@ -974,6 +982,7 @@ class Device:
         if job is not None and job.finish_ns is not None and job.finish_ns <= t:
             self._pending_job = None
             self.job_state = job.status
+            self.out_of_steps = job.out_of_steps
             if job.status == JOB_DONE:
                 # the writeback adopts the pages it lacks and takes the
                 # buffered runs of the others
@@ -1025,6 +1034,7 @@ class Device:
             cores_on=self.cores_on,
             clock_div=self.clock_div,
             job_state=self.job_state,
+            out_of_steps=self.out_of_steps,
             fault_addr=self.fault_addr,
             writeback=_copy_pages(self.writeback),
             tlb=dict(self.tlb),
@@ -1042,6 +1052,7 @@ class Device:
         self.cores_on = snap.cores_on
         self.clock_div = snap.clock_div
         self.job_state = snap.job_state
+        self.out_of_steps = snap.out_of_steps
         self.fault_addr = snap.fault_addr
         self.writeback = _copy_pages(snap.writeback)
         self._flush_runs = None

@@ -268,19 +268,10 @@ def _make_reader():
 _read_actions = _make_reader()
 
 
-def _read_dump_entry(r: _Reader) -> tuple:
-    """The dump entry at ``r.pos``: its id, VA, raw length, origin and
-    payload. One unpack reads the fixed head. An entry that is cut short
-    or out of range is read again field by field, which raises the error
-    it finds."""
-    data, p = r.data, r.pos
-    q = p + _DUMP_HEAD.size
-    if q <= len(data):
-        dump_id, gpu_va, raw_len, origin_b, n = _DUMP_HEAD.unpack_from(data, p)
-        origin = _ORIGINS.get(origin_b)
-        if raw_len <= MEM_BYTES and origin is not None and q + n <= len(data):
-            r.pos = q + n
-            return dump_id, gpu_va, raw_len, origin, data[q:q + n]
+def _dump_entry_error(r: _Reader):
+    """Raise the error in the dump entry at ``r.pos``, which is cut short
+    or out of range. The slow path of ``decode``'s dump loop: it reads the
+    entry again, field by field."""
     dump_id, gpu_va, raw_len = r.u32(), r.u32(), r.u32()
     if raw_len > MEM_BYTES:
         # checked before inflating: DEFLATE expands zeros ~1000:1
@@ -288,10 +279,10 @@ def _read_dump_entry(r: _Reader) -> tuple:
                         f"exceeds device memory {MEM_BYTES}")
     at = r.pos
     origin_b = r.u8()
-    origin = _ORIGINS.get(origin_b)
-    if origin is None:
+    if origin_b not in _ORIGINS:
         raise Malformed(at, f"bad dump origin {origin_b}")
-    return dump_id, gpu_va, raw_len, origin, r.blob32()
+    r.blob32()
+    raise AssertionError("the entry decodes")
 
 
 def encode(rec: Recording) -> bytes:
@@ -370,8 +361,19 @@ def decode(data: bytes) -> Recording:
     # shared by every dump that repeats it; None past the byte cap
     raws: dict[tuple[bytes, int], bytes | None] = {}
     kept = 0  # raw bytes of the distinct dumps inflated so far
+    head, head_size, end = _DUMP_HEAD.unpack_from, _DUMP_HEAD.size, len(data)
     for _ in range(n_dumps):
-        dump_id, gpu_va, raw_len, origin, payload = _read_dump_entry(r)
+        # one unpack reads the entry's fixed head
+        p = r.pos
+        q = p + head_size
+        if q > end:
+            _dump_entry_error(r)
+        dump_id, gpu_va, raw_len, origin_b, n = head(data, p)
+        origin = _ORIGINS.get(origin_b)
+        if raw_len > MEM_BYTES or origin is None or q + n > end:
+            _dump_entry_error(r)
+        payload = data[q:q + n]
+        r.pos = q + n
         key = (payload, raw_len)
         if key in raws:
             raw = raws[key]

@@ -16,7 +16,11 @@ poll that times out waits on, up to a cap, to measure how many times
 slower than recorded the device ran (the report's ``slowdown``), and
 the next retry starts at the power of two at or above that. A fifth
 divergence ends the replay with a report naming the failing action and
-its origin.
+its origin; so does the first divergence after which the device reads
+a chain that spent the shader step budget, which it would spend again
+on every retry: the interpreter runs the same over the same memory,
+whatever the pacing. A job that runs on past its wait's deadline shows
+that only once a measuring retry has waited it out.
 """
 
 from __future__ import annotations
@@ -150,7 +154,7 @@ class ReplaySession:
         "_preempt_request", "_preempt_request_t", "_ranges", "_page_pa",
         "_unmapped", "_live_bytes", "_l2_pages", "_window",
         "_at_job_boundary", "_free_pa", "_image", "_image_cp", "_cp_base",
-        "_dumps", "_inputs")
+        "_dumps", "_plan", "_inputs")
 
     def __init__(self, dev: Device, config: ReplayConfig | None = None):
         self.dev = dev
@@ -188,6 +192,9 @@ class ReplaySession:
         self._image_cp: Checkpoint | None = None
         self._cp_base: Checkpoint | None = None
         self._dumps: dict[int, MemDump] = {}  # dump_id -> its first dump
+        # action index -> (physical runs, ns) of each LoadMemDump that load
+        # placed: (pa, bytes) per run, the bytes the dump's raw or a view of it
+        self._plan: dict[int, tuple[list[tuple[int, bytes | memoryview]], int]] = {}
         # (gpu_va, bytes) of each input the caller supplied to this replay
         self._inputs: list[tuple[int, bytes]] = []
 
@@ -269,13 +276,15 @@ class ReplaySession:
         ranges (as the verifier's report sizes them) assign each a fresh
         page and write its L1 and L2 entries, and keep those table pages as
         the image every replay starts from. A dump reaches RAM only through
-        its ``LoadMemDump``. Even when forced, a load refuses a recording
+        its ``LoadMemDump``, whose physical runs load plans once (see
+        ``_step_loaddump``). Even when forced, a load refuses a recording
         that breaks rule R4, R5, R7, R8 or R9: the layout and the action
         handlers trust what those rules check.
         A second load fully supersedes the first. A load that fails leaves
-        no recording loaded and RAM as it was; the next load or
-        ``cleanup`` scrubs it."""
-        self.loaded = None  # a load that fails at any step leaves none
+        no recording loaded, no dumps or plan, and RAM as it was; the next
+        load or ``cleanup`` scrubs it."""
+        # a load that fails at any step leaves none
+        self.loaded, self._dumps, self._plan = None, {}, {}
         cfg = self.config
         if rec.header.register_map_hash != self.reg_map.digest() and not cfg.force:
             raise LoadError("recording register map hash does not match replayer map")
@@ -328,6 +337,37 @@ class ReplaySession:
             if end > dv.MEM_BYTES:
                 raise LoadError("out of physical pages")
 
+        # Each dump load as its physical runs: contiguous pages merge, and a
+        # range's pages are in ascending order, so a dump whose last page
+        # lies as far past its first as its VA does is one run. A dump over a
+        # declared input (supplied bytes win over it), with no raw bytes
+        # (past the decoder's cap) or with no bytes at all is placed at
+        # each replay instead.
+        inputs = [(d.gpu_va, d.gpu_va + d.len_bytes) for d in rec.inputs()]
+        plan = {}
+        for i, d in report.loads:
+            raw = d.raw
+            if not raw:
+                continue
+            va, n = d.gpu_va, len(raw)
+            for lo, hi in inputs:
+                if lo < va + n and va < hi:
+                    break
+            else:
+                first, last = va >> shift, (va + n - 1) >> shift
+                pa = page_pa[first] + (va & dv.PAGE_MASK)
+                if page_pa[last] - page_pa[first] == (last - first) * page:
+                    runs = [(pa, raw)]
+                else:  # a run ends where a VA page's page does not follow the last
+                    view, runs, at = memoryview(raw), [], 0
+                    for vpn in range(first + 1, last + 1):
+                        if page_pa[vpn] != page_pa[vpn - 1] + page:
+                            cut = (vpn << shift) - va
+                            runs.append((pa, view[at:cut]))
+                            pa, at = page_pa[vpn], cut
+                    runs.append((pa, view[at:]))
+                plan[i] = (runs, round(n * LOAD_BYTE_NS))
+
         # Write, exactly once, each table page and each other page that may
         # hold bytes: outside the device's dirty-page log RAM equals
         # ``_cp_base`` below the previous footprint (the pages ``cleanup``
@@ -341,7 +381,7 @@ class ReplaySession:
         self._rewrite(stale, {})
         self._free_pa = end
         self._ranges, self._l2_pages, self._page_pa = ranges, l2_pages, page_pa
-        self._dumps = report.dumps
+        self._dumps, self._plan = report.dumps, plan
         # the image as a checkpoint: no page written since it, every range
         # mapped; every page from the L1 table on is a table or range page
         self._cp_base = self._image_cp = Checkpoint(
@@ -398,7 +438,9 @@ class ReplaySession:
         counts: ``Device.tick`` for a non-zero pacing pad, then the
         action's handler, whose register accesses are each
         ``Device.reg_write`` or ``reg_read`` then ``Device.tick``, one
-        frame (``_write`` or ``_read``) below it. A tick with nothing due
+        frame (``_write`` or ``_read``) below it. A dump load that ``load``
+        planned is a ``Device.mem_write`` per physical run and one
+        ``Device.tick``, straight from its handler. A tick with nothing due
         makes no further call: the device caches its next event time and
         refreshes it wherever a pending job or flush changes."""
         rec = self.loaded
@@ -487,11 +529,25 @@ class ReplaySession:
             idle = self.dev.next_event_ns() is None
 
     def _step_loaddump(self, a: LoadMemDump, mult: int) -> None:
-        d = self._dumps[a.dump_id]
-        data = self._over_inputs(a.gpu_va, d.raw if d.raw is not None
-                                 else inflate(d.payload, d.raw_len))
-        self._write_va(a.gpu_va, data)
-        self.dev.tick(round(len(data) * LOAD_BYTE_NS))
+        """Copy the dump into its pages, then charge its bytes in one
+        ``Device.tick``. A dump load that ``load`` planned is one
+        ``Device.mem_write`` per physical run of the plan, whose bytes are
+        the dump's own. Any other is placed here, VA page by VA page, with
+        the supplied inputs laid over it and its payload inflated if the
+        decoder kept no raw bytes."""
+        entry = self._plan.get(self.cursor)
+        if entry is None:
+            d = self._dumps[a.dump_id]
+            data = self._over_inputs(a.gpu_va, d.raw if d.raw is not None
+                                     else inflate(d.payload, d.raw_len))
+            self._write_va(a.gpu_va, data)
+            self.dev.tick(round(len(data) * LOAD_BYTE_NS))
+            return
+        runs, ns = entry
+        write = self.dev.mem_write
+        for pa, data in runs:
+            write(pa, data)
+        self.dev.tick(ns)
 
     def _step_map(self, a: MapGpuMem, mult: int) -> None:
         if a.gpu_va in self._unmapped:
@@ -535,19 +591,29 @@ class ReplaySession:
             if report is None and (nxt is None or nxt > deadline):
                 # nothing falls due by the deadline, so ``raw`` stays
                 self.dev.tick(max(0, deadline - self.dev.vclock_ns))
-                detail = f"no interrupt within {watchdog} ns"
-                if self.dev.job_state == dv.JOB_BAD_STATE:
-                    # a job that latches it raises nothing
-                    detail += f"; job status {dv.JOB_BAD_STATE} (bad state)"
                 report = DivergenceReport(
                     self.cursor, DivergenceKind.TIMEOUT,
-                    expected=a.expect_rawstat, got=raw, detail=detail)
+                    expected=a.expect_rawstat, got=raw, detail=self._timeout_detail(watchdog))
                 if not self._window[2]:
                     return report
-            elif nxt is None or nxt > start + MEASURE_CAP * watchdog:
+            elif nxt is None:  # nothing more falls due: say what the job unit latched
+                return replace(report, detail=self._timeout_detail(watchdog))
+            elif nxt > start + MEASURE_CAP * watchdog:
                 return report
             else:
                 self.dev.tick(nxt - self.dev.vclock_ns)
+
+    def _timeout_detail(self, watchdog: int) -> str:
+        """A timed-out wait's detail. A job that latches JOB_BAD_STATE
+        raises nothing, so the detail names that state, and whether the
+        chain spent the step budget, which every retry would spend again."""
+        detail = f"no interrupt within {watchdog} ns"
+        if self.dev.job_state == dv.JOB_BAD_STATE:
+            if self.dev.out_of_steps:
+                detail += (f"; the chain spent its {dv.SHADER_STEP_BUDGET}-step "
+                           "budget, so no retry is made")
+            detail += f"; job status {dv.JOB_BAD_STATE} (bad state)"
+        return detail
 
     # -- replay / recovery -------------------------------------------------------------
 
@@ -644,7 +710,7 @@ class ReplaySession:
                 if self.attempt_hook is not None:
                     self.attempt_hook(self.dev, attempt)
                 outcome = self._run_once(supplied, cp)
-                if not isinstance(outcome, DivergenceReport):
+                if not isinstance(outcome, DivergenceReport) or self.dev.out_of_steps:
                     break
         finally:
             self._window = (0, 1, False)
@@ -733,8 +799,7 @@ class ReplaySession:
             stale.update(image, self._cp_base.pages)
             self._rewrite(stale, {})  # with no image, every page zero
             self._cp_base = None
-        self.loaded = None
-        self._dumps = {}
+        self.loaded, self._dumps, self._plan = None, {}, {}
         self._reset_sequence()
         self.dev.release(self)
 

@@ -21,8 +21,9 @@ Pure function over the decoded structure. Rules:
 
 A range is as long as the largest MapGpuMem of its base; R4 checks each
 LoadMemDump against the map live at it, and the first dump of its id,
-the one replay loads. The report's ``ranges`` are the replayer's layout
-and its ``dumps`` (dump id -> that first dump) are what replay loads.
+the one replay loads. The report's ``ranges`` are the replayer's layout,
+its ``dumps`` (dump id -> that first dump) are what replay loads, and its
+``loads`` are the LoadMemDumps that passed R4, each with its dump.
 
 Violations are data, not failures; the report's ``ok`` is just
 "no violations".
@@ -61,6 +62,9 @@ class VerificationReport:
                                                repr=False)
     # dump_id -> the first dump of that id
     dumps: dict[int, MemDump] = field(default_factory=dict, compare=False, repr=False)
+    # (action index, dump) of each LoadMemDump that passed R4, in action order
+    loads: list[tuple[int, MemDump]] = field(default_factory=list, compare=False,
+                                             repr=False)
 
     def to_text(self) -> str:
         lines = [f"peak_gpu_mem_bytes {self.peak_gpu_mem_bytes}"]
@@ -115,6 +119,7 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
     violations: list[Violation] = []
     flag = violations.append
     dump_ids = {d.dump_id: d for d in reversed(rec.dumps)}  # the first of each id
+    loads: list[tuple[int, MemDump]] = []
 
     live: dict[int, int] = {}
     live_bases: list[int] = []  # the keys of ``live``, sorted
@@ -170,8 +175,15 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
             elif d.gpu_va != a.gpu_va:
                 flag(Violation(i, "R4", f"dump {a.dump_id} is for {d.gpu_va:#x}, "
                                         f"loaded at {a.gpu_va:#x}"))
-            elif not _covered(live_bases, live, a.gpu_va, d.raw_len):
-                flag(Violation(i, "R4", f"dump load at {a.gpu_va:#x}+{d.raw_len:#x} outside mapping"))
+            else:
+                # _covered, inline: this runs once per dump load
+                va = a.gpu_va
+                k = bisect_right(live_bases, va) - 1
+                if k >= 0 and (va + d.raw_len
+                               <= live_bases[k] + live[live_bases[k]] * dv.PAGE_SIZE):
+                    loads.append((i, d))
+                else:
+                    flag(Violation(i, "R4", f"dump load at {va:#x}+{d.raw_len:#x} outside mapping"))
         elif t is UnmapGpuMem:
             pages = live.pop(a.gpu_va, None)
             if pages is None:
@@ -204,4 +216,4 @@ def verify(rec: Recording, reg_map: RegisterMap | None = None,
                               violations=tuple(violations),
                               ranges={va: (pages, first_map[va])
                                       for va, pages in ever_mapped.items()},
-                              dumps=dump_ids)
+                              dumps=dump_ids, loads=loads)

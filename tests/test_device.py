@@ -296,6 +296,7 @@ def test_kick_while_busy_is_bad_state():
     run_store_job(dev, rig)
     wr(dev, "JOB_START", 1)
     assert rd(dev, "JOB_STATUS") == dv.JOB_BAD_STATE
+    assert not dev.out_of_steps  # a slower driver would not have kicked
 
 
 def test_stores_invisible_until_cache_flush():
@@ -381,7 +382,14 @@ def test_the_step_budget_covers_a_whole_chain():
     first = rig.job(a.assemble(), [], next_va=second)
     with mock.patch.object(dv, "SHADER_STEP_BUDGET", 300):
         assert run_chain(rig, alone)[::2] == (dv.JOB_DONE, 202)
+        assert not rig.dev.out_of_steps
         assert run_chain(rig, first)[::2] == (dv.JOB_BAD_STATE, 300)
+        assert rig.dev.out_of_steps
+        snap = rig.dev.snapshot()
+        assert run_chain(rig, alone)[::2] == (dv.JOB_DONE, 202)
+        assert not rig.dev.out_of_steps  # each kick starts afresh
+        rig.dev.restore(snap)
+        assert rig.dev.out_of_steps
 
 
 def store_params_shader(out_va):
