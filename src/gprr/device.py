@@ -438,16 +438,19 @@ def _shown(pages: PageBuffer, pa: int, val: int) -> int:
 
 
 def va_chunks(va: int, n: int, to_pa) -> Iterator[tuple[int, int, int]]:
-    """Split the VA span [va, va + n) at VA page edges. Yields
-    ``(offset into the span, pa, length)`` per chunk, where ``pa`` is
-    ``to_pa`` of the chunk's first VA and the chunk's bytes are the
-    ``length`` physical bytes from ``pa`` on."""
+    """Split the VA span [va, va + n) into runs of VA pages whose
+    physical pages follow one another. Yields ``(offset into the span,
+    pa, length)`` per run, where ``pa`` is ``to_pa`` of the run's first
+    VA and the run's bytes are the ``length`` physical bytes from ``pa``
+    on; no run's bytes end where the next one's begin."""
     off = 0
     while off < n:
-        a = va + off
-        chunk = min(n - off, PAGE_SIZE - (a & PAGE_MASK))
-        yield off, to_pa(a), chunk
-        off += chunk
+        pa = to_pa(va + off)
+        end = off + PAGE_SIZE - ((va + off) & PAGE_MASK)
+        while end < n and to_pa(va + end) == pa + end - off:
+            end += PAGE_SIZE
+        yield off, pa, min(end, n) - off
+        off = end
 
 
 def span_pages(va: int, n: int, to_pa) -> set[int]:

@@ -154,7 +154,7 @@ class ReplaySession:
         "_preempt_request", "_preempt_request_t", "_ranges", "_page_pa",
         "_unmapped", "_live_bytes", "_l2_pages", "_window",
         "_at_job_boundary", "_free_pa", "_image", "_image_cp", "_cp_base",
-        "_dumps", "_plan", "_inputs")
+        "_plan", "_inputs")
 
     def __init__(self, dev: Device, config: ReplayConfig | None = None):
         self.dev = dev
@@ -191,12 +191,12 @@ class ReplaySession:
         self._image: dict[int, bytearray] = {}
         self._image_cp: Checkpoint | None = None
         self._cp_base: Checkpoint | None = None
-        self._dumps: dict[int, MemDump] = {}  # dump_id -> its first dump
-        # action index -> (physical runs, ns) of each LoadMemDump that load
-        # placed: (pa, bytes) per run, the bytes the dump's raw or a view of it
-        self._plan: dict[int, tuple[list[tuple[int, bytes | memoryview]], int]] = {}
-        # (gpu_va, bytes) of each input the caller supplied to this replay
-        self._inputs: list[tuple[int, bytes]] = []
+        # action index -> (chunks, ns, dump, over) of each LoadMemDump, as
+        # load planned it: the dump's va_chunks, the ns it charges, and
+        # (input index, VA, slice of that input) per declared input it lies over
+        self._plan: dict[int, tuple[list[tuple[int, int, int]], int, MemDump,
+                                    list[tuple[int, int, slice]]]] = {}
+        self._inputs: dict[int, bytes] = {}  # input index -> the bytes supplied to this replay
 
     @property
     def vclock_consumed(self) -> int:
@@ -276,15 +276,15 @@ class ReplaySession:
         ranges (as the verifier's report sizes them) assign each a fresh
         page and write its L1 and L2 entries, and keep those table pages as
         the image every replay starts from. A dump reaches RAM only through
-        its ``LoadMemDump``, whose physical runs load plans once (see
+        its ``LoadMemDump``, which load plans once for every dump load (see
         ``_step_loaddump``). Even when forced, a load refuses a recording
         that breaks rule R4, R5, R7, R8 or R9: the layout and the action
         handlers trust what those rules check.
         A second load fully supersedes the first. A load that fails leaves
-        no recording loaded, no dumps or plan, and RAM as it was; the next
-        load or ``cleanup`` scrubs it."""
+        no recording loaded, no plan, and RAM as it was; the next load or
+        ``cleanup`` scrubs it."""
         # a load that fails at any step leaves none
-        self.loaded, self._dumps, self._plan = None, {}, {}
+        self.loaded, self._plan = None, {}
         cfg = self.config
         if rec.header.register_map_hash != self.reg_map.digest() and not cfg.force:
             raise LoadError("recording register map hash does not match replayer map")
@@ -304,7 +304,7 @@ class ReplaySession:
         l1_bits = sku.encode_perms(Perm.VALID | Perm.READ)
 
         self.last_checkpoint = None
-        self._inputs = []
+        self._inputs = {}
         self._window = (0, 1, False)
 
         page, shift = dv.PAGE_SIZE, dv.PAGE_SHIFT
@@ -337,37 +337,6 @@ class ReplaySession:
             if end > dv.MEM_BYTES:
                 raise LoadError("out of physical pages")
 
-        # Each dump load as its physical runs: contiguous pages merge, and a
-        # range's pages are in ascending order, so a dump whose last page
-        # lies as far past its first as its VA does is one run. A dump over a
-        # declared input (supplied bytes win over it), with no raw bytes
-        # (past the decoder's cap) or with no bytes at all is placed at
-        # each replay instead.
-        inputs = [(d.gpu_va, d.gpu_va + d.len_bytes) for d in rec.inputs()]
-        plan = {}
-        for i, d in report.loads:
-            raw = d.raw
-            if not raw:
-                continue
-            va, n = d.gpu_va, len(raw)
-            for lo, hi in inputs:
-                if lo < va + n and va < hi:
-                    break
-            else:
-                first, last = va >> shift, (va + n - 1) >> shift
-                pa = page_pa[first] + (va & dv.PAGE_MASK)
-                if page_pa[last] - page_pa[first] == (last - first) * page:
-                    runs = [(pa, raw)]
-                else:  # a run ends where a VA page's page does not follow the last
-                    view, runs, at = memoryview(raw), [], 0
-                    for vpn in range(first + 1, last + 1):
-                        if page_pa[vpn] != page_pa[vpn - 1] + page:
-                            cut = (vpn << shift) - va
-                            runs.append((pa, view[at:cut]))
-                            pa, at = page_pa[vpn], cut
-                    runs.append((pa, view[at:]))
-                plan[i] = (runs, round(n * LOAD_BYTE_NS))
-
         # Write, exactly once, each table page and each other page that may
         # hold bytes: outside the device's dirty-page log RAM equals
         # ``_cp_base`` below the previous footprint (the pages ``cleanup``
@@ -381,7 +350,26 @@ class ReplaySession:
         self._rewrite(stale, {})
         self._free_pa = end
         self._ranges, self._l2_pages, self._page_pa = ranges, l2_pages, page_pa
-        self._dumps, self._plan = report.dumps, plan
+
+        # Every dump load passed R4, so it lies in one range, whose pages
+        # ascend: a dump whose last page lies as far past its first as its
+        # VA does is one chunk, and va_chunks splits any other.
+        inputs = [(j, d.gpu_va, d.gpu_va + d.len_bytes) for j, d in enumerate(rec.inputs())]
+        self._plan = plan = {}
+        for i, d in report.loads:
+            va, n = d.gpu_va, d.raw_len
+            first, last = va >> shift, (va + n - 1) >> shift
+            if n and page_pa[last] - page_pa[first] == (last - first) * page:
+                chunks = [(0, page_pa[first] + (va & dv.PAGE_MASK), n)]
+            else:
+                chunks = list(dv.va_chunks(va, n, self._va_to_pa))
+            over = []
+            for j, lo, hi in inputs:
+                if lo < va + n and va < hi:
+                    at = max(va, lo)
+                    over.append((j, at, slice(at - lo, min(va + n, hi) - lo)))
+            plan[i] = (chunks, round(n * LOAD_BYTE_NS), d, over)
+
         # the image as a checkpoint: no page written since it, every range
         # mapped; every page from the L1 table on is a table or range page
         self._cp_base = self._image_cp = Checkpoint(
@@ -438,11 +426,12 @@ class ReplaySession:
         counts: ``Device.tick`` for a non-zero pacing pad, then the
         action's handler, whose register accesses are each
         ``Device.reg_write`` or ``reg_read`` then ``Device.tick``, one
-        frame (``_write`` or ``_read``) below it. A dump load that ``load``
-        planned is a ``Device.mem_write`` per physical run and one
-        ``Device.tick``, straight from its handler. A tick with nothing due
-        makes no further call: the device caches its next event time and
-        refreshes it wherever a pending job or flush changes."""
+        frame (``_write`` or ``_read``) below it. A dump load is a
+        ``Device.mem_write`` per chunk that ``load`` planned, straight from
+        its handler, then ``_write_va`` per supplied input it lies over, and
+        one ``Device.tick``. A tick with nothing due makes no further call:
+        the device caches its next event time and refreshes it wherever a
+        pending job or flush changes."""
         rec = self.loaded
         if rec is None:
             raise ReplayError("no recording loaded")
@@ -529,24 +518,23 @@ class ReplaySession:
             idle = self.dev.next_event_ns() is None
 
     def _step_loaddump(self, a: LoadMemDump, mult: int) -> None:
-        """Copy the dump into its pages, then charge its bytes in one
-        ``Device.tick``. A dump load that ``load`` planned is one
-        ``Device.mem_write`` per physical run of the plan, whose bytes are
-        the dump's own. Any other is placed here, VA page by VA page, with
-        the supplied inputs laid over it and its payload inflated if the
-        decoder kept no raw bytes."""
-        entry = self._plan.get(self.cursor)
-        if entry is None:
-            d = self._dumps[a.dump_id]
-            data = self._over_inputs(a.gpu_va, d.raw if d.raw is not None
-                                     else inflate(d.payload, d.raw_len))
-            self._write_va(a.gpu_va, data)
-            self.dev.tick(round(len(data) * LOAD_BYTE_NS))
-            return
-        runs, ns = entry
+        """Copy the dump into its pages as ``load`` planned them, one
+        ``Device.mem_write`` per chunk of the dump's ``raw`` bytes, or of
+        its payload inflated here when the decoder kept none. Then write
+        each supplied input the dump lies over, in declaration order (the
+        supplied bytes win over it), and charge the dump's bytes in one
+        ``Device.tick``."""
+        chunks, ns, d, over = self._plan[self.cursor]
+        data = d.raw
+        if data is None:
+            data = inflate(d.payload, d.raw_len)
         write = self.dev.mem_write
-        for pa, data in runs:
-            write(pa, data)
+        for off, pa, n in chunks:
+            write(pa, data[off:off + n])
+        for i, va, part in over:
+            buf = self._inputs.get(i)
+            if buf is not None:
+                self._write_va(va, buf[part])
         self.dev.tick(ns)
 
     def _step_map(self, a: MapGpuMem, mult: int) -> None:
@@ -644,21 +632,13 @@ class ReplaySession:
         loaded later (an input captured ``both`` ways is baked into one);
         an input left out keeps the baked bytes."""
         supplied = self._normalize_inputs(inputs)
-        self._inputs = []
+        self._inputs = {}
         for i, d in enumerate(self.loaded.inputs()):
             buf = supplied.get(i)
             if buf is not None:
-                self._inputs.append((d.gpu_va, buf))
+                self._inputs[i] = buf
                 self._write_va(d.gpu_va, buf)
                 self.dev.tick(round(len(buf) * INPUT_BYTE_NS))
-
-    def _over_inputs(self, va: int, data: bytes) -> bytes:
-        """``data`` bound for ``va`` with the supplied inputs laid over it."""
-        for in_va, buf in self._inputs:
-            lo, hi = max(va, in_va), min(va + len(data), in_va + len(buf))
-            if lo < hi:
-                data = data[:lo - va] + buf[lo - in_va:hi - in_va] + data[hi - va:]
-        return data
 
     def _run_once(self, inputs: dict[int, bytes],
                   from_checkpoint: Checkpoint | None) -> DivergenceReport | str | None:
@@ -799,7 +779,7 @@ class ReplaySession:
             stale.update(image, self._cp_base.pages)
             self._rewrite(stale, {})  # with no image, every page zero
             self._cp_base = None
-        self.loaded, self._dumps, self._plan = None, {}, {}
+        self.loaded, self._plan = None, {}
         self._reset_sequence()
         self.dev.release(self)
 

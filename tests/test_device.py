@@ -199,6 +199,51 @@ def test_tlb_caches_until_invalidated():
         dev._walk(va, Perm.READ.value)
 
 
+def per_page_chunks(va, n, to_pa):
+    """The reference split of [va, va + n): one chunk per VA page."""
+    off = 0
+    while off < n:
+        chunk = min(n - off, dv.PAGE_SIZE - ((va + off) & dv.PAGE_MASK))
+        yield off, to_pa(va + off), chunk
+        off += chunk
+
+
+# physical page numbers of six VA pages: one ascending run, ascending with
+# gaps, descending, and any order, where a page may back two VA pages
+ppn_lists = st.lists(st.integers(1, 12), min_size=6, max_size=6)
+page_maps = (st.integers(1, 8).map(lambda p: list(range(p, p + 6)))
+             | ppn_lists.map(sorted)
+             | ppn_lists.map(lambda ppns: sorted(ppns, reverse=True))
+             | ppn_lists)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ppns=page_maps, base_vpn=st.integers(0, 0xFFFF), start=st.integers(0, dv.PAGE_SIZE - 1),
+       n=st.integers(0, 6 * dv.PAGE_SIZE))
+def test_va_chunks_split_a_span_only_where_its_physical_pages_do_not_follow(
+        ppns, base_vpn, start, n):
+    base = base_vpn << dv.PAGE_SHIFT
+    va, n = base + start, n % (len(ppns) * dv.PAGE_SIZE - start + 1)
+
+    def to_pa(a):
+        return ppns[(a - base) >> dv.PAGE_SHIFT] << dv.PAGE_SHIFT | a & dv.PAGE_MASK
+
+    chunks = list(dv.va_chunks(va, n, to_pa))
+    at = 0
+    for off, _, length in chunks:  # the chunks tile [0, n) in order
+        assert off == at and length > 0
+        at += length
+    assert at == n
+    # every byte lies where the reference puts it: each reference chunk
+    # lies whole in one chunk, at the same offset into both spans
+    for off, pa, length in per_page_chunks(va, n, to_pa):
+        c_off, c_pa, c_len = next(c for c in chunks if c[0] <= off < c[0] + c[2])
+        assert off + length <= c_off + c_len
+        assert c_pa + off - c_off == pa
+    for (_, pa, length), (_, nxt, _) in zip(chunks, chunks[1:]):
+        assert pa + length != nxt
+
+
 # -- jobs, time, flush ---------------------------------------------------------------
 
 def run_store_job(dev, rig, value=0xDEAD):

@@ -649,12 +649,12 @@ def test_a_reload_writes_only_the_pages_that_may_hold_bytes(chain64, every):
 def test_a_replayed_action_costs_few_calls_into_gprr():
     # Per action: step and its handler, then per register access one frame
     # to Device.reg_write or reg_read and Device.tick, which makes no call
-    # when nothing is due; a dump load is one Device.mem_write per physical
-    # run of the plan load made, and Device.tick. The benchmark's chain-64
-    # replay made 12.4 calls into gprr code per action (its compiled shader
-    # loops included) before the first, and 7.28 before the plan; now about
-    # 6.75. (The chain64 fixture, recorded under slower stack delays, polls
-    # more: 7.78 and 7.25.)
+    # when nothing is due; a dump load is one Device.mem_write per chunk
+    # that load planned, and Device.tick. The benchmark's chain-64 replay
+    # made 12.4 calls into gprr code per action (its compiled shader loops
+    # included) before the first, and 7.28 before dump loads were planned;
+    # now about 6.75. (The chain64 fixture, recorded under slower stack
+    # delays, polls more: 7.78 and 7.25.)
     g, rec = _LARGE["chain-64"], record_chain64().recordings[0]
     s = init(Device(env_seed=1))
     s.load(rec)
@@ -779,7 +779,8 @@ def test_a_supplied_both_mode_input_beats_every_dump_over_it():
     # two dumps loaded before the kick lie over the input: the first covers
     # all of it, the second its second half and the bytes after it.
     # Supplied bytes win over both; left out, the later dump wins where
-    # the two overlap
+    # the two overlap. The dumps built here have no raw bytes and inflate
+    # at each use; decoded, they keep the bytes the decoder inflated
     g = build_graph([("vec_add",)], 64)
     rec = record_graph(g, harness=RecordHarness(input_modes={0: IoMode.BOTH})).recordings[0]
     (inp,) = rec.inputs()
@@ -795,12 +796,14 @@ def test_a_supplied_both_mode_input_beats_every_dump_over_it():
                               dumps=rec.dumps + tuple(extra))
     assert verify(rec).ok
     fresh = random_input(g, 5)
-    s = session_for(rec)
-    for inputs, used in [([fresh], fresh), (None, whole[:half] + part[:n - half]),
-                         ({0: fresh}, fresh)]:
-        r = s.replay(inputs)
-        assert r.ok and r.outputs == [g.evaluate(used)]
-    s.cleanup()
+    for loaded in (rec, recfmt.decode(recfmt.encode(rec))):
+        assert (loaded.dumps[-1].raw is None) == (loaded is rec)
+        s = session_for(loaded)
+        for inputs, used in [([fresh], fresh), (None, whole[:half] + part[:n - half]),
+                             ({0: fresh}, fresh)]:
+            r = s.replay(inputs)
+            assert r.ok and r.outputs == [g.evaluate(used)]
+        s.cleanup()
 
 
 # -- dump bytes ----------------------------------------------------------------------
@@ -872,7 +875,9 @@ def check_replays_within_footprint(g, s, va, last):
 
 def test_dump_cache_holds_no_more_than_the_session_footprint(vecadd):
     # 256 distinct one-page dumps loaded in turn into one one-page range:
-    # 1 MiB of raw bytes from a few KiB of file, far past the session's pages
+    # 1 MiB of raw bytes from a few KiB of file, far past the session's
+    # pages. Built with no raw bytes, each inflates at its own load step,
+    # and replay keeps no copy of it afterwards
     g, rec = vecadd
     many, va, last = many_dumps_into_one_page(rec, 256)
     s = session_for(many)
