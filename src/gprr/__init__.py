@@ -11,7 +11,7 @@ from .actions import (ActionClass, Granularity, IoDescriptor, IoMode, IoRole,
                       ReplayAction, UnmapGpuMem, WaitIrq, canonical_actions)
 from .device import (SKU_A, SKU_B, SKUS, Device, DeviceSnapshot, Perm,
                      RegisterMap, SkuProfile, default_register_map)
-from .patcher import PatchError, PatchResult, patch, patch_recording
+from .patcher import PatchError, PatchResult, patch_recording
 from .recfmt import DecodeError, decode, encode, read_file, write_file
 from .recorder import DiscoveryError, RecordHarness, RecordResult, record
 from .refstack import (AllocFlags, DelayPolicy, GpuStack, WorkloadGraph,

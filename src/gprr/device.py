@@ -77,7 +77,7 @@ CMD_TLB_INVALIDATE = 3
 JOB_IDLE = 0
 JOB_RUNNING = 1
 JOB_DONE = 2
-JOB_BAD_STATE = 3   # kick while busy, or shader ran off its step budget
+JOB_BAD_STATE = 3   # kick while busy, or a chain ran out of the steps left
 JOB_MMU_FAULT = 4
 
 # Cost model. Arbitrary but fixed; only ratios matter for timing claims.
@@ -93,10 +93,12 @@ JITTER_HI = 1.3
 # random() and so per uniform().
 _RNG_REBASE_WORDS = 4096
 
-# The most shader instructions one kick runs, over its whole chain: a chain
-# of self-linked jobs cannot multiply it. Every chain the reference stack
-# kicks holds one job, so its recordings run as under a per-job budget.
-SHADER_STEP_BUDGET = 1 << 24
+# The shader steps an owner grants the device (Device.steps_left) for all
+# the kicks of one stack run or replay attempt. It covers the largest run
+# the stack can record: a unary layer costs at most 7 instructions per
+# element and owns one output word per element until the run ends, so a
+# run costs at most 7 per word of the 16 MiB arena, under 29.4M < 2^25.
+SHADER_STEP_BUDGET = 1 << 25
 CHAIN_MAX_JOBS = 4096
 # The most reads a driver's poll makes before it gives up. Replay polls a
 # recorded register up to a multiple of its max_polls, so a recording may
@@ -359,7 +361,6 @@ class _PendingJob:
     instr_count: int
     fault_va: int | None
     status: int  # JOB_STATUS value to latch on completion
-    out_of_steps: bool = False  # the chain spent SHADER_STEP_BUDGET
 
 
 @dataclass
@@ -375,7 +376,8 @@ class DeviceSnapshot:
     regenerates at most that many words. The buffered pages, the
     writeback's and a pending job's, are copies: a snapshot shares no
     bytearray with the device it came from or the devices restored from
-    it, so it can be restored any number of times.
+    it, so it can be restored any number of times. It holds no step
+    count: a restore leaves the owner's grant, ``Device.steps_left``.
     RAM contents are restored separately by whoever owns the memory (the
     replayer's checkpoints copy the pages written since load); a restore
     therefore reproduces the original run exactly as long as RAM was not
@@ -389,7 +391,6 @@ class DeviceSnapshot:
     cores_on: int
     clock_div: int
     job_state: int
-    out_of_steps: bool
     fault_addr: int
     writeback: PageBuffer
     tlb: dict[int, tuple[int, int]]
@@ -489,10 +490,9 @@ class Device:
     """One simulated GPU instance. Single-owner: exactly one session mutates
     a device at a time (ownership is advisory, via claim/release)."""
 
-    def __init__(self, sku: SkuProfile = SKU_A, env_seed: int = 0,
-                 reg_map: RegisterMap = DEFAULT_REGISTER_MAP):
+    def __init__(self, sku: SkuProfile = SKU_A, env_seed: int = 0):
         self.sku = sku
-        self.reg_map = reg_map
+        self.reg_map = DEFAULT_REGISTER_MAP
         self.mem = mmap.mmap(-1, MEM_BYTES)
         self.rng = random.Random(env_seed)
         # the RNG position: a base state, taken at the first snapshot, and
@@ -506,6 +506,9 @@ class Device:
         # a bound on RAM ever written: every byte at or past it is still zero
         self.written_end = 0
         self._stored: dict[str, int] = {}
+        # the shader steps kicks may still run: the owner grants them, and
+        # a soft reset leaves them, so a driver's resets cannot refill them
+        self.steps_left = 0
         self._power_on_state()
 
     # -- lifecycle ---------------------------------------------------------
@@ -524,10 +527,6 @@ class Device:
         self.cores_on = self.sku.full_core_mask
         self.clock_div = getattr(self, "clock_div", 1)
         self.job_state = JOB_IDLE
-        # JOB_BAD_STATE latched by a chain that spent SHADER_STEP_BUDGET; a
-        # kick while busy latches it with this False. Not a register: only
-        # a driver that retries needs to tell the two apart
-        self.out_of_steps = False
         self.fault_addr = 0
         self.writeback: PageBuffer = {}  # the finished jobs' buffered stores
         # the writeback's runs as the flush found them when it started, for
@@ -536,7 +535,7 @@ class Device:
         self.tlb: dict[int, tuple[int, int]] = {}  # vpn -> (ppn, perm bits raw)
         self._pending_job: _PendingJob | None = None
         self._pending_flush: int | None = None  # a flush in flight's finish time
-        self._next_ns = None  # nothing pending
+        self.next_event_ns: int | None = None  # nothing pending (see tick)
 
     def _soft_reset(self):
         # The clock divider survives: it models the SoC clock tree, which is
@@ -689,12 +688,11 @@ class Device:
     # -- job chains ----------------------------------------------------------
 
     def _kick(self):
-        self.out_of_steps = False
         if self.job_state == JOB_RUNNING:
             # protocol violation: kicking a busy GPU wedges the job unit
             self._pending_job = None
             self.job_state = JOB_BAD_STATE
-            self._next_ns = self.next_event_ns()
+            self.next_event_ns = self._next_event()
             return
         head = ((self._stored["JOB_HEAD_HI"] << 32) | self._stored["JOB_HEAD_LO"]) & U32
         affinity = self._stored["JOB_AFFINITY"]
@@ -702,16 +700,17 @@ class Device:
             # no powered core may take the job: it stalls indefinitely
             self.job_state = JOB_RUNNING
             self._pending_job = _PendingJob(None, {}, 0, None, JOB_DONE)
-            self._next_ns = self.next_event_ns()
+            self.next_event_ns = self._next_event()
             return
         pending = self._run_chain(head)
+        self.steps_left -= pending.instr_count
         jitter = self.rng.uniform(JITTER_LO, JITTER_HI)
         self._rng_drawn += 2
         cost = JOB_BASE_COST_NS + JOB_INSTR_COST_NS * pending.instr_count
         pending.finish_ns = self.vclock_ns + round(cost * self.clock_div * jitter)
         self.job_state = JOB_RUNNING
         self._pending_job = pending
-        self._next_ns = self.next_event_ns()
+        self.next_event_ns = self._next_event()
 
     def _run_chain(self, head_va: int) -> _PendingJob:
         """Execute a whole descriptor chain against current memory. Effects
@@ -898,12 +897,11 @@ class Device:
                     words += struct.unpack_from(f"<{n >> 2}I", mem, walk(a, _EXEC))
                     off += n
                 n, halted = execute(words, list(params), load_word, store_word,
-                                    SHADER_STEP_BUDGET - total_instr, _MEM_PATH, bound,
+                                    self.steps_left - total_instr, _MEM_PATH, bound,
                                     run_bulk)
                 total_instr += n
                 if not halted:  # out of steps, or ran off its end
-                    return _PendingJob(None, {}, total_instr, None, JOB_BAD_STATE,
-                                       total_instr >= SHADER_STEP_BUDGET)
+                    return _PendingJob(None, {}, total_instr, None, JOB_BAD_STATE)
                 va = next_va
         except MmuFault as f:
             return _PendingJob(None, {}, total_instr, f.va, JOB_MMU_FAULT)
@@ -922,7 +920,7 @@ class Device:
             nbytes += end - pa
         cost = FLUSH_BASE_COST_NS + FLUSH_BYTE_COST_NS * nbytes
         self._pending_flush = self.vclock_ns + round(cost * self.clock_div * jitter)
-        self._next_ns = self.next_event_ns()
+        self.next_event_ns = self._next_event()
 
     def _writeback_runs(self) -> list[tuple[int, int, bytearray, int, int]]:
         """(pa, end pa, page data, start, end in the page) of each run of
@@ -949,7 +947,7 @@ class Device:
         that GPU_IRQ_MASK enables."""
         return self.irq_rawstat & self._stored["GPU_IRQ_MASK"]
 
-    def next_event_ns(self) -> int | None:
+    def _next_event(self) -> int | None:
         job, flush = self._pending_job, self._pending_flush
         t = None if job is None else job.finish_ns
         if flush is not None and (t is None or flush < t):
@@ -964,20 +962,21 @@ class Device:
         ``reg_write`` or ``reg_read``) and each wait, so ``tick`` calls
         count those.
 
-        ``_next_ns`` caches ``next_event_ns()``, so a tick with nothing due
-        costs no call. Every site that starts, finishes, resets, restores
-        or stalls a pending job or flush refreshes it: kicks, flush starts,
-        completions, the power-on state, ``restore`` and ``stall``; a new
-        such site must refresh it too."""
+        ``next_event_ns`` caches ``_next_event()``, the pending job's or
+        flush's earliest finish time, so a tick with nothing due and a
+        driver's wait cost no call. Every site that starts, finishes,
+        resets, restores or stalls a pending job or flush refreshes it:
+        kicks, flush starts, completions, the power-on state, ``restore``
+        and ``stall``; a new such site must refresh it too."""
         if dt_ns < 0:
             raise ValueError("dt_ns must be >= 0")
         end = self.vclock_ns + dt_ns
-        t = self._next_ns
+        t = self.next_event_ns
         while t is not None and t <= end:
             if t > self.vclock_ns:
                 self.vclock_ns = t
             self._complete_due(t)
-            t = self._next_ns
+            t = self.next_event_ns
         self.vclock_ns = end
 
     def _complete_due(self, t: int) -> None:
@@ -985,7 +984,6 @@ class Device:
         if job is not None and job.finish_ns is not None and job.finish_ns <= t:
             self._pending_job = None
             self.job_state = job.status
-            self.out_of_steps = job.out_of_steps
             if job.status == JOB_DONE:
                 # the writeback adopts the pages it lacks and takes the
                 # buffered runs of the others
@@ -1006,7 +1004,7 @@ class Device:
                 self.fault_addr = (job.fault_va or 0) & U32
                 self.irq_rawstat |= IRQ_MMU_FAULT
             # JOB_BAD_STATE raises nothing; the driver watchdog catches it
-            self._next_ns = self.next_event_ns()
+            self.next_event_ns = self._next_event()
         flush = self._pending_flush
         if flush is not None and flush <= t:
             self._pending_flush = None
@@ -1022,7 +1020,7 @@ class Device:
             self._dirty_pages.update(self.writeback)
             self.writeback = {}
             self._flush_runs = None
-            self._next_ns = self.next_event_ns()
+            self.next_event_ns = self._next_event()
 
     # -- snapshot / restore ------------------------------------------------------
 
@@ -1037,7 +1035,6 @@ class Device:
             cores_on=self.cores_on,
             clock_div=self.clock_div,
             job_state=self.job_state,
-            out_of_steps=self.out_of_steps,
             fault_addr=self.fault_addr,
             writeback=_copy_pages(self.writeback),
             tlb=dict(self.tlb),
@@ -1055,14 +1052,13 @@ class Device:
         self.cores_on = snap.cores_on
         self.clock_div = snap.clock_div
         self.job_state = snap.job_state
-        self.out_of_steps = snap.out_of_steps
         self.fault_addr = snap.fault_addr
         self.writeback = _copy_pages(snap.writeback)
         self._flush_runs = None
         self.tlb = dict(snap.tlb)
         self._pending_job = _copy_job(snap.pending_job)
         self._pending_flush = snap.pending_flush
-        self._next_ns = self.next_event_ns()
+        self.next_event_ns = self._next_event()
         self._rng_base, self._rng_drawn = snap.rng_state
         self.rng.setstate(self._rng_base)
         self.rng.getrandbits(32 * self._rng_drawn)  # skip the words drawn
@@ -1091,4 +1087,4 @@ class Device:
         job = self._pending_job
         if job is not None and job.finish_ns is not None:
             job.finish_ns += extra_ns
-            self._next_ns = self.next_event_ns()
+            self.next_event_ns = self._next_event()

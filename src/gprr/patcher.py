@@ -35,10 +35,6 @@ class PatchResult:
         return self.recording_edits + self.job_edits
 
 
-def patch(rec: Recording, from_sku: SkuProfile, to_sku: SkuProfile) -> Recording:
-    return patch_recording(rec, from_sku, to_sku).recording
-
-
 def patch_recording(rec: Recording, from_sku: SkuProfile,
                     to_sku: SkuProfile) -> PatchResult:
     if from_sku.sku_id not in SKUS_BY_ID or to_sku.sku_id not in SKUS_BY_ID:

@@ -32,10 +32,10 @@ def deflate(data: bytes) -> bytes:
     return c.compress(data) + c.flush()
 
 
-def inflate(data: bytes, expect_len: int | None = None) -> bytes:
+def inflate(data: bytes, expect_len: int) -> bytes:
     d = zlib.decompressobj(-15)
-    out = d.decompress(data, expect_len + 1 if expect_len is not None else 0)
-    if expect_len is not None and len(out) != expect_len:
+    out = d.decompress(data, expect_len + 1)
+    if len(out) != expect_len:
         raise zlib.error(f"decompressed to {len(out)}, expected {expect_len}")
     return out
 

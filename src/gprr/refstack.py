@@ -373,7 +373,7 @@ class _Driver:
         deadline = t0 + watchdog_ns
         bits = self.dev.irq_rawstat & expect_bits
         while not bits:
-            nxt = self.dev.next_event_ns()
+            nxt = self.dev.next_event_ns
             if nxt is None or nxt > deadline:
                 self.dev.tick(max(0, deadline - self.dev.vclock_ns))
                 raise DriverError(f"watchdog: no interrupt within {watchdog_ns} ns")
@@ -566,6 +566,7 @@ class GpuStack:
         if len(input_bytes) != graph.input_elems * 4:
             raise ValueError("input length does not match graph")
         self._reset_allocators()
+        self.dev.steps_left = dv.SHADER_STEP_BUDGET  # one grant for the run's kicks
         drv = self.driver
 
         # context init: reset, identify, configure MMU and interrupts

@@ -16,11 +16,12 @@ poll that times out waits on, up to a cap, to measure how many times
 slower than recorded the device ran (the report's ``slowdown``), and
 the next retry starts at the power of two at or above that. A fifth
 divergence ends the replay with a report naming the failing action and
-its origin; so does the first divergence after which the device reads
-a chain that spent the shader step budget, which it would spend again
-on every retry: the interpreter runs the same over the same memory,
-whatever the pacing. A job that runs on past its wait's deadline shows
-that only once a measuring retry has waited it out.
+its origin. Each run's kicks spend one grant of ``SHADER_STEP_BUDGET``
+shader steps, so a replay runs at most ``MAX_ATTEMPTS + 1`` grants,
+however many kicks the file holds. A kick counts its chain's steps as it
+starts, and the first divergence after the grant runs out, even while
+the job still runs, ends the replay: every retry would spend its grant
+the same way, as the interpreter runs the same over the same memory.
 """
 
 from __future__ import annotations
@@ -391,10 +392,12 @@ class ReplaySession:
         self.dev.reg_write(self._offset("MMU_TABLE_BASE_HI"), _L1_PA >> 32)
 
     def _put_back(self, cp: Checkpoint):
-        """Make RAM and the device as of ``cp``, and move the cursor to
-        where it was taken. RAM equals ``_cp_base`` outside the device's
-        dirty-page log, so a put-back to it writes the logged pages only;
-        any other also writes every page either one holds."""
+        """Make RAM and the device as of ``cp``, move the cursor to where
+        it was taken, and grant the device ``SHADER_STEP_BUDGET`` steps:
+        every load, reload and restore, and so every replay attempt, gets
+        one grant. RAM equals ``_cp_base`` outside the device's dirty-page
+        log, so a put-back to it writes the logged pages only; any other
+        also writes every page either one holds."""
         stale = self.dev.take_dirty_pages()
         if cp is not self._cp_base:
             stale.update(self._cp_base.pages, cp.pages)
@@ -410,6 +413,7 @@ class ReplaySession:
         self.cursor, self.jobs_done = cp.action_index, cp.jobs_done
         self._cp_base = cp
         self._at_job_boundary = True
+        self.dev.steps_left = dv.SHADER_STEP_BUDGET
 
     def _reload(self):
         """Fresh start for a new replay or a recovery attempt."""
@@ -494,7 +498,7 @@ class ReplaySession:
         # a read)
         report = None
         n = 0
-        idle = self.dev.next_event_ns() is None
+        idle = self.dev.next_event_ns is None
         while True:
             v = self._read(a.reg_name)
             n += 1
@@ -512,10 +516,10 @@ class ReplaySession:
                 if not self._window[2]:
                     return report
             if report is not None and (n >= MEASURE_CAP * budget
-                                       or self.dev.next_event_ns() is None):
+                                       or self.dev.next_event_ns is None):
                 return report
             self.dev.tick(POLL_PERIOD_NS)
-            idle = self.dev.next_event_ns() is None
+            idle = self.dev.next_event_ns is None
 
     def _step_loaddump(self, a: LoadMemDump, mult: int) -> None:
         """Copy the dump into its pages as ``load`` planned them, one
@@ -575,7 +579,7 @@ class ReplaySession:
                         (self.dev.vclock_ns - start) / a.residency_ns if a.residency_ns else 0.0))
                 self.event_log.append(("irq", a.expect_rawstat))
                 return None
-            nxt = self.dev.next_event_ns()
+            nxt = self.dev.next_event_ns
             if report is None and (nxt is None or nxt > deadline):
                 # nothing falls due by the deadline, so ``raw`` stays
                 self.dev.tick(max(0, deadline - self.dev.vclock_ns))
@@ -592,14 +596,14 @@ class ReplaySession:
                 self.dev.tick(nxt - self.dev.vclock_ns)
 
     def _timeout_detail(self, watchdog: int) -> str:
-        """A timed-out wait's detail. A job that latches JOB_BAD_STATE
-        raises nothing, so the detail names that state, and whether the
-        chain spent the step budget, which every retry would spend again."""
+        """A timed-out wait's detail: whether the device spent its grant,
+        which every retry would spend again, and, as a job that latches
+        JOB_BAD_STATE raises nothing, whether it latched that state."""
         detail = f"no interrupt within {watchdog} ns"
+        if self.dev.steps_left == 0:
+            detail += (f"; the device spent its {dv.SHADER_STEP_BUDGET}-step "
+                       "grant, so no retry is made")
         if self.dev.job_state == dv.JOB_BAD_STATE:
-            if self.dev.out_of_steps:
-                detail += (f"; the chain spent its {dv.SHADER_STEP_BUDGET}-step "
-                           "budget, so no retry is made")
             detail += f"; job status {dv.JOB_BAD_STATE} (bad state)"
         return detail
 
@@ -640,10 +644,7 @@ class ReplaySession:
                 self._write_va(d.gpu_va, buf)
                 self.dev.tick(round(len(buf) * INPUT_BYTE_NS))
 
-    def _run_once(self, inputs: dict[int, bytes],
-                  from_checkpoint: Checkpoint | None) -> DivergenceReport | str | None:
-        if from_checkpoint is not None:
-            self.restore(from_checkpoint)
+    def _run_once(self, inputs: dict[int, bytes]) -> DivergenceReport | str | None:
         self.write_inputs(inputs)
         actions = self.loaded.actions
         while self.cursor < len(actions):
@@ -660,7 +661,9 @@ class ReplaySession:
         """Execute the loaded recording on new inputs; retry on divergence
         as the module docstring says. Returns outputs extracted from the
         OUTPUT regions. ``vclock_ns`` counts every retry's reload but not
-        the reload before attempt 0, which only undoes an earlier replay."""
+        the reload before attempt 0, which only undoes an earlier replay.
+        ``attempt_hook`` sees each attempt's own starting state: it runs
+        after the reload or restore, just before the attempt's actions."""
         if self.loaded is None:
             raise ReplayError("no recording loaded")
         supplied = self._normalize_inputs(inputs)
@@ -673,7 +676,6 @@ class ReplaySession:
         lo, mult = 0, 1
         try:
             for attempt in range(MAX_ATTEMPTS + 1):
-                cp = None
                 if attempt:
                     if attempt > 1:
                         # from the window on to the end: the jobs after the
@@ -683,14 +685,15 @@ class ReplaySession:
                                    max(2 * mult, _pow2_at_least(outcome.slowdown)))
                     # a timed-out wait measures only when a next attempt can use it
                     self._window = (lo, mult, attempt < MAX_ATTEMPTS)
-                    cp = self.last_checkpoint if self.config.checkpoint_every_jobs else None
-                    if cp is None:
+                    if self.config.checkpoint_every_jobs and self.last_checkpoint is not None:
+                        self.restore(self.last_checkpoint)
+                    else:
                         self._reload()
                 self.event_log = []
                 if self.attempt_hook is not None:
                     self.attempt_hook(self.dev, attempt)
-                outcome = self._run_once(supplied, cp)
-                if not isinstance(outcome, DivergenceReport) or self.dev.out_of_steps:
+                outcome = self._run_once(supplied)
+                if not isinstance(outcome, DivergenceReport) or self.dev.steps_left == 0:
                     break
         finally:
             self._window = (0, 1, False)
@@ -755,7 +758,7 @@ class ReplaySession:
         self._write("GPU_CMD", dv.CMD_CACHE_FLUSH)
         deadline = self.dev.vclock_ns + PREEMPT_DRAIN_BUDGET_NS
         while self._read("GPU_STATUS") & dv.STATUS_DIRTY:
-            nxt = self.dev.next_event_ns()
+            nxt = self.dev.next_event_ns
             if nxt is None or nxt > deadline:
                 break
             self.dev.tick(nxt - self.dev.vclock_ns)

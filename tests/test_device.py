@@ -32,7 +32,8 @@ def wr(dev, name, value):
 
 
 class _Rig:
-    """Minimal hand-rolled driver: fixed physical layout, one L1/L2 pair."""
+    """Minimal hand-rolled driver: fixed physical layout, one L1/L2 pair.
+    It owns the device, so it grants it SHADER_STEP_BUDGET steps."""
 
     L1_PA = 0x1000
     L2_PA = 0x2000
@@ -48,6 +49,7 @@ class _Rig:
         dev.mem_write(self.L1_PA + 1 * 4, l1.to_bytes(4, "little"))
         wr(dev, "MMU_TABLE_BASE_LO", self.L1_PA)
         wr(dev, "MMU_TABLE_BASE_HI", 0)
+        dev.steps_left = dv.SHADER_STEP_BUDGET
 
     def map_page(self, perms) -> tuple[int, int]:
         va, pa = self.next_va, self.next_pa
@@ -258,7 +260,7 @@ def raised_at(dev, bit):
     """Tick through the next device event and return its time, checking
     that the interrupt line raises ``bit`` then and not a nanosecond
     before."""
-    t = dev.next_event_ns()
+    t = dev.next_event_ns
     dev.tick(t - 1 - dev.vclock_ns)
     assert not dev.irq_line & bit
     dev.tick(1)
@@ -283,9 +285,9 @@ def test_tick_zero_is_identity():
     dev = Device()
     rig = _Rig(dev)
     run_store_job(dev, rig)
-    before = (dev.vclock_ns, rd(dev, "JOB_STATUS"), dev.irq_rawstat, dev.next_event_ns())
+    before = (dev.vclock_ns, rd(dev, "JOB_STATUS"), dev.irq_rawstat, dev.next_event_ns)
     assert dev.tick(0) is None
-    assert (dev.vclock_ns, rd(dev, "JOB_STATUS"), dev.irq_rawstat, dev.next_event_ns()) == before
+    assert (dev.vclock_ns, rd(dev, "JOB_STATUS"), dev.irq_rawstat, dev.next_event_ns) == before
 
 
 def test_masked_interrupts_are_latched_but_not_delivered():
@@ -339,9 +341,11 @@ def test_kick_while_busy_is_bad_state():
     dev = Device()
     rig = _Rig(dev)
     run_store_job(dev, rig)
+    left = dev.steps_left
+    assert left < dv.SHADER_STEP_BUDGET  # the store job's chain ran
     wr(dev, "JOB_START", 1)
     assert rd(dev, "JOB_STATUS") == dv.JOB_BAD_STATE
-    assert not dev.out_of_steps  # a slower driver would not have kicked
+    assert dev.steps_left == left  # runs nothing: a slower driver would not have kicked
 
 
 def test_stores_invisible_until_cache_flush():
@@ -412,9 +416,9 @@ def test_a_self_linked_chain_stops_past_the_job_limit():
     assert (status, count) == (dv.JOB_BAD_STATE, dv.CHAIN_MAX_JOBS)
 
 
-def test_the_step_budget_covers_a_whole_chain():
-    # one job of 202 instructions fits a budget of 300; a chain of two
-    # runs out of it in its second job
+def test_a_grant_of_steps_covers_every_chain_kicked_after_it():
+    # jobs of 202 instructions under a grant of 500: a chain runs what the
+    # chains before it left, and a chain of two runs out in its second job
     a = Asm()
     a.ldi(1, 100)
     a.label("loop")
@@ -422,19 +426,27 @@ def test_the_step_budget_covers_a_whole_chain():
     a.bnz(1, "loop")
     a.halt()
     rig = _Rig(Device())
+    dev = rig.dev
     alone = rig.job(a.assemble(), [])
     second = rig.job(a.assemble(), [])
     first = rig.job(a.assemble(), [], next_va=second)
-    with mock.patch.object(dv, "SHADER_STEP_BUDGET", 300):
-        assert run_chain(rig, alone)[::2] == (dv.JOB_DONE, 202)
-        assert not rig.dev.out_of_steps
-        assert run_chain(rig, first)[::2] == (dv.JOB_BAD_STATE, 300)
-        assert rig.dev.out_of_steps
-        snap = rig.dev.snapshot()
-        assert run_chain(rig, alone)[::2] == (dv.JOB_DONE, 202)
-        assert not rig.dev.out_of_steps  # each kick starts afresh
-        rig.dev.restore(snap)
-        assert rig.dev.out_of_steps
+    dev.steps_left = 500
+    assert run_chain(rig, alone)[::2] == (dv.JOB_DONE, 202)
+    assert dev.steps_left == 298
+    snap = dev.snapshot()
+    assert run_chain(rig, first)[::2] == (dv.JOB_BAD_STATE, 298)
+    assert dev.steps_left == 0
+    # a snapshot holds no count: a restore leaves it, and so does a reset
+    dev.restore(snap)
+    wr(dev, "GPU_CMD", dv.CMD_SOFT_RESET)
+    wr(dev, "MMU_TABLE_BASE_LO", rig.L1_PA)
+    assert dev.steps_left == 0
+    assert run_chain(rig, alone)[::2] == (dv.JOB_BAD_STATE, 0)
+    dev.steps_left = 300  # the owner grants more
+    assert run_chain(rig, first)[::2] == (dv.JOB_BAD_STATE, 300)
+    dev.steps_left = 404
+    assert run_chain(rig, first)[::2] == (dv.JOB_DONE, 404)
+    assert dev.steps_left == 0
 
 
 def store_params_shader(out_va):
@@ -681,7 +693,8 @@ def run_against_model(sku, order, perms, fill_seed, jobs, alias_perms=None, budg
     """Run ``jobs``, (model ops, shader words) pairs, on a device whose data
     VA pages map to ``order`` (and, with ``alias_perms``, one more VA page
     to ``order[0]``), checking each job against ``model_job``. With a step
-    ``budget``, a job may instead run out of steps and store nothing.
+    ``budget`` granted before each job, a job may instead run out of
+    steps and store nothing.
     Returns per job its JOB_STATUS, MMU_FAULT_ADDR, instruction count,
     buffered bytes and TLB entries in fill order."""
     dev = Device(sku=sku)
@@ -711,8 +724,8 @@ def run_against_model(sku, order, perms, fill_seed, jobs, alias_perms=None, budg
     for ops, words in jobs:
         expect = model_job(ops, pages, mem_byte, writeback)
         desc = rig.job(words, [])
-        with mock.patch.object(dv, "SHADER_STEP_BUDGET", budget or dv.SHADER_STEP_BUDGET):
-            rig.kick(desc)
+        dev.steps_left = budget or dv.SHADER_STEP_BUDGET
+        rig.kick(desc)
         count = dev._pending_job.instr_count
         dev.tick(10_000_000)
         status = rd(dev, "JOB_STATUS")
@@ -734,7 +747,7 @@ def run_against_model(sku, order, perms, fill_seed, jobs, alias_perms=None, budg
     finish = dev.vclock_ns + round(cost * jitter.uniform(dv.JITTER_LO, dv.JITTER_HI))
     wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
     if writeback:
-        assert dev.next_event_ns() == finish
+        assert dev.next_event_ns == finish
     dev.tick(10_000_000)
     for p, b in writeback.items():
         assert dev.mem_read(p, 1)[0] == b
@@ -1215,11 +1228,11 @@ def test_restores_resume_the_rng_stream_below_and_above_the_rebase_bound():
 
     def one_round(between, after):
         rig.kick(desc)
-        seen = [dev.next_event_ns()]  # the job's finish_ns
+        seen = [dev.next_event_ns]  # the job's finish_ns
         seen += [rd(dev, "JOB_PROGRESS") for _ in range(between)]
         dev.tick(10_000_000)
         wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
-        seen.append(dev.next_event_ns())  # the flush's finish_ns
+        seen.append(dev.next_event_ns)  # the flush's finish_ns
         dev.tick(10_000_000)
         return seen + [rd(dev, "JOB_PROGRESS") for _ in range(after)]
 
@@ -1271,7 +1284,7 @@ def test_offline_all_cores_stalls_jobs():
     dev.offline_cores(SKU_A.full_core_mask)
     run_store_job(dev, rig)
     dev.tick(50_000_000)
-    assert dev.irq_rawstat == 0 and dev.next_event_ns() is None
+    assert dev.irq_rawstat == 0 and dev.next_event_ns is None
     assert rd(dev, "JOB_STATUS") == dv.JOB_RUNNING
 
 
@@ -1279,18 +1292,18 @@ def test_stall_zero_changes_nothing():
     dev = Device(env_seed=2)
     rig = _Rig(dev)
     run_store_job(dev, rig)
-    t = dev.next_event_ns()
+    t = dev.next_event_ns
     dev.stall(0)
-    assert dev.next_event_ns() == t
+    assert dev.next_event_ns == t
 
 
 def test_stall_delays_active_job():
     dev = Device(env_seed=2)
     rig = _Rig(dev)
     run_store_job(dev, rig)
-    t = dev.next_event_ns()
+    t = dev.next_event_ns
     dev.stall(5000)
-    assert dev.next_event_ns() == t + 5000
+    assert dev.next_event_ns == t + 5000
 
 
 def test_next_event_is_the_earlier_of_job_and_flush():
@@ -1300,7 +1313,7 @@ def test_next_event_is_the_earlier_of_job_and_flush():
     wr(dev, "GPU_IRQ_MASK", dv.IRQ_ALL)
     rig.kick(rig.job(store_const_shader(out_va, 1), []))
     dev.tick(10_000_000)
-    assert dev.next_event_ns() is None and dev.writeback
+    assert dev.next_event_ns is None and dev.writeback
     a = Asm()  # about 2,000 instructions: the job outlasts the flush
     a.ldi(0, 1000)
     a.label("loop")
@@ -1311,17 +1324,17 @@ def test_next_event_is_the_earlier_of_job_and_flush():
     wr(dev, "GPU_CMD", dv.CMD_CACHE_FLUSH)
     flush, job = dev._pending_flush, dev._pending_job.finish_ns
     assert flush < job
-    assert dev.next_event_ns() == flush
+    assert dev.next_event_ns == flush
     dev.tick(flush - dev.vclock_ns)
-    assert dev.next_event_ns() == job
+    assert dev.next_event_ns == job
 
 
 def reference_tick(dev, dt):
-    """``Device.tick`` as a loop over ``next_event_ns()``, with no cached
+    """``Device.tick`` as a loop over ``_next_event()``, with no cached
     time."""
     end = dev.vclock_ns + dt
     while True:
-        t = dev.next_event_ns()
+        t = dev._next_event()
         if t is None or t > end:
             break
         dev.vclock_ns = max(dev.vclock_ns, t)
@@ -1341,7 +1354,7 @@ device_ops = st.lists(st.one_of(
 @given(ops=device_ops, seed=st.integers(0, 3))
 def test_the_cached_next_event_time_follows_every_operation(ops, seed):
     # tick tests one cached time: after every operation it equals
-    # next_event_ns(), and a twin device ticked by the reference loop
+    # _next_event(), and a twin device ticked by the reference loop
     # raises the same interrupts by the same times
     twins = []
     for dev in (Device(env_seed=seed), Device(env_seed=seed)):
@@ -1382,7 +1395,7 @@ def test_the_cached_next_event_time_follows_every_operation(ops, seed):
             else:
                 dev.offline_cores(dev.sku.full_core_mask)
         dev, ref = twins[0][0], twins[1][0]
-        assert dev._next_ns == dev.next_event_ns() == ref.next_event_ns(), op
+        assert dev.next_event_ns == dev._next_event() == ref._next_event(), op
         assert (dev.vclock_ns, dev.job_state, dev.irq_rawstat, dev.irq_line) == (
             ref.vclock_ns, ref.job_state, ref.irq_rawstat, ref.irq_line), op
 

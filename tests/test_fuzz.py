@@ -21,6 +21,7 @@ import resource
 import signal
 import multiprocessing
 import traceback
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 
 from gprr import recfmt
@@ -28,7 +29,7 @@ from gprr.cli import dispatch
 from gprr.actions import ACTION_SCHEMAS, ActionClass, IoDescriptor, IoMode, IoRole
 import gprr.device as dv
 from gprr.device import DEFAULT_REGISTER_MAP, Device
-from gprr.recfmt import DecodeError, deflate, inflate
+from gprr.recfmt import DecodeError, deflate
 from gprr.refstack import build_graph
 from gprr.replayer import ReplayConfig, ReplayError, ReplayResult, init
 from gprr.verifier import verify
@@ -82,7 +83,7 @@ def mutate(rec, rng: random.Random):
         elif kind == 3 and dumps:  # re-compressed, claiming a wrong length
             i = rng.randrange(len(dumps))
             d = dumps[i]
-            raw = inflate(d.payload)
+            raw = zlib.decompress(d.payload, -15)  # all of it, whatever raw_len claims
             raw = raw[:rng.randrange(len(raw) + 1)] + bytes(rng.randrange(3))
             dumps[i] = dataclasses.replace(d, payload=deflate(raw),
                                            raw_len=_value(rng, "I", d.raw_len) % (2 * len(raw) + 2))

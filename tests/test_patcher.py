@@ -7,7 +7,7 @@ import pytest
 
 from gprr.actions import MapGpuMem, RegRead, RegWrite
 from gprr.device import Device, Perm, SKU_A, SKU_B, SkuProfile, perm_table
-from gprr.patcher import PatchError, patch, patch_recording
+from gprr.patcher import PatchError, patch_recording
 from gprr.recfmt import encode
 from gprr.recorder import RecordHarness, record
 from gprr.refstack import GpuStack, build_graph
@@ -41,7 +41,7 @@ def test_perm_table_is_the_perm_round_trip(from_sku, to_sku):
 
 
 def test_patch_reencodes_map_permissions(vecadd_rec):
-    patched = patch(vecadd_rec, SKU_A, SKU_B)
+    patched = patch_recording(vecadd_rec, SKU_A, SKU_B).recording
     for before, after in zip(vecadd_rec.actions, patched.actions):
         if isinstance(before, MapGpuMem):
             assert (SKU_A.decode_perms(before.perm_flags_encoded)
@@ -82,7 +82,7 @@ def test_pinned_affinity_survives_same_sku_patch():
 
 
 def test_patch_rewrites_the_three_register_surfaces(vecadd_rec):
-    patched = patch(vecadd_rec, SKU_A, SKU_B)
+    patched = patch_recording(vecadd_rec, SKU_A, SKU_B).recording
     reads = {a.reg_name: a.expect_value for a in patched.actions
              if isinstance(a, RegRead)}
     writes = {a.reg_name: a.value for a in patched.actions
@@ -95,17 +95,17 @@ def test_patch_rewrites_the_three_register_surfaces(vecadd_rec):
 
 
 def test_patch_identity(vecadd_rec):
-    assert encode(patch(vecadd_rec, SKU_A, SKU_A)) == encode(vecadd_rec)
+    assert encode(patch_recording(vecadd_rec, SKU_A, SKU_A).recording) == encode(vecadd_rec)
 
 
 def test_patch_roundtrip_is_byte_identical(vecadd_rec):
-    there = patch(vecadd_rec, SKU_A, SKU_B)
-    back = patch(there, SKU_B, SKU_A)
+    there = patch_recording(vecadd_rec, SKU_A, SKU_B).recording
+    back = patch_recording(there, SKU_B, SKU_A).recording
     assert encode(back) == encode(vecadd_rec)
 
 
 def test_patched_recording_verifies_and_replays(vecadd_rec):
-    patched = patch(vecadd_rec, SKU_A, SKU_B)
+    patched = patch_recording(vecadd_rec, SKU_A, SKU_B).recording
     assert verify(patched).ok
     inp = i32s([7, 6, 5, 4, 1, 2, 3, 4])
     r = replay_once(patched, inp, sku=SKU_B, env_seed=17)
@@ -114,7 +114,7 @@ def test_patched_recording_verifies_and_replays(vecadd_rec):
 
 def test_patch_checks_header_sku(vecadd_rec):
     with pytest.raises(PatchError):
-        patch(vecadd_rec, SKU_B, SKU_A)  # recording is from A
+        patch_recording(vecadd_rec, SKU_B, SKU_A)  # recording is from A
 
 
 def test_unknown_sku_pair_refused(vecadd_rec):
@@ -122,15 +122,15 @@ def test_unknown_sku_pair_refused(vecadd_rec):
                        perm_bit_layout=SKU_A.perm_bit_layout,
                        expected_mmu_config=0, gpu_id_value=0x9999)
     with pytest.raises(PatchError):
-        patch(vecadd_rec, SKU_A, rogue)
+        patch_recording(vecadd_rec, SKU_A, rogue)
 
 
 def test_downpatch_refused_for_pinned_affinity(vecadd_rec):
-    to_b = patch(vecadd_rec, SKU_A, SKU_B)
+    to_b = patch_recording(vecadd_rec, SKU_A, SKU_B).recording
     pinned = dataclasses.replace(
         to_b, actions=tuple(
             dataclasses.replace(a, value=0xF0)
             if isinstance(a, RegWrite) and a.reg_name == "JOB_AFFINITY" else a
             for a in to_b.actions))
     with pytest.raises(PatchError):
-        patch(pinned, SKU_B, SKU_A)
+        patch_recording(pinned, SKU_B, SKU_A)

@@ -12,7 +12,7 @@ from gprr.actions import (ActionClass, Granularity, IoMode, IoRole,
                           LoadMemDump, MapGpuMem, RegRead, RegReadWait,
                           RegWrite, UnmapGpuMem, WaitIrq, canonical_actions)
 from gprr.device import Device, SKU_A, SKU_B
-from gprr.patcher import patch
+from gprr.patcher import patch_recording
 from gprr.recfmt import inflate
 from gprr.recorder import (DiscoveryError, HarnessError, RecordHarness, _RunTrace,
                            magic_bytes, parse_harness, record)
@@ -217,7 +217,7 @@ def test_each_dump_is_loaded_by_exactly_one_load_mem_dump(name, granularity):
     g = builtin_graphs().get(name) or build_graph(
         [("scale", 3) if i % 2 == 0 else ("copy",) for i in range(15)], 16)
     recs = record_graph(g, harness=RecordHarness(granularity=granularity)).recordings
-    for rec in recs + [patch(r, SKU_A, SKU_B) for r in recs]:
+    for rec in recs + [patch_recording(r, SKU_A, SKU_B).recording for r in recs]:
         loads = [a for a in rec.actions if isinstance(a, LoadMemDump)]
         assert len({d.dump_id for d in rec.dumps}) == len(rec.dumps)
         assert Counter(a.dump_id for a in loads) == Counter(d.dump_id for d in rec.dumps)

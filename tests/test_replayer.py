@@ -20,7 +20,7 @@ from gprr.actions import (ACTION_SCHEMAS, DumpOrigin, IoMode, LoadMemDump, MapGp
                           MemDump, RegRead, RegReadWait, RegWrite, UnmapGpuMem, WaitIrq,
                           ActionClass)
 from gprr.device import Device, DeviceOwned, SKU_B
-from gprr.patcher import patch
+from gprr.patcher import patch_recording
 from gprr.recfmt import deflate, inflate
 from gprr.recorder import RecordHarness, magic_bytes
 from gprr.refstack import DelayPolicy, GpuStack, build_graph
@@ -189,7 +189,7 @@ def test_load_out_of_pages_leaves_nothing_loaded(vecadd):
 _REFUSALS = {
     "map-hash": (lambda rec: dataclasses.replace(rec, header=dataclasses.replace(
         rec.header, register_map_hash=bytes(32))), "register map hash"),
-    "sku": (lambda rec: patch(rec, dv.SKU_A, SKU_B), "patch it first"),
+    "sku": (lambda rec: patch_recording(rec, dv.SKU_A, SKU_B).recording, "patch it first"),
     "verification": (lambda rec: dataclasses.replace(
         rec, actions=rec.actions + (RegWrite(0, 0, "NOT_A_REG", 1),)), "failed verification"),
 }
@@ -510,7 +510,7 @@ def test_load_lays_out_what_writing_each_entry_did(recorded, vecadd, name, sku, 
                       DumpOrigin.MAPPED_FALLBACK)
         prior = dataclasses.replace(small, dumps=small.dumps + (big,), actions=small.actions + (
             MapGpuMem(0, 0, va, len(fill), 0b0011), LoadMemDump(0, 0, big.dump_id, va)))
-        s.load(patch(prior, dv.SKU_A, sku))
+        s.load(patch_recording(prior, dv.SKU_A, sku).recording)
         assert s.replay(i32s(range(8))).ok
     del dev.mem_write
     touched = s._free_pa  # no page past this or the new footprint was written
@@ -652,9 +652,10 @@ def test_a_replayed_action_costs_few_calls_into_gprr():
     # when nothing is due; a dump load is one Device.mem_write per chunk
     # that load planned, and Device.tick. The benchmark's chain-64 replay
     # made 12.4 calls into gprr code per action (its compiled shader loops
-    # included) before the first, and 7.28 before dump loads were planned;
-    # now about 6.75. (The chain64 fixture, recorded under slower stack
-    # delays, polls more: 7.78 and 7.25.)
+    # included) before the first, 7.28 before dump loads were planned and
+    # 6.75 (8,266) before waits read the device's cached next event time;
+    # now about 6.70 (8,197). (The chain64 fixture, recorded under slower
+    # stack delays, polls more: 7.78 and 7.25.)
     g, rec = _LARGE["chain-64"], record_chain64().recordings[0]
     s = init(Device(env_seed=1))
     s.load(rec)
@@ -1112,24 +1113,97 @@ def count_kicks():
     return kicks, kick
 
 
-@pytest.mark.parametrize("budget, attempts", [(1 << 16, 1), (1 << 20, 2)])
-def test_a_kick_that_spent_its_step_budget_is_not_retried(budget, attempts):
+@pytest.mark.parametrize("budget, latched", [(1 << 16, True), (1 << 20, False)])
+def test_a_kick_that_spent_its_step_budget_is_not_retried(budget, latched):
     # the interpreter runs the chain the same way over the same reloaded
-    # memory, so a retry would spend the budget again. A chain of 2^16
-    # steps latches its bad state within its wait's 1 ms watchdog; one of
-    # 2^20 runs for about 2 ms, so only the first retry, which waits on
-    # to measure, sees it spend the budget
+    # memory, so a retry would spend its grant again. The kick counts its
+    # chain's steps as it starts, so the first timeout ends the replay: a
+    # chain of 2^16 steps latches its bad state within its wait's 1 ms
+    # watchdog, one of 2^20 runs for about 2 ms and is still running then
     g, rec = self_linked_chain()
     kicks, kick = count_kicks()
     with mock.patch.object(dv, "SHADER_STEP_BUDGET", budget), \
             mock.patch.object(Device, "_kick", kick):
         result = replay_once(rec, random_input(g, 1))
-    assert len(kicks) == attempts
-    assert not result.ok and result.recovery_attempts == attempts - 1
+    assert len(kicks) == 1
+    assert not result.ok and result.recovery_attempts == 0
     assert result.divergence.detail == (
         f"no interrupt within {replayer.WATCHDOG_FLOOR_NS} ns"
-        f"; the chain spent its {budget}-step budget, so no retry is made"
-        f"; job status {dv.JOB_BAD_STATE} (bad state)")
+        f"; the device spent its {budget}-step grant, so no retry is made"
+        + (f"; job status {dv.JOB_BAD_STATE} (bad state)" if latched else ""))
+
+
+def many_kicks(kicks, budget, *, reset=False):
+    """A vec_add graph over 32 elements and its recording whose one kick,
+    from its JOB_HEAD_LO write through its flush poll, is repeated
+    ``kicks`` times; its shader is a loop that just fits ``budget`` steps.
+    With ``reset``, a soft reset and its RESET_DONE read and clear come
+    before every kick."""
+    g = build_graph([("vec_add",)], 32)
+    rec = record_graph(g).recordings[0]
+    acts = rec.actions
+    start = next(i for i, a in enumerate(acts)
+                 if isinstance(a, RegWrite) and a.reg_name == "JOB_HEAD_LO")
+    end = 1 + next(i for i, a in enumerate(acts)
+                   if isinstance(a, RegReadWait) and a.reg_name == "GPU_STATUS")
+    shader_va = int.from_bytes(dump_bytes(rec, acts[start].value + 4, 4), "little")
+    a = Asm()
+    a.ldi(1, (budget - 2) // 3)  # 3 steps per iteration, and the LDI and HALT
+    a.label("loop")
+    a.add(2, 2, 1)
+    a.addi(1, 1, -1)
+    a.bnz(1, "loop")
+    a.halt()
+    rec = overwrite(rec, shader_va, b"".join(w.to_bytes(4, "little") for w in a.assemble()))
+    kick = acts[start:end]
+    if reset:
+        kick = (RegWrite(reg_name="GPU_CMD", value=dv.CMD_SOFT_RESET),
+                RegRead(reg_name="GPU_IRQ_RAWSTAT", expect_value=dv.IRQ_RESET_DONE),
+                RegWrite(reg_name="GPU_IRQ_CLEAR", value=dv.IRQ_RESET_DONE)) + kick
+    rec = dataclasses.replace(rec, actions=acts[:start] + kick * kicks + acts[end:])
+    assert verify(rec).ok
+    return g, rec
+
+
+def count_steps():
+    """A stand-in for ``Device._run_chain`` that records the shader
+    instructions of each chain it passes on."""
+    steps = []
+    real = Device._run_chain
+
+    def run_chain(dev, head_va):
+        pending = real(dev, head_va)
+        steps.append(pending.instr_count)
+        return pending
+    return steps, run_chain
+
+
+@pytest.mark.parametrize("reset", [False, True], ids=["kicks", "resets-and-kicks"])
+def test_a_file_of_many_kicks_runs_one_grant_per_attempt(reset):
+    # each kick fits the budget on its own; 64 of them cost 64 budgets
+    # when each kick's chain gets one, and a reset must not refill it
+    budget = 1 << 18
+    g, rec = many_kicks(64, budget, reset=reset)
+    steps, run_chain = count_steps()
+    with mock.patch.object(dv, "SHADER_STEP_BUDGET", budget), \
+            mock.patch.object(Device, "_run_chain", run_chain):
+        result = replay_once(rec, random_input(g, 1))
+    assert sum(steps) <= (MAX_ATTEMPTS + 1) * budget, (len(steps), sum(steps))
+    assert not result.ok and "spent its" in result.divergence.detail
+
+
+def test_the_grant_covers_the_largest_run_the_stack_records():
+    # 28 unary layers over 131,072 elements keep 15 MiB of outputs mapped,
+    # the most the arena holds: the run costs more than 2^24 steps, all
+    # inside one grant, at record time and at replay
+    g = build_graph([("scale", 3) if i % 2 == 0 else ("copy",) for i in range(28)], 131_072)
+    rec = record_graph(g).recordings[0]
+    s = session_for(rec)
+    inp = random_input(g, 1)
+    result = s.replay(inp)
+    assert result.ok and result.outputs == [g.evaluate(inp)]
+    assert dv.SHADER_STEP_BUDGET - s.dev.steps_left > 1 << 24
+    s.cleanup()
 
 
 def test_a_bad_state_from_a_kick_while_busy_is_retried(vecadd):
@@ -1678,6 +1752,34 @@ def test_recovery_resumes_from_checkpoint(mixed):
     [(_, cp)] = [c.args for c in restore.call_args_list]
     assert cp.jobs_done == 2 and cp.action_index > 0
     assert reload.call_count == 0
+    s.cleanup()
+
+
+@pytest.mark.parametrize("every", [0, 1], ids=["reload", "restore"])
+def test_an_attempt_hook_sees_the_state_its_attempt_starts_from(mixed, every):
+    # the second job stalls past its watchdog, and the hook corrupts the
+    # output's PTE on attempt 1: after the reload or restore, so that
+    # attempt faults on it
+    g, rec = mixed
+    s = session_for(rec, config=ReplayConfig(checkpoint_every_jobs=every))
+    stall_at_kick(s, 1, 20_000_000)
+    out_va = rec.outputs()[0].gpu_va
+    seen = []
+
+    def hook(dev, attempt):
+        seen.append((s.cursor, s.last_checkpoint))
+        if attempt == 1:
+            dev.corrupt_pte(out_va)
+    s.attempt_hook = hook
+    inp = random_input(g, 1)
+    result = s.replay(inp)
+    cursor, cp = seen[1]
+    assert cursor == (cp.action_index if every else 0) and (cp is not None) == bool(every)
+    assert [d.kind for d in s.divergence_log[:2]] == [DivergenceKind.TIMEOUT,
+                                                      DivergenceKind.MMU_FAULT]
+    if not every:  # the reload of attempt 2 rewrites the page tables
+        assert result.ok and result.recovery_attempts == 2
+        assert result.outputs == [g.evaluate(inp)]
     s.cleanup()
 
 
