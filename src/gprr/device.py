@@ -888,15 +888,17 @@ class Device:
                 if shader_va % 4 != 0 or shader_len % 4 != 0 or shader_len > SHADER_MAX_BYTES:
                     raise MmuFault(shader_va, Perm.EXEC)
                 # fetch straight from memory (buffered stores are not
-                # visible to it), one walk and one unpack per page
-                words: list[int] = []
+                # visible to it), one walk and one slice per page; a
+                # shader on one page is that page's slice
+                code = b""
                 off = 0
                 while off < shader_len:
                     a = (shader_va + off) & U32
                     n = min(shader_len - off, PAGE_SIZE - (a & PAGE_MASK))
-                    words += struct.unpack_from(f"<{n >> 2}I", mem, walk(a, _EXEC))
+                    pa = walk(a, _EXEC)
+                    code += mem[pa:pa + n]
                     off += n
-                n, halted = execute(words, list(params), load_word, store_word,
+                n, halted = execute(code, list(params), load_word, store_word,
                                     self.steps_left - total_instr, _MEM_PATH, bound,
                                     run_bulk)
                 total_instr += n

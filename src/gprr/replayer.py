@@ -263,12 +263,17 @@ class ReplaySession:
                         for _, pa, chunk in dv.va_chunks(va, n, self._va_to_pa))
 
     def _set_ptes(self, va: int, mapped: bool):
-        """Point the range's PTEs at its pages, or clear them."""
+        """Point the range's PTEs at its pages, or clear them, with one
+        write per L2 table: a range's PTEs in one table are adjacent."""
         _, pas, bits = self._ranges[va]
         l2_pages, write = self._l2_pages, self.dev.mem_write
-        for vpn, pa in enumerate(pas, va >> dv.PAGE_SHIFT):
+        vpn, i = va >> dv.PAGE_SHIFT, 0
+        while i < len(pas):
+            k = min(len(pas) - i, 0x400 - (vpn & 0x3FF))  # to the table's end
             write(l2_pages[(vpn >> 10) & 0x3FF] + (vpn & 0x3FF) * 4,
-                  (pa | bits if mapped else 0).to_bytes(4, "little"))
+                  struct.pack(f"<{k}I", *[pa | bits for pa in pas[i:i + k]]) if mapped
+                  else bytes(4 * k))
+            vpn, i = vpn + k, i + k
 
     # -- load -----------------------------------------------------------------------
 

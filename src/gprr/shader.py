@@ -11,12 +11,16 @@ Word encoding (fields unused by an op are zero):
     ADDI/BNZ carry a signed 16-bit immediate in [15:0];
     LDI takes the full next word as its immediate.
 
-The interpreter runs every shader. A *self-loop*, a backward BNZ whose
+The interpreter runs every shader, decoded once for each distinct string
+of instruction bytes it is given. A *self-loop*, a backward BNZ whose
 body up to the branch is straight-line code, is compiled to a Python
 function the first time its back-edge is taken (the translation-block
-idea of QEMU's TCG). The compiled loop runs whole iterations while the
-step budget allows and hands everything else back to the interpreter, so
-counts, faults and callback order are the interpreter's.
+idea of QEMU's TCG). From then on the interpreter enters the compiled
+loop whenever it reaches the loop's head, on that run and on every later
+run of the same bytes, so a warm shader runs even its first iteration
+compiled. The compiled loop runs whole iterations while the step budget
+allows and hands everything else back to the interpreter, so counts,
+faults and callback order are the interpreter's.
 
 An *affine* self-loop, whose loads and stores each walk an address
 register up by 4 per iteration and which carries no value from one
@@ -24,8 +28,9 @@ iteration to the next, also gets a bulk form: its body evaluated over
 all n iterations at once, each value that differs per iteration held as
 one Python int of its n words packed 32 bits apart, as loaded, so each
 vector op is a few big-int operations. When at least
-``BULK_MIN_ITERATIONS`` iterations are left and they fit the budget, the
-caller's ``run_bulk`` may run them all at once. The device does so after
+``BULK_MIN_ITERATIONS`` iterations are left as the loop is entered (at
+its head, the counter's value) and they fit the budget, the caller's
+``run_bulk`` may run them all at once. The device does so after
 the page walks those iterations would make, in their order, and falls
 back to the compiled loop when an access is unaligned, a stored word is
 partial, a load span holds a buffered word, or two accesses share a word
@@ -142,13 +147,15 @@ _REG_FIELD_TOPS = {
     OP_MUL: _RD | _RA | _RB, OP_MAX: _RD | _RA | _RB,
 }
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemPath:
     """How compiled loops do LD and ST. ``ld`` and ``st`` are statement
     templates: ``{d}``, ``{a}`` and ``{s}`` stand for the destination,
     address and source registers, which hold values in [0, 2^32). The
     statements may call ``load_word`` and ``store_word`` and use ``names``,
-    whose values ``execute`` takes as ``bound``, in the same order."""
+    whose values ``execute`` takes as ``bound``, in the same order.
+    Compiled loops are kept by the MemPath object itself (it hashes by
+    identity), so finding them hashes none of its strings."""
 
     ld: str
     st: str
@@ -160,28 +167,43 @@ CALLBACK_PATH = MemPath(ld="{d} = load_word({a}) & 0xFFFFFFFF",
                         st="store_word({a}, {s})")
 
 # Decoded shaders by their bytes, least recently used first: the decoded
-# words and the loops compiled for them, by (MemPath, BNZ word index).
-# A job chain reuses a handful of shaders; the bound keeps a long-lived
-# process that sees many distinct ones from growing without limit.
+# entries and, by MemPath, the entries that path's compiled loops are
+# entered from (``_decode``). A job chain reuses a handful of shaders; the
+# bound keeps a long-lived process that sees many distinct ones from
+# growing without limit.
 DECODE_CACHE_SIZE = 32
-# An affine self-loop with at least this many iterations left runs them in
-# bulk. Measured per shader run in scale, copy and vec_add jobs (median of
-# 21 alternating rounds), the bulk path ties the compiled loop at about 24
-# iterations left (vec_add near 21) and is 10-20% faster at 32; the floor
-# keeps loops near the tie, such as chain-64's, compiled.
+# An affine self-loop with at least this many iterations left as its head
+# enters it runs them in bulk: all of them on a warm run, those after the
+# first on the run whose back-edge compiles it. Measured per shader run in
+# scale, copy and vec_add jobs (median of 21 alternating rounds), the bulk
+# path ties the compiled loop at about 24 iterations left (vec_add near 21)
+# and is 10-20% faster at 32; the floor keeps loops near the tie, such as
+# chain-64's, compiled.
 BULK_MIN_ITERATIONS = 32
+# The op of an entry that enters a compiled self-loop at its head:
+# (OP_LOOP, counter register, compiled loop, pc after its BNZ, head).
+OP_LOOP = -1
 _decode_cache: OrderedDict[bytes, tuple[list[tuple], dict]] = OrderedDict()
 
 
-def _decode(words: list[int]) -> tuple[list[tuple], dict]:
-    """Decode to one entry per word index. Each entry is
-    (op, a, b, c, next_pc); LDI's second word gets a None placeholder.
-    Returns the entries and the shader's (initially empty) loop cache."""
-    key = struct.pack(f"<{len(words)}I", *words)
-    cached = _decode_cache.get(key)
+def _decode(code: bytes) -> tuple[list[tuple], dict]:
+    """Decode the little-endian instruction words in ``code`` to one entry
+    per word index. Each entry is (op, a, b, c, next_pc); LDI's second
+    word gets a None placeholder, and a backward BNZ has c = 1, as the
+    back-edge of a loop that may compile.
+
+    Returns the entries and the shader's loops: by MemPath, a copy of the
+    entries as that path runs them, in which the head of each loop compiled
+    for it is an ``OP_LOOP`` entry and each back-edge it has taken is a BNZ
+    with c = 0. A path runs on the entries themselves until it first takes
+    a back-edge. Words are unpacked only when ``code`` is not cached."""
+    cached = _decode_cache.get(code)
     if cached is not None:
-        _decode_cache.move_to_end(key)
+        _decode_cache.move_to_end(code)
         return cached
+    if len(code) & 3:
+        raise ShaderFault(f"{len(code)} bytes is not a whole number of words")
+    words = struct.unpack(f"<{len(code) >> 2}I", code)
     decoded: list[tuple | None] = [None] * len(words)
     pc = 0
     n = len(words)
@@ -202,7 +224,7 @@ def _decode(words: list[int]) -> tuple[list[tuple], dict]:
                 target = pc + 1 + imm
                 if not 0 <= target <= n:
                     raise ShaderFault(f"branch target {target} out of range at word {pc}")
-                decoded[pc] = (OP_BNZ, ra, target, 0, pc + 1)
+                decoded[pc] = (OP_BNZ, ra, target, int(target <= pc), pc + 1)
             else:
                 decoded[pc] = (OP_ADDI, rd, ra, imm, pc + 1)
             pc += 1
@@ -211,7 +233,7 @@ def _decode(words: list[int]) -> tuple[list[tuple], dict]:
             pc += 1
         else:
             raise ShaderFault(f"unknown opcode {op:#x} at word {pc}")
-    entry = _decode_cache[key] = (decoded, {})
+    entry = _decode_cache[code] = (decoded, {})
     if len(_decode_cache) > DECODE_CACHE_SIZE:
         _decode_cache.popitem(last=False)
     return entry
@@ -415,21 +437,45 @@ def _bulk_loop(ops: list[tuple], cond: int):
     return tuple(mem), namespace["bulk"]
 
 
-def execute(words: list[int], params: list[int], load_word, store_word,
+def _enter_compiled(decoded: list, loops: dict, path: MemPath, head: int,
+                    end: int) -> list:
+    """Compile the loop from word ``head`` to the back-edge at ``end`` for
+    ``path``, once: the back-edge becomes a plain BNZ in ``path``'s entries
+    and, when the loop compiles, its head an ``OP_LOOP`` entry. Returns
+    those entries."""
+    entries = loops.get(path)
+    if entries is None:
+        entries = loops[path] = list(decoded)
+    _, cond, _, _, exit_pc = decoded[end]
+    entries[end] = (OP_BNZ, cond, head, 0, exit_pc)
+    loop = _compile_loop(decoded, head, end, path)
+    if loop is not None:
+        entries[head] = (OP_LOOP, cond, loop, exit_pc, head)
+    return entries
+
+
+def execute(code: bytes, params: list[int], load_word, store_word,
             budget: int, path: MemPath = CALLBACK_PATH,
             bound: tuple = (), run_bulk=None) -> tuple[int, bool]:
-    """Run a shader. Registers r0..r7 start from the 8-entry param block.
+    """Run the shader whose instruction words are ``code``, little-endian.
+    Registers r0..r7 start from the 8-entry param block.
 
     Returns (dynamic instruction count, halted). ``halted`` is False when
     the step budget ran out. Memory callbacks may raise; the fault
     propagates with the partial count lost, matching a faulted job.
-    Compiled loops do memory as ``path`` says, with ``bound`` as the
-    values of its names. ``run_bulk(bulk form, regs, n)``, when given, is
-    offered the n iterations left of an affine self-loop (``_bulk_loop``)
-    when n is at least ``BULK_MIN_ITERATIONS`` and fits the budget; it runs
-    them all, or returns False to leave them to the compiled loop.
+    A self-loop is compiled at its first taken back-edge (``_decode`` keeps
+    it with the shader's bytes); from then on, whenever the interpreter
+    reaches the loop's head with a whole iteration's budget left, the loop
+    runs compiled, and the interpreter goes on at the pc it returns.
+    Compiled loops do memory as ``path`` says, with ``bound`` as the values
+    of its names. ``run_bulk(bulk form, regs, n)``, when given, is offered
+    the n iterations left of an affine self-loop (``_bulk_loop``), the
+    counter's value at the head, when n is at least ``BULK_MIN_ITERATIONS``
+    and fits the budget; it runs them all, or returns False to leave them
+    to the compiled loop.
     """
-    decoded, loops = _decode(words)
+    decoded, loops = _decode(code)
+    entries = loops.get(path, decoded)
     regs = [p & U32 for p in params[:8]] + [0] * max(0, 8 - len(params))
     pc = 0
     count = 0
@@ -437,7 +483,7 @@ def execute(words: list[int], params: list[int], load_word, store_word,
     while count < budget:
         if pc >= n:
             return count, False  # ran off the end without HALT
-        entry = decoded[pc]
+        entry = entries[pc]
         if entry is None:
             raise ShaderFault(f"jump into immediate word at {pc}")
         op, a, b, c, nxt = entry
@@ -460,27 +506,28 @@ def execute(words: list[int], params: list[int], load_word, store_word,
             regs[a] = (regs[b] + c) & U32
         elif op == OP_BNZ:
             if regs[a] != 0:
-                if b <= pc:  # a back-edge: whole iterations run compiled
-                    key = (path, pc)
-                    try:
-                        loop = loops[key]
-                    except KeyError:
-                        loop = loops[key] = _compile_loop(decoded, b, pc, path)
-                    if loop is not None and budget - count >= loop[1]:
-                        fn, steps, bulk = loop
-                        iterations = (budget - count) // steps
-                        left = regs[a]  # the iterations left: the counter's value
-                        if (BULK_MIN_ITERATIONS <= left <= iterations and bulk is not None
-                                and run_bulk is not None and run_bulk(bulk, regs, left)):
-                            count += left * steps
-                            pc = nxt
-                        else:
-                            count, pc = fn(regs, count, iterations,
-                                           load_word, store_word, *bound)
-                        continue
+                if c:  # a back-edge this path takes for the first time
+                    entries = _enter_compiled(decoded, loops, path, b, pc)
                 pc = b
                 continue
         elif op == OP_LDI:
             regs[a] = b
+        elif op == OP_LOOP:  # a compiled loop's head, not yet counted
+            count -= 1
+            fn, steps, bulk = b
+            iterations = (budget - count) // steps
+            if not iterations:
+                # the budget ends inside this body, short of its BNZ:
+                # interpret the rest
+                entries = decoded
+                continue
+            left = regs[a]
+            if (BULK_MIN_ITERATIONS <= left <= iterations and bulk is not None
+                    and run_bulk is not None and run_bulk(bulk, regs, left)):
+                count += left * steps
+                pc = c
+            else:
+                count, pc = fn(regs, count, iterations, load_word, store_word, *bound)
+            continue
         pc = nxt
     return count, False

@@ -408,6 +408,14 @@ def test_a_shader_over_the_size_limit_faults_at_its_va():
     assert (status, fault) == (dv.JOB_MMU_FAULT, shader_va)
 
 
+def test_an_empty_shader_ends_its_job_in_bad_state_unfetched():
+    rig = _Rig(Device())
+    desc = rig.job([], [])
+    shader_va = desc - dv.PAGE_SIZE  # job() maps the shader's page, then the descriptor's
+    assert run_chain(rig, desc) == (dv.JOB_BAD_STATE, 0, 0)
+    assert shader_va >> dv.PAGE_SHIFT not in rig.dev.tlb
+
+
 def test_a_self_linked_chain_stops_past_the_job_limit():
     rig = _Rig(Device())
     desc = rig.job(halt_shader(), [])
@@ -966,35 +974,109 @@ def count_bulk_runs(results):
     return mock.patch.object(dv, "execute", execute)
 
 
-# the first iteration runs before the back-edge offers the rest
+# On a cold decode cache the first iteration runs before the back-edge
+# offers the n - 1 others; on a warm one the loop's head offers all n.
+# ``expect`` is (cold runs, warm runs).
 @pytest.mark.parametrize("n, in_place, expect", [
-    (8192, False, [True]),     # vecadd-16k's shape
-    (16, False, []),           # chain-64's: below the floor, never offered
-    (FLOOR, False, []),
-    (FLOOR + 1, False, [True]),
-    (100, True, [True]),       # the first iteration already stored to the span's page
+    (8192, False, ([True], [True])),  # vecadd-16k's shape
+    (16, False, ([], [])),            # chain-64's: below the floor, never offered
+    (FLOOR, False, ([], [True])),
+    (FLOOR + 1, False, ([True], [True])),
+    (100, True, ([True], [True])),    # cold, the first iteration already stored to the span's page
+    (FLOOR - 1, False, ([], [])),
 ])
 def test_bulk_path_runs_for_long_affine_loops(n, in_place, expect):
-    dev = Device()
-    rig = _Rig(dev)
-    pages = -(-(3 * n * 4) // dv.PAGE_SIZE) + 1
-    va = [rig.map_page(Perm.READ | Perm.WRITE)[0] for _ in range(pages)][0]
-    src = va + 4
-    out = src if in_place else src + 2 * n * 4
-    inputs = random.Random(n).randbytes(2 * n * 4)
-    rig.put(src, inputs)
-    words, instr, params = emit_shader(Layer("vec_add", (), 2 * n, n), src, out)
-    results = []
-    with count_bulk_runs(results):
-        rig.kick(rig.job(words, params))
-    assert dev._pending_job.instr_count == instr
-    dev.tick(10_000_000)
-    assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
-    assert results == expect
-    flush(dev)
-    x = struct.unpack(f"<{2 * n}I", inputs)
-    assert dev.mem_read(rig.FIRST_DATA_PA + out - va, 4 * n) == struct.pack(
-        f"<{n}I", *((x[i] + x[n + i]) & dv.U32 for i in range(n)))
+    def bulk_runs():
+        dev = Device()
+        rig = _Rig(dev)
+        pages = -(-(3 * n * 4) // dv.PAGE_SIZE) + 1
+        va = [rig.map_page(Perm.READ | Perm.WRITE)[0] for _ in range(pages)][0]
+        src = va + 4
+        out = src if in_place else src + 2 * n * 4
+        inputs = random.Random(n).randbytes(2 * n * 4)
+        rig.put(src, inputs)
+        words, instr, params = emit_shader(Layer("vec_add", (), 2 * n, n), src, out)
+        results = []
+        with count_bulk_runs(results):
+            rig.kick(rig.job(words, params))
+        assert dev._pending_job.instr_count == instr
+        dev.tick(10_000_000)
+        assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+        flush(dev)
+        x = struct.unpack(f"<{2 * n}I", inputs)
+        assert dev.mem_read(rig.FIRST_DATA_PA + out - va, 4 * n) == struct.pack(
+            f"<{n}I", *((x[i] + x[n + i]) & dv.U32 for i in range(n)))
+        return results
+
+    shader._decode_cache.clear()
+    assert (bulk_runs(), bulk_runs()) == expect
+
+
+def test_a_warm_chain_64_shader_runs_every_iteration_compiled():
+    # chain-64's scale and copy jobs, 16 elements each: a cold run
+    # interprets the first iteration before the back-edge compiles the
+    # loop; a warm run enters the compiled loop at its head for all 16
+    real, runs = shader._compile_loop, []
+
+    def compile_loop(*args):
+        fn, steps, bulk = real(*args)
+
+        def counted(regs, count, *rest):
+            end, pc = fn(regs, count, *rest)
+            runs.append((end - count) // steps)
+            return end, pc
+        return counted, steps, bulk
+
+    shader._decode_cache.clear()
+    with mock.patch.object(shader, "_compile_loop", compile_loop):
+        for _ in range(2):
+            for layer in (Layer("scale", (3,), 16, 16), Layer("copy", (), 16, 16)):
+                dev = Device()
+                rig = _Rig(dev)
+                va, _ = rig.map_page(Perm.READ | Perm.WRITE)
+                words, instr, params = emit_shader(layer, va, va + 64)
+                rig.kick(rig.job(words, params))
+                assert dev._pending_job.instr_count == instr
+    assert runs == [15, 15, 16, 16]
+
+
+def test_a_shader_across_a_page_edge_runs_from_both_pages():
+    # the loop's head and back-edge sit on two VA pages whose physical
+    # pages are not adjacent; cold and warm runs store alike
+    a = Asm()
+    for _ in range(5):
+        a.ldi(6, 0)
+    a.ldi(5, 7)
+    a.label("loop")
+    a.ld(4, 0); a.mul(4, 4, 5); a.st(1, 4)
+    a.addi(0, 0, 4); a.addi(1, 1, 4); a.addi(2, 2, -1)
+    a.bnz(2, "loop")
+    a.halt()
+    words = a.assemble()
+    shader._decode_cache.clear()
+    for _ in range(2):
+        dev = Device()
+        rig = _Rig(dev)
+        data_va, data_pa = rig.map_page(Perm.READ | Perm.WRITE)
+        rig.put(data_va, words_le(range(1, 9)))
+        sh_va = rig.next_va
+        rig.map_at(sh_va, 0x80000, Perm.READ | Perm.EXEC)
+        rig.map_at(sh_va + dv.PAGE_SIZE, 0x90000, Perm.READ | Perm.EXEC)
+        rig.next_va += 2 * dv.PAGE_SIZE  # keep put's VA-to-PA offset for later pages
+        rig.next_pa += 2 * dv.PAGE_SIZE
+        split = 4 * 14  # the first page ends after the loop's LD and MUL
+        start = sh_va + dv.PAGE_SIZE - split
+        code = words_le(words)
+        dev.mem_write(0x80000 + dv.PAGE_SIZE - split, code[:split])
+        dev.mem_write(0x90000, code[split:])
+        desc_va, _ = rig.map_page(Perm.READ)
+        params = [data_va, data_va + 0x100, 8, 0, 0, 0, 0, 0]
+        rig.put(desc_va, words_le([0, start, len(code), dev.sku.full_core_mask] + params))
+        rig.kick(desc_va)
+        dev.tick(10_000_000)
+        assert rd(dev, "JOB_STATUS") == dv.JOB_DONE
+        flush(dev)
+        assert dev.mem_read(data_pa + 0x100, 32) == words_le(7 * k for k in range(1, 9))
 
 
 def test_unaligned_store_merges_into_a_full_word():

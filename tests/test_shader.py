@@ -1,5 +1,6 @@
 """Shader ISA: assembler, decoder, interpreter semantics, loop compiler."""
 
+import struct
 from unittest import mock
 
 import pytest
@@ -22,9 +23,14 @@ class Mem:
         self.words[addr] = value
 
 
+def pack(words):
+    """A shader's bytes, as the device fetches them."""
+    return struct.pack(f"<{len(words)}I", *words)
+
+
 def run(words, params=(), mem=None, budget=1 << 20):
     mem = mem or Mem()
-    n, halted = execute(words, list(params), mem.load, mem.store, budget)
+    n, halted = execute(pack(words), list(params), mem.load, mem.store, budget)
     return n, halted, mem
 
 
@@ -181,7 +187,6 @@ def test_params_seed_registers():
 
 
 def test_decode_cache_is_bounded_and_hits_decode_identically():
-    from gprr import shader
     n = shader.DECODE_CACHE_SIZE
     programs = []
     for i in range(n + 1):
@@ -190,13 +195,30 @@ def test_decode_cache_is_bounded_and_hits_decode_identically():
         a.st(0, 1)
         a.halt()
         programs.append(a.assemble())
+    shader._decode_cache.clear()
     for words in programs:
         run(words)
-    assert len(shader._decode_cache) <= n
-    hit = shader._decode(programs[-1])
+    # keyed by the bytes run, least recently used first
+    assert list(shader._decode_cache) == [pack(words) for words in programs[1:]]
+    hit = shader._decode(pack(programs[-1]))
     shader._decode_cache.clear()
-    assert shader._decode(programs[-1]) == hit
+    assert shader._decode(pack(programs[-1])) == hit
     assert run(programs[-1])[2].words == {0: n}
+
+
+def test_an_empty_or_ragged_shader():
+    assert execute(b"", [], Mem().load, Mem().store, 100) == (0, False)
+    with pytest.raises(ShaderFault):
+        execute(pack([OP_HALT])[:3], [], Mem().load, Mem().store, 100)
+
+
+def compiled_loops(words):
+    """(MemPath, head) -> instructions per iteration of each loop compiled
+    for the shader ``words``: the entries a path enters them from."""
+    return {(path, pc): entry[2][1]
+            for path, entries in shader._decode(pack(words))[1].items()
+            for pc, entry in enumerate(entries)
+            if entry is not None and entry[0] == shader.OP_LOOP}
 
 
 def test_loops_compile_when_their_back_edge_is_first_taken():
@@ -215,11 +237,12 @@ def test_loops_compile_when_their_back_edge_is_first_taken():
     shader._decode_cache.clear()
     once = program(1)
     assert run(once)[2].words == {0: 3}
-    assert shader._decode(once)[1] == {}  # the back-edge was never taken
+    assert shader._decode(pack(once))[1] == {}  # the back-edge was never taken
     many = program(5)
     assert run(many)[:2] == (1 + 3 * 5 + 3, True)
-    (key, compiled), = shader._decode(many)[1].items()
-    assert key == (shader.CALLBACK_PATH, 4) and compiled[1] == 3
+    # kept by its head, after the two-word LDI, where a warm run enters it
+    assert compiled_loops(many) == {(shader.CALLBACK_PATH, 2): 3}
+    assert run(many)[:2] == (1 + 3 * 5 + 3, True)
 
 
 def test_shader_without_back_edge_compiles_nothing():
@@ -229,7 +252,7 @@ def test_shader_without_back_edge_compiles_nothing():
     a.halt()
     words = a.assemble()
     run(words)
-    assert shader._decode(words)[1] == {}
+    assert shader._decode(pack(words))[1] == {}
 
 
 class Boom(Exception):
@@ -309,14 +332,22 @@ def loop_program(prologue, loops):
     return a.assemble()
 
 
-def outcome(words, params, budget, fail_at):
-    shader._decode_cache.clear()
+def outcome(words, params, budget, fail_at, cold=True):
+    if cold:
+        shader._decode_cache.clear()
     mem = LoggedMem(fail_at)
     try:
-        result = execute(words, params, mem.load, mem.store, budget)
+        result = execute(pack(words), params, mem.load, mem.store, budget)
     except Boom:
         result = Boom
     return result, mem.calls
+
+
+def warm_outcome(words, params, budget, fail_at):
+    """``outcome`` of a second run, after one that compiled the loops whose
+    back-edges it took within 1,000 steps."""
+    outcome(words, params, 1000, 0)
+    return outcome(words, params, budget, fail_at, cold=False)
 
 
 @settings(max_examples=500, deadline=None)
@@ -351,6 +382,40 @@ def test_every_budget_through_four_iterations(budget):
     assert compiled[0] == (budget, False)
 
 
+@settings(max_examples=500, deadline=None)
+@given(prologue=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 0xFFFFFFFF)),
+                         max_size=4),
+       loops=st.lists(loop_spec, min_size=1, max_size=2),
+       params=st.lists(st.integers(0, 0xFFFFFFFF), max_size=8),
+       budget=st.integers(0, 400),
+       fail_at=st.integers(0, 60))
+def test_warm_compiled_loops_match_the_interpreter(prologue, loops, params, budget, fail_at):
+    # the second run enters each compiled loop at its head
+    words = loop_program(prologue, loops)
+    warm = warm_outcome(words, params, budget, fail_at)
+    with mock.patch.object(shader, "_compile_loop", lambda *args: None):
+        interpreted = outcome(words, params, budget, fail_at)
+    assert warm == interpreted
+
+
+@pytest.mark.parametrize("budget", range(20))
+def test_every_budget_through_four_warm_iterations(budget):
+    # as above, with the loop compiled by an earlier run: budgets end
+    # before its head, on it, or inside an iteration
+    a = Asm()
+    a.ldi(1, 100)
+    a.label("loop")
+    a.ld(2, 1); a.st(1, 2); a.addi(1, 1, -1)
+    a.bnz(1, "loop")
+    a.halt()
+    words = a.assemble()
+    warm = warm_outcome(words, [], budget, 0)
+    assert compiled_loops(words) == {(shader.CALLBACK_PATH, 2): 4}
+    with mock.patch.object(shader, "_compile_loop", lambda *args: None):
+        assert outcome(words, [], budget, 0) == warm
+    assert warm[0] == (budget, False)
+
+
 def test_back_edge_over_a_halt_stays_interpreted():
     # entered past its HALT, the loop's body is not straight-line code
     a = Asm()
@@ -364,7 +429,30 @@ def test_back_edge_over_a_halt_stays_interpreted():
     a.halt()
     words = a.assemble()
     assert run(words)[:2] == (2 + 1 + 2 + 1, True)
-    assert list(shader._decode(words)[1].values()) == [None]
+    assert compiled_loops(words) == {}
+    assert run(words)[:2] == (2 + 1 + 2 + 1, True)
+
+
+def test_an_outer_back_edge_does_not_hide_the_inner_loop():
+    # both back-edges branch to "head": the outer one, taken first, closes
+    # no self-loop; the inner one compiles when it is first taken
+    a = Asm()
+    a.ldi(7, 1); a.ldi(6, 3); a.ldi(2, 0)
+    a.label("head")
+    a.addi(2, 2, 1); a.addi(7, 7, -1)
+    a.bnz(7, "head")
+    a.ldi(7, 4); a.addi(6, 6, -1)
+    a.bnz(6, "head")
+    a.ldi(0, 0); a.st(0, 2)
+    a.halt()
+    words = a.assemble()
+    shader._decode_cache.clear()
+    assert run(words)[2].words == {0: 1 + 4 + 4}
+    assert compiled_loops(words) == {(shader.CALLBACK_PATH, 6): 3}
+    with mock.patch.object(shader, "_compile_loop", lambda *args: None):
+        interpreted = outcome(words, [], 1 << 20, 0)
+    assert outcome(words, [], 1 << 20, 0) == interpreted
+    assert warm_outcome(words, [], 1 << 20, 0) == interpreted
 
 
 # Affine bodies over value registers r4..r7: the address registers r0..r2
@@ -425,10 +513,11 @@ def test_bulk_form_matches_the_interpreter(body, values, trips):
     shader._decode_cache.clear()
     bulk = LoggedMem(0)
     with mock.patch.object(shader, "BULK_MIN_ITERATIONS", 1):
-        got = execute(words, [], bulk.load, bulk.store, 1 << 20, run_bulk=region_bulk(bulk))
+        got = execute(pack(words), [], bulk.load, bulk.store, 1 << 20,
+                      run_bulk=region_bulk(bulk))
     with mock.patch.object(shader, "_compile_loop", lambda *args: None):
         interpreted = LoggedMem(0)
-        assert execute(words, [], interpreted.load, interpreted.store, 1 << 20) == got
+        assert execute(pack(words), [], interpreted.load, interpreted.store, 1 << 20) == got
     assert interpreted.words == bulk.words
 
 
@@ -477,11 +566,11 @@ def test_each_lane_op_matches_the_interpreter_on_edge_words(body, n):
     bulk, runs = Mem(init), []
     run_bulk = region_bulk(bulk)
     with mock.patch.object(shader, "BULK_MIN_ITERATIONS", 1):
-        got = execute(words, [], bulk.load, bulk.store, 1 << 20,
+        got = execute(pack(words), [], bulk.load, bulk.store, 1 << 20,
                       run_bulk=lambda *args: runs.append(args[2]) or run_bulk(*args))
     with mock.patch.object(shader, "_compile_loop", lambda *args: None):
         interpreted = Mem(init)
-        assert execute(words, [], interpreted.load, interpreted.store, 1 << 20) == got
+        assert execute(pack(words), [], interpreted.load, interpreted.store, 1 << 20) == got
     assert runs == [n]
     assert interpreted.words == bulk.words
 
@@ -494,7 +583,7 @@ def test_affine_loops_have_a_bulk_form():
         a.addi(3, 3, -1)
         a.bnz(3, "loop")
         a.halt()
-        decoded = shader._decode(a.assemble())[0]
+        decoded = shader._decode(pack(a.assemble()))[0]
         return shader._compile_loop(decoded, 0, len(decoded) - 2, shader.CALLBACK_PATH)[2]
 
     def vec_add(a):
